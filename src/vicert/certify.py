@@ -15,6 +15,7 @@ from . import numerics
 from .errors import (
     BadParameters,
     DimensionMismatch,
+    NoConvergence,
     NoViolatingPair,
     PreconditionViolated,
 )
@@ -331,24 +332,48 @@ def spectral_disk_check(a, ell: float, tol: float = 1e-9) -> CertificateReport:
                                       "ell": ell})
 
 
-def min_cocoercivity_ell(a, lo: float = 1e-9, hi: float = 1e9,
-                         rel_width: float = 1e-9) -> float | None:
-    """Smallest ell passing the exact pencil test, by geometric bisection.
+def min_cocoercivity_ell(a, lo: float = 1e-9, hi: float = 1e9) -> float | None:
+    """Smallest ell for which x -> Ax is ell-cocoercive, in closed form.
 
-    Returns None when even ``hi`` fails (non-cocoercive for any practical ell).
+    With H = (A + A^T)/2 the pencil ``ell*H - A^T A`` is PSD exactly when
+    H is PSD, null(H) lies in null(A), and ``ell >= lambda_max(H^{+1/2}
+    A^T A H^{+1/2}) = ||A H^{+1/2}||^2``; that eigenvalue is the result.
+    Eigenvalues of H within ``n * eps * ||H||`` of zero count as zero, and a
+    direction v of null(H) counts as lying in null(A) when ``|Av|^2`` is
+    within ``n * eps * max|A^T A|``.
+
+    Returns None when H is indefinite, when null(H) is not inside null(A),
+    or when the result exceeds ``hi``; a result below ``lo`` is clamped to
+    ``lo``.  The returned value is re-checked on the pencil itself: it must
+    pass the exact test within ``1e-12 * (ell*max|H| + max|A^T A|)``, and,
+    unless clamped, ``(1 - 1e-6) * ell`` must fail it.  A failed re-check
+    raises :class:`NoConvergence`.
     """
     A = numerics.as_matrix(a, square=True)
-    if not affine_cocoercivity_exact(A, hi).holds:
+    n = A.shape[0]
+    H = 0.5 * (A + A.T)
+    M = A.T @ A
+    eps = float(np.finfo(np.float64).eps)
+    w, V = numerics.sym_eig(H)
+    cut = n * eps * float(np.abs(w).max(initial=0.0))
+    if w[0] < -cut:
         return None
-    if affine_cocoercivity_exact(A, lo).holds:
-        return lo
-    while hi - lo > rel_width * hi:
-        mid = float(np.sqrt(lo * hi))
-        if affine_cocoercivity_exact(A, mid).holds:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    pos = w > cut
+    null_images = A @ V[:, ~pos]
+    null_sq = (null_images * null_images).sum(axis=0)
+    if float(null_sq.max(initial=0.0)) > n * eps * float(np.abs(M).max()):
+        return None
+    ell = numerics.spectral_norm(A @ (V[:, pos] / np.sqrt(w[pos]))) ** 2
+    if ell > hi:
+        return None
+    clamped = ell < lo
+    ell = max(ell, lo)
+    size = ell * float(np.abs(H).max()) + float(np.abs(M).max())
+    if not affine_cocoercivity_exact(A, ell, tol=1e-12 * size).holds:
+        raise NoConvergence(f"pencil is not PSD at the closed-form ell {ell!r}")
+    if not clamped and affine_cocoercivity_exact(A, (1.0 - 1e-6) * ell, tol=0.0).holds:
+        raise NoConvergence(f"pencil is still PSD below the closed-form ell {ell!r}")
+    return ell
 
 
 def eg_affine_cocoercivity_check(a, gamma: float, L: float) -> CertificateReport:
@@ -394,6 +419,10 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
         raise BadParameters("which must be 'og' or 'eftp'")
     if ell <= 0.0 or gamma <= 0.0:
         raise BadParameters("ell and gamma must be positive")
+    if ell * gamma < 1e-150:
+        raise BadParameters(
+            f"ell*gamma = {ell * gamma!r} is below 1e-150; the floor 1 + 4/(ell*gamma)^2 overflows")
+    formula_floor = 1.0 + (2.0 / (ell * gamma)) ** 2
     A = numerics.as_matrix(a, square=True)
     c = ell / 2.0 if which == "og" else ell
     w, V = numerics.sym_eig(cocoercivity_pencil(A, c))
@@ -407,8 +436,8 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     z_hat = z - (2.0 / ell) * comp(z)
     # z' = (x*, x*) = 0 is fixed by the map since the composite is linear
     ratio = float(z_hat @ z_hat) / float(z @ z)
-    formula_floor = 1.0 + 4.0 / (ell**2 * gamma**2)
-    if ratio < formula_floor - 1e-9:
+    # relative: the floor grows as 1/(ell*gamma)^2 and the ratio's rounding with it
+    if ratio < formula_floor * (1.0 - 1e-9):
         raise RuntimeError(
             f"measured ratio {ratio!r} fell below the structural floor {formula_floor!r}")
     verdict = VIOLATED if ratio > 1.0 + 1e-12 else INCONCLUSIVE

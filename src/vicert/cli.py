@@ -25,11 +25,43 @@ from .solvers import SolverConfig, run
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    try:
+        v = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    except ValueError as exc:
+        raise VicertError(f"malformed vector {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(v)):
+        raise VicertError(f"vector {text!r} has non-finite entries")
+    return v
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    return np.array(json.loads(text), dtype=float)
+    try:
+        m = np.array(json.loads(text), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise VicertError(f"malformed matrix {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(m)):
+        raise VicertError(f"matrix {text!r} has non-finite entries")
+    return m
+
+
+_FLAGS = {"lipschitz": "--L", "jac_lipschitz": "--Lambda"}
+
+
+def _require(args, what: str, dests) -> None:
+    """Raise a usage error naming the first required flag left unset."""
+    for dest in dests:
+        if getattr(args, dest) is None:
+            raise VicertError(f"{_FLAGS.get(dest, '--' + dest)} is required for {what}")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 _BUILTIN_OPS = {
@@ -64,9 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--op", required=True, help="operator JSON file or builtin name")
     runp.add_argument("--method", required=True,
                       choices=["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"])
-    runp.add_argument("--gamma", type=float, default=0.0)
-    runp.add_argument("--gamma1", type=float)
-    runp.add_argument("--gamma2", type=float)
+    runp.add_argument("--gamma", type=_finite_float, default=0.0)
+    runp.add_argument("--gamma1", type=_finite_float)
+    runp.add_argument("--gamma2", type=_finite_float)
     runp.add_argument("--iters", type=int, required=True)
     runp.add_argument("--x0", required=True, help="comma-separated start point")
     runp.add_argument("--xstar", help="comma-separated solution point")
@@ -77,12 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=["gd", "pp", "eg-random", "eg-last", "eftp", "hgm",
                               "hgm-affine"])
     chk.add_argument("--op", required=True)
-    chk.add_argument("--gamma", type=float)
-    chk.add_argument("--gamma1", type=float)
-    chk.add_argument("--gamma2", type=float)
-    chk.add_argument("--ell", type=float)
-    chk.add_argument("--L", type=float, dest="lipschitz")
-    chk.add_argument("--Lambda", type=float, dest="jac_lipschitz")
+    chk.add_argument("--gamma", type=_finite_float)
+    chk.add_argument("--gamma1", type=_finite_float)
+    chk.add_argument("--gamma2", type=_finite_float)
+    chk.add_argument("--ell", type=_finite_float)
+    chk.add_argument("--L", type=_finite_float, dest="lipschitz")
+    chk.add_argument("--Lambda", type=_finite_float, dest="jac_lipschitz")
     chk.add_argument("--iters", type=int, required=True)
     chk.add_argument("--x0", help="start point; defaults to the all-ones vector")
     chk.add_argument("--xstar", help="solution point; defaults to the stored root")
@@ -95,9 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "star-equiv", "sampled"])
     cert.add_argument("--A", help="matrix as a JSON array of rows")
     cert.add_argument("--op", help="operator JSON file or builtin (sampled check)")
-    cert.add_argument("--ell", type=float)
-    cert.add_argument("--L", type=float, dest="lipschitz")
-    cert.add_argument("--gamma", type=float)
+    cert.add_argument("--ell", type=_finite_float)
+    cert.add_argument("--L", type=_finite_float, dest="lipschitz")
+    cert.add_argument("--gamma", type=_finite_float)
     cert.add_argument("--class", dest="op_class", default="monotone")
     cert.add_argument("--trials", type=int, default=200)
     cert.add_argument("--seed", type=int, default=0)
@@ -107,10 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ce = sub.add_parser("counterexample",
                         help="build and verify the expansive four-point system")
-    ce.add_argument("--ell", type=float, required=True)
-    ce.add_argument("--gamma1", type=float, required=True)
-    ce.add_argument("--gamma2", type=float, required=True)
-    ce.add_argument("--scale", type=float, default=1.0)
+    ce.add_argument("--ell", type=_finite_float, required=True)
+    ce.add_argument("--gamma1", type=_finite_float, required=True)
+    ce.add_argument("--gamma2", type=_finite_float, required=True)
+    ce.add_argument("--scale", type=_finite_float, default=1.0)
     ce.add_argument("--out")
 
     pexp = sub.add_parser("pep-export", help="write an SDPA sparse file")
@@ -137,10 +169,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _pep_problem_flags(sp) -> None:
     sp.add_argument("--problem", required=True,
                     choices=["expansiveness", "norm", "delta"])
-    sp.add_argument("--ell", type=float)
-    sp.add_argument("--L", type=float, dest="lipschitz")
-    sp.add_argument("--gamma1", type=float, required=True)
-    sp.add_argument("--gamma2", type=float, required=True)
+    sp.add_argument("--ell", type=_finite_float)
+    sp.add_argument("--L", type=_finite_float, dest="lipschitz")
+    sp.add_argument("--gamma1", type=_finite_float, required=True)
+    sp.add_argument("--gamma2", type=_finite_float, required=True)
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--operator-class", default="monotone-lipschitz",
                     choices=["monotone-lipschitz", "cocoercive"])
@@ -172,11 +204,28 @@ def _cmd_run(args) -> int:
     return 0
 
 
+_CHECK_NEEDS = {
+    "gd": ("ell", "gamma"),
+    "pp": ("ell", "gamma"),
+    "eg-random": ("lipschitz", "gamma1", "gamma2"),
+    "eg-last": ("lipschitz", "gamma"),
+    "eftp": ("lipschitz", "gamma"),
+    "hgm": ("lipschitz", "jac_lipschitz", "gamma"),
+    "hgm-affine": (),
+}
+
+
 def _cmd_check(args) -> int:
     op = _load_op(args.op)
     x0 = _parse_vector(args.x0) if args.x0 else np.ones(op.dim)
     star = _parse_vector(args.xstar) if args.xstar else None
-    L = args.lipschitz if args.lipschitz is not None else op.constants.lipschitz
+    # declared operator constants stand in for omitted flags
+    if args.lipschitz is None:
+        args.lipschitz = op.constants.lipschitz
+    if args.jac_lipschitz is None:
+        args.jac_lipschitz = op.constants.jac_lipschitz
+    _require(args, f"--theorem {args.theorem}", _CHECK_NEEDS[args.theorem])
+    L = args.lipschitz
     if args.theorem == "gd":
         checks = list(harness.check_gd_bounds(op, args.ell, args.gamma,
                                               args.iters, x0, star))
@@ -192,12 +241,7 @@ def _cmd_check(args) -> int:
     elif args.theorem == "eftp":
         checks = [harness.check_eftp_bound(op, L, args.gamma, args.iters, x0, star)]
     elif args.theorem == "hgm":
-        lam = args.jac_lipschitz
-        if lam is None:
-            lam = op.constants.jac_lipschitz
-        if lam is None:
-            raise VicertError("--Lambda is required for the hgm check")
-        checks = list(harness.check_hgm_bounds(op, L, lam, args.gamma,
+        checks = list(harness.check_hgm_bounds(op, L, args.jac_lipschitz, args.gamma,
                                                args.iters, x0))
     else:
         checks = [harness.check_hgm_affine_contraction(op, args.iters, x0)]
@@ -207,7 +251,20 @@ def _cmd_check(args) -> int:
     return 0 if all(c.passed is not False for c in checks) else 1
 
 
+_CERTIFY_NEEDS = {
+    "cocoercive-exact": ("ell",),
+    "spectral-disk": ("ell",),
+    "min-ell": (),
+    "eg-affine": ("gamma", "lipschitz"),
+    "og-witness": ("ell", "gamma"),
+    "eftp-witness": ("ell", "gamma"),
+    "star-equiv": ("ell",),
+    "sampled": (),
+}
+
+
 def _cmd_certify(args) -> int:
+    _require(args, f"--check {args.check}", _CERTIFY_NEEDS[args.check])
     if args.check == "sampled":
         if args.op is None:
             raise VicertError("--op is required for the sampled check")

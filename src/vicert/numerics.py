@@ -1,10 +1,11 @@
 """Dense float64 linear algebra used by every other module.
 
-The decompositions are implemented here rather than delegated to an
-external solver: the spectral certificates need the full complex spectrum
-of small general real matrices, and keeping the kernels in-tree keeps the
-certificate path self-contained.  numpy supplies array storage and
-elementwise arithmetic only.
+The eigendecompositions come from ``numpy.linalg`` (LAPACK): ``eigenvalues``
+wraps ``eigvals`` and ``sym_eig`` wraps ``eigh``.  This module adds the
+package's contracts on top: the symmetry tolerance, exact conjugate pairs in
+a fixed order, and :class:`NoConvergence` in place of ``LinAlgError``.  LU
+stays in-tree because its :class:`SingularMatrix` contract is stated in
+terms of the pivots.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotSymmetric, SingularMatrix
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_vector(x) -> np.ndarray:
@@ -84,304 +83,48 @@ def lu_solve(a, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Nonsymmetric eigenvalues: balance + Householder Hessenberg + shifted QR
+# Eigenproblems (LAPACK through numpy.linalg)
 # ---------------------------------------------------------------------------
-
-def _balance(a: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling equalizing row/column norms (radix 2)."""
-    A = a.copy()
-    n = A.shape[0]
-    radix = 2.0
-    while True:
-        converged = True
-        for i in range(n):
-            r = float(np.abs(A[i, :]).sum() - abs(A[i, i]))
-            c = float(np.abs(A[:, i]).sum() - abs(A[i, i]))
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c > r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if (c + r) < 0.95 * s:
-                converged = False
-                A[i, :] /= f
-                A[:, i] *= f
-        if converged:
-            return A
-
-
-def hessenberg_form(a) -> np.ndarray:
-    """Reduce a square matrix to upper Hessenberg form by Householder similarity."""
-    H = as_matrix(a, square=True).copy()
-    n = H.shape[0]
-    for k in range(n - 2):
-        col = H[k + 1:, k]
-        nv = float(np.sqrt((col * col).sum()))
-        if nv == 0.0:
-            continue
-        v = col.copy()
-        v[0] += np.copysign(nv, v[0]) if v[0] != 0.0 else nv
-        vn = float(np.sqrt((v * v).sum()))
-        if vn == 0.0:
-            continue
-        v /= vn
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
-        H[k + 2:, k] = 0.0
-    return H
-
-
-def _eig_2x2(m: np.ndarray) -> list[complex]:
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    t = 0.5 * (a + d)
-    s = np.sqrt(np.complex128((0.5 * (a - d)) ** 2 + b * c))
-    return [t + s, t - s]
-
-
-def _wilkinson_shift(m: np.ndarray) -> complex:
-    lo, hi = _eig_2x2(m)
-    d = m[1, 1]
-    return lo if abs(lo - d) <= abs(hi - d) else hi
-
-
-def _qr_step(T: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit shifted QR sweep on the Hessenberg block ``T[lo:hi+1, lo:hi+1]``."""
-    B = T[lo:hi + 1, lo:hi + 1]
-    m = B.shape[0]
-    B.flat[:: m + 1] -= mu
-    rots: list[tuple[complex, complex] | None] = []
-    for k in range(m - 1):
-        aa = B[k, k]
-        bb = B[k + 1, k]
-        r = float(np.hypot(abs(aa), abs(bb)))
-        if r == 0.0:
-            rots.append(None)
-            continue
-        ca = np.conj(aa) / r
-        cb = np.conj(bb) / r
-        rots.append((ca, cb))
-        rowk = B[k, k:].copy()
-        rowk1 = B[k + 1, k:]
-        B[k, k:] = ca * rowk + cb * rowk1
-        B[k + 1, k:] = -np.conj(cb) * rowk + np.conj(ca) * rowk1
-        B[k + 1, k] = 0.0
-    for k in range(m - 1):
-        rot = rots[k]
-        if rot is None:
-            continue
-        ca, cb = rot
-        idx = slice(0, min(k + 2, m))
-        colk = B[idx, k].copy()
-        colk1 = B[idx, k + 1]
-        B[idx, k] = np.conj(ca) * colk + np.conj(cb) * colk1
-        B[idx, k + 1] = -cb * colk + ca * colk1
-    B.flat[:: m + 1] += mu
-
-
-def _hessenberg_eigenvalues(h: np.ndarray) -> list[complex]:
-    n = h.shape[0]
-    T = h.astype(np.complex128)
-    anorm = float(np.abs(T).sum())
-    if anorm == 0.0:
-        return [0.0 + 0.0j] * n
-    out: list[complex] = []
-    hi = n - 1
-    budget = 100 * n * n
-    steps = 0
-    block_steps = 0
-    while hi >= 0:
-        lo = hi
-        while lo > 0:
-            s = abs(T[lo - 1, lo - 1]) + abs(T[lo, lo])
-            if s == 0.0:
-                s = anorm
-            if abs(T[lo, lo - 1]) <= _EPS * s:
-                T[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            out.append(complex(T[hi, hi]))
-            hi -= 1
-            block_steps = 0
-            continue
-        if lo == hi - 1:
-            out.extend(_eig_2x2(T[lo:hi + 1, lo:hi + 1]))
-            hi -= 2
-            block_steps = 0
-            continue
-        if steps >= budget:
-            raise NoConvergence(f"QR iteration exceeded {budget} sweeps")
-        steps += 1
-        block_steps += 1
-        if block_steps % 25 == 0:
-            # exceptional shift to break symmetric stalls
-            mu = T[hi, hi] + 1.5 * (abs(T[hi, hi - 1]) + abs(T[hi - 1, hi - 2]))
-        else:
-            mu = _wilkinson_shift(T[hi - 1:hi + 1, hi - 1:hi + 1])
-        _qr_step(T, lo, hi, mu)
-    return out
-
-
-def _pair_conjugates(vals: list[complex], scale: float) -> np.ndarray:
-    """Snap near-real values to the real axis and enforce exact conjugate pairs."""
-    tol = 1e-9 * (1.0 + scale)
-    n = len(vals)
-    used = [False] * n
-    out: list[complex] = []
-    for i in range(n):
-        if used[i]:
-            continue
-        lam = vals[i]
-        if abs(lam.imag) <= tol:
-            out.append(complex(lam.real, 0.0))
-            used[i] = True
-            continue
-        best = None
-        best_d = None
-        for j in range(i + 1, n):
-            if used[j] or vals[j].imag * lam.imag > 0:
-                continue
-            d = abs(vals[j] - lam.conjugate())
-            if best_d is None or d < best_d:
-                best, best_d = j, d
-        if best is None:
-            out.append(lam)
-            used[i] = True
-            continue
-        used[i] = used[best] = True
-        mu = 0.5 * (lam + vals[best].conjugate())
-        if mu.imag < 0:
-            mu = mu.conjugate()
-        out.extend([mu, mu.conjugate()])
-    out.sort(key=lambda z: (z.real, z.imag))
-    return np.asarray(out, dtype=np.complex128)
-
 
 def eigenvalues(a) -> np.ndarray:
-    """Full complex spectrum of a square real matrix.
+    """Full complex spectrum of a square real matrix, from LAPACK ``geev``.
 
-    Balancing, Householder reduction to Hessenberg form, then shifted QR
-    iteration with deflation.  Conjugate pairs of a real matrix are returned
-    exactly paired; the result is sorted by (real, imaginary) part.
+    ``geev`` returns the complex eigenvalues of a real matrix as exact
+    conjugate pairs.  Values with ``|imag| <= 1e-9 * (1 + ||A||_F)`` are
+    snapped to the real axis; the result is sorted by (real, imaginary) part.
     """
     A = as_matrix(a, square=True)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if n == 1:
-        return np.array([complex(A[0, 0])])
-    H = hessenberg_form(_balance(A))
-    vals = _hessenberg_eigenvalues(H)
-    scale = float(np.sqrt((A * A).sum()))
-    return _pair_conjugates(vals, scale)
+    try:
+        vals = np.linalg.eigvals(A).astype(np.complex128)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalues: {exc}") from exc
+    tol = 1e-9 * (1.0 + float(np.sqrt((A * A).sum())))
+    vals.imag[np.abs(vals.imag) <= tol] = 0.0
+    return vals[np.lexsort((vals.imag, vals.real))]
 
-
-# ---------------------------------------------------------------------------
-# Symmetric eigenproblem: Householder tridiagonalization + implicit QL
-# ---------------------------------------------------------------------------
 
 def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
     Returns ``(w, V)`` with ``S V = V diag(w)``; columns of ``V`` are the
     eigenvectors.  Raises :class:`NotSymmetric` when
-    ``max|S - S^T| > 1e-10 * (1 + max|S|)``.
+    ``max|S - S^T| > 1e-10 * (1 + max|S|)``; otherwise LAPACK ``syevd``
+    decomposes the symmetrized matrix ``(S + S^T)/2``.
     """
     S = as_matrix(s, square=True)
-    n = S.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
     scale = float(np.abs(S).max(initial=0.0))
     if float(np.abs(S - S.T).max(initial=0.0)) > 1e-10 * (1.0 + scale):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    A = 0.5 * (S + S.T)
-    Q = np.eye(n)
-    for k in range(n - 2):
-        col = A[k + 1:, k]
-        nv = float(np.sqrt((col * col).sum()))
-        if nv == 0.0:
-            continue
-        v = col.copy()
-        v[0] += np.copysign(nv, v[0]) if v[0] != 0.0 else nv
-        vn = float(np.sqrt((v * v).sum()))
-        if vn == 0.0:
-            continue
-        v /= vn
-        A[k + 1:, :] -= 2.0 * np.outer(v, v @ A[k + 1:, :])
-        A[:, k + 1:] -= 2.0 * np.outer(A[:, k + 1:] @ v, v)
-        Q[:, k + 1:] -= 2.0 * np.outer(Q[:, k + 1:] @ v, v)
-    d = np.diag(A).copy()
-    e = np.diag(A, -1).copy() if n > 1 else np.zeros(0)
-    w, V = _tql_implicit(d, e, Q)
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    try:
+        w, V = np.linalg.eigh(0.5 * (S + S.T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver: {exc}") from exc
+    return w, V
 
 
 def sym_eigs(s) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted ascending."""
     return sym_eig(s)[0]
-
-
-def _tql_implicit(d: np.ndarray, e: np.ndarray, V: np.ndarray):
-    """Implicit QL with Wilkinson shifts on a symmetric tridiagonal matrix."""
-    n = d.size
-    d = d.copy()
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    V = V.copy()
-    for l in range(n):
-        its = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            its += 1
-            if its > 50:
-                raise NoConvergence("symmetric QL failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m] - d[l] + ee[l] / (g + np.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = float(np.hypot(f, g))
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                vi = V[:, i].copy()
-                vi1 = V[:, i + 1].copy()
-                V[:, i + 1] = s * vi + c * vi1
-                V[:, i] = c * vi - s * vi1
-            if not underflow:
-                d[l] -= p
-                ee[l] = g
-                ee[m] = 0.0
-    return d, V
 
 
 # ---------------------------------------------------------------------------

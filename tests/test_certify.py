@@ -213,6 +213,46 @@ class TestMinEll:
     def test_diag(self):
         assert min_cocoercivity_ell(np.diag([1.0, 2.0])) == pytest.approx(2.0, rel=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-4, 1e3])
+    def test_scaled_diag(self, c):
+        # the minimal constant is 2c at every scale, far above the lo clamp
+        assert min_cocoercivity_ell(c * np.diag([1.0, 2.0])) == pytest.approx(2.0 * c, rel=1e-9)
+
+    @staticmethod
+    def _monotone(n):
+        rng = np.random.default_rng(100 + n)
+        G = rng.standard_normal((n, n))
+        shift = max(0.0, -float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])) + 0.25
+        return G + shift * np.eye(n)
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 50])
+    def test_scale_equivariant(self, n):
+        A = self._monotone(n)
+        base = min_cocoercivity_ell(A)
+        for c in (1e-4, 1.0, 1e3):
+            assert min_cocoercivity_ell(c * A) == pytest.approx(c * base, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 50])
+    @pytest.mark.parametrize("c", [1e-4, 1.0, 1e3])
+    def test_pencil_tight_on_both_sides(self, n, c):
+        A = c * self._monotone(n)
+        ell = min_cocoercivity_ell(A)
+        H = 0.5 * (A + A.T)
+        M = A.T @ A
+        size = ell * np.abs(H).max() + np.abs(M).max()
+        assert np.linalg.eigvalsh(ell * H - M)[0] >= -1e-12 * size
+        assert np.linalg.eigvalsh((1.0 - 1e-6) * ell * H - M)[0] < 0.0
+
+    def test_singular_symmetric_part_with_shared_null_space(self):
+        assert min_cocoercivity_ell(np.diag([1.0, 0.0])) == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_matrix_gives_lo(self):
+        assert min_cocoercivity_ell(np.zeros((3, 3))) == 1e-9
+        assert min_cocoercivity_ell(np.zeros((3, 3)), lo=1e-3) == 1e-3
+
+    def test_indefinite_symmetric_part_gives_none(self):
+        assert min_cocoercivity_ell(np.array([[1.0, 3.0], [0.0, -1.0]])) is None
+
 
 class TestEgAffine:
     def test_rotation_unit_gamma(self):

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +112,69 @@ class TestCertify:
     def test_missing_matrix_is_usage_error(self, capsys):
         code = main(["certify", "--check", "cocoercive-exact", "--ell", "1.0"])
         assert code == 2
+
+
+EYE2 = "[[1,0],[0,1]]"
+
+
+class TestUsageErrors:
+    """Missing required constants and malformed inputs exit 2 with an
+    ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--check", "cocoercive-exact", "--A", EYE2],
+        ["certify", "--check", "spectral-disk", "--A", EYE2],
+        ["certify", "--check", "og-witness", "--A", EYE2, "--gamma", "1"],
+        ["certify", "--check", "eftp-witness", "--A", EYE2, "--gamma", "1"],
+        ["certify", "--check", "star-equiv", "--A", EYE2],
+        ["certify", "--check", "og-witness", "--A", EYE2, "--ell", "1"],
+        ["certify", "--check", "eg-affine", "--A", EYE2, "--L", "1"],
+        ["certify", "--check", "eg-affine", "--A", EYE2, "--gamma", "0.5"],
+        ["check", "--theorem", "gd", "--op", "rotation", "--gamma", "0.5",
+         "--iters", "3"],
+        ["certify", "--check", "min-ell", "--A", "[[1,0],[0,NaN]]"],
+        ["certify", "--check", "min-ell", "--A", "[[1,0"],
+        ["certify", "--check", "min-ell", "--A", '{"a": 1}'],
+        ["run", "--op", "rotation", "--method", "gd", "--gamma", "0.1",
+         "--iters", "3", "--x0", "nan,0"],
+        ["run", "--op", "rotation", "--method", "gd", "--gamma", "0.1",
+         "--iters", "3", "--x0", "a,0"],
+        ["certify", "--check", "cocoercive-exact", "--A", EYE2, "--ell", "nan"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_exits_2_with_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_certify_argv_property(self):
+        """Any certify argv, with each constant present or absent and the
+        matrix valid, non-finite or malformed, exits 0, 1 or 2 and never
+        raises."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        checks = ["cocoercive-exact", "spectral-disk", "min-ell", "eg-affine",
+                  "og-witness", "eftp-witness", "star-equiv", "sampled"]
+        constant = st.none() | st.just(0.0) | st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+        entry = st.floats(-1e3, 1e3)
+        valid = st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)
+        matrix = (valid.map(lambda rows: json.dumps(rows))
+                  | st.just("[[1, 0], [0, NaN]]")
+                  | st.sampled_from(["[[1, 0]", "[[1, 0], [0]]", "[[1, 'a'], [0, 1]]"]))
+
+        @hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+        @hypothesis.given(check=st.sampled_from(checks), A=matrix, ell=constant,
+                          gamma=constant, L=constant)
+        def prop(check, A, ell, gamma, L):
+            argv = ["certify", "--check", check, "--A", A, "--trials", "5",
+                    "--out", os.devnull]
+            for flag, value in (("--ell", ell), ("--gamma", gamma), ("--L", L)):
+                if value is not None:
+                    argv += [flag, repr(value)]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)
+
+        prop()
 
 
 class TestCounterexample:
