@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
+from . import classes, numerics
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -20,12 +20,11 @@ from .errors import (
     PreconditionViolated,
 )
 from .operators import Affine, LogisticGrad, Operator, eftp_operator, og_operator
+from .serial import jsonable
 
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
-
-_CLASSES = ("cocoercive", "monotone", "lipschitz", "monotone+lipschitz")
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,7 @@ class PointSystem:
     parameter: float | None = None
 
     def __post_init__(self):
-        if self.op_class not in _CLASSES:
-            raise BadParameters(f"unknown operator class {self.op_class!r}")
-        if self.op_class != "monotone" and (self.parameter is None or self.parameter <= 0):
-            raise BadParameters(f"class {self.op_class!r} needs a positive parameter")
+        classes.rows(self.op_class, self.parameter)
         labels = [p[0] for p in self.points]
         if len(set(labels)) != len(labels):
             raise BadParameters("point labels must be distinct")
@@ -85,24 +81,8 @@ class CertificateReport:
             "worst_slack": self.worst_slack,
             "witness": self.witness,
             "conditions": [c.to_json() for c in self.conditions],
-            "details": _jsonable(self.details),
+            "details": jsonable(self.details),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, CertificateReport):
-        return obj.to_json()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -110,27 +90,9 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 def _pair_rows(ps: PointSystem) -> list[ConditionRow]:
-    rows = []
-    pts = ps.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            li, xi, fi = pts[i]
-            lj, xj, fj = pts[j]
-            dx = xi - xj
-            df = fi - fj
-            if ps.op_class == "cocoercive":
-                rows.append(ConditionRow((li, lj), "cocoercive",
-                                         ps.parameter * float(df @ dx) - float(df @ df)))
-            elif ps.op_class == "monotone":
-                rows.append(ConditionRow((li, lj), "monotone", float(df @ dx)))
-            elif ps.op_class == "lipschitz":
-                rows.append(ConditionRow((li, lj), "lipschitz",
-                                         ps.parameter**2 * float(dx @ dx) - float(df @ df)))
-            else:  # monotone+lipschitz
-                rows.append(ConditionRow((li, lj), "monotone", float(df @ dx)))
-                rows.append(ConditionRow((li, lj), "lipschitz",
-                                         ps.parameter**2 * float(dx @ dx) - float(df @ df)))
-    return rows
+    rows = classes.rows(ps.op_class, ps.parameter)
+    return [ConditionRow((li, lj), row.kind, row.slack(dx, df, classes.dot))
+            for li, lj, dx, df in classes.pairs(ps.points) for row in rows]
 
 
 def check_interpolation(ps: PointSystem, tol: float = 1e-12) -> CertificateReport:
@@ -273,9 +235,11 @@ def verify_counterexample(inst: CounterexampleInstance, gamma2: float,
 # ---------------------------------------------------------------------------
 
 def cocoercivity_pencil(a, ell: float) -> np.ndarray:
-    """(ell/2)(A + A^T) - A^T A; PSD exactly when x -> Ax is ell-cocoercive."""
+    """(ell/2)(A + A^T) - A^T A; PSD exactly when x -> Ax is ell-cocoercive:
+    the cocoercive row at dx = I, dF = A with <U, V> = (U^T V + V^T U)/2."""
     A = numerics.as_matrix(a, square=True)
-    return (ell / 2.0) * (A + A.T) - A.T @ A
+    row, = classes.rows("cocoercive", ell)
+    return row.slack(np.eye(A.shape[0]), A, lambda U, V: 0.5 * (U.T @ V + V.T @ U))
 
 
 def affine_cocoercivity_exact(a, ell: float, tol: float = 1e-10) -> CertificateReport:
@@ -461,13 +425,13 @@ def linear_star_equiv_check(a, ell: float, trials: int = 200,
     """
     A = numerics.as_matrix(a, square=True)
     exact = affine_cocoercivity_exact(A, ell)
+    row, = classes.rows("cocoercive", ell)
     rng = np.random.default_rng(seed)
     worst = np.inf
     worst_x = None
     for _ in range(trials):
         x = rng.standard_normal(A.shape[0])
-        fx = A @ x
-        slack = ell * float(fx @ x) - float(fx @ fx)
+        slack = row.slack(x, A @ x, classes.dot)
         if slack < worst:
             worst = slack
             worst_x = x
@@ -551,6 +515,10 @@ def hamiltonian_nonconvexity_check(x_probe: float = 3.0, h: float = 1e-4) -> Cer
 # Sampled property checks for black-box operators
 # ---------------------------------------------------------------------------
 
+# a star class is its base row on the pairs (x, x*) with F(x*) = 0
+_STAR_CLASSES = {"star-monotone": "monotone", "star-cocoercive": "cocoercive"}
+
+
 def sampled_property_check(op: Operator, op_class: str, trials: int = 200,
                            seed: int = 0, parameter: float | None = None,
                            tol: float = 1e-12) -> CertificateReport:
@@ -559,17 +527,12 @@ def sampled_property_check(op: Operator, op_class: str, trials: int = 200,
     Sampling can refute but never prove: the verdict is ``violated`` with a
     witness, or ``inconclusive`` when every sampled slack is nonnegative.
     """
-    star_classes = ("star-monotone", "star-cocoercive")
-    if op_class not in _CLASSES + star_classes:
-        raise BadParameters(f"unknown operator class {op_class!r}")
+    star = op_class in _STAR_CLASSES
+    rows = classes.rows(_STAR_CLASSES.get(op_class, op_class), parameter)
     if trials < 1:
         raise BadParameters("trials must be at least 1")
-    needs_param = op_class in ("cocoercive", "lipschitz", "monotone+lipschitz",
-                               "star-cocoercive")
-    if needs_param and (parameter is None or parameter <= 0):
-        raise BadParameters(f"class {op_class!r} needs a positive parameter")
     x_star = None
-    if op_class in star_classes:
+    if star:
         x_star = op.root()
         if x_star is None:
             raise PreconditionViolated("star property needs an operator with a known root")
@@ -578,23 +541,15 @@ def sampled_property_check(op: Operator, op_class: str, trials: int = 200,
     witness = None
     for _ in range(trials):
         x = rng.standard_normal(op.dim)
-        if op_class in star_classes:
+        if star:
             y, fy = x_star, np.zeros(op.dim)
         else:
             y = rng.standard_normal(op.dim)
             fy = op(y)
         fx = op(x)
         dx, df = x - y, fx - fy
-        if op_class in ("monotone", "star-monotone"):
-            slacks = [float(df @ dx)]
-        elif op_class in ("cocoercive", "star-cocoercive"):
-            slacks = [parameter * float(df @ dx) - float(df @ df)]
-        elif op_class == "lipschitz":
-            slacks = [parameter**2 * float(dx @ dx) - float(df @ df)]
-        else:
-            slacks = [float(df @ dx),
-                      parameter**2 * float(dx @ dx) - float(df @ df)]
-        for s in slacks:
+        for row in rows:
+            s = row.slack(dx, df, classes.dot)
             if s < worst:
                 worst = s
                 witness = {"x": x.tolist(), "y": y.tolist(), "slack": s}

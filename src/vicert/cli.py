@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, certify, harness, pep
+from . import __version__, certify, harness, numerics, pep
 from .errors import VicertError
 from .operators import (
     LogisticGrad,
@@ -26,22 +26,16 @@ from .solvers import SolverConfig, run
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        v = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return numerics.as_vector([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
         raise VicertError(f"malformed vector {text!r}: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        raise VicertError(f"vector {text!r} has non-finite entries")
-    return v
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     try:
-        m = np.array(json.loads(text), dtype=float)
+        return numerics.as_matrix(json.loads(text))
     except (ValueError, TypeError) as exc:
         raise VicertError(f"malformed matrix {text!r}: {exc}") from exc
-    if not np.all(np.isfinite(m)):
-        raise VicertError(f"matrix {text!r} has non-finite entries")
-    return m
 
 
 _FLAGS = {"lipschitz": "--L", "jac_lipschitz": "--Lambda"}

@@ -9,6 +9,10 @@ class DimensionMismatch(VicertError):
     pass
 
 
+class NonFinite(VicertError, ValueError):
+    """An inf or nan entry, given as input or from a float64 overflow."""
+
+
 class SingularMatrix(VicertError):
     pass
 

@@ -20,6 +20,7 @@ from .operators import (
     rotation,
     scaled_identity,
 )
+from .serial import jsonable
 from .solvers import SolverConfig, Trace, average_sq_norm, run
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -63,7 +64,7 @@ class BoundCheck:
         worst = int(np.argmin(self.margins))
         return {
             "id": self.check_id,
-            "params": _jsonable(self.params),
+            "params": jsonable(self.params),
             "rows": len(self.ks),
             "final_observed": float(self.observed[-1]),
             "final_bound": float(self.bound[-1]),
@@ -73,18 +74,6 @@ class BoundCheck:
             "margin": self.worst_margin,
             "pass": self.passed,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def _resolve_root(op: Operator, x_star) -> np.ndarray:

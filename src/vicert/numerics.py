@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSymmetric, SingularMatrix
+from .errors import DimensionMismatch, NoConvergence, NonFinite, NotSymmetric, SingularMatrix
 
 
 def as_vector(x) -> np.ndarray:
@@ -22,7 +22,7 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
+        raise NonFinite("vector has non-finite entries (inf, nan or a float64 overflow)")
     return v
 
 
@@ -33,7 +33,7 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     if square and m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFinite("matrix has non-finite entries (inf, nan or a float64 overflow)")
     return m
 
 

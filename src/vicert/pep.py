@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
+from . import classes, numerics
 from .errors import (
     BadParameters,
     LabelMismatch,
     NoFeasiblePointFound,
     NotPSD,
 )
+from .serial import fmt17
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,8 @@ def zero_expr(labels) -> GramExpr:
 def inner_matrix(u: GramExpr, v: GramExpr) -> np.ndarray:
     """Symmetric M with <u, v> = Tr(M G) for the basis Gram matrix G."""
     u._check(v)
-    return 0.5 * (np.outer(u.coeffs, v.coeffs) + np.outer(v.coeffs, u.coeffs))
+    P = np.outer(u.coeffs, v.coeffs)
+    return 0.5 * (P + P.T)
 
 
 def sq_matrix(u: GramExpr) -> np.ndarray:
@@ -266,21 +268,16 @@ def expansiveness_from_interpolation(ell: float, gamma1: float, gamma2: float) -
     inequalities; the independent cross-check for the hand-coded matrices."""
     e = basis_exprs(_EXP_BASIS)
     x, y, xf1, yf1, xf2, yf2 = (e[k] for k in _EXP_BASIS)
+    # this order gives the constraint order of build_expansiveness_matrices
     points = [
         ("x", x, xf1),
-        ("y", y, yf1),
         ("x_mid", x - gamma1 * xf1, xf2),
+        ("y", y, yf1),
         ("y_mid", y - gamma1 * yf1, yf2),
     ]
-    ineqs = []
-    order = [(0, 2), (0, 1), (0, 3), (2, 1), (2, 3), (1, 3)]
-    for i, j in order:
-        li, pi, vi = points[i]
-        lj, pj, vj = points[j]
-        dv = vi - vj
-        dp = pi - pj
-        slack = ell * inner_matrix(dv, dp) - sq_matrix(dv)
-        ineqs.append((f"{li}|{lj}", slack, 0.0))
+    row, = classes.rows("cocoercive", ell)
+    ineqs = [(f"{li}|{lj}", row.slack(dx, dF, inner_matrix), 0.0)
+             for li, lj, dx, dF in classes.pairs(points)]
     objective = sq_matrix(x - gamma2 * xf2 - y + gamma2 * yf2)
     return GramProblem(
         name="eg-expansiveness",
@@ -316,6 +313,10 @@ def counterexample_vectors(inst) -> dict[str, np.ndarray]:
 # Norm-decay worst-case problems for the two-stepsize update
 # ---------------------------------------------------------------------------
 
+# the PEP spelling of each class in the table
+_PEP_CLASSES = {"monotone-lipschitz": "monotone+lipschitz", "cocoercive": "cocoercive"}
+
+
 def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
                    operator_class: str = "monotone-lipschitz",
                    objective: str = "last-norm",
@@ -331,7 +332,7 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
         raise BadParameters("K must be at least 1")
     if min(L, gamma1, gamma2) <= 0.0:
         raise BadParameters("L, gamma1, gamma2 must be positive")
-    if operator_class not in ("monotone-lipschitz", "cocoercive"):
+    if operator_class not in _PEP_CLASSES:
         raise BadParameters(f"unknown operator class {operator_class!r}")
     labels = ["dx0"] + [f"Fx{k}" for k in range(K + 1)] + [f"Fxt{k}" for k in range(K + 1)]
     e = basis_exprs(labels)
@@ -348,20 +349,9 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
     for k in range(K + 1):
         points.append((f"xt{k}", pos_x[k] - gamma1 * e[f"Fx{k}"], e[f"Fxt{k}"]))
 
-    ineqs = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            li, pi, vi = points[i]
-            lj, pj, vj = points[j]
-            dv = vi - vj
-            dp = pi - pj
-            if operator_class == "monotone-lipschitz":
-                ineqs.append((f"mono:{li}|{lj}", inner_matrix(dv, dp), 0.0))
-                ineqs.append((f"lip:{li}|{lj}",
-                              L ** 2 * sq_matrix(dp) - sq_matrix(dv), 0.0))
-            else:
-                ineqs.append((f"coco:{li}|{lj}",
-                              L * inner_matrix(dv, dp) - sq_matrix(dv), 0.0))
+    rows = classes.rows(_PEP_CLASSES[operator_class], L)
+    ineqs = [(f"{row.tag}:{li}|{lj}", row.slack(dx, dF, inner_matrix), 0.0)
+             for li, lj, dx, dF in classes.pairs(points) for row in rows]
 
     if objective == "last-norm":
         obj = sq_matrix(e[f"Fx{K}"])
@@ -575,7 +565,7 @@ def export_sdpa(prob: GramProblem, path) -> None:
     lines = [f'"{prob.name}"', str(m), "2" if q else "1",
              f"{n} -{q}" if q else f"{n}"]
     rhs = [rhs for _, _, rhs in prob.inequalities] + [rhs for _, _, rhs in prob.equalities]
-    lines.append(" ".join(_fmt17(v) for v in rhs))
+    lines.append(" ".join(fmt17(v) for v in rhs))
 
     def emit(matno: int, blk: int, mat_or_entries):
         if blk == 1:
@@ -583,10 +573,10 @@ def export_sdpa(prob: GramProblem, path) -> None:
             for i in range(n):
                 for j in range(i, n):
                     if mat[i, j] != 0.0:
-                        lines.append(f"{matno} 1 {i + 1} {j + 1} {_fmt17(mat[i, j])}")
+                        lines.append(f"{matno} 1 {i + 1} {j + 1} {fmt17(mat[i, j])}")
         else:
             i, val = mat_or_entries
-            lines.append(f"{matno} 2 {i + 1} {i + 1} {_fmt17(val)}")
+            lines.append(f"{matno} 2 {i + 1} {i + 1} {fmt17(val)}")
 
     emit(0, 1, prob.objective)
     for idx, (_, mat, _) in enumerate(prob.inequalities):
@@ -624,7 +614,3 @@ def parse_sdpa(path) -> dict:
         blocks[mk][blk - 1][i - 1, j - 1] = val
         blocks[mk][blk - 1][j - 1, i - 1] = val
     return {"name": name, "m": m, "block_sizes": sizes, "rhs": rhs, "blocks": blocks}
-
-
-def _fmt17(x: float) -> str:
-    return f"{float(x):.17g}"

@@ -13,11 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import BadParameters
+from .errors import BadParameters, NonFinite
 from .operators import Operator, pp_operator
+from .serial import fmt17
 
 _METHODS = ("gd", "pp", "eg", "eg2", "og", "eftp", "hgm")
 _DIVERGENCE_LIMIT = 1e150
+# the extra trace columns of each method; the "x_*" columns hold vectors
+_EXTRAS = {"eg": ("mid_sq", "x_mid"), "eg2": ("mid_sq", "x_mid"),
+           "eftp": ("tilde_sq", "x_tilde"), "hgm": ("grad_h_sq", "energy")}
 
 
 @dataclass(frozen=True)
@@ -71,18 +75,14 @@ class Trace:
         out.write("k,fx_sq,dist_sq" + "".join("," + name for name in cols) + "\n")
         for k in range(len(self)):
             dist = self.dist_sq[k] if self.dist_sq is not None else float("nan")
-            row = [str(k), _fmt(self.fx_sq[k]), _fmt(dist)]
-            row += [_fmt(cols[name][k]) for name in cols]
+            row = [str(k), fmt17(self.fx_sq[k]), fmt17(dist)]
+            row += [fmt17(cols[name][k]) for name in cols]
             out.write(",".join(row) + "\n")
         return out.getvalue()
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_csv())
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,9 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     """Run ``cfg.iters`` steps of the configured method and record a trace.
 
     Overflow never raises: the offending row is recorded (possibly infinite)
-    and the trace stops with ``diverged=True``.
+    and the trace stops with ``diverged=True``.  When F meets an overflowed
+    point, the state it leads to is undefined and the trace ends on a row of
+    NaNs.
     """
     x = cfg.x0.copy()
     if x.size != op.dim:
@@ -152,61 +154,61 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     x_tilde = x.copy()  # eftp state
 
     xs, fx_sq, dist_sq = [], [], []
-    extras: dict[str, list] = {}
-    if method in ("eg", "eg2"):
-        extras["mid_sq"] = []
-        extras["x_mid"] = []
-    elif method == "eftp":
-        extras["tilde_sq"] = []
-        extras["x_tilde"] = []
-    elif method == "hgm":
-        extras["grad_h_sq"] = []
-        extras["energy"] = []
+    extras: dict[str, list] = {name: [] for name in _EXTRAS.get(method, ())}
 
     diverged = False
-    fmid = None
     for k in range(cfg.iters + 1):
-        fx = op(x)
-        xs.append(x.copy())
-        fx_sq.append(float(fx @ fx))
-        if star is not None:
-            d = x - star
-            dist_sq.append(float(d @ d))
-        if method in ("eg", "eg2"):
-            mid = x - g1 * fx
-            fmid = op(mid)
-            extras["mid_sq"].append(float(fmid @ fmid))
-            extras["x_mid"].append(mid)
-        elif method == "eftp":
-            ft = op(x_tilde)
-            extras["tilde_sq"].append(float(ft @ ft))
-            extras["x_tilde"].append(x_tilde.copy())
-        elif method == "hgm":
-            gh = op.jacobian(x).T @ fx
-            extras["grad_h_sq"].append(float(gh @ gh))
-            extras["energy"].append(0.5 * float(fx @ fx))
-        if not np.isfinite(fx_sq[-1]) or float(np.abs(x).max(initial=0.0)) > _DIVERGENCE_LIMIT:
+        try:
+            fx = op(x)
+            xs.append(x.copy())
+            fx_sq.append(float(fx @ fx))
+            if star is not None:
+                d = x - star
+                dist_sq.append(float(d @ d))
+            if method in ("eg", "eg2"):
+                mid = x - g1 * fx
+                fmid = op(mid)
+                extras["mid_sq"].append(float(fmid @ fmid))
+                extras["x_mid"].append(mid)
+            elif method == "eftp":
+                ft = op(x_tilde)
+                extras["tilde_sq"].append(float(ft @ ft))
+                extras["x_tilde"].append(x_tilde.copy())
+            elif method == "hgm":
+                gh = op.jacobian(x).T @ fx
+                extras["grad_h_sq"].append(float(gh @ gh))
+                extras["energy"].append(0.5 * float(fx @ fx))
+            if not np.isfinite(fx_sq[-1]) or float(np.abs(x).max(initial=0.0)) > _DIVERGENCE_LIMIT:
+                diverged = True
+                break
+            if k == cfg.iters:
+                break
+
+            if method == "gd":
+                x = x - g * fx
+            elif method == "pp":
+                x = x - g * pp_comp(x)
+            elif method == "eg":
+                x = x - g * fmid
+            elif method == "eg2":
+                x = x - g2 * fmid
+            elif method == "og":
+                x_new = x - 2.0 * g * fx + g * op(x_prev)
+                x_prev, x = x, x_new
+            elif method == "eftp":
+                x_tilde = x - g * op(x_tilde)
+                x = x - g * op(x_tilde)
+            elif method == "hgm":
+                x = x - g * (op.jacobian(x).T @ fx)
+        except NonFinite:
+            # F met an overflowed point, so the state it leads to is undefined:
+            # finish the current row, if any, and add one more, all NaN
+            length = len(xs) + 1
+            for name, col in {"xs": xs, "fx_sq": fx_sq, "dist_sq": dist_sq, **extras}.items():
+                fill = np.full(x.shape, np.nan) if name.startswith("x") else np.nan
+                col.extend([fill] * (length - len(col)))
             diverged = True
             break
-        if k == cfg.iters:
-            break
-
-        if method == "gd":
-            x = x - g * fx
-        elif method == "pp":
-            x = x - g * pp_comp(x)
-        elif method == "eg":
-            x = x - g * fmid
-        elif method == "eg2":
-            x = x - g2 * fmid
-        elif method == "og":
-            x_new = x - 2.0 * g * fx + g * op(x_prev)
-            x_prev, x = x, x_new
-        elif method == "eftp":
-            x_tilde = x - g * op(x_tilde)
-            x = x - g * op(x_tilde)
-        elif method == "hgm":
-            x = x - g * (op.jacobian(x).T @ fx)
 
     packed_extras = {
         name: np.array(rows) for name, rows in extras.items() if rows

@@ -140,6 +140,14 @@ class TestUsageErrors:
         ["run", "--op", "rotation", "--method", "gd", "--gamma", "0.1",
          "--iters", "3", "--x0", "a,0"],
         ["certify", "--check", "cocoercive-exact", "--A", EYE2, "--ell", "nan"],
+        ["certify", "--check", "cocoercive-exact", "--A", "[[1e200,0],[0,1e200]]",
+         "--ell", "1"],
+        ["certify", "--check", "star-equiv", "--A", "[[1e200,0],[0,1e200]]",
+         "--ell", "1"],
+        ["certify", "--check", "eg-affine", "--A", "[[1e200,0],[0,1e200]]",
+         "--gamma", "1e-201", "--L", "1e201"],
+        ["certify", "--check", "og-witness", "--A", "[[0,1],[-1,0]]",
+         "--ell", "1e300", "--gamma", "1e-309"],
     ], ids=lambda argv: " ".join(argv))
     def test_exits_2_with_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -148,21 +156,24 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
     def test_certify_argv_property(self):
-        """Any certify argv, with each constant present or absent and the
-        matrix valid, non-finite or malformed, exits 0, 1 or 2 and never
-        raises."""
+        """Any certify argv, with each constant present or absent (down to
+        subnormal magnitudes) and the matrix valid (entries up to 1e201, where
+        intermediate products overflow), non-finite or malformed, exits 0, 1
+        or 2 and never raises."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         checks = ["cocoercive-exact", "spectral-disk", "min-ell", "eg-affine",
                   "og-witness", "eftp-witness", "star-equiv", "sampled"]
-        constant = st.none() | st.just(0.0) | st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
-        entry = st.floats(-1e3, 1e3)
+        magnitude = st.floats(5e-324, 1e300)
+        constant = st.none() | st.just(0.0) | magnitude | magnitude.map(lambda v: -v)
+        big = st.floats(1e150, 1e201)
+        entry = st.floats(-1e3, 1e3) | big | big.map(lambda v: -v)
         valid = st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)
         matrix = (valid.map(lambda rows: json.dumps(rows))
                   | st.just("[[1, 0], [0, NaN]]")
                   | st.sampled_from(["[[1, 0]", "[[1, 0], [0]]", "[[1, 'a'], [0, 1]]"]))
 
-        @hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
         @hypothesis.given(check=st.sampled_from(checks), A=matrix, ell=constant,
                           gamma=constant, L=constant)
         def prop(check, A, ell, gamma, L):

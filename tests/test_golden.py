@@ -4,10 +4,12 @@ Each case renders one output to bytes (an SDPA export, a constraint-name
 list, a certificate's JSON, a pencil's raw float64 buffer) and compares its
 sha256 digest with the digest recorded before the class inequalities were
 moved into one table.  A refactor that changes a single bit of any of these
-outputs, or the order of any constraint, fails here.  The digests pin IEEE
-float64 arithmetic as numpy performs it on small dense inputs; regenerate
-them with ``python tests/test_golden.py`` only for an intended change of
-output.
+outputs, or the order of any constraint, fails here.  The PEP cases use
+only elementwise float64 arithmetic; the certificate cases also take BLAS
+dot products of short vectors, so their digests hold where those round
+alike (x86-64 builds of numpy's bundled OpenBLAS, whose kernels use FMA).
+Regenerate the digests with ``python tests/test_golden.py`` only for an
+intended change of output.
 """
 
 import hashlib

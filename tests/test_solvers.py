@@ -152,6 +152,47 @@ class TestRun:
         assert trace.diverged
         assert len(trace) < 2001
 
+    def test_huge_stepsize_never_raises_property(self):
+        """Every method on a huge stepsize returns a trace whose columns all
+        have one entry per row; the explicit methods stop diverged on a
+        non-finite fx_sq or an iterate past the divergence limit."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ops = [scaled_identity(1.0, 2), rotation(), Affine([[2.0, 1.0], [-1.0, 0.5]]),
+               scaled_identity(7.0, 3)]
+        methods = ["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"]
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(op=st.sampled_from(ops), method=st.sampled_from(methods),
+                          gamma=st.floats(1e100, 1e300), scale=st.floats(1e-3, 1e149))
+        def prop(op, method, gamma, scale):
+            steps = ({"gamma1": gamma, "gamma2": gamma} if method == "eg2"
+                     else {"gamma": gamma})
+            cfg = SolverConfig(method, iters=20, x0=np.full(op.dim, scale), **steps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = run(op, cfg, x_star=np.zeros(op.dim))
+            columns = [trace.xs, trace.dist_sq, *trace.extras.values()]
+            assert all(col.shape[0] == len(trace) for col in columns)
+            if method != "pp":
+                assert trace.diverged
+            if trace.diverged:
+                assert (not np.isfinite(trace.fx_sq[-1])
+                        or np.abs(trace.xs[-1]).max() > solvers._DIVERGENCE_LIMIT)
+
+        prop()
+
+    @pytest.mark.parametrize("method", ["eg", "eg2", "eftp"])
+    def test_overflowed_iterate_ends_on_nan_row(self, method):
+        steps = {"gamma1": 1e160, "gamma2": 1e160} if method == "eg2" else {"gamma": 1e160}
+        cfg = SolverConfig(method, iters=10, x0=np.array([1.0, 1.0]), **steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(scaled_identity(1.0, 2), cfg, x_star=np.zeros(2))
+        assert trace.diverged
+        assert len(trace) == 2
+        assert trace.fx_sq[0] == 2.0 and np.isnan(trace.fx_sq[1])
+        assert all(col.shape[0] == 2 for col in trace.extras.values())
+        assert trace.to_csv().splitlines()[-1] == "1,nan,nan,nan"
+
     def test_og_eftp_sequences_match(self):
         rng = np.random.default_rng(4)
         for op in (rotation(), _random_monotone_affine(rng, 3),
