@@ -361,7 +361,10 @@ def main(argv=None) -> int:
         "report": _cmd_report,
     }
     try:
-        return handlers[args.command](args)
+        # overflow is reported by NonFinite and by a trace's diverged flag,
+        # so numpy's own overflow warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except VicertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

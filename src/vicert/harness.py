@@ -297,8 +297,9 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12,
                 for _ in range(num_starts):
                     x0 = rng.standard_normal(op.dim)
                     searched += 1
-                    x1 = x0 - g2 * comp(x0)
-                    c0 = float(np.sum(comp(x0) ** 2))
+                    cx0 = comp(x0)
+                    x1 = x0 - g2 * cx0
+                    c0 = float(np.sum(cx0 ** 2))
                     c1 = float(np.sum(comp(x1) ** 2))
                     if c1 > c0 + 1e-12:
                         composite_witnesses.append(

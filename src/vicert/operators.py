@@ -1,6 +1,8 @@
 """Concrete operators and the composed update operators built on top of them.
 
-An operator is a map F: R^d -> R^d evaluated with ``op(x)``.  Affine
+An operator is a map F: R^d -> R^d evaluated with ``op(x)``, which checks
+that x is a finite vector of the operator's dimension.  Hot loops that
+already hold such a vector call the unchecked ``op._apply(x)``.  Affine
 operators carry their matrix and offset explicitly so that composition
 stays in closed form; nonlinear composites evaluate lazily.
 """
@@ -8,6 +10,7 @@ stays in closed form; nonlinear composites evaluate lazily.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +66,11 @@ class Operator:
     dim: int = 0
     constants: Constants = Constants()
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
+        return self._apply(self._checked(x))
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """F(x) for a finite float64 vector x of dimension ``dim``, unchecked."""
         raise NotImplementedError
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -99,8 +106,8 @@ class Affine(Operator):
         self._root = None if root is None else numerics.as_vector(root).copy()
         self._root_computed = root is not None
 
-    def __call__(self, x):
-        return self.matrix @ self._checked(x) + self.offset
+    def _apply(self, x):
+        return self.matrix @ x + self.offset
 
     def jacobian(self, x=None):
         return self.matrix
@@ -173,8 +180,7 @@ class LogisticGrad(Operator):
         self._root = None
         self._root_computed = False
 
-    def __call__(self, x):
-        x = self._checked(x)
+    def _apply(self, x):
         t = self.a * x[0]
         return np.array([self.a * _sigmoid(t) + self.delta * x[0]])
 
@@ -225,8 +231,7 @@ class CustomTable(Operator):
         self.points = tuple(stored)
         self.dim = dim
 
-    def __call__(self, x):
-        x = self._checked(x)
+    def _apply(self, x):
         for px, pf in self.points:
             if np.abs(x - px).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(px).max(initial=0.0)):
                 return pf.copy()
@@ -250,9 +255,10 @@ class ExtrapolatedComposite(Operator):
         self.dim = inner.dim
         self.constants = Constants()
 
-    def __call__(self, x):
-        x = self._checked(x)
-        return self.inner(x - self.gamma * self.inner(x))
+    def _apply(self, x):
+        mid = x - self.gamma * self.inner._apply(x)
+        # the extrapolated point is new: check it as a public call would
+        return self.inner._apply(numerics.as_vector(mid))
 
     def jacobian(self, x):
         x = self._checked(x)
@@ -336,17 +342,24 @@ class ImplicitComposite(Operator):
         self._theta = 1.0 if L is None or gamma * L <= 0.9 else 1.0 / (1.0 + gamma * L)
 
     def inner_point(self, x) -> np.ndarray:
-        x = self._checked(x)
+        return self._inner_point(self._checked(x))
+
+    def _inner_point(self, x) -> np.ndarray:
         y = x.copy()
         for _ in range(self.max_iters):
-            target = x - self.gamma * self.inner(y)
-            if float(np.sqrt(((y - target) ** 2).sum())) <= self.tol:
+            target = x - self.gamma * self.inner._apply(y)
+            residual = float(np.sqrt(((y - target) ** 2).sum()))
+            if residual <= self.tol:
                 return y
+            if not math.isfinite(residual):
+                # a non-finite y makes the residual non-finite: only then is
+                # the full check of the point fed to F worth its cost
+                numerics.as_vector(y)
             y = y + self._theta * (target - y)
         raise NoConvergence("implicit-step fixed point did not reach tolerance")
 
-    def __call__(self, x):
-        return self.inner(self.inner_point(x))
+    def _apply(self, x):
+        return self.inner._apply(self._inner_point(x))
 
     def root(self):
         return self.inner.root()
@@ -379,9 +392,8 @@ class HamiltonianComposite(Operator):
         self.dim = inner.dim
         self.constants = Constants()
 
-    def __call__(self, x):
-        x = self._checked(x)
-        return self.inner.jacobian(x).T @ self.inner(x)
+    def _apply(self, x):
+        return self.inner.jacobian(x).T @ self.inner._apply(x)
 
     def root(self):
         return self.inner.root()

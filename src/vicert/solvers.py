@@ -7,7 +7,7 @@ known solution, and method-specific extras.
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +15,12 @@ import numpy as np
 from . import numerics
 from .errors import BadParameters, NonFinite
 from .operators import Operator, pp_operator
-from .serial import fmt17
 
 _METHODS = ("gd", "pp", "eg", "eg2", "og", "eftp", "hgm")
 _DIVERGENCE_LIMIT = 1e150
+# rows a trace allocates up front; a longer run doubles its arrays as it goes,
+# so a huge iteration count that diverges early allocates little
+_FIRST_ROWS = 4096
 # the extra trace columns of each method; the "x_*" columns hold vectors
 _EXTRAS = {"eg": ("mid_sq", "x_mid"), "eg2": ("mid_sq", "x_mid"),
            "eftp": ("tilde_sq", "x_tilde"), "hgm": ("grad_h_sq", "energy")}
@@ -53,7 +55,9 @@ class Trace:
     ``xs[k]`` is the state at iteration k, ``fx_sq[k] = ||F(x^k)||^2``,
     ``dist_sq[k] = ||x^k - x*||^2`` when a solution was supplied.  Extras
     hold method-specific columns (and the auxiliary-iterate rows for the
-    two-sequence methods).
+    two-sequence methods).  ``f_evals`` counts the evaluations of F the run
+    made; the pp resolvent and the hgm Jacobian are separate oracles and do
+    not count.
     """
 
     method: str
@@ -62,6 +66,7 @@ class Trace:
     dist_sq: np.ndarray | None
     extras: dict[str, np.ndarray]
     diverged: bool = False
+    f_evals: int = 0
 
     def __len__(self) -> int:
         return self.fx_sq.shape[0]
@@ -71,14 +76,13 @@ class Trace:
 
     def to_csv(self) -> str:
         cols = self.scalar_extras()
-        out = io.StringIO()
-        out.write("k,fx_sq,dist_sq" + "".join("," + name for name in cols) + "\n")
-        for k in range(len(self)):
-            dist = self.dist_sq[k] if self.dist_sq is not None else float("nan")
-            row = [str(k), fmt17(self.fx_sq[k]), fmt17(dist)]
-            row += [fmt17(cols[name][k]) for name in cols]
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
+        n = len(self)
+        dist = self.dist_sq if self.dist_sq is not None else np.full(n, np.nan)
+        header = "k,fx_sq,dist_sq" + "".join("," + name for name in cols) + "\n"
+        # "%.17g" writes what serial.fmt17 writes, nan, inf and -0 included
+        row = "%d" + ",%.17g" * (2 + len(cols)) + "\n"
+        columns = [self.fx_sq.tolist(), dist.tolist(), *(c.tolist() for c in cols.values())]
+        return header + "".join(row % values for values in zip(range(n), *columns))
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -131,6 +135,21 @@ def hgm_step(op: Operator, x, gamma: float) -> np.ndarray:
 # Run loop
 # ---------------------------------------------------------------------------
 
+def _check_finite(v: np.ndarray, zeros: np.ndarray) -> None:
+    """Raise :class:`NonFinite` unless ``v`` is finite, at the cost of one dot
+    product that cannot overflow: ``0 * v_i`` is 0 for a finite entry and NaN
+    for an inf or a NaN."""
+    if v @ zeros != 0.0:
+        numerics.as_vector(v)
+
+
+def _grown(a: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """``a`` with room for ``size`` rows, its first ``rows`` rows kept."""
+    out = np.empty((size,) + a.shape[1:])
+    out[:rows] = a[:rows]
+    return out
+
+
 def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     """Run ``cfg.iters`` steps of the configured method and record a trace.
 
@@ -138,6 +157,12 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     and the trace stops with ``diverged=True``.  When F meets an overflowed
     point, the state it leads to is undefined and the trace ends on a row of
     NaNs.
+
+    Inputs are checked here, once; the loop calls the unchecked
+    ``op._apply`` and checks only the points it creates and feeds to F (an
+    iterate, the eg mid point, the eftp tilde point).  Each F value is
+    computed once: og reuses F(x_prev), eftp reuses F(x_tilde), hgm
+    reuses J(x)^T F(x).
     """
     x = cfg.x0.copy()
     if x.size != op.dim:
@@ -148,37 +173,63 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     g = cfg.gamma
     g1 = cfg.gamma1 if cfg.gamma1 is not None else g
     g2 = cfg.gamma2 if cfg.gamma2 is not None else g
+    F = op._apply
+    zeros = np.zeros(x.size)
 
-    pp_comp = pp_operator(op, g) if method == "pp" else None
-    x_prev = x.copy()   # og state
-    x_tilde = x.copy()  # eftp state
+    n = cfg.iters + 1
+    # always one row more than the iterations fill, for the NaN row of an overflow
+    size = min(n, _FIRST_ROWS) + 1
+    xs = np.empty((size, x.size))
+    fx_sq = np.empty(size)
+    dist_sq = None if star is None else np.empty(size)
+    extras = {name: np.empty((size, x.size) if name.startswith("x") else size)
+              for name in _EXTRAS.get(method, ())}
 
-    xs, fx_sq, dist_sq = [], [], []
-    extras: dict[str, list] = {name: [] for name in _EXTRAS.get(method, ())}
-
+    pp_comp = None   # pp resolvent, built at the first step
+    f_prev = None    # og: F(x_prev)
+    x_tilde = x      # eftp state and its F value
+    f_tilde = None
+    f_evals = 0
+    rows = 0         # rows whose x, fx_sq and dist_sq are written
+    full = 0         # rows whose extras are written too
     diverged = False
-    for k in range(cfg.iters + 1):
+    for k in range(n):
+        if k + 1 == size:
+            size = min(2 * size, n + 1)
+            xs, fx_sq = _grown(xs, k, size), _grown(fx_sq, k, size)
+            dist_sq = None if star is None else _grown(dist_sq, k, size)
+            extras = {name: _grown(col, k, size) for name, col in extras.items()}
         try:
-            fx = op(x)
-            xs.append(x.copy())
-            fx_sq.append(float(fx @ fx))
+            # max|x| is NaN or inf exactly when x is not finite
+            x_max = float(np.abs(x).max(initial=0.0))
+            if not math.isfinite(x_max):
+                raise NonFinite("iterate overflowed")
+            fx = F(x)
+            f_evals += 1
+            xs[k] = x
+            fx_sq[k] = fsq = fx @ fx
             if star is not None:
                 d = x - star
-                dist_sq.append(float(d @ d))
+                dist_sq[k] = d @ d
+            rows = k + 1
             if method in ("eg", "eg2"):
                 mid = x - g1 * fx
-                fmid = op(mid)
-                extras["mid_sq"].append(float(fmid @ fmid))
-                extras["x_mid"].append(mid)
+                _check_finite(mid, zeros)
+                fmid = F(mid)
+                f_evals += 1
+                extras["mid_sq"][k] = fmid @ fmid
+                extras["x_mid"][k] = mid
             elif method == "eftp":
-                ft = op(x_tilde)
-                extras["tilde_sq"].append(float(ft @ ft))
-                extras["x_tilde"].append(x_tilde.copy())
+                if k == 0:
+                    f_tilde = fx  # x_tilde starts at x0
+                extras["tilde_sq"][k] = f_tilde @ f_tilde
+                extras["x_tilde"][k] = x_tilde
             elif method == "hgm":
                 gh = op.jacobian(x).T @ fx
-                extras["grad_h_sq"].append(float(gh @ gh))
-                extras["energy"].append(0.5 * float(fx @ fx))
-            if not np.isfinite(fx_sq[-1]) or float(np.abs(x).max(initial=0.0)) > _DIVERGENCE_LIMIT:
+                extras["grad_h_sq"][k] = gh @ gh
+                extras["energy"][k] = 0.5 * fsq
+            full = k + 1
+            if not math.isfinite(fsq) or x_max > _DIVERGENCE_LIMIT:
                 diverged = True
                 break
             if k == cfg.iters:
@@ -187,39 +238,51 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             if method == "gd":
                 x = x - g * fx
             elif method == "pp":
-                x = x - g * pp_comp(x)
+                if pp_comp is None:
+                    pp_comp = pp_operator(op, g)
+                x = x - g * pp_comp._apply(x)
             elif method == "eg":
                 x = x - g * fmid
             elif method == "eg2":
                 x = x - g2 * fmid
             elif method == "og":
-                x_new = x - 2.0 * g * fx + g * op(x_prev)
-                x_prev, x = x, x_new
+                if k == 0:
+                    f_prev = fx  # x_prev starts at x0
+                x, f_prev = x - 2.0 * g * fx + g * f_prev, fx
             elif method == "eftp":
-                x_tilde = x - g * op(x_tilde)
-                x = x - g * op(x_tilde)
+                x_tilde = x - g * f_tilde
+                _check_finite(x_tilde, zeros)
+                f_tilde = F(x_tilde)
+                f_evals += 1
+                x = x - g * f_tilde
             elif method == "hgm":
-                x = x - g * (op.jacobian(x).T @ fx)
+                x = x - g * gh
         except NonFinite:
             # F met an overflowed point, so the state it leads to is undefined:
             # finish the current row, if any, and add one more, all NaN
-            length = len(xs) + 1
-            for name, col in {"xs": xs, "fx_sq": fx_sq, "dist_sq": dist_sq, **extras}.items():
-                fill = np.full(x.shape, np.nan) if name.startswith("x") else np.nan
-                col.extend([fill] * (length - len(col)))
+            for col in (xs, fx_sq, dist_sq):
+                if col is not None:
+                    col[rows] = np.nan
+            for col in extras.values():
+                col[full:rows + 1] = np.nan
+            rows += 1
             diverged = True
             break
 
-    packed_extras = {
-        name: np.array(rows) for name, rows in extras.items() if rows
-    }
+    def trim(a):
+        if a is None:
+            return None
+        # a trace cut short lets go of the rows it did not use
+        return a[:rows] if rows >= n else a[:rows].copy()
+
     return Trace(
         method=method,
-        xs=np.array(xs),
-        fx_sq=np.array(fx_sq),
-        dist_sq=np.array(dist_sq) if star is not None else None,
-        extras=packed_extras,
+        xs=trim(xs),
+        fx_sq=trim(fx_sq),
+        dist_sq=trim(dist_sq),
+        extras={name: trim(col) for name, col in extras.items()},
         diverged=diverged,
+        f_evals=f_evals,
     )
 
 

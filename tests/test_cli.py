@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,43 @@ class TestRun:
                      "--gamma", "1.0", "--iters", "2", "--x0", "1"])
         assert code == 0
         assert "k,fx_sq" in capsys.readouterr().out
+
+    def test_pp_resolvent_overflow_ends_on_nan_row(self, capsys):
+        # I + gamma*A overflows while the resolvent is built at the first step
+        code = main(["run", "--op", str(FIXTURES / "diag12.json"), "--method", "pp",
+                     "--gamma", "1e308", "--iters", "3", "--x0", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.splitlines() == ["k,fx_sq,dist_sq", "0,5,nan", "1,nan,nan"]
+        assert captured.err == ""
+
+
+class TestOverflowWarnings:
+    """Overflow is reported by NonFinite or a trace's diverged flag; numpy's
+    RuntimeWarnings (with source paths) must not reach stderr as well."""
+
+    def _main(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        return code, capsys.readouterr().err, [w for w in caught
+                                               if issubclass(w.category, RuntimeWarning)]
+
+    def test_certify_overflow_prints_one_error_line(self, capsys):
+        code, err, caught = self._main(
+            ["certify", "--check", "eg-affine", "--A", "[[1e200,0],[0,1e200]]",
+             "--gamma", "1e-201", "--L", "1e201"], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert caught == []
+
+    def test_diverging_run_prints_nothing(self, capsys):
+        code, err, caught = self._main(
+            ["run", "--op", "identity2", "--method", "eg", "--gamma", "1e160",
+             "--iters", "10", "--x0", "1,1"], capsys)
+        assert code == 0
+        assert err == ""
+        assert caught == []
 
 
 class TestCheck:

@@ -6,12 +6,16 @@ from vicert.errors import (
     BadParameters,
     DimensionMismatch,
     NoAnalyticJacobian,
+    NonFinite,
     NotAffine,
     OffTable,
 )
 from vicert.operators import (
     Affine,
     CustomTable,
+    ExtrapolatedComposite,
+    HamiltonianComposite,
+    ImplicitComposite,
     LogisticGrad,
     bilinear_game,
     eftp_operator,
@@ -45,6 +49,55 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             rotation()(np.zeros(3))
+
+
+def _every_operator_kind():
+    logistic = LogisticGrad(1.0, 0.01)
+    return [
+        rotation(),
+        logistic,
+        CustomTable([([0.0], [1.0])]),
+        ExtrapolatedComposite(logistic, 0.5),
+        ImplicitComposite(logistic, 1.0),
+        HamiltonianComposite(logistic),
+    ]
+
+
+class TestCheckedCall:
+    """The public call checks its input; ``_apply`` is the same map unchecked."""
+
+    @pytest.mark.parametrize("op", _every_operator_kind(), ids=lambda op: op.kind)
+    def test_public_call_rejects_bad_input(self, op):
+        with pytest.raises(DimensionMismatch):
+            op(np.zeros(op.dim + 1))
+        with pytest.raises(DimensionMismatch):
+            op(np.zeros((op.dim, 1)))
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.zeros(op.dim)
+            x[-1] = bad
+            with pytest.raises(NonFinite):
+                op(x)
+
+    @pytest.mark.parametrize("op", _every_operator_kind(), ids=lambda op: op.kind)
+    def test_apply_is_the_unchecked_call(self, op):
+        x = np.zeros(op.dim)
+        assert np.array_equal(op._apply(x), op(x))
+
+    def test_extrapolated_point_is_checked(self):
+        # F(x) = 1e300*x is finite at x = 1, but x - gamma*F(x) overflows
+        comp = ExtrapolatedComposite(Affine([[1e300]]), 1e10)
+        with np.errstate(over="ignore"), pytest.raises(NonFinite):
+            comp._apply(np.array([1.0]))
+
+    def test_implicit_step_overflow_raises_nonfinite(self):
+        # no declared Lipschitz constant, so the expanding inner iteration is
+        # not refused up front: it overflows within a few hundred steps and
+        # must raise NonFinite there, not NoConvergence after max_iters
+        comp = ImplicitComposite(Affine(np.diag([2.0, -3.0])), 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (comp, comp._apply):
+                with pytest.raises(NonFinite):
+                    call(np.ones(2))
 
 
 class TestJacobian:

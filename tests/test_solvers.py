@@ -1,18 +1,26 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vicert import solvers
-from vicert.errors import BadParameters
+from vicert.errors import BadParameters, NonFinite
 from vicert.operators import (
     Affine,
+    Constants,
     LogisticGrad,
+    Operator,
     bilinear_game,
     eg_operator,
+    load_operator,
+    pp_operator,
     rotation,
     scaled_identity,
 )
+from vicert.serial import fmt17
 from vicert.solvers import (
     SolverConfig,
+    Trace,
     average_sq_norm,
     eftp_step,
     eg2_step,
@@ -25,7 +33,9 @@ from vicert.solvers import (
     run,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ZERO2 = Affine(np.zeros((2, 2)))
+METHODS = ["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"]
 
 
 def _random_monotone_affine(rng, d, shift=0.25):
@@ -193,6 +203,14 @@ class TestRun:
         assert all(col.shape[0] == 2 for col in trace.extras.values())
         assert trace.to_csv().splitlines()[-1] == "1,nan,nan,nan"
 
+    def test_huge_iteration_count_diverging_early(self):
+        # the rows are allocated as the run fills them, not all up front
+        cfg = SolverConfig("gd", gamma=1e160, iters=10**12, x0=np.array([1.0, 1.0]))
+        with np.errstate(over="ignore"):
+            trace = run(scaled_identity(1.0, 2), cfg)
+        assert trace.diverged and len(trace) == 2
+        assert trace.xs.shape == (2, 2)
+
     def test_og_eftp_sequences_match(self):
         rng = np.random.default_rng(4)
         for op in (rotation(), _random_monotone_affine(rng, 3),
@@ -331,3 +349,266 @@ class TestCsv:
         text = trace.to_csv()
         row1 = text.splitlines()[1].split(",")
         assert float(row1[1]) == trace.fx_sq[0]
+
+
+# ---------------------------------------------------------------------------
+# The run loop before it validated once and cached F values: every F value
+# through the public, checked op(x), og and eftp re-evaluating the F values
+# they already hold, and rows collected in lists.  run() must reproduce it
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def _reference_run(op, cfg, x_star=None):
+    x = cfg.x0.copy()
+    star = None if x_star is None else np.asarray(x_star, dtype=float)
+    method = cfg.method
+    g = cfg.gamma
+    g1 = cfg.gamma1 if cfg.gamma1 is not None else g
+    g2 = cfg.gamma2 if cfg.gamma2 is not None else g
+    pp_comp = pp_operator(op, g) if method == "pp" else None
+    x_prev = x.copy()
+    x_tilde = x.copy()
+    xs, fx_sq, dist_sq = [], [], []
+    extras = {name: [] for name in solvers._EXTRAS.get(method, ())}
+    diverged = False
+    for k in range(cfg.iters + 1):
+        try:
+            fx = op(x)
+            xs.append(x.copy())
+            fx_sq.append(float(fx @ fx))
+            if star is not None:
+                d = x - star
+                dist_sq.append(float(d @ d))
+            if method in ("eg", "eg2"):
+                mid = x - g1 * fx
+                fmid = op(mid)
+                extras["mid_sq"].append(float(fmid @ fmid))
+                extras["x_mid"].append(mid)
+            elif method == "eftp":
+                ft = op(x_tilde)
+                extras["tilde_sq"].append(float(ft @ ft))
+                extras["x_tilde"].append(x_tilde.copy())
+            elif method == "hgm":
+                gh = op.jacobian(x).T @ fx
+                extras["grad_h_sq"].append(float(gh @ gh))
+                extras["energy"].append(0.5 * float(fx @ fx))
+            if not np.isfinite(fx_sq[-1]) or float(np.abs(x).max(initial=0.0)) > 1e150:
+                diverged = True
+                break
+            if k == cfg.iters:
+                break
+            if method == "gd":
+                x = x - g * fx
+            elif method == "pp":
+                x = x - g * pp_comp(x)
+            elif method == "eg":
+                x = x - g * fmid
+            elif method == "eg2":
+                x = x - g2 * fmid
+            elif method == "og":
+                x_new = x - 2.0 * g * fx + g * op(x_prev)
+                x_prev, x = x, x_new
+            elif method == "eftp":
+                x_tilde = x - g * op(x_tilde)
+                x = x - g * op(x_tilde)
+            elif method == "hgm":
+                x = x - g * (op.jacobian(x).T @ fx)
+        except NonFinite:
+            length = len(xs) + 1
+            for name, col in {"xs": xs, "fx_sq": fx_sq, "dist_sq": dist_sq, **extras}.items():
+                fill = np.full(x.shape, np.nan) if name.startswith("x") else np.nan
+                col.extend([fill] * (length - len(col)))
+            diverged = True
+            break
+    return Trace(method=method, xs=np.array(xs), fx_sq=np.array(fx_sq),
+                 dist_sq=np.array(dist_sq) if star is not None else None,
+                 extras={name: np.array(rows) for name, rows in extras.items() if rows},
+                 diverged=diverged)
+
+
+def _reference_csv(trace):
+    cols = trace.scalar_extras()
+    lines = ["k,fx_sq,dist_sq" + "".join("," + name for name in cols)]
+    for k in range(len(trace)):
+        dist = trace.dist_sq[k] if trace.dist_sq is not None else float("nan")
+        row = [str(k), fmt17(trace.fx_sq[k]), fmt17(dist)]
+        row += [fmt17(cols[name][k]) for name in cols]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class _Bump(Operator):
+    """F(x) = 10*tanh(x)/cosh(x) componentwise, 0 at +-inf: F of an
+    overflowed point is finite, so such a point shows only through run's own
+    check of the points it creates."""
+
+    kind = "bump"
+    dim = 2
+    constants = Constants(lipschitz=10.0)
+
+    def _apply(self, x):
+        return 10.0 * np.tanh(x) / np.cosh(x)
+
+    def jacobian(self, x):
+        x = self._checked(x)
+        sech = 1.0 / np.cosh(x)
+        return np.diag(10.0 * sech * (sech ** 2 - np.tanh(x) ** 2))
+
+
+def _bit_identity_operators():
+    rng = np.random.default_rng(21)
+    m50 = _random_monotone_affine(rng, 50)
+    return [
+        ("rotation", rotation(), 1.0, rng.standard_normal(2)),
+        ("monotone50", m50, float(np.linalg.norm(m50.matrix, 2)), rng.standard_normal(50)),
+        ("bilinear4", load_operator(FIXTURES / "bilinear4.json"), None, rng.standard_normal(4)),
+        ("logistic", LogisticGrad(1.0, 0.01), 0.26, np.array([2.0])),
+        # |F| is near its peak at the 100-times start of the 1e308 case
+        ("bump", _Bump(), 10.0, np.array([0.009, -0.008])),
+    ]
+
+
+_BIT_OPS = _bit_identity_operators()
+# fractions of 1/L (1/L^2 for hgm) as the benchmark's trace runs use
+_NORMAL_STEP = {"gd": 0.1, "pp": 0.5, "eg": 0.5, "eg2": 0.5, "og": 0.25, "eftp": 0.25,
+                "hgm": 0.5}
+
+
+class TestBitIdentity:
+    """run() against the reference loop on the same machine: a comparison
+    with recorded digests would depend on the BLAS build and the CPU."""
+
+    # at 1e160 the explicit methods overflow their iterate; at 1e308, from a
+    # start 100 times larger, already the eg mid point and the eftp tilde point.
+    # With room for 0 or 1 rows up front the arrays grow at rows 0, 1, 3, 7, ...,
+    # so an overflow also meets a freshly grown array
+    @pytest.mark.parametrize("first_rows", [None, 0, 1])
+    @pytest.mark.parametrize("scale", ["normal", 1e160, 1e308])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", _BIT_OPS, ids=[c[0] for c in _BIT_OPS])
+    def test_run_matches_reference_loop(self, case, method, scale, first_rows, monkeypatch):
+        if first_rows is not None:
+            monkeypatch.setattr(solvers, "_FIRST_ROWS", first_rows)
+        _, op, L, x0 = case
+        if L is None:
+            L = op.constants.lipschitz
+        if scale == "normal":
+            g = _NORMAL_STEP[method] / (L * L if method == "hgm" else L)
+        else:
+            g = scale
+            x0 = x0 * (100.0 if scale == 1e308 else 1.0)
+        steps = {"gamma1": g, "gamma2": 0.5 * g} if method == "eg2" else {"gamma": g}
+        self._assert_same(op, SolverConfig(method, iters=200, x0=x0, **steps))
+
+    # pp is left out: with no step to take, run builds no resolvent, where
+    # the reference loop built it (and failed) before its first row
+    @pytest.mark.parametrize("first_rows", [None, 0])
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "pp"])
+    @pytest.mark.parametrize("case", _BIT_OPS, ids=[c[0] for c in _BIT_OPS])
+    def test_overflow_on_the_last_row(self, case, method, first_rows, monkeypatch):
+        # the eg mid point overflows on the only row: the trace has two rows
+        if first_rows is not None:
+            monkeypatch.setattr(solvers, "_FIRST_ROWS", first_rows)
+        _, op, _, x0 = case
+        steps = {"gamma1": 1e308, "gamma2": 1e308} if method == "eg2" else {"gamma": 1e308}
+        self._assert_same(op, SolverConfig(method, iters=0, x0=100.0 * x0, **steps))
+
+    @staticmethod
+    def _assert_same(op, cfg):
+        method = cfg.method
+        star = np.zeros(op.dim) if op.dim > 1 else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = _reference_run(op, cfg, star)
+            except BadParameters:
+                # the nonlinear implicit step refuses gamma*L >= 1 in both
+                with pytest.raises(BadParameters):
+                    run(op, cfg, star)
+                return
+            except NonFinite:
+                # the reference built the pp resolvent before its loop and
+                # raised there; run builds it at the first step and stops
+                assert method == "pp"
+                got = run(op, cfg, star)
+                assert got.diverged and len(got) == 2 and np.isnan(got.fx_sq[1])
+                return
+            got = run(op, cfg, star)
+        assert np.array_equal(got.xs, want.xs, equal_nan=True)
+        assert got.xs.shape == want.xs.shape
+        assert np.array_equal(got.fx_sq, want.fx_sq, equal_nan=True)
+        if star is None:
+            assert got.dist_sq is None and want.dist_sq is None
+        else:
+            assert np.array_equal(got.dist_sq, want.dist_sq, equal_nan=True)
+        assert got.extras.keys() == want.extras.keys()
+        for name in want.extras:
+            assert got.extras[name].shape == want.extras[name].shape
+            assert np.array_equal(got.extras[name], want.extras[name], equal_nan=True)
+        assert got.diverged == want.diverged
+        assert got.to_csv() == _reference_csv(want)
+
+
+class _CountingAffine(Affine):
+    """Counts every F evaluation and Jacobian call, checked or not."""
+
+    f_calls = 0
+    jac_calls = 0
+
+    def _apply(self, x):
+        self.f_calls += 1
+        return super()._apply(x)
+
+    def jacobian(self, x=None):
+        self.jac_calls += 1
+        return super().jacobian(x)
+
+
+class TestFEvals:
+    # F evaluations of a run of K iterations: one per row (K+1 rows), plus
+    # eg/eg2's extrapolation at every row and eftp's one new tilde point per step
+    EXPECTED = {"gd": lambda K: K + 1, "pp": lambda K: K + 1, "og": lambda K: K + 1,
+                "hgm": lambda K: K + 1, "eg": lambda K: 2 * (K + 1),
+                "eg2": lambda K: 2 * (K + 1), "eftp": lambda K: 2 * K + 1}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_counts_per_iteration(self, method):
+        counts = []
+        for K in (0, 1, 10, 50):
+            op = _CountingAffine([[0.5, 1.0], [-1.0, 0.5]])
+            steps = {"gamma1": 0.2, "gamma2": 0.1} if method == "eg2" else {"gamma": 0.2}
+            trace = run(op, SolverConfig(method, iters=K, x0=np.array([1.0, -1.0]), **steps))
+            assert not trace.diverged and len(trace) == K + 1
+            assert trace.f_evals == op.f_calls == self.EXPECTED[method](K)
+            assert op.jac_calls == (K + 1 if method == "hgm" else 0)
+            counts.append(trace.f_evals)
+        per_iter = 2 if method in ("eg", "eg2", "eftp") else 1
+        assert counts[3] - counts[2] == 40 * per_iter
+
+    def test_diverged_run_counts_what_it_evaluated(self):
+        op = _CountingAffine(np.eye(2))
+        cfg = SolverConfig("eg", gamma=1e160, iters=10, x0=np.array([1.0, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(op, cfg)
+        assert trace.diverged
+        assert trace.f_evals == op.f_calls == 2
+
+
+class TestPpResolventOverflow:
+    def test_overflowing_resolvent_ends_on_nan_row(self):
+        # I + gamma*A overflows, so the resolvent cannot be built; run builds
+        # it at the first step, where the overflow ends the trace
+        op = load_operator(FIXTURES / "diag12.json")
+        cfg = SolverConfig("pp", gamma=1e308, iters=3, x0=np.array([1.0, 1.0]))
+        with np.errstate(over="ignore"):
+            trace = run(op, cfg, x_star=np.zeros(2))
+        assert trace.diverged
+        assert len(trace) == 2 and trace.xs.shape == (2, 2)
+        assert trace.fx_sq[0] == 5.0 and trace.dist_sq[0] == 2.0
+        assert np.isnan(trace.xs[1]).all() and np.isnan(trace.fx_sq[1])
+        assert np.isnan(trace.dist_sq[1])
+        assert trace.to_csv().splitlines() == ["k,fx_sq,dist_sq", "0,5,2", "1,nan,nan"]
+
+    def test_zero_iterations_never_build_the_resolvent(self):
+        op = load_operator(FIXTURES / "diag12.json")
+        trace = run(op, SolverConfig("pp", gamma=1e308, iters=0, x0=np.array([1.0, 1.0])))
+        assert not trace.diverged and len(trace) == 1
