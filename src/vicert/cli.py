@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--op", required=True, help="operator JSON file or builtin name")
     runp.add_argument("--method", required=True,
                       choices=["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"])
-    runp.add_argument("--gamma", type=_finite_float, default=0.0)
+    runp.add_argument("--gamma", type=_finite_float)
     runp.add_argument("--gamma1", type=_finite_float)
     runp.add_argument("--gamma2", type=_finite_float)
     runp.add_argument("--iters", type=int, required=True)
@@ -189,7 +189,7 @@ def _build_problem(args) -> pep.GramProblem:
 
 def _cmd_run(args) -> int:
     op = _load_op(args.op)
-    cfg = SolverConfig(args.method, gamma=args.gamma or 0.0, iters=args.iters,
+    cfg = SolverConfig(args.method, gamma=args.gamma, iters=args.iters,
                        x0=_parse_vector(args.x0), gamma1=args.gamma1,
                        gamma2=args.gamma2)
     x_star = _parse_vector(args.xstar) if args.xstar else None

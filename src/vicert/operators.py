@@ -1,10 +1,11 @@
 """Concrete operators and the composed update operators built on top of them.
 
-An operator is a map F: R^d -> R^d evaluated with ``op(x)``, which checks
-that x is a finite vector of the operator's dimension.  Hot loops that
-already hold such a vector call the unchecked ``op._apply(x)``.  Affine
-operators carry their matrix and offset explicitly so that composition
-stays in closed form; nonlinear composites evaluate lazily.
+An operator is a map F: R^d -> R^d evaluated with ``op(x)`` and
+differentiated with ``op.jacobian(x)``, both of which check that x is a
+finite vector of the operator's dimension.  Hot loops that already hold
+such a vector call the unchecked ``op._apply(x)`` and ``op._jacobian(x)``.
+Affine operators carry their matrix and offset explicitly so that
+composition stays in closed form; nonlinear composites evaluate lazily.
 """
 
 from __future__ import annotations
@@ -73,7 +74,12 @@ class Operator:
         """F(x) for a finite float64 vector x of dimension ``dim``, unchecked."""
         raise NotImplementedError
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, x) -> np.ndarray:
+        return self._jacobian(self._checked(x))
+
+    def _jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The Jacobian of F at a finite float64 vector x of dimension ``dim``,
+        unchecked."""
         raise NoAnalyticJacobian(f"{self.kind} operator has no analytic Jacobian")
 
     def root(self) -> np.ndarray | None:
@@ -109,7 +115,7 @@ class Affine(Operator):
     def _apply(self, x):
         return self.matrix @ x + self.offset
 
-    def jacobian(self, x=None):
+    def _jacobian(self, x):
         return self.matrix
 
     def root(self):
@@ -184,8 +190,7 @@ class LogisticGrad(Operator):
         t = self.a * x[0]
         return np.array([self.a * _sigmoid(t) + self.delta * x[0]])
 
-    def jacobian(self, x):
-        x = self._checked(x)
+    def _jacobian(self, x):
         s = _sigmoid(self.a * x[0])
         return np.array([[self.a * self.a * s * (1.0 - s) + self.delta]])
 
@@ -260,11 +265,10 @@ class ExtrapolatedComposite(Operator):
         # the extrapolated point is new: check it as a public call would
         return self.inner._apply(numerics.as_vector(mid))
 
-    def jacobian(self, x):
-        x = self._checked(x)
-        Ji = self.inner.jacobian(x)
-        mid = x - self.gamma * self.inner(x)
-        return self.inner.jacobian(mid) @ (np.eye(self.dim) - self.gamma * Ji)
+    def _jacobian(self, x):
+        Ji = self.inner._jacobian(x)
+        mid = numerics.as_vector(x - self.gamma * self.inner._apply(x))
+        return self.inner._jacobian(mid) @ (np.eye(self.dim) - self.gamma * Ji)
 
     def root(self):
         return self.inner.root()
@@ -393,7 +397,7 @@ class HamiltonianComposite(Operator):
         self.constants = Constants()
 
     def _apply(self, x):
-        return self.inner.jacobian(x).T @ self.inner._apply(x)
+        return self.inner._jacobian(x).T @ self.inner._apply(x)
 
     def root(self):
         return self.inner.root()

@@ -389,13 +389,8 @@ def build_delta_pep(L: float, gamma1: float, gamma2: float,
     """One-step norm-change problem: worst case of ||F(x^1)||^2 - ||F(x^0)||^2
     (measure 'f') or of the composite-update norms (measure 'f-eg')."""
     objective = "delta-f" if measure == "f" else "delta-composite"
-    prob = build_norm_pep(L, gamma1, gamma2, K=1, operator_class=operator_class,
+    return build_norm_pep(L, gamma1, gamma2, K=1, operator_class=operator_class,
                           objective=objective)
-    meta = dict(prob.metadata)
-    # certificate weights observed to reproduce the norm non-increase proof
-    meta["certificate_weights"] = (2.0, 0.5, 1.5)
-    return GramProblem(prob.name, prob.basis, prob.objective, prob.inequalities,
-                       prob.equalities, meta, prob.interior)
 
 
 def _norm_pep_interior(L, gamma1, gamma2, K, labels):

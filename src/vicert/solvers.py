@@ -1,8 +1,9 @@
-"""Constant-stepsize iterative methods and a uniform trace-producing run loop.
+"""Constant-stepsize iterative methods and the run loop that traces them.
 
-Every method is available both as a pure step function and through
-:func:`run`, which records per-iteration residual norms, distances to a
-known solution, and method-specific extras.
+:func:`run` is the one implementation of every update rule: it steps the
+configured method and records per-iteration residual norms, distances to a
+known solution, and method-specific extras.  The update operators of
+:mod:`vicert.operators` give the same rules in closed form, for analysis.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ _EXTRAS = {"eg": ("mid_sq", "x_mid"), "eg2": ("mid_sq", "x_mid"),
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A method, its stepsizes and a start point.  eg2 takes the extrapolation
+    stepsize ``gamma1`` and the update stepsize ``gamma2``; every other method
+    takes ``gamma`` alone (eg is eg2 with gamma1 = gamma2 = gamma)."""
+
     method: str
-    gamma: float = 0.0
+    gamma: float | None = None
     iters: int = 0
     x0: np.ndarray = field(default_factory=lambda: np.zeros(0))
     gamma1: float | None = None
@@ -40,11 +45,14 @@ class SolverConfig:
             raise BadParameters(f"unknown method {self.method!r}")
         if self.iters < 0:
             raise BadParameters("iters must be nonnegative")
-        if self.method == "eg2":
-            if not (self.gamma1 and self.gamma2 and self.gamma1 > 0 and self.gamma2 > 0):
-                raise BadParameters("eg2 needs positive gamma1 and gamma2")
-        elif self.gamma <= 0.0:
-            raise BadParameters("gamma must be positive")
+        takes = ("gamma1", "gamma2") if self.method == "eg2" else ("gamma",)
+        for name in ("gamma", "gamma1", "gamma2"):
+            value = getattr(self, name)
+            if name not in takes:
+                if value is not None:
+                    raise BadParameters(f"{self.method} takes no {name}")
+            elif value is None or not value > 0.0:
+                raise BadParameters(f"{self.method} needs a positive {name}")
         object.__setattr__(self, "x0", numerics.as_vector(self.x0).copy())
 
 
@@ -90,48 +98,6 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# Step rules
-# ---------------------------------------------------------------------------
-
-def gd_step(op: Operator, x, gamma: float) -> np.ndarray:
-    return x - gamma * op(x)
-
-
-def eg_step(op: Operator, x, gamma: float) -> np.ndarray:
-    return x - gamma * op(x - gamma * op(x))
-
-
-def eg2_step(op: Operator, x, gamma1: float, gamma2: float) -> np.ndarray:
-    return x - gamma2 * op(x - gamma1 * op(x))
-
-
-def og_step(op: Operator, x_cur, x_prev, gamma: float) -> np.ndarray:
-    return x_cur - 2.0 * gamma * op(x_cur) + gamma * op(x_prev)
-
-
-def eftp_step(op: Operator, x, x_tilde, gamma: float):
-    xt_new = x - gamma * op(x_tilde)
-    x_new = x - gamma * op(xt_new)
-    return x_new, xt_new
-
-
-def pp_step(op: Operator, x, gamma: float) -> np.ndarray:
-    """The implicit update: returns x_plus solving x_plus = x - gamma*F(x_plus)."""
-    return x - gamma * pp_operator(op, gamma)(x)
-
-
-def pp_ell_step(op: Operator, x, gamma: float, ell: float) -> np.ndarray:
-    """Explicit step x - gamma * F_pp(x) where F_pp resolves with stepsize 2/ell."""
-    if ell <= 0.0:
-        raise BadParameters("ell must be positive")
-    return x - gamma * pp_operator(op, 2.0 / ell)(x)
-
-
-def hgm_step(op: Operator, x, gamma: float) -> np.ndarray:
-    return x - gamma * (op.jacobian(x).T @ op(x))
-
-
-# ---------------------------------------------------------------------------
 # Run loop
 # ---------------------------------------------------------------------------
 
@@ -159,10 +125,10 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     NaNs.
 
     Inputs are checked here, once; the loop calls the unchecked
-    ``op._apply`` and checks only the points it creates and feeds to F (an
-    iterate, the eg mid point, the eftp tilde point).  Each F value is
-    computed once: og reuses F(x_prev), eftp reuses F(x_tilde), hgm
-    reuses J(x)^T F(x).
+    ``op._apply`` and ``op._jacobian`` and checks only the points it creates
+    and feeds to F (an iterate, the eg mid point, the eftp tilde point).
+    Each F value is computed once: og reuses F(x_prev), eftp reuses
+    F(x_tilde), hgm reuses J(x)^T F(x).
     """
     x = cfg.x0.copy()
     if x.size != op.dim:
@@ -171,8 +137,8 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
 
     method = cfg.method
     g = cfg.gamma
-    g1 = cfg.gamma1 if cfg.gamma1 is not None else g
-    g2 = cfg.gamma2 if cfg.gamma2 is not None else g
+    # eg runs as eg2 with both stepsizes gamma
+    g1, g2 = (cfg.gamma1, cfg.gamma2) if method == "eg2" else (g, g)
     F = op._apply
     zeros = np.zeros(x.size)
 
@@ -225,7 +191,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 extras["tilde_sq"][k] = f_tilde @ f_tilde
                 extras["x_tilde"][k] = x_tilde
             elif method == "hgm":
-                gh = op.jacobian(x).T @ fx
+                gh = op._jacobian(x).T @ fx
                 extras["grad_h_sq"][k] = gh @ gh
                 extras["energy"][k] = 0.5 * fsq
             full = k + 1
@@ -241,9 +207,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 if pp_comp is None:
                     pp_comp = pp_operator(op, g)
                 x = x - g * pp_comp._apply(x)
-            elif method == "eg":
-                x = x - g * fmid
-            elif method == "eg2":
+            elif method in ("eg", "eg2"):
                 x = x - g2 * fmid
             elif method == "og":
                 if k == 0:

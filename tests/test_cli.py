@@ -177,6 +177,8 @@ class TestUsageErrors:
          "--iters", "3", "--x0", "nan,0"],
         ["run", "--op", "rotation", "--method", "gd", "--gamma", "0.1",
          "--iters", "3", "--x0", "a,0"],
+        ["run", "--op", "rotation", "--method", "eg", "--gamma", "0.5",
+         "--gamma1", "0.3", "--iters", "3", "--x0", "1,0"],
         ["certify", "--check", "cocoercive-exact", "--A", EYE2, "--ell", "nan"],
         ["certify", "--check", "cocoercive-exact", "--A", "[[1e200,0],[0,1e200]]",
          "--ell", "1"],

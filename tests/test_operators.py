@@ -64,7 +64,8 @@ def _every_operator_kind():
 
 
 class TestCheckedCall:
-    """The public call checks its input; ``_apply`` is the same map unchecked."""
+    """The public call and Jacobian check their input; ``_apply`` and
+    ``_jacobian`` are the same maps unchecked."""
 
     @pytest.mark.parametrize("op", _every_operator_kind(), ids=lambda op: op.kind)
     def test_public_call_rejects_bad_input(self, op):
@@ -83,11 +84,27 @@ class TestCheckedCall:
         x = np.zeros(op.dim)
         assert np.array_equal(op._apply(x), op(x))
 
+    @pytest.mark.parametrize("op", [rotation(), LogisticGrad(1.0, 0.01),
+                                    ExtrapolatedComposite(LogisticGrad(1.0, 0.01), 0.5)],
+                             ids=lambda op: op.kind)
+    def test_public_jacobian_rejects_bad_input(self, op):
+        for bad in (np.zeros(op.dim + 1), np.zeros((op.dim, 1))):
+            with pytest.raises(DimensionMismatch):
+                op.jacobian(bad)
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.zeros(op.dim)
+            x[-1] = bad
+            with pytest.raises(NonFinite):
+                op.jacobian(x)
+        x = np.full(op.dim, 0.3)
+        assert np.array_equal(op.jacobian(x), op._jacobian(x))
+
     def test_extrapolated_point_is_checked(self):
         # F(x) = 1e300*x is finite at x = 1, but x - gamma*F(x) overflows
         comp = ExtrapolatedComposite(Affine([[1e300]]), 1e10)
-        with np.errstate(over="ignore"), pytest.raises(NonFinite):
-            comp._apply(np.array([1.0]))
+        for call in (comp._apply, comp._jacobian):
+            with np.errstate(over="ignore"), pytest.raises(NonFinite):
+                call(np.array([1.0]))
 
     def test_implicit_step_overflow_raises_nonfinite(self):
         # no declared Lipschitz constant, so the expanding inner iteration is

@@ -117,7 +117,8 @@ class TestNormPep:
         e = basis_exprs(prob.basis)
         expected = sq_matrix(e["Fx1"]) - sq_matrix(e["Fx0"])
         assert np.abs(prob.objective - expected).max() == 0.0
-        assert prob.metadata["certificate_weights"] == (2.0, 0.5, 1.5)
+        # no unverified certificate is published with the problem
+        assert "certificate_weights" not in prob.metadata
 
     def test_delta_embedding_nonpositive_for_small_stepsize(self):
         gamma = 1.0 / np.sqrt(2.0)

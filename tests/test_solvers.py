@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vicert import solvers
+from vicert import numerics, solvers
 from vicert.errors import BadParameters, NonFinite
 from vicert.operators import (
     Affine,
@@ -22,14 +22,6 @@ from vicert.solvers import (
     SolverConfig,
     Trace,
     average_sq_norm,
-    eftp_step,
-    eg2_step,
-    eg_step,
-    gd_step,
-    hgm_step,
-    og_step,
-    pp_ell_step,
-    pp_step,
     run,
 )
 
@@ -44,12 +36,19 @@ def _random_monotone_affine(rng, d, shift=0.25):
     return Affine(G + (max(0.0, -sym_min) + shift) * np.eye(d))
 
 
+def _one_step(op, method, x, **steps):
+    """The first step of ``method`` from x: row 1 of a one-iteration run."""
+    trace = run(op, SolverConfig(method, iters=1, x0=x, **steps))
+    return trace.xs[1]
+
+
 class TestSteps:
     def test_gd(self):
-        assert gd_step(scaled_identity(1.0, 1), np.array([5.0]), 1.0)[0] == 0.0
-        out = gd_step(rotation(), np.array([1.0, 0.0]), 0.5)
+        assert _one_step(scaled_identity(1.0, 1), "gd", np.array([5.0]), gamma=1.0)[0] == 0.0
+        out = _one_step(rotation(), "gd", np.array([1.0, 0.0]), gamma=0.5)
         assert np.allclose(out, [1.0, 0.5], atol=0.0)
-        assert np.array_equal(gd_step(ZERO2, np.array([1.0, 2.0]), 0.7), [1.0, 2.0])
+        assert np.array_equal(_one_step(ZERO2, "gd", np.array([1.0, 2.0]), gamma=0.7),
+                              [1.0, 2.0])
 
     def test_eg_closed_form_on_rotation(self):
         rng = np.random.default_rng(0)
@@ -57,7 +56,8 @@ class TestSteps:
         for gamma in (0.3, 1.0 / np.sqrt(2.0)):
             x = rng.standard_normal(2)
             expected = ((1.0 - gamma**2) * np.eye(2) - gamma * A) @ x
-            assert np.allclose(eg_step(rotation(), x, gamma), expected, atol=1e-15)
+            assert np.allclose(_one_step(rotation(), "eg", x, gamma=gamma), expected,
+                               atol=1e-15)
 
     def test_eg_matches_gd_on_composite(self):
         rng = np.random.default_rng(1)
@@ -65,72 +65,84 @@ class TestSteps:
         comp = eg_operator(base, 0.2)
         for _ in range(20):
             x = rng.standard_normal(3)
-            a = eg_step(base, x, 0.2)
-            b = gd_step(comp, x, 0.2)
+            a = _one_step(base, "eg", x, gamma=0.2)
+            b = _one_step(comp, "gd", x, gamma=0.2)
             assert np.abs(a - b).max() <= 1e-14 * (1.0 + np.abs(a).max())
 
     def test_eg2_reduces_to_eg(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(2)
         assert np.array_equal(
-            eg2_step(rotation(), x, 0.4, 0.4), eg_step(rotation(), x, 0.4)
+            _one_step(rotation(), "eg2", x, gamma1=0.4, gamma2=0.4),
+            _one_step(rotation(), "eg", x, gamma=0.4),
         )
-        assert np.array_equal(eg2_step(ZERO2, x, 0.3, 0.1), x)
+        assert np.array_equal(_one_step(ZERO2, "eg2", x, gamma1=0.3, gamma2=0.1), x)
 
     def test_og(self):
+        # og's first step takes x_prev = x0
         op = scaled_identity(1.0, 1)
         one = np.array([1.0])
         for gamma in (0.25, 0.5):
-            assert og_step(op, one, one, gamma)[0] == 1.0 - gamma
-        assert np.array_equal(og_step(ZERO2, np.array([2.0, 1.0]),
-                                      np.array([0.0, 0.0]), 0.5), [2.0, 1.0])
+            assert _one_step(op, "og", one, gamma=gamma)[0] == 1.0 - gamma
+        assert np.array_equal(_one_step(ZERO2, "og", np.array([2.0, 1.0]), gamma=0.5),
+                              [2.0, 1.0])
 
     def test_og_first_step_matches_eftp(self):
         rng = np.random.default_rng(3)
         base = _random_monotone_affine(rng, 2)
         x0 = rng.standard_normal(2)
         gamma = 0.15
-        og1 = og_step(base, x0, x0, gamma)
+        og1 = _one_step(base, "og", x0, gamma=gamma)
         xt1 = x0 - gamma * base(x0)
         assert np.allclose(og1, xt1, atol=1e-15)
 
+    @staticmethod
+    def _eftp_step(op, x, gamma):
+        """(x^1, x_tilde^1) of eftp from x^0 = x_tilde^0 = x."""
+        trace = run(op, SolverConfig("eftp", gamma=gamma, iters=1, x0=x))
+        return trace.xs[1], trace.extras["x_tilde"][1]
+
     def test_eftp_rotation_one_step(self):
         x = np.array([1.0, 0.0])
-        x_new, xt_new = eftp_step(rotation(), x, x, 1.0)
+        x_new, xt_new = self._eftp_step(rotation(), x, 1.0)
         assert np.allclose(xt_new, [1.0, 1.0], atol=0.0)
         assert np.allclose(x_new, [0.0, 1.0], atol=0.0)
 
     def test_eftp_zero_operator(self):
         x = np.array([1.0, -1.0])
-        xt = np.array([0.5, 0.5])
-        x_new, xt_new = eftp_step(ZERO2, x, xt, 0.7)
+        x_new, xt_new = self._eftp_step(ZERO2, x, 0.7)
         assert np.array_equal(x_new, x) and np.array_equal(xt_new, x)
 
     def test_pp(self):
         x = np.array([2.0])
-        assert abs(pp_step(scaled_identity(1.0, 1), x, 1.0)[0] - 1.0) < 1e-14
-        assert np.array_equal(pp_step(ZERO2, np.array([1.0, 2.0]), 1.0), [1.0, 2.0])
-        out = pp_step(rotation(), np.array([1.0, 0.0]), 1.0)
+        assert abs(_one_step(scaled_identity(1.0, 1), "pp", x, gamma=1.0)[0] - 1.0) < 1e-14
+        assert np.array_equal(_one_step(ZERO2, "pp", np.array([1.0, 2.0]), gamma=1.0),
+                              [1.0, 2.0])
+        out = _one_step(rotation(), "pp", np.array([1.0, 0.0]), gamma=1.0)
         assert np.allclose(out, [0.5, 0.5], atol=1e-14)
 
     def test_pp_ell(self):
+        # the explicit step x - gamma * F_pp(x), F_pp resolving with stepsize 2/ell
+        def pp_ell_step(op, x, gamma, ell):
+            return x - gamma * pp_operator(op, 2.0 / ell)(x)
+
         op = scaled_identity(1.0, 1)
         x = np.array([4.0])
         ell = 2.0
         assert np.allclose(pp_ell_step(op, x, 2.0 / ell, ell),
-                           pp_step(op, x, 2.0 / ell), atol=0.0)
+                           _one_step(op, "pp", x, gamma=2.0 / ell), atol=0.0)
         assert abs(pp_ell_step(op, x, 0.5, 2.0)[0] - 3.0) < 1e-13
         assert np.array_equal(pp_ell_step(ZERO2, np.array([1.0, 0.0]), 0.5, 2.0),
                               [1.0, 0.0])
 
     def test_hgm(self):
         x = np.array([2.0, -1.0])
-        assert np.allclose(hgm_step(rotation(), x, 0.3), 0.7 * x, atol=1e-15)
-        assert np.array_equal(hgm_step(ZERO2, x, 1.0), x)
+        assert np.allclose(_one_step(rotation(), "hgm", x, gamma=0.3), 0.7 * x, atol=1e-15)
+        assert np.array_equal(_one_step(ZERO2, "hgm", x, gamma=1.0), x)
         op = LogisticGrad(1.0, 0.01)
         x1 = np.array([1.0])
         expected = x1 - 0.1 * op.jacobian(x1)[0, 0] * op(x1)
-        assert np.allclose(hgm_step(op, x1, 0.1), expected, atol=0.0)
+        assert np.allclose(_one_step(op, "hgm", x1, gamma=0.1), expected, atol=0.0)
 
 
 class TestRun:
@@ -236,7 +248,7 @@ class TestRun:
         trace = run(op, SolverConfig("pp", gamma=0.5, iters=3, x0=x0))
         x = x0
         for k in range(3):
-            x = pp_step(op, x, 0.5)
+            x = x - 0.5 * pp_operator(op, 0.5)(x)
             assert np.allclose(trace.xs[k + 1], x, atol=1e-13)
 
     def test_bad_config(self):
@@ -246,6 +258,43 @@ class TestRun:
             SolverConfig("gd", gamma=0.0, iters=1, x0=np.zeros(1))
         with pytest.raises(BadParameters):
             SolverConfig("eg2", gamma1=0.1, iters=1, x0=np.zeros(1))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_takes_only_the_stepsizes_of_its_method(self, method):
+        """eg2 takes gamma1 and gamma2, every other method gamma alone."""
+        x0 = np.zeros(1)
+        if method == "eg2":
+            SolverConfig(method, gamma1=0.2, gamma2=0.1, x0=x0)
+            wrong = [{"gamma": 0.1, "gamma1": 0.2, "gamma2": 0.1}, {"gamma": 0.1}]
+        else:
+            SolverConfig(method, gamma=0.1, x0=x0)
+            wrong = [{"gamma": 0.1, "gamma1": 0.2}, {"gamma": 0.1, "gamma2": 0.2},
+                     {"gamma1": 0.2, "gamma2": 0.1}]
+        for steps in wrong:
+            with pytest.raises(BadParameters):
+                SolverConfig(method, x0=x0, **steps)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_input_check_per_iteration(self, method, monkeypatch):
+        """A run checks its input once: the number of full vector checks does
+        not grow with the iteration count."""
+        checks = []
+        as_vector = numerics.as_vector
+
+        def counting(x):
+            checks.append(1)
+            return as_vector(x)
+
+        monkeypatch.setattr(numerics, "as_vector", counting)
+        op = LogisticGrad(1.0, 0.01)
+        steps = {"gamma1": 0.5, "gamma2": 0.25} if method == "eg2" else {"gamma": 0.5}
+        counts = []
+        for K in (10, 1000):
+            checks.clear()
+            trace = run(op, SolverConfig(method, iters=K, x0=np.array([2.0]), **steps))
+            assert not trace.diverged and len(trace) == K + 1
+            counts.append(len(checks))
+        assert counts[0] == counts[1]
 
 
 class TestAverage:
@@ -449,8 +498,7 @@ class _Bump(Operator):
     def _apply(self, x):
         return 10.0 * np.tanh(x) / np.cosh(x)
 
-    def jacobian(self, x):
-        x = self._checked(x)
+    def _jacobian(self, x):
         sech = 1.0 / np.cosh(x)
         return np.diag(10.0 * sech * (sech ** 2 - np.tanh(x) ** 2))
 
@@ -558,9 +606,9 @@ class _CountingAffine(Affine):
         self.f_calls += 1
         return super()._apply(x)
 
-    def jacobian(self, x=None):
+    def _jacobian(self, x):
         self.jac_calls += 1
-        return super().jacobian(x)
+        return super()._jacobian(x)
 
 
 class TestFEvals:
