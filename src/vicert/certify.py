@@ -242,9 +242,13 @@ def cocoercivity_pencil(a, ell: float) -> np.ndarray:
     return row.slack(np.eye(A.shape[0]), A, lambda U, V: 0.5 * (U.T @ V + V.T @ U))
 
 
-def affine_cocoercivity_exact(a, ell: float, tol: float = 1e-10) -> CertificateReport:
+def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> CertificateReport:
     """Exact cocoercivity test for a linear map via the PSD pencil.
 
+    The pencil ``ell*H - A^T A`` (H the symmetric part of A) holds when its
+    least eigenvalue is at least ``-tol``.  The default ``tol`` is
+    ``1e-10 * (ell*max|H| + max|A^T A|)``, relative to the pencil's own
+    scale, so that (cA, c*ell) gets the verdict of (A, ell) for every c > 0.
     When violated, the most-negative eigenvector u gives the violating pair
     (u, 0): its pairwise slack equals the eigenvalue.
     """
@@ -252,6 +256,9 @@ def affine_cocoercivity_exact(a, ell: float, tol: float = 1e-10) -> CertificateR
         raise BadParameters("ell must be positive")
     A = numerics.as_matrix(a, square=True)
     w, V = numerics.sym_eig(cocoercivity_pencil(A, ell))
+    if tol is None:
+        tol = 1e-10 * (ell * float(np.abs(0.5 * (A + A.T)).max())
+                       + float(np.abs(A.T @ A).max()))
     worst = float(w[0])
     witness = None
     verdict = HOLDS

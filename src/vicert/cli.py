@@ -143,9 +143,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _pep_problem_flags(pexp)
     pexp.add_argument("--out", required=True)
 
-    pbnd = sub.add_parser("pep-bound",
-                          help="search a feasible Gram point (certified lower bound)")
+    about = ("certified lower bound: solve the problem, then re-verify the "
+             "Gram point it returns against every constraint")
+    pbnd = sub.add_parser("pep-bound", help=about, description=about)
     _pep_problem_flags(pbnd)
+    pbnd.add_argument("--method", choices=["interior-point", "search"],
+                      default="interior-point",
+                      help="interior-point solve, or the solver-free low-rank "
+                           "search that the flags below tune")
     pbnd.add_argument("--rank", type=int, default=6)
     pbnd.add_argument("--restarts", type=int, default=32)
     pbnd.add_argument("--steps", type=int, default=5000)
@@ -170,6 +175,11 @@ def _pep_problem_flags(sp) -> None:
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--operator-class", default="monotone-lipschitz",
                     choices=["monotone-lipschitz", "cocoercive"])
+    sp.add_argument("--measure", choices=["f", "f-eg"], default="f",
+                    help="delta problem: change of ||F(x)||^2 or of the "
+                         "extrapolated-point norms over one step")
+    sp.add_argument("--ball", action="store_true",
+                    help="norm problem: ||x0 - x*|| <= 1 in place of = 1")
 
 
 def _build_problem(args) -> pep.GramProblem:
@@ -182,9 +192,11 @@ def _build_problem(args) -> pep.GramProblem:
         raise VicertError("--L is required for the norm problems")
     if args.problem == "norm":
         return pep.build_norm_pep(L, args.gamma1, args.gamma2, args.K,
-                                  operator_class=args.operator_class)
+                                  operator_class=args.operator_class,
+                                  distance_as_equality=not args.ball)
     return pep.build_delta_pep(L, args.gamma1, args.gamma2,
-                               operator_class=args.operator_class)
+                               operator_class=args.operator_class,
+                               measure=args.measure)
 
 
 def _cmd_run(args) -> int:
@@ -324,11 +336,14 @@ def _cmd_pep_export(args) -> int:
 
 def _cmd_pep_bound(args) -> int:
     prob = _build_problem(args)
-    point = pep.lower_bound_search(prob, rank=args.rank, restarts=args.restarts,
-                                   ascent_steps=args.steps, rounds=args.rounds,
-                                   seed=args.seed)
+    if args.method == "search":
+        point = pep.lower_bound_search(prob, rank=args.rank, restarts=args.restarts,
+                                       ascent_steps=args.steps, rounds=args.rounds,
+                                       seed=args.seed)
+    else:
+        point = pep.solve(prob)
     payload = json.dumps({"problem": prob.name, "metadata": _meta(prob),
-                          "lower_bound": point.objective,
+                          "lower_bound": point.objective, "solver": point.solver,
                           "point": point.to_json()}, sort_keys=True, indent=2) + "\n"
     _write_out(payload, args.out)
     return 0

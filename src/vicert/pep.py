@@ -1,14 +1,17 @@
 """Worst-case analysis problems in Gram-matrix form.
 
 Assembles the expansiveness and norm-decay SDPs over a basis of abstract
-vectors, exports SDPA sparse files for external solvers, embeds concrete
-point systems as feasible Gram matrices, and searches for feasible points
-(certified lower bounds) by low-rank factorization.
+vectors, solves them by an interior-point method, exports SDPA sparse files
+for external solvers, embeds concrete point systems as feasible Gram
+matrices, and searches for feasible points by low-rank factorization.  Every
+point returned as a bound is repaired and re-verified against every
+constraint, so it is a certified lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from . import classes, numerics
 from .errors import (
     BadParameters,
     LabelMismatch,
+    NoConvergence,
     NoFeasiblePointFound,
     NotPSD,
 )
@@ -112,11 +116,27 @@ class GramProblem:
     def n(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def constraints(self) -> np.ndarray:
+        """Every constraint matrix, inequalities first, stacked (m, n, n)."""
+        mats = [m for _, m, _ in self.inequalities] + [m for _, m, _ in self.equalities]
+        return np.array(mats).reshape(-1, self.n, self.n)
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """Right-hand sides in the order of :attr:`constraints`."""
+        return np.array([r for _, _, r in self.inequalities]
+                        + [r for _, _, r in self.equalities], dtype=float)
+
+    def constraint_values(self, G) -> np.ndarray:
+        """Tr(M_k G) - rhs_k for every constraint, in stacked order."""
+        return self.constraints.reshape(-1, self.n * self.n) @ np.ravel(G) - self.rhs
+
     def inequality_values(self, G) -> np.ndarray:
-        return np.array([float(np.sum(m * G)) - rhs for _, m, rhs in self.inequalities])
+        return self.constraint_values(G)[:len(self.inequalities)]
 
     def equality_residuals(self, G) -> np.ndarray:
-        return np.array([float(np.sum(m * G)) - rhs for _, m, rhs in self.equalities])
+        return self.constraint_values(G)[len(self.inequalities):]
 
     def objective_value(self, G) -> float:
         return float(np.sum(self.objective * G))
@@ -131,6 +151,9 @@ class FeasiblePoint:
     min_eig: float
     inequality_values: np.ndarray
     equality_residuals: np.ndarray
+    # what the computation that produced the point did; no timing, so that
+    # outputs carrying it stay byte-stable
+    solver: dict = field(default_factory=dict)
 
     @property
     def max_violation(self) -> float:
@@ -158,12 +181,14 @@ class FeasiblePoint:
 def verify_point(prob: GramProblem, G) -> FeasiblePoint:
     G = numerics.as_matrix(G, square=True)
     w = numerics.sym_eigs(0.5 * (G + G.T))
+    values = prob.constraint_values(G)
+    q = len(prob.inequalities)
     return FeasiblePoint(
         G=G,
         objective=prob.objective_value(G),
         min_eig=float(w[0]) if w.size else 0.0,
-        inequality_values=prob.inequality_values(G),
-        equality_residuals=prob.equality_residuals(G),
+        inequality_values=values[:q],
+        equality_residuals=values[q:],
     )
 
 
@@ -443,6 +468,128 @@ def gram_to_points(G, clip_rel: float = 1e-9, psd_tol: float = 1e-9) -> list[np.
 
 
 # ---------------------------------------------------------------------------
+# Interior-point solve (certified lower bounds)
+# ---------------------------------------------------------------------------
+
+_SOLVE_REL_MU = 1e-8     # below about 1e-10 the primal residual grows again
+_SOLVE_MAX_ITERS = 100
+_STEP_FRACTION = 0.95    # of the longest step that keeps G, S, s, z positive
+_SOLVE_TOL = 1e-9        # verification tolerance, lower_bound_search's default
+
+
+def solve(prob: GramProblem) -> FeasiblePoint:
+    """Solve the problem by a dense primal-dual interior-point method.
+
+    The variable is the Gram block G plus a diagonal block s with one slack
+    per inequality, Tr(M_i G) - s_i = rhs_i; the dual slack is S on the Gram
+    block and z on the diagonal one.  Each iteration takes a Mehrotra
+    predictor-corrector step along the HKM direction from the Schur system
+    Tr(M_k G M_l S^-1) + [k = l < q] s_k / z_k.  It stops once
+    <G, S> + s.z falls to 1e-8 (1 + |objective|), or as soon as the Schur
+    system is not numerically positive definite (its Cholesky fails).  Every
+    iterate then goes through the repair-and-verify step and the best
+    verified one is returned (near the end the primal residual can grow, and
+    an interior mix costs more objective than the last steps gain), so the
+    result is a certified lower bound whatever the solver's accuracy; its
+    ``solver`` record says how it was reached.  Raises
+    :class:`NoConvergence` when no iterate verifies.
+    """
+    n, q = prob.n, len(prob.inequalities)
+    A = prob.constraints
+    m = A.shape[0]
+    Af = A.reshape(m, n * n)
+    C = -prob.objective              # the standard form minimizes Tr(C G)
+    G, S = np.eye(n), np.eye(n)
+    s, z = np.ones(q), np.ones(q)
+    y = np.zeros(m)
+    N = n + q
+    iterates = []                    # (G, max |primal residual|, relative mu)
+    stop = "max-iterations"
+
+    def primal(H, h):
+        out = Af @ H.ravel()
+        out[:q] -= h
+        return out
+
+    def max_step(X, dX, x, dx):
+        """Longest step keeping X + a dX and x + a dx positive (inf if any)."""
+        Li = np.linalg.inv(np.linalg.cholesky(X))
+        T = Li @ dX @ Li.T
+        lo = min(float(np.linalg.eigvalsh(0.5 * (T + T.T))[0]),
+                 float((dx / x).min(initial=0.0)))
+        return -1.0 / lo if lo < 0.0 else np.inf
+
+    with np.errstate(all="ignore"):
+        for it in range(_SOLVE_MAX_ITERS + 1):
+            rp = prob.rhs - primal(G, s)
+            Rd = C - S - np.tensordot(y, A, axes=1)
+            rd = y[:q] - z
+            gap = float(np.sum(G * S) + s @ z)
+            relmu = gap / (1.0 + abs(prob.objective_value(G)))
+            if not (np.isfinite(rp).all() and np.isfinite(relmu)):
+                stop = "non-finite"
+                break
+            iterates.append((G, float(np.abs(rp).max(initial=0.0)), relmu))
+            if relmu <= _SOLVE_REL_MU:
+                stop = "converged"
+                break
+            if it == _SOLVE_MAX_ITERS:
+                break
+            try:
+                Sinv = np.linalg.inv(S)
+                U = (A @ G).reshape(m, n * n)
+                W = (A @ Sinv).transpose(0, 2, 1).reshape(m, n * n)
+                M = U @ W.T
+                M[:q, :q] += np.diag(s / z)
+                Li = np.linalg.inv(np.linalg.cholesky(0.5 * (M + M.T)))
+            except np.linalg.LinAlgError:
+                stop = "schur-cholesky"
+                break
+            base = rp + primal(G @ Rd @ Sinv, s * rd / z)
+
+            def direction(Rc, rc):
+                """HKM direction for the complementarity residual (Rc, rc)."""
+                H, h = Rc @ Sinv, rc / z
+                dy = Li.T @ (Li @ (base - primal(H, h)))
+                dS = Rd - np.tensordot(dy, A, axes=1)
+                dz = rd + dy[:q]
+                dG = H - G @ dS @ Sinv
+                return 0.5 * (dG + dG.T), h - s * dz / z, dy, dS, dz
+
+            try:
+                mu = gap / N
+                dG, ds, dy, dS, dz = direction(-G @ S, -s * z)
+                ap = min(1.0, max_step(G, dG, s, ds))
+                ad = min(1.0, max_step(S, dS, z, dz))
+                mu_aff = float(np.sum((G + ap * dG) * (S + ad * dS))
+                               + (s + ap * ds) @ (z + ad * dz)) / N
+                sigma = min(1.0, mu_aff / mu) ** 3
+                dG, ds, dy, dS, dz = direction(
+                    sigma * mu * np.eye(n) - G @ S - dG @ dS,
+                    sigma * mu - s * z - ds * dz)
+                ap = min(1.0, _STEP_FRACTION * max_step(G, dG, s, ds))
+                ad = min(1.0, _STEP_FRACTION * max_step(S, dS, z, dz))
+            except np.linalg.LinAlgError:
+                stop = "step-length"
+                break
+            G, s = G + ap * dG, s + ap * ds
+            S, y, z = S + ad * dS, y + ad * dy, z + ad * dz
+
+    best: FeasiblePoint | None = None
+    for k, (G_k, residual, relmu) in enumerate(iterates):
+        point, path = _repair_and_verify(prob, G_k, _SOLVE_TOL)
+        if point is not None and (best is None or point.objective >= best.objective):
+            best = point
+            best.solver = {"method": "interior-point", "iterations": len(iterates) - 1,
+                           "stop": stop, "iterate": k, "relative_mu": relmu,
+                           "primal_residual": residual, "repair": path}
+    if best is None:
+        raise NoConvergence(f"no interior-point iterate of {prob.name} verifies "
+                            f"within tolerance {_SOLVE_TOL} (stopped: {stop})")
+    return best
+
+
+# ---------------------------------------------------------------------------
 # Low-rank feasible-point search (certified lower bounds)
 # ---------------------------------------------------------------------------
 
@@ -467,10 +614,9 @@ def lower_bound_search(prob: GramProblem, rank: int = 6, restarts: int = 32,
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((restarts, rank, n))
 
-    Mi = np.array([m for _, m, _ in prob.inequalities]).reshape(-1, n, n)
-    ri = np.array([rhs for _, _, rhs in prob.inequalities])
-    Me = np.array([m for _, m, _ in prob.equalities]).reshape(-1, n, n)
-    re = np.array([rhs for _, _, rhs in prob.equalities])
+    q = len(prob.inequalities)
+    Mi, Me = prob.constraints[:q], prob.constraints[q:]
+    ri, re = prob.rhs[:q], prob.rhs[q:]
     M0 = prob.objective
 
     G = np.einsum("bri,brj->bij", V, V)
@@ -501,27 +647,40 @@ def lower_bound_search(prob: GramProblem, rank: int = 6, restarts: int = 32,
         lam_e = lam_e + mu * (np.einsum("bij,qij->bq", G, Me) - re)
 
     best: FeasiblePoint | None = None
+    feasible = 0
     for b in range(restarts):
-        point = _repair_and_verify(prob, G[b], tol)
+        point, path = _repair_and_verify(prob, G[b], tol)
         if point is None:
             continue
+        feasible += 1
         if best is None or point.objective > best.objective:
-            best = point
+            best, best_path = point, path
     if best is None:
         raise NoFeasiblePointFound(
             f"no restart produced a feasible point within tolerance {tol}")
+    best.solver = {"method": "search", "iterations": rounds * ascent_steps,
+                   "restarts": restarts, "feasible_restarts": feasible,
+                   "repair": best_path}
     return best
 
 
-def _repair_and_verify(prob: GramProblem, G: np.ndarray, tol: float) -> FeasiblePoint | None:
+def _repair_and_verify(prob: GramProblem, G: np.ndarray,
+                       tol: float) -> tuple[FeasiblePoint | None, str]:
+    """Repair a candidate and verify it; returns the verified point, or None
+    when it fails, with the repair path taken: 'none', 'rescale' (exact
+    rescaling onto the homogeneous equality) or 'interior-mix' (a minimal mix
+    toward the stored interior point, after any rescaling)."""
     G = 0.5 * (G + G.T)
+    path = "none"
     homogeneous = all(rhs == 0.0 for _, _, rhs in prob.inequalities)
     if homogeneous and len(prob.equalities) == 1 and prob.equalities[0][2] > 0:
         _, Meq, rhs = prob.equalities[0]
         t = float(np.sum(Meq * G))
         if t <= 1e-12:
-            return None
-        G = G * (rhs / t)
+            return None, path
+        if rhs != t:
+            G = G * (rhs / t)
+            path = "rescale"
     if prob.interior is not None and homogeneous:
         vals = prob.inequality_values(G)
         violation = float(np.maximum(0.0, -vals).max(initial=0.0))
@@ -534,12 +693,13 @@ def _repair_and_verify(prob: GramProblem, G: np.ndarray, tol: float) -> Feasible
                     cand = (1.0 - theta) * G + theta * prob.interior
                     if prob.inequality_values(cand).min(initial=0.0) >= 0.0:
                         G = cand
+                        path = "interior-mix"
                         break
                     theta = min(1.0, 2.0 * theta)
                 else:
-                    return None
+                    return None, path
     point = verify_point(prob, G)
-    return point if point.feasible(tol) else None
+    return (point if point.feasible(tol) else None), path
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,22 @@ class TestAffineExact:
         assert report.holds
         assert abs(report.details["pencil_min_eig"]) <= 1e-12
 
+    def test_verdict_is_scale_invariant(self):
+        # (cA, c*ell) is ell-cocoercive exactly when (A, ell) is: the pencil
+        # scales by c^2, and so must the tolerance
+        rng = np.random.default_rng(17)
+        seen = set()
+        for i in range(12):
+            A = rng.standard_normal((4, 4)) + (i % 2) * 3.0 * np.eye(4)
+            ref = min_cocoercivity_ell(A)
+            for ell in ((1.0,) if ref is None else (0.5 * ref, 1.5 * ref)):
+                verdict = affine_cocoercivity_exact(A, ell).verdict
+                seen.add(verdict)
+                for c in (1e-6, 1.0, 1e6):
+                    assert affine_cocoercivity_exact(c * A, c * ell).verdict == verdict, \
+                        (i, ell, c)
+        assert seen == {"holds", "violated"}
+
     def test_witness_slack_matches_pencil(self):
         report = affine_cocoercivity_exact(ROT, 1.0)
         u = np.array(report.witness["x"])

@@ -262,11 +262,71 @@ class TestPep:
     def test_bound_search_small(self, tmp_path):
         out = tmp_path / "bound.json"
         code = main(["pep-bound", "--problem", "expansiveness", "--ell", "1",
-                     "--gamma1", "1.0", "--gamma2", "1.0", "--restarts", "6",
-                     "--steps", "800", "--rounds", "3", "--out", str(out)])
+                     "--gamma1", "1.0", "--gamma2", "1.0", "--method", "search",
+                     "--restarts", "6", "--steps", "800", "--rounds", "3",
+                     "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["lower_bound"] > 1.0 + 1e-6
+        assert payload["solver"]["method"] == "search"
+
+
+def _unit(g):
+    return ["--L", "1", "--gamma1", g, "--gamma2", g]
+
+
+_BOUND_GRID = (
+    [["--problem", "expansiveness", "--ell", "1", "--gamma1", "0.5", "--gamma2", "0.5"]]
+    + [["--problem", "norm", *_unit("0.5"), "--K", str(K), "--operator-class", cls]
+       for cls in ("monotone-lipschitz", "cocoercive") for K in range(1, 6)]
+    + [["--problem", "norm", *_unit("0.5"), "--K", "3", "--ball"]]
+    + [["--problem", "delta", *_unit(g), "--measure", measure]
+       for measure in ("f", "f-eg") for g in ("0.5", "0.7071", "1.0", "1.1", "1.5")]
+)
+
+
+def _check_against_export(flags, payload, tmp_path):
+    """Re-check the returned Gram point against the problem as exported to
+    SDPA: PSD, every inequality and equality within 1e-9, and the objective."""
+    from vicert.pep import parse_sdpa
+    path = tmp_path / "prob.dat-s"
+    assert main(["pep-export", *flags, "--out", str(path)]) == 0
+    sdpa = parse_sdpa(path)
+    G = np.array(payload["point"]["G"])
+    assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] >= -1e-9
+    blocks = sdpa["blocks"]
+    # the diagonal slack block has one entry per inequality, listed first
+    q = -sdpa["block_sizes"][1] if len(sdpa["block_sizes"]) > 1 else 0
+    for k in range(1, sdpa["m"] + 1):
+        value = float(np.sum(blocks[k][0] * G)) - sdpa["rhs"][k - 1]
+        assert value >= -1e-9 if k <= q else abs(value) <= 1e-9, k
+    objective = float(np.sum(blocks[0][0] * G))
+    assert abs(objective - payload["lower_bound"]) <= 1e-9 * max(1.0, abs(objective))
+
+
+class TestPepBoundGrid:
+    """The default (interior-point) pep-bound on a grid of problems: exit 0
+    with a bound that re-checks against the exported problem, or exit 2 with
+    one ``error:`` line; never a traceback, and the same bytes on a rerun."""
+
+    @pytest.mark.parametrize("flags", _BOUND_GRID, ids=lambda f: " ".join(f))
+    def test_verified_or_usage_error_and_byte_stable(self, flags, tmp_path, capsys):
+        runs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code = main(["pep-bound", *flags, "--out", str(out)])
+            err = capsys.readouterr().err
+            runs.append((code, err, out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1]
+        code, err, payload = runs[0]
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            return
+        assert code == 0 and err == ""
+        doc = json.loads(payload)
+        assert doc["solver"]["method"] == "interior-point"
+        _check_against_export(flags, doc, tmp_path)
 
 
 class TestReport:

@@ -3,7 +3,13 @@ import pytest
 
 from vicert import pep
 from vicert.certify import build_counterexample
-from vicert.errors import BadParameters, LabelMismatch, NoFeasiblePointFound, NotPSD
+from vicert.errors import (
+    BadParameters,
+    LabelMismatch,
+    NoConvergence,
+    NoFeasiblePointFound,
+    NotPSD,
+)
 from vicert.operators import rotation
 from vicert.pep import (
     GramProblem,
@@ -19,6 +25,7 @@ from vicert.pep import (
     inner_matrix,
     lower_bound_search,
     parse_sdpa,
+    solve,
     sq_matrix,
     verify_point,
 )
@@ -248,14 +255,9 @@ class TestLowerBoundSearch:
         assert a.objective == b.objective
 
     def test_infeasible_problem_raises(self):
-        e = basis_exprs(("a", "b"))
-        M = sq_matrix(e["a"] - e["b"])
-        prob = GramProblem(
-            name="infeasible", basis=("a", "b"), objective=sq_matrix(e["a"]),
-            inequalities=(("neg", -M, 0.0),), equalities=(("one", M, 1.0),),
-        )
         with pytest.raises(NoFeasiblePointFound):
-            lower_bound_search(prob, restarts=2, ascent_steps=100, rounds=2, seed=0)
+            lower_bound_search(_infeasible_problem(), restarts=2, ascent_steps=100,
+                               rounds=2, seed=0)
 
     def test_bad_parameters(self):
         prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
@@ -270,3 +272,106 @@ class TestLowerBoundSearch:
                                    seed=2)
         assert point.feasible(1e-9)
         assert 0.3 <= point.objective <= 0.8125 + 1e-6
+
+
+def _infeasible_problem():
+    e = basis_exprs(("a", "b"))
+    M = sq_matrix(e["a"] - e["b"])
+    return GramProblem(
+        name="infeasible", basis=("a", "b"), objective=sq_matrix(e["a"]),
+        inequalities=(("neg", -M, 0.0),), equalities=(("one", M, 1.0),),
+    )
+
+
+class TestStackedConstraints:
+    def test_stack_matches_tuples(self):
+        for prob in (build_expansiveness_matrices(1.0, 0.5, 0.5),
+                     build_norm_pep(1.0, 0.5, 0.5, K=2, distance_as_equality=False)):
+            mats = [m for _, m, _ in prob.inequalities + prob.equalities]
+            rhs = [r for _, _, r in prob.inequalities + prob.equalities]
+            assert prob.constraints.shape == (len(mats), prob.n, prob.n)
+            assert all(np.array_equal(a, b) for a, b in zip(prob.constraints, mats))
+            assert np.array_equal(prob.rhs, rhs)
+            assert prob.constraints is prob.constraints
+
+    def test_values_match_elementwise_sums(self):
+        prob = build_norm_pep(1.0, 0.5, 0.5, K=2)
+        G = np.random.default_rng(3).standard_normal((prob.n, prob.n))
+        G = G @ G.T
+        ineq = [float(np.sum(m * G)) - r for _, m, r in prob.inequalities]
+        eq = [float(np.sum(m * G)) - r for _, m, r in prob.equalities]
+        assert np.allclose(prob.inequality_values(G), ineq, rtol=0.0, atol=1e-12)
+        assert np.allclose(prob.equality_residuals(G), eq, rtol=0.0, atol=1e-12)
+
+
+# Known values at ell = L = 1: exact ones (where a rational dual certificate,
+# checked in exact arithmetic, meets a primal point) carry themselves as the
+# upper bound; the norm PEP values at K = 2, 3, 5 are known to six digits, and
+# K = 5 has an upper bound from an exactly checked rounded dual.
+_PINNED = [
+    ("expansiveness-1/2", lambda: build_expansiveness_matrices(1.0, 0.5, 0.5), 40 / 39, 40 / 39),
+    ("expansiveness-1", lambda: build_expansiveness_matrices(1.0, 1.0, 1.0), 4 / 3, 4 / 3),
+    ("expansiveness-1/4", lambda: build_expansiveness_matrices(1.0, 0.25, 0.25),
+     400 / 399, 400 / 399),
+    ("norm-K1", lambda: build_norm_pep(1.0, 0.5, 0.5, K=1), 13 / 16, 13 / 16),
+    ("norm-K2", lambda: build_norm_pep(1.0, 0.5, 0.5, K=2), 0.674098, None),
+    ("norm-K3", lambda: build_norm_pep(1.0, 0.5, 0.5, K=3), 0.561531, None),
+    ("norm-K5", lambda: build_norm_pep(1.0, 0.5, 0.5, K=5), 0.383011, 0.383012155),
+]
+
+
+class TestSolve:
+    @pytest.mark.parametrize("build,value,upper", [c[1:] for c in _PINNED],
+                             ids=[c[0] for c in _PINNED])
+    def test_pinned_values(self, build, value, upper):
+        prob = build()
+        point = solve(prob)
+        assert point.feasible(1e-9)
+        assert point.objective >= value - 1e-6
+        if upper is not None:
+            assert point.objective <= upper + 1e-9
+        # the returned point is exactly what verify_point reports for its G
+        again = verify_point(prob, point.G)
+        assert again.objective == point.objective and again.feasible(1e-9)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_expansiveness_matrices(1.0, 0.5, 0.5),
+        lambda: build_expansiveness_matrices(1.0, 1.0, 1.0),
+        lambda: build_norm_pep(1.0, 0.5, 0.5, K=1),
+        lambda: build_norm_pep(1.0, 0.5, 0.5, K=2),
+    ], ids=["expansiveness-1/2", "expansiveness-1", "norm-K1", "norm-K2"])
+    def test_not_below_search(self, build):
+        prob = build()
+        searched = lower_bound_search(prob, restarts=6, ascent_steps=800, rounds=3, seed=4)
+        assert solve(prob).objective >= searched.objective - 1e-9
+
+    @pytest.mark.parametrize("gamma", [1.1, 1.2, 1.5])
+    def test_delta_f_worst_case_above_one_over_L(self, gamma):
+        point = solve(build_delta_pep(1.0, gamma, gamma))
+        assert point.feasible(1e-9)
+        assert point.objective == pytest.approx(gamma**2 * (gamma**2 - 1.0), abs=1e-6)
+
+    def test_delta_composite_grows(self):
+        point = solve(build_delta_pep(1.0, 0.5, 0.5, measure="f-eg"))
+        assert point.feasible(1e-9)
+        assert point.objective > 0.43
+
+    def test_solver_record(self):
+        point = solve(build_expansiveness_matrices(1.0, 0.5, 0.5))
+        rec = point.solver
+        assert rec["method"] == "interior-point"
+        assert rec["stop"] in ("converged", "schur-cholesky")
+        assert 0 <= rec["iterate"] <= rec["iterations"] <= 100
+        assert rec["relative_mu"] <= 1e-6 and rec["primal_residual"] <= 1e-6
+        assert rec["repair"] in ("none", "rescale", "interior-mix")
+        assert set(rec) == {"method", "iterations", "stop", "iterate", "relative_mu",
+                            "primal_residual", "repair"}
+
+    def test_deterministic(self):
+        prob = build_norm_pep(1.0, 0.5, 0.5, K=2)
+        a, b = solve(prob), solve(prob)
+        assert np.array_equal(a.G, b.G) and a.solver == b.solver
+
+    def test_infeasible_problem_raises(self):
+        with pytest.raises(NoConvergence):
+            solve(_infeasible_problem())
