@@ -242,6 +242,12 @@ def cocoercivity_pencil(a, ell: float) -> np.ndarray:
     return row.slack(np.eye(A.shape[0]), A, lambda U, V: 0.5 * (U.T @ V + V.T @ U))
 
 
+def _pencil_scale(A: np.ndarray, ell: float) -> float:
+    """``ell*max|H| + max|A^T A|``, the size of the pencil's two terms; the
+    pencil tests measure their tolerances against it."""
+    return ell * float(np.abs(0.5 * (A + A.T)).max()) + float(np.abs(A.T @ A).max())
+
+
 def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> CertificateReport:
     """Exact cocoercivity test for a linear map via the PSD pencil.
 
@@ -257,8 +263,7 @@ def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> Certif
     A = numerics.as_matrix(a, square=True)
     w, V = numerics.sym_eig(cocoercivity_pencil(A, ell))
     if tol is None:
-        tol = 1e-10 * (ell * float(np.abs(0.5 * (A + A.T)).max())
-                       + float(np.abs(A.T @ A).max()))
+        tol = 1e-10 * _pencil_scale(A, ell)
     worst = float(w[0])
     witness = None
     verdict = HOLDS
@@ -339,8 +344,7 @@ def min_cocoercivity_ell(a, lo: float = 1e-9, hi: float = 1e9) -> float | None:
         return None
     clamped = ell < lo
     ell = max(ell, lo)
-    size = ell * float(np.abs(H).max()) + float(np.abs(M).max())
-    if not affine_cocoercivity_exact(A, ell, tol=1e-12 * size).holds:
+    if not affine_cocoercivity_exact(A, ell, tol=1e-12 * _pencil_scale(A, ell)).holds:
         raise NoConvergence(f"pencil is not PSD at the closed-form ell {ell!r}")
     if not clamped and affine_cocoercivity_exact(A, (1.0 - 1e-6) * ell, tol=0.0).holds:
         raise NoConvergence(f"pencil is still PSD below the closed-form ell {ell!r}")

@@ -8,6 +8,7 @@ one row gives slacks on vectors, constraint matrices on Gram expressions and
 the pencil of a linear map.  A new class is one more entry in ``CLASSES``.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import BadParameters
@@ -35,7 +36,10 @@ _MONOTONE = Row("monotone", "mono", 1.0, 0.0, 0.0)
 
 
 def _lipschitz(L) -> Row:
-    return Row("lipschitz", "lip", 0.0, L**2, -1.0)
+    square = float(L) * float(L)
+    if not math.isfinite(square):
+        raise BadParameters(f"Lipschitz constant {L!r} squares beyond float range")
+    return Row("lipschitz", "lip", 0.0, square, -1.0)
 
 
 # class name -> (needs a positive parameter, parameter -> rows)

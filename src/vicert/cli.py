@@ -147,15 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "Gram point it returns against every constraint")
     pbnd = sub.add_parser("pep-bound", help=about, description=about)
     _pep_problem_flags(pbnd)
-    pbnd.add_argument("--method", choices=["interior-point", "search"],
-                      default="interior-point",
-                      help="interior-point solve, or the solver-free low-rank "
-                           "search that the flags below tune")
-    pbnd.add_argument("--rank", type=int, default=6)
-    pbnd.add_argument("--restarts", type=int, default=32)
-    pbnd.add_argument("--steps", type=int, default=5000)
-    pbnd.add_argument("--rounds", type=int, default=5)
-    pbnd.add_argument("--seed", type=int, default=0)
+    # the former low-rank search's tuning flags: accepted so that existing
+    # command lines still run, and ignored, since the solve has no tuning
+    for flag in ("--rank", "--restarts", "--steps", "--rounds", "--seed"):
+        pbnd.add_argument(flag, type=int, help=argparse.SUPPRESS)
     pbnd.add_argument("--out")
 
     rep = sub.add_parser("report", help="run the full bound-check battery")
@@ -175,11 +170,6 @@ def _pep_problem_flags(sp) -> None:
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--operator-class", default="monotone-lipschitz",
                     choices=["monotone-lipschitz", "cocoercive"])
-    sp.add_argument("--measure", choices=["f", "f-eg"], default="f",
-                    help="delta problem: change of ||F(x)||^2 or of the "
-                         "extrapolated-point norms over one step")
-    sp.add_argument("--ball", action="store_true",
-                    help="norm problem: ||x0 - x*|| <= 1 in place of = 1")
 
 
 def _build_problem(args) -> pep.GramProblem:
@@ -192,11 +182,9 @@ def _build_problem(args) -> pep.GramProblem:
         raise VicertError("--L is required for the norm problems")
     if args.problem == "norm":
         return pep.build_norm_pep(L, args.gamma1, args.gamma2, args.K,
-                                  operator_class=args.operator_class,
-                                  distance_as_equality=not args.ball)
+                                  operator_class=args.operator_class)
     return pep.build_delta_pep(L, args.gamma1, args.gamma2,
-                               operator_class=args.operator_class,
-                               measure=args.measure)
+                               operator_class=args.operator_class)
 
 
 def _cmd_run(args) -> int:
@@ -336,12 +324,7 @@ def _cmd_pep_export(args) -> int:
 
 def _cmd_pep_bound(args) -> int:
     prob = _build_problem(args)
-    if args.method == "search":
-        point = pep.lower_bound_search(prob, rank=args.rank, restarts=args.restarts,
-                                       ascent_steps=args.steps, rounds=args.rounds,
-                                       seed=args.seed)
-    else:
-        point = pep.solve(prob)
+    point = pep.solve(prob)
     payload = json.dumps({"problem": prob.name, "metadata": _meta(prob),
                           "lower_bound": point.objective, "solver": point.solver,
                           "point": point.to_json()}, sort_keys=True, indent=2) + "\n"

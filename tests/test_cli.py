@@ -9,6 +9,15 @@ import numpy as np
 import pytest
 
 from vicert.cli import main
+from vicert.pep import (
+    build_delta_pep,
+    build_expansiveness_matrices,
+    build_norm_pep,
+    export_sdpa,
+    lower_bound_search,
+    parse_sdpa,
+    solve,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ROT = str(FIXTURES / "rotation.json")
@@ -260,39 +269,50 @@ class TestPep:
         assert code == 0
 
     def test_bound_search_small(self, tmp_path):
+        # the former search flags are still accepted (and ignored); the
+        # solve is not below the low-rank search those flags tuned
         out = tmp_path / "bound.json"
         code = main(["pep-bound", "--problem", "expansiveness", "--ell", "1",
-                     "--gamma1", "1.0", "--gamma2", "1.0", "--method", "search",
+                     "--gamma1", "1.0", "--gamma2", "1.0",
                      "--restarts", "6", "--steps", "800", "--rounds", "3",
                      "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["lower_bound"] > 1.0 + 1e-6
-        assert payload["solver"]["method"] == "search"
+        assert payload["solver"]["method"] == "interior-point"
+        search = lower_bound_search(build_expansiveness_matrices(1.0, 1.0, 1.0),
+                                    restarts=6, ascent_steps=800, rounds=3)
+        assert payload["lower_bound"] >= search.objective - 1e-9
 
 
 def _unit(g):
     return ["--L", "1", "--gamma1", g, "--gamma2", g]
 
 
+# the problems the CLI builds; every one verifies
 _BOUND_GRID = (
     [["--problem", "expansiveness", "--ell", "1", "--gamma1", "0.5", "--gamma2", "0.5"]]
     + [["--problem", "norm", *_unit("0.5"), "--K", str(K), "--operator-class", cls]
        for cls in ("monotone-lipschitz", "cocoercive") for K in range(1, 6)]
-    + [["--problem", "norm", *_unit("0.5"), "--K", "3", "--ball"]]
-    + [["--problem", "delta", *_unit(g), "--measure", measure]
-       for measure in ("f", "f-eg") for g in ("0.5", "0.7071", "1.0", "1.1", "1.5")]
+    + [["--problem", "delta", *_unit(g)] for g in ("0.5", "0.7071", "1.0", "1.1", "1.5")]
 )
 
+# known to end in a usage error: L**2 beyond float range (BadParameters), and
+# data so badly scaled that no interior-point iterate verifies (NoConvergence)
+_BOUND_FAILS = [
+    ["--problem", "norm", "--L", "1e200", "--gamma1", "1e200", "--gamma2", "0.5",
+     "--K", "2"],
+    ["--problem", "norm", "--L", "1e100", "--gamma1", "1e-100", "--gamma2", "1e-100",
+     "--K", "2"],
+]
 
-def _check_against_export(flags, payload, tmp_path):
-    """Re-check the returned Gram point against the problem as exported to
-    SDPA: PSD, every inequality and equality within 1e-9, and the objective."""
-    from vicert.pep import parse_sdpa
-    path = tmp_path / "prob.dat-s"
-    assert main(["pep-export", *flags, "--out", str(path)]) == 0
+
+def _check_against_export(path, doc):
+    """Re-check a returned Gram point against the problem exported to the
+    SDPA file ``path``: PSD, every inequality and equality within 1e-9, and
+    the objective."""
     sdpa = parse_sdpa(path)
-    G = np.array(payload["point"]["G"])
+    G = np.array(doc["point"]["G"])
     assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] >= -1e-9
     blocks = sdpa["blocks"]
     # the diagonal slack block has one entry per inequality, listed first
@@ -301,32 +321,56 @@ def _check_against_export(flags, payload, tmp_path):
         value = float(np.sum(blocks[k][0] * G)) - sdpa["rhs"][k - 1]
         assert value >= -1e-9 if k <= q else abs(value) <= 1e-9, k
     objective = float(np.sum(blocks[0][0] * G))
-    assert abs(objective - payload["lower_bound"]) <= 1e-9 * max(1.0, abs(objective))
+    assert abs(objective - doc["lower_bound"]) <= 1e-9 * max(1.0, abs(objective))
+
+
+def _pep_bound_twice(flags, tmp_path, capsys):
+    runs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        code = main(["pep-bound", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        runs.append((code, err, out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    return runs[0]
 
 
 class TestPepBoundGrid:
-    """The default (interior-point) pep-bound on a grid of problems: exit 0
-    with a bound that re-checks against the exported problem, or exit 2 with
-    one ``error:`` line; never a traceback, and the same bytes on a rerun."""
+    """pep-bound on a grid of problems, each run twice: the same bytes both
+    times, and a bound that re-checks against the exported problem, or, on
+    the listed failures, exit 2 with one ``error:`` line."""
 
     @pytest.mark.parametrize("flags", _BOUND_GRID, ids=lambda f: " ".join(f))
-    def test_verified_or_usage_error_and_byte_stable(self, flags, tmp_path, capsys):
-        runs = []
-        for name in ("a.json", "b.json"):
-            out = tmp_path / name
-            code = main(["pep-bound", *flags, "--out", str(out)])
-            err = capsys.readouterr().err
-            runs.append((code, err, out.read_bytes() if out.exists() else None))
-        assert runs[0] == runs[1]
-        code, err, payload = runs[0]
-        assert "Traceback" not in err
-        if code == 2:
-            assert len(err.splitlines()) == 1 and err.startswith("error: ")
-            return
+    def test_verified_and_byte_stable(self, flags, tmp_path, capsys):
+        code, err, payload = _pep_bound_twice(flags, tmp_path, capsys)
         assert code == 0 and err == ""
         doc = json.loads(payload)
         assert doc["solver"]["method"] == "interior-point"
-        _check_against_export(flags, doc, tmp_path)
+        path = tmp_path / "prob.dat-s"
+        assert main(["pep-export", *flags, "--out", str(path)]) == 0
+        _check_against_export(path, doc)
+
+    @pytest.mark.parametrize("flags", _BOUND_FAILS, ids=lambda f: " ".join(f))
+    def test_known_failures_are_usage_errors(self, flags, tmp_path, capsys):
+        code, err, payload = _pep_bound_twice(flags, tmp_path, capsys)
+        assert code == 2 and payload is None
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    # variants the CLI does not build: the start on the ball, and the
+    # extrapolated-point measure of the delta problem
+    @pytest.mark.parametrize("build", [
+        lambda: build_norm_pep(1.0, 0.5, 0.5, K=3, distance_as_equality=False),
+        *[(lambda g=g: build_delta_pep(1.0, g, g, measure="f-eg"))
+          for g in (0.5, 0.7071, 1.0, 1.1, 1.5)],
+    ], ids=["ball-K3", *[f"f-eg-{g}" for g in (0.5, 0.7071, 1.0, 1.1, 1.5)]])
+    def test_variants_verified_and_deterministic(self, build, tmp_path):
+        prob = build()
+        a, b = solve(prob), solve(prob)
+        assert a.solver["method"] == "interior-point"
+        assert (a.to_json(), a.solver) == (b.to_json(), b.solver)
+        path = tmp_path / "prob.dat-s"
+        export_sdpa(prob, path)
+        _check_against_export(path, {"point": a.to_json(), "lower_bound": a.objective})
 
 
 class TestReport:

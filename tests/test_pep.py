@@ -98,6 +98,11 @@ class TestExpansivenessMatrices:
 
 
 class TestNormPep:
+    def test_lipschitz_square_beyond_float_range(self):
+        # L**2 would raise OverflowError; the builder reports bad parameters
+        with pytest.raises(BadParameters, match="beyond float range"):
+            build_norm_pep(1e200, 1e-200, 0.5, K=2)
+
     def test_dimensions_and_counts(self):
         prob = build_norm_pep(1.0, 0.5, 0.5, K=1)
         assert prob.n == 5
