@@ -187,7 +187,7 @@ def build_counterexample(ell: float, gamma1: float, scale: float = 1.0) -> Count
     x_f1 = a * np.array([-1.0 / (2 * g), 1.0 / (2 * g)])
     y_f1 = a * np.array([-(1 - g * l) / (2 * g), (1 + g * l) / (2 * g)])
     x_f2 = a * np.array([-(1 - g * l) / (2 * g), 1.0 / (2 * g)])
-    y_f2 = a * np.array([-(1 - g * l) / (2 * g), (1 - g**2 * l**2) / (2 * g)])
+    y_f2 = a * np.array([-(1 - g * l) / (2 * g), (1 - g * g * (l * l)) / (2 * g)])
     return CounterexampleInstance(ell, gamma1, scale, x, y, x_f1, y_f1, x_f2, y_f2)
 
 
@@ -202,13 +202,17 @@ def verify_counterexample(inst: CounterexampleInstance, gamma2: float,
     """
     if gamma2 <= 0.0:
         raise BadParameters("gamma2 must be positive")
+    q = inst.gamma1 * gamma2 * (inst.ell * inst.ell)
+    predicted = inst.scale * inst.scale * (1.0 + q * q / 4.0)
+    if not predicted < np.inf:
+        raise BadParameters(f"the predicted expansion {predicted!r} is beyond float range")
     interp = check_interpolation(inst.point_system(), tol=tol)
     diff = (inst.x - gamma2 * inst.x_f2) - (inst.y - gamma2 * inst.y_f2)
     expansion = float(diff @ diff)
     base = float((inst.x - inst.y) @ (inst.x - inst.y))
-    predicted = inst.scale**2 * (1.0 + (inst.gamma1 * gamma2 * inst.ell**2) ** 2 / 4.0)
     if abs(expansion - predicted) > tol * max(1.0, predicted):
-        raise RuntimeError(
+        # at extreme parameters the float points lose the construction
+        raise BadParameters(
             f"expansion {expansion!r} does not match predicted {predicted!r}")
     if not interp.holds:
         verdict = INCONCLUSIVE
@@ -434,6 +438,8 @@ def linear_star_equiv_check(a, ell: float, trials: int = 200,
     accepts while the exact test rejects is counterevidence (statistical
     only; reported, never expected).
     """
+    if trials < 1:
+        raise BadParameters("trials must be at least 1")
     A = numerics.as_matrix(a, square=True)
     exact = affine_cocoercivity_exact(A, ell)
     row, = classes.rows("cocoercive", ell)

@@ -2,7 +2,9 @@
 
 Subcommands: run, check, certify, counterexample, pep-export, pep-bound,
 report.  Exit code 0 on all-pass, 1 on a failed check or violated
-certificate where a pass was requested, 2 on usage errors.
+certificate where a pass was requested, 2 on usage errors.  ``check``,
+``certify`` and the ``pep-*`` commands each dispatch through one table that
+names, per choice, the library function and the flags it takes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .operators import (
     rotation,
     scaled_identity,
 )
-from .solvers import SolverConfig, run
+from .solvers import METHODS, SolverConfig, run
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -41,11 +43,12 @@ def _parse_matrix(text: str) -> np.ndarray:
 _FLAGS = {"lipschitz": "--L", "jac_lipschitz": "--Lambda"}
 
 
-def _require(args, what: str, dests) -> None:
-    """Raise a usage error naming the first required flag left unset."""
+def _require(args, what: str, dests) -> list:
+    """The values of ``dests`` in order; a usage error names the first left unset."""
     for dest in dests:
         if getattr(args, dest) is None:
             raise VicertError(f"{_FLAGS.get(dest, '--' + dest)} is required for {what}")
+    return [getattr(args, dest) for dest in dests]
 
 
 def _finite_float(text: str) -> float:
@@ -80,6 +83,50 @@ def _write_out(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def _write_json(obj, out: str | None) -> None:
+    _write_out(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+
+
+# One table per command: choice -> (function name, flag dests in call
+# order, ...).  Functions are looked up on their module at call time, so a
+# wrapper put on the module attribute (a profiler's, say) sees the call.
+
+# theorem -> (check in harness, flag dests); called as fn(op, *flags), with
+# an omitted --xstar taken from the operator's stored root
+_CHECKS = {
+    "gd": ("check_gd_bounds", ("ell", "gamma", "iters", "x0", "xstar")),
+    "pp": ("check_pp_bound", ("ell", "gamma", "iters", "x0", "xstar")),
+    "eg-random": ("check_eg_random_bound",
+                  ("lipschitz", "gamma1", "gamma2", "iters", "x0", "xstar")),
+    "eg-last": ("check_eg_last_bounds", ("lipschitz", "gamma", "iters", "x0", "xstar")),
+    "eftp": ("check_eftp_bound", ("lipschitz", "gamma", "iters", "x0", "xstar")),
+    "hgm": ("check_hgm_bounds", ("lipschitz", "jac_lipschitz", "gamma", "iters", "x0")),
+    "hgm-affine": ("check_hgm_affine_contraction", ("iters", "x0")),
+}
+
+# check -> (function in certify, flag dests, the flag holding its matrix or
+# operator, fixed arguments); called as fn(matrix, *flags, *fixed), or as
+# fn(operator, *flags, ell) with --ell the optional class parameter
+_CERTIFICATES = {
+    "cocoercive-exact": ("affine_cocoercivity_exact", ("ell",), "A"),
+    "spectral-disk": ("spectral_disk_check", ("ell",), "A"),
+    "min-ell": ("min_cocoercivity_ell", (), "A"),
+    "eg-affine": ("eg_affine_cocoercivity_check", ("gamma", "lipschitz"), "A"),
+    "og-witness": ("og_noncocoercivity_witness", ("ell", "gamma"), "A", "og"),
+    "eftp-witness": ("og_noncocoercivity_witness", ("ell", "gamma"), "A", "eftp"),
+    "star-equiv": ("linear_star_equiv_check", ("ell", "trials", "seed"), "A"),
+    "sampled": ("sampled_property_check", ("op_class", "trials", "seed"), "op"),
+}
+
+# problem -> (function in pep, flag dests); called as fn(*flags)
+_PROBLEMS = {
+    "expansiveness": ("build_expansiveness_matrices", ("ell", "gamma1", "gamma2")),
+    "norm": ("build_norm_pep",
+             ("lipschitz", "gamma1", "gamma2", "K", "operator_class")),
+    "delta": ("build_delta_pep", ("lipschitz", "gamma1", "gamma2", "operator_class")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vicert",
                                 description="variational-inequality solver and certificate toolkit")
@@ -88,8 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run a solver and write the trace CSV")
     runp.add_argument("--op", required=True, help="operator JSON file or builtin name")
-    runp.add_argument("--method", required=True,
-                      choices=["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"])
+    runp.add_argument("--method", required=True, choices=METHODS)
     runp.add_argument("--gamma", type=_finite_float)
     runp.add_argument("--gamma1", type=_finite_float)
     runp.add_argument("--gamma2", type=_finite_float)
@@ -99,9 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out")
 
     chk = sub.add_parser("check", help="evaluate a convergence bound on a run")
-    chk.add_argument("--theorem", required=True,
-                     choices=["gd", "pp", "eg-random", "eg-last", "eftp", "hgm",
-                              "hgm-affine"])
+    chk.add_argument("--theorem", required=True, choices=_CHECKS)
     chk.add_argument("--op", required=True)
     chk.add_argument("--gamma", type=_finite_float)
     chk.add_argument("--gamma1", type=_finite_float)
@@ -115,10 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--out")
 
     cert = sub.add_parser("certify", help="run a cocoercivity certificate")
-    cert.add_argument("--check", required=True,
-                      choices=["cocoercive-exact", "spectral-disk", "min-ell",
-                               "eg-affine", "og-witness", "eftp-witness",
-                               "star-equiv", "sampled"])
+    cert.add_argument("--check", required=True, choices=_CERTIFICATES)
     cert.add_argument("--A", help="matrix as a JSON array of rows")
     cert.add_argument("--op", help="operator JSON file or builtin (sampled check)")
     cert.add_argument("--ell", type=_finite_float)
@@ -161,8 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _pep_problem_flags(sp) -> None:
-    sp.add_argument("--problem", required=True,
-                    choices=["expansiveness", "norm", "delta"])
+    sp.add_argument("--problem", required=True, choices=_PROBLEMS)
     sp.add_argument("--ell", type=_finite_float)
     sp.add_argument("--L", type=_finite_float, dest="lipschitz")
     sp.add_argument("--gamma1", type=_finite_float, required=True)
@@ -173,18 +213,8 @@ def _pep_problem_flags(sp) -> None:
 
 
 def _build_problem(args) -> pep.GramProblem:
-    if args.problem == "expansiveness":
-        if args.ell is None:
-            raise VicertError("--ell is required for the expansiveness problem")
-        return pep.build_expansiveness_matrices(args.ell, args.gamma1, args.gamma2)
-    L = args.lipschitz
-    if L is None:
-        raise VicertError("--L is required for the norm problems")
-    if args.problem == "norm":
-        return pep.build_norm_pep(L, args.gamma1, args.gamma2, args.K,
-                                  operator_class=args.operator_class)
-    return pep.build_delta_pep(L, args.gamma1, args.gamma2,
-                               operator_class=args.operator_class)
+    name, dests = _PROBLEMS[args.problem]
+    return getattr(pep, name)(*_require(args, f"--problem {args.problem}", dests))
 
 
 def _cmd_run(args) -> int:
@@ -198,101 +228,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_CHECK_NEEDS = {
-    "gd": ("ell", "gamma"),
-    "pp": ("ell", "gamma"),
-    "eg-random": ("lipschitz", "gamma1", "gamma2"),
-    "eg-last": ("lipschitz", "gamma"),
-    "eftp": ("lipschitz", "gamma"),
-    "hgm": ("lipschitz", "jac_lipschitz", "gamma"),
-    "hgm-affine": (),
-}
-
-
 def _cmd_check(args) -> int:
+    name, dests = _CHECKS[args.theorem]
     op = _load_op(args.op)
-    x0 = _parse_vector(args.x0) if args.x0 else np.ones(op.dim)
-    star = _parse_vector(args.xstar) if args.xstar else None
+    args.x0 = _parse_vector(args.x0) if args.x0 else np.ones(op.dim)
+    args.xstar = _parse_vector(args.xstar) if args.xstar else op.root()
     # declared operator constants stand in for omitted flags
     if args.lipschitz is None:
         args.lipschitz = op.constants.lipschitz
     if args.jac_lipschitz is None:
         args.jac_lipschitz = op.constants.jac_lipschitz
-    _require(args, f"--theorem {args.theorem}", _CHECK_NEEDS[args.theorem])
-    L = args.lipschitz
-    if args.theorem == "gd":
-        checks = list(harness.check_gd_bounds(op, args.ell, args.gamma,
-                                              args.iters, x0, star))
-    elif args.theorem == "pp":
-        checks = [harness.check_pp_bound(op, args.ell, args.gamma, args.iters,
-                                         x0, star)]
-    elif args.theorem == "eg-random":
-        checks = [harness.check_eg_random_bound(op, L, args.gamma1, args.gamma2,
-                                                args.iters, x0, star)]
-    elif args.theorem == "eg-last":
-        checks = list(harness.check_eg_last_bounds(op, L, args.gamma, args.iters,
-                                                   x0, star))
-    elif args.theorem == "eftp":
-        checks = [harness.check_eftp_bound(op, L, args.gamma, args.iters, x0, star)]
-    elif args.theorem == "hgm":
-        checks = list(harness.check_hgm_bounds(op, L, args.jac_lipschitz, args.gamma,
-                                               args.iters, x0))
-    else:
-        checks = [harness.check_hgm_affine_contraction(op, args.iters, x0)]
-    payload = json.dumps({"checks": [c.to_json() for c in checks]},
-                         sort_keys=True, indent=2) + "\n"
-    _write_out(payload, args.out)
+    result = getattr(harness, name)(op, *_require(args, f"--theorem {args.theorem}", dests))
+    checks = result if isinstance(result, tuple) else (result,)
+    _write_json({"checks": [c.to_json() for c in checks]}, args.out)
     return 0 if all(c.passed is not False for c in checks) else 1
 
 
-_CERTIFY_NEEDS = {
-    "cocoercive-exact": ("ell",),
-    "spectral-disk": ("ell",),
-    "min-ell": (),
-    "eg-affine": ("gamma", "lipschitz"),
-    "og-witness": ("ell", "gamma"),
-    "eftp-witness": ("ell", "gamma"),
-    "star-equiv": ("ell",),
-    "sampled": (),
-}
-
-
 def _cmd_certify(args) -> int:
-    _require(args, f"--check {args.check}", _CERTIFY_NEEDS[args.check])
-    if args.check == "sampled":
-        if args.op is None:
-            raise VicertError("--op is required for the sampled check")
-        op = _load_op(args.op)
-        report = certify.sampled_property_check(op, args.op_class,
-                                                trials=args.trials,
-                                                seed=args.seed,
-                                                parameter=args.ell)
+    name, dests, subject, *tail = _CERTIFICATES[args.check]
+    *values, target = _require(args, f"--check {args.check}", dests + (subject,))
+    if subject == "op":
+        target, tail = _load_op(target), [args.ell]
     else:
-        if args.A is None:
-            raise VicertError("--A is required for matrix certificates")
-        A = _parse_matrix(args.A)
-        if args.check == "cocoercive-exact":
-            report = certify.affine_cocoercivity_exact(A, args.ell)
-        elif args.check == "spectral-disk":
-            report = certify.spectral_disk_check(A, args.ell)
-        elif args.check == "min-ell":
-            ell = certify.min_cocoercivity_ell(A)
-            payload = json.dumps({"min_ell": ell}, sort_keys=True) + "\n"
-            _write_out(payload, args.out)
-            return 0
-        elif args.check == "eg-affine":
-            report = certify.eg_affine_cocoercivity_check(A, args.gamma,
-                                                          args.lipschitz)
-        elif args.check == "star-equiv":
-            report = certify.linear_star_equiv_check(A, args.ell,
-                                                     trials=args.trials,
-                                                     seed=args.seed)
-        else:
-            which = "og" if args.check == "og-witness" else "eftp"
-            report = certify.og_noncocoercivity_witness(A, args.ell, args.gamma,
-                                                        which)
-    payload = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-    _write_out(payload, args.out)
+        target = _parse_matrix(target)
+    report = getattr(certify, name)(target, *values, *tail)
+    if not isinstance(report, certify.CertificateReport):
+        # a constant, not a report: the least ell, or None when there is none
+        _write_out(json.dumps({"min_ell": report}, sort_keys=True) + "\n", args.out)
+        return 0
+    _write_json(report.to_json(), args.out)
     if args.expect is not None:
         return 0 if report.verdict == args.expect else 1
     return 0
@@ -301,39 +265,28 @@ def _cmd_certify(args) -> int:
 def _cmd_counterexample(args) -> int:
     inst = certify.build_counterexample(args.ell, args.gamma1, scale=args.scale)
     report = certify.verify_counterexample(inst, args.gamma2)
-    payload = json.dumps(
-        {"instance": inst.to_json(), "report": report.to_json()},
-        sort_keys=True, indent=2) + "\n"
-    _write_out(payload, args.out)
+    _write_json({"instance": inst.to_json(), "report": report.to_json()}, args.out)
     return 0 if report.verdict == "violated" else 1
 
 
 def _cmd_pep_export(args) -> int:
     prob = _build_problem(args)
     pep.export_sdpa(prob, args.out)
-    sidecar = args.out + ".json"
-    with open(sidecar, "w") as fh:
-        json.dump({"name": prob.name, "basis": list(prob.basis),
-                   "metadata": prob.metadata,
-                   "inequalities": [name for name, _, _ in prob.inequalities],
-                   "equalities": [name for name, _, _ in prob.equalities]},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json({"name": prob.name, "basis": list(prob.basis),
+                 "metadata": prob.metadata,
+                 "inequalities": [name for name, _, _ in prob.inequalities],
+                 "equalities": [name for name, _, _ in prob.equalities]},
+                args.out + ".json")
     return 0
 
 
 def _cmd_pep_bound(args) -> int:
     prob = _build_problem(args)
     point = pep.solve(prob)
-    payload = json.dumps({"problem": prob.name, "metadata": _meta(prob),
-                          "lower_bound": point.objective, "solver": point.solver,
-                          "point": point.to_json()}, sort_keys=True, indent=2) + "\n"
-    _write_out(payload, args.out)
+    _write_json({"problem": prob.name, "metadata": prob.metadata,
+                 "lower_bound": point.objective, "solver": point.solver,
+                 "point": point.to_json()}, args.out)
     return 0
-
-
-def _meta(prob) -> dict:
-    return {k: v for k, v in prob.metadata.items() if not isinstance(v, np.ndarray)}
 
 
 def _cmd_report(args) -> int:

@@ -4,7 +4,7 @@ and deterministic machine-readable reports."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .operators import (
     scaled_identity,
 )
 from .serial import jsonable
-from .solvers import SolverConfig, Trace, average_sq_norm, run
+from .solvers import SolverConfig, run
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT10 = float(np.sqrt(10.0))
@@ -43,7 +43,6 @@ class BoundCheck:
     rel_tol: float = 1e-10
     abs_tol: float = 0.0
     guaranteed: bool = True
-    extras: dict = field(default_factory=dict)
 
     @property
     def margins(self) -> np.ndarray:
@@ -76,13 +75,25 @@ class BoundCheck:
         }
 
 
-def _resolve_root(op: Operator, x_star) -> np.ndarray:
-    if x_star is not None:
-        return numerics.as_vector(x_star)
-    root = op.root()
-    if root is None:
+def _run_from(op: Operator, method: str, iters: int, x0, x_star, **gammas):
+    """Run ``method`` from x0 against the given or stored solution point.
+
+    Returns the trace, its iteration indices k and d0 = ||x0 - x*||^2.
+    """
+    star = numerics.as_vector(x_star) if x_star is not None else op.root()
+    if star is None:
         raise PreconditionViolated("this check needs a known solution point")
-    return root
+    x0 = numerics.as_vector(x0)
+    trace = run(op, SolverConfig(method, iters=iters, x0=x0, **gammas), x_star=star)
+    return trace, np.arange(len(trace)), float(np.sum((x0 - star) ** 2))
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` when it is finite and positive; rounding at extreme
+    constants can make a derived one overflow, underflow or change sign."""
+    if not 0.0 < value < np.inf:
+        raise PreconditionViolated(f"{name} = {float(value)!r} is not finite and positive")
+    return value
 
 
 def _running_average(values: np.ndarray) -> np.ndarray:
@@ -99,11 +110,7 @@ def check_gd_bounds(op: Operator, ell: float, gamma: float, iters: int, x0,
     cocoercive operator: both are ell*||x0-x*||^2 / (gamma*(K+1))."""
     if ell <= 0.0 or not 0.0 < gamma <= 1.0 / ell + 1e-12:
         raise PreconditionViolated("need 0 < gamma <= 1/ell")
-    star = _resolve_root(op, x_star)
-    x0 = numerics.as_vector(x0)
-    trace = run(op, SolverConfig("gd", gamma=gamma, iters=iters, x0=x0), x_star=star)
-    ks = np.arange(len(trace))
-    d0 = float(np.sum((x0 - star) ** 2))
+    trace, ks, d0 = _run_from(op, "gd", iters, x0, x_star, gamma=gamma)
     bound = ell * d0 / (gamma * (ks + 1.0))
     params = {"ell": ell, "gamma": gamma, "iters": iters}
     avg = BoundCheck("gd-average", params, ks, _running_average(trace.fx_sq), bound)
@@ -118,19 +125,11 @@ def check_pp_bound(op: Operator, ell: float, gamma: float, iters: int, x0,
     below ell*||x0-x*||^2 / (gamma*(K+1))."""
     if ell <= 0.0 or not 0.0 < gamma <= 1.0 / ell + 1e-12:
         raise PreconditionViolated("need 0 < gamma <= 1/ell")
-    star = _resolve_root(op, x_star)
-    x0 = numerics.as_vector(x0)
-    composite = pp_operator(op, 2.0 / ell)
-    trace = run(composite, SolverConfig("gd", gamma=gamma, iters=iters, x0=x0),
-                x_star=star)
-    ks = np.arange(len(trace))
-    d0 = float(np.sum((x0 - star) ** 2))
+    trace, ks, d0 = _run_from(pp_operator(op, 2.0 / ell), "gd", iters, x0, x_star,
+                              gamma=gamma)
     bound = ell * d0 / (gamma * (ks + 1.0))
-    check = BoundCheck("pp-average", {"ell": ell, "gamma": gamma, "iters": iters},
-                       ks, _running_average(trace.fx_sq), bound)
-    check.extras["last_resolved_sq"] = float(trace.fx_sq[-1])
-    check.extras["last_bound"] = float(bound[-1])
-    return check
+    return BoundCheck("pp-average", {"ell": ell, "gamma": gamma, "iters": iters},
+                      ks, _running_average(trace.fx_sq), bound)
 
 
 def check_eg_random_bound(op: Operator, L: float, gamma1: float, gamma2: float,
@@ -141,14 +140,10 @@ def check_eg_random_bound(op: Operator, L: float, gamma1: float, gamma2: float,
         raise PreconditionViolated("need 0 < gamma1 <= 1/L")
     if not 0.0 < gamma2 <= gamma1 / 2.0 + 1e-12:
         raise PreconditionViolated("need 0 < gamma2 <= gamma1/2")
-    star = _resolve_root(op, x_star)
-    x0 = numerics.as_vector(x0)
-    composite = eg_operator(op, gamma1)
-    trace = run(composite, SolverConfig("gd", gamma=gamma2, iters=iters, x0=x0),
-                x_star=star)
-    ks = np.arange(len(trace))
-    d0 = float(np.sum((x0 - star) ** 2))
-    bound = 2.0 * d0 / (gamma1 * gamma2 * (ks + 1.0))
+    denom = _positive("gamma1*gamma2", gamma1 * gamma2)
+    trace, ks, d0 = _run_from(eg_operator(op, gamma1), "gd", iters, x0, x_star,
+                              gamma=gamma2)
+    bound = 2.0 * d0 / (denom * (ks + 1.0))
     return BoundCheck("eg-random", {"L": L, "gamma1": gamma1, "gamma2": gamma2,
                                     "iters": iters},
                       ks, _running_average(trace.fx_sq), bound)
@@ -160,26 +155,20 @@ def check_eg_last_bounds(op: Operator, L: float, gamma: float, iters: int, x0,
     method.
 
     Guaranteed regime is gamma <= 1/(sqrt(2)*L); for gamma in
-    (1/(sqrt(2)L), 1/L] the margins are reported but not asserted.  The
-    reference curve 16*L^2*||x0-x*||^2/k rides along in the extras.
+    (1/(sqrt(2)L), 1/L) the margins are reported but not asserted.
     """
     if L <= 0.0 or not 0.0 < gamma <= 1.0 / L + 1e-12:
         raise PreconditionViolated("need 0 < gamma <= 1/L")
     guaranteed = gamma <= 1.0 / (_SQRT2 * L) + 1e-12
-    star = _resolve_root(op, x_star)
-    x0 = numerics.as_vector(x0)
-    trace = run(op, SolverConfig("eg", gamma=gamma, iters=iters, x0=x0), x_star=star)
-    ks = np.arange(len(trace))
-    d0 = float(np.sum((x0 - star) ** 2))
-    denom = gamma**2 * (1.0 - L**2 * gamma**2)
+    slack = 1.0 - L * L * (gamma * gamma)
+    denom = _positive("gamma^2*(1 - L^2*gamma^2)", gamma * gamma * slack)
+    gap_denom = _positive("gamma*sqrt(1 - L^2*gamma^2)", gamma * np.sqrt(slack))
+    trace, ks, d0 = _run_from(op, "eg", iters, x0, x_star, gamma=gamma)
     params = {"L": L, "gamma": gamma, "iters": iters}
-    norm_bound = d0 / (denom * (ks + 1.0))
-    norm_check = BoundCheck("eg-last", params, ks, trace.fx_sq, norm_bound,
-                            guaranteed=guaranteed)
-    norm_check.extras["reference_bound"] = (
-        16.0 * L**2 * d0 / np.maximum(ks, 1.0)).tolist()
+    norm_check = BoundCheck("eg-last", params, ks, trace.fx_sq,
+                            d0 / (denom * (ks + 1.0)), guaranteed=guaranteed)
     gap_surrogate = 2.0 * np.sqrt(trace.fx_sq) * np.sqrt(d0)
-    gap_bound = 2.0 * d0 / (gamma * np.sqrt(1.0 - L**2 * gamma**2) * np.sqrt(ks + 1.0))
+    gap_bound = 2.0 * d0 / (gap_denom * np.sqrt(ks + 1.0))
     gap_check = BoundCheck("eg-gap", params, ks, gap_surrogate, gap_bound,
                            guaranteed=guaranteed)
     return norm_check, gap_check
@@ -191,31 +180,37 @@ def check_eftp_bound(op: Operator, L: float, gamma: float, iters: int, x0,
     method: bound ||x0-x*||^2 / (gamma^2*(1-10*gamma^2*L^2)*(K+1))."""
     if L <= 0.0 or not 0.0 < gamma < 1.0 / (_SQRT10 * L):
         raise PreconditionViolated("need 0 < gamma < 1/(sqrt(10)*L)")
-    star = _resolve_root(op, x_star)
-    x0 = numerics.as_vector(x0)
-    trace = run(op, SolverConfig("eftp", gamma=gamma, iters=iters, x0=x0), x_star=star)
-    ks = np.arange(len(trace))
-    d0 = float(np.sum((x0 - star) ** 2))
-    denom = gamma**2 * (1.0 - 10.0 * gamma**2 * L**2)
+    denom = _positive("gamma^2*(1 - 10*gamma^2*L^2)",
+                      gamma * gamma * (1.0 - 10.0 * (gamma * gamma) * (L * L)))
+    trace, ks, d0 = _run_from(op, "eftp", iters, x0, x_star, gamma=gamma)
     bound = d0 / (denom * (ks + 1.0))
     observed = _running_average(trace.extras["tilde_sq"])
     return BoundCheck("eftp-random", {"L": L, "gamma": gamma, "iters": iters},
                       ks, observed, bound)
 
 
+def _hgm_cap(op: Operator, L: float, jac_lipschitz: float, x0) -> tuple[float, float]:
+    """The cap L^2 + Lambda*||F(x0)|| (the energy-descent method's stepsize
+    limit is 2/cap) and ||F(x0)||."""
+    f0 = float(np.sqrt(np.sum(np.asarray(op(x0)) ** 2)))
+    return _positive("L^2 + Lambda*||F(x0)||", L * L + jac_lipschitz * f0), f0
+
+
 def check_hgm_bounds(op: Operator, L: float, jac_lipschitz: float, gamma: float,
                      iters: int, x0) -> tuple[BoundCheck, BoundCheck]:
     """Best-iterate bound on the residual-energy gradient and the residual
     norm monotonicity of the energy-descent method."""
+    if iters < 1:
+        raise PreconditionViolated("the monotonicity check needs iters >= 1")
     x0 = numerics.as_vector(x0)
-    f0 = float(np.sqrt(np.sum(np.asarray(op(x0)) ** 2)))
-    cap = L**2 + jac_lipschitz * f0
+    cap, f0 = _hgm_cap(op, L, jac_lipschitz, x0)
     if not 0.0 < gamma <= 2.0 / cap + 1e-12:
         raise PreconditionViolated("need 0 < gamma <= 2/(L^2 + Lambda*||F(x0)||)")
+    denom = _positive("gamma*(2 - gamma*cap)", gamma * (2.0 - gamma * cap))
     trace = run(op, SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0))
     ks = np.arange(len(trace))
     best = np.minimum.accumulate(trace.extras["grad_h_sq"])
-    bound = f0**2 / (gamma * (2.0 - gamma * cap) * (ks + 1.0))
+    bound = f0 * f0 / (denom * (ks + 1.0))
     params = {"L": L, "Lambda": jac_lipschitz, "gamma": gamma, "iters": iters}
     best_check = BoundCheck("hgm-best", params, ks, best, bound)
     norms = np.sqrt(trace.fx_sq)
@@ -229,6 +224,8 @@ def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
     operator at stepsize 1/sigma_max^2, with factor (1-kappa)/(1+kappa)."""
     if not isinstance(op, Affine):
         raise BadParameters("affine contraction check needs an affine operator")
+    if iters < 1:
+        raise PreconditionViolated("the contraction check needs iters >= 1")
     x0 = numerics.as_vector(x0)
     A = op.matrix
     svals = numerics.singular_values(A)
@@ -247,13 +244,10 @@ def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
     x_star = x0 - numerics.sym_pseudo_solve(S, grad0, rtol=1e-10)
     trace = run(op, SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0),
                 x_star=x_star)
-    ks = np.arange(len(trace) - 1)
-    observed = trace.dist_sq[1:]
-    bound = rho * trace.dist_sq[:-1]
-    check = BoundCheck("hgm-affine-contraction",
-                       {"gamma": gamma, "kappa": kappa, "rho": rho, "iters": iters},
-                       ks, observed, bound, rel_tol=1e-12, abs_tol=1e-12)
-    return check
+    return BoundCheck("hgm-affine-contraction",
+                      {"gamma": gamma, "kappa": kappa, "rho": rho, "iters": iters},
+                      np.arange(len(trace) - 1), trace.dist_sq[1:],
+                      rho * trace.dist_sq[:-1], rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +392,8 @@ def run_report(seed: int = 20240406, iters: int = 300) -> dict:
         fresh.extend(check_eg_last_bounds(op, L, 1.0 / (_SQRT2 * L), iters, x0, star))
         fresh.append(check_eftp_bound(op, L, 0.9 / (_SQRT10 * L), iters, x0, star))
         if entry.jac_lipschitz is not None:
-            f0 = float(np.sqrt(np.sum(np.asarray(op(x0)) ** 2)))
-            cap = L**2 + entry.jac_lipschitz * f0
-            fresh.extend(check_hgm_bounds(op, L, entry.jac_lipschitz,
-                                          1.0 / cap, iters, x0))
+            gamma = 1.0 / _hgm_cap(op, L, entry.jac_lipschitz, x0)[0]
+            fresh.extend(check_hgm_bounds(op, L, entry.jac_lipschitz, gamma, iters, x0))
         if isinstance(op, Affine):
             fresh.append(check_hgm_affine_contraction(op, iters, x0))
         for check in fresh:

@@ -17,7 +17,7 @@ from . import numerics
 from .errors import BadParameters, NonFinite
 from .operators import Operator, pp_operator
 
-_METHODS = ("gd", "pp", "eg", "eg2", "og", "eftp", "hgm")
+METHODS = ("gd", "pp", "eg", "eg2", "og", "eftp", "hgm")
 _DIVERGENCE_LIMIT = 1e150
 # rows a trace allocates up front; a longer run doubles its arrays as it goes,
 # so a huge iteration count that diverges early allocates little
@@ -41,7 +41,7 @@ class SolverConfig:
     gamma2: float | None = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise BadParameters(f"unknown method {self.method!r}")
         if self.iters < 0:
             raise BadParameters("iters must be nonnegative")

@@ -197,6 +197,23 @@ class TestUsageErrors:
          "--gamma", "1e-201", "--L", "1e201"],
         ["certify", "--check", "og-witness", "--A", "[[0,1],[-1,0]]",
          "--ell", "1e300", "--gamma", "1e-309"],
+        # squares and caps beyond float range, and checks with no rows
+        ["check", "--theorem", "eg-last", "--op", "rotation", "--L", "1e-300",
+         "--gamma", "1e155", "--iters", "1"],
+        ["check", "--theorem", "eftp", "--op", "rotation", "--L", "1e155",
+         "--gamma", "1e-200", "--iters", "1"],
+        ["check", "--theorem", "hgm", "--op", "identity2", "--L", "1e200",
+         "--Lambda", "0", "--gamma", "1e-300", "--iters", "1"],
+        ["check", "--theorem", "hgm", "--op", "identity3", "--L", "1e-200",
+         "--Lambda", "0", "--gamma", "5e-324", "--iters", "1"],
+        ["check", "--theorem", "hgm", "--op", "logistic", "--gamma", "1",
+         "--iters", "0"],
+        ["check", "--theorem", "hgm-affine", "--op", "identity3", "--iters", "0"],
+        ["report", "--iters", "0"],
+        ["counterexample", "--ell", "1", "--gamma1", "1", "--gamma2", "1e-200",
+         "--scale", "1e300"],
+        ["counterexample", "--ell", "1e-300", "--gamma1", "1e-200", "--gamma2", "0.5"],
+        ["certify", "--check", "star-equiv", "--A", EYE2, "--ell", "1", "--trials", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_exits_2_with_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -231,6 +248,58 @@ class TestUsageErrors:
             for flag, value in (("--ell", ell), ("--gamma", gamma), ("--L", L)):
                 if value is not None:
                     argv += [flag, repr(value)]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)
+
+        prop()
+
+    def test_check_argv_property(self):
+        """Any check argv, with each constant absent, zero or of magnitude in
+        [5e-324, 1e300] and a few iteration counts, exits 0, 1 or 2 and never
+        raises."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        theorems = ["gd", "pp", "eg-random", "eg-last", "eftp", "hgm", "hgm-affine"]
+        magnitude = st.floats(5e-324, 1e300)
+        constant = st.none() | st.just(0.0) | magnitude | magnitude.map(lambda v: -v)
+        flags = ("--ell", "--gamma", "--gamma1", "--gamma2", "--L", "--Lambda")
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(theorem=st.sampled_from(theorems),
+                          op=st.sampled_from(["rotation", "identity2", "identity3",
+                                              "logistic"]),
+                          iters=st.sampled_from([0, 1, 5]),
+                          values=st.tuples(*[constant] * len(flags)))
+        def prop(theorem, op, iters, values):
+            argv = ["check", "--theorem", theorem, "--op", op, "--iters", str(iters),
+                    "--out", os.devnull]
+            for flag, value in zip(flags, values):
+                if value is not None:
+                    argv += [flag, repr(value)]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)
+
+        prop()
+
+    def test_counterexample_argv_property(self):
+        """Any counterexample argv, with each constant zero or of magnitude in
+        [5e-324, 1e300] and the scale absent or alike, exits 0, 1 or 2 and
+        never raises."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        magnitude = st.floats(5e-324, 1e300)
+        # mostly positive: a zero or negative constant is rejected up front
+        constant = st.one_of(magnitude, magnitude, magnitude, st.just(0.0),
+                             magnitude.map(lambda v: -v))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(ell=constant, gamma1=constant, gamma2=constant,
+                          scale=st.none() | constant)
+        def prop(ell, gamma1, gamma2, scale):
+            argv = ["counterexample", "--ell", repr(ell), "--gamma1", repr(gamma1),
+                    "--gamma2", repr(gamma2), "--out", os.devnull]
+            if scale is not None:
+                argv += ["--scale", repr(scale)]
             with contextlib.redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
 

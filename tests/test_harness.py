@@ -114,10 +114,6 @@ class TestEgLast:
         assert norm.passed is None and gap.passed is None
         assert not norm.guaranteed
 
-    def test_reference_curve_present(self):
-        norm, _ = check_eg_last_bounds(rotation(), 1.0, 0.5, 5, np.array([1.0, 0.0]))
-        assert len(norm.extras["reference_bound"]) == 6
-
 
 class TestEftp:
     def test_rotation(self):
