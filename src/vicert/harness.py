@@ -44,6 +44,16 @@ class BoundCheck:
     abs_tol: float = 0.0
     guaranteed: bool = True
 
+    def __post_init__(self):
+        # constants that each pass their precondition can still overflow the
+        # bound, and an infinite bound asserts nothing (nor is it JSON)
+        bad = np.flatnonzero(~np.isfinite(self.bound))
+        if bad.size:
+            k = bad[0]
+            raise PreconditionViolated(
+                f"{self.check_id} bound at k = {int(self.ks[k])} is "
+                f"{float(self.bound[k])!r}: the constants are beyond float range")
+
     @property
     def margins(self) -> np.ndarray:
         return self.bound - self.observed

@@ -10,6 +10,7 @@ constraint, so it is a certified lower bound.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -712,60 +713,115 @@ def export_sdpa(prob: GramProblem, path) -> None:
 
     Constraint i reads Tr(M_i G) - s_i = rhs_i for inequalities, then the
     equalities follow with their right-hand sides; the dual of the exported
-    problem maximizes Tr(M_0 G) over the same feasible set.
+    problem maximizes Tr(M_0 G) over the same feasible set.  Each matrix
+    lists the nonzero cells of its upper triangle in row-major order, values
+    in 17 significant digits as :func:`serial.fmt17` writes them.
     """
     q = len(prob.inequalities)
     m = q + len(prob.equalities)
     n = prob.n
-    lines = [f'"{prob.name}"', str(m), "2" if q else "1",
-             f"{n} -{q}" if q else f"{n}"]
+    rows, cols = np.triu_indices(n)
+    upper_cells = rows * n + cols
+    cell_text = [f"{i} {j} " for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())]
     rhs = [rhs for _, _, rhs in prob.inequalities] + [rhs for _, _, rhs in prob.equalities]
-    lines.append(" ".join(fmt17(v) for v in rhs))
-
-    def emit(matno: int, blk: int, mat_or_entries):
-        if blk == 1:
-            mat = mat_or_entries
-            for i in range(n):
-                for j in range(i, n):
-                    if mat[i, j] != 0.0:
-                        lines.append(f"{matno} 1 {i + 1} {j + 1} {fmt17(mat[i, j])}")
-        else:
-            i, val = mat_or_entries
-            lines.append(f"{matno} 2 {i + 1} {i + 1} {fmt17(val)}")
-
-    emit(0, 1, prob.objective)
-    for idx, (_, mat, _) in enumerate(prob.inequalities):
-        emit(idx + 1, 1, mat)
-        emit(idx + 1, 2, (idx, -1.0))
-    for jdx, (_, mat, _) in enumerate(prob.equalities):
-        emit(q + jdx + 1, 1, mat)
+    mats = [prob.objective] + [mat for _, mat, _ in prob.inequalities] \
+        + [mat for _, mat, _ in prob.equalities]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f'"{prob.name}"\n{m}\n{2 if q else 1}\n{f"{n} -{q}" if q else n}\n')
+        fh.write(" ".join(fmt17(v) for v in rhs) + "\n")
+        for matno, mat in enumerate(mats):
+            upper = mat.take(upper_cells)
+            nz = upper.nonzero()[0]   # skips 0.0 and -0.0 alike
+            head = f"{matno} 1 "
+            fh.write("".join([f"{head}{cell_text[k]}{v:.17g}\n"
+                              for k, v in zip(nz.tolist(), upper[nz].tolist())]))
+            if 0 < matno <= q:
+                fh.write(f"{matno} 2 {matno} {matno} -1\n")
+
+
+def _next_line(fh) -> str | None:
+    """The next non-blank line of ``fh``, stripped; None at the end."""
+    for ln in fh:
+        if ln.strip():
+            return ln.strip()
+    return None
 
 
 def parse_sdpa(path) -> dict:
-    """Re-read an exported file; returns the constraint count, block sizes,
-    right-hand sides, and dense per-block matrices keyed by matrix number."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    idx = 0
-    name = None
-    if raw[idx].startswith('"') or raw[idx].startswith("*"):
-        name = raw[idx].strip('"')
-        idx += 1
-    m = int(raw[idx]); idx += 1
-    nblocks = int(raw[idx]); idx += 1
-    sizes = [int(tok) for tok in raw[idx].split()]; idx += 1
-    if len(sizes) != nblocks:
-        raise BadParameters("block size line does not match block count")
-    rhs = np.array([float(tok) for tok in raw[idx].split()]); idx += 1
-    blocks = {}
-    for mk in range(m + 1):
-        blocks[mk] = [np.zeros((abs(s), abs(s))) for s in sizes]
-    for ln in raw[idx:]:
-        mk, blk, i, j, val = ln.split()
-        mk, blk, i, j = int(mk), int(blk), int(i), int(j)
-        val = float(val)
-        blocks[mk][blk - 1][i - 1, j - 1] = val
-        blocks[mk][blk - 1][j - 1, i - 1] = val
+    """Re-read an SDPA sparse file; returns the name, the constraint count,
+    block sizes, right-hand sides, and dense per-block matrices keyed by
+    matrix number.
+
+    Entries may come in any order and from either triangle; blank lines are
+    skipped, and the first line names the problem when it starts with a
+    quote or ``*``.  A malformed file (a missing or non-numeric field, an
+    entry line without five fields, a matrix, block or index out of range,
+    an off-diagonal entry in a diagonal block, or a cell listed twice)
+    raises :class:`BadParameters`.
+    """
+    try:
+        with open(path) as fh:
+            first = _next_line(fh)
+            name = None
+            if first is not None and first[0] in "\"*":
+                name = first.strip('"')
+                first = _next_line(fh)
+            header = [first, _next_line(fh), _next_line(fh), _next_line(fh)]
+            if None in header:
+                raise BadParameters(f"SDPA file {path} ends inside its header")
+            m = int(header[0])
+            nblocks = int(header[1])
+            sizes = [int(tok) for tok in header[2].split()]
+            rhs = np.array([float(tok) for tok in header[3].split()])
+            if m < 0 or nblocks < 1 or len(sizes) != nblocks:
+                raise BadParameters(f"SDPA header gives {m} constraints and "
+                                    f"{nblocks} blocks of sizes {sizes}")
+            if rhs.size != m:
+                raise BadParameters(f"{rhs.size} right-hand sides for {m} constraints")
+            # the blocks take the heap space an earlier parse freed, before
+            # the entry arrays can split it
+            blocks = {k: [np.zeros((abs(s), abs(s))) for s in sizes] for k in range(m + 1)}
+            first = _next_line(fh)
+            entries = np.empty((0, 5)) if first is None else \
+                np.loadtxt(itertools.chain([first], fh), ndmin=2, comments=None)
+    except ValueError as exc:
+        raise BadParameters(f"malformed SDPA file {path}: {exc}") from None
+    if entries.shape[1] != 5:
+        raise BadParameters(f"SDPA entry lines have {entries.shape[1]} fields, not 5")
+    mk, blk, i, j, val = entries.T
+    ok = (entries[:, :4] == np.floor(entries[:, :4])).all(axis=1) \
+        & (mk >= 0) & (mk <= m) & (blk >= 1) & (blk <= nblocks)
+    size = np.array(sizes, dtype=float)[np.where(ok, blk, 1).astype(np.int64) - 1]
+    dim = np.abs(size)
+    ok &= (i >= 1) & (i <= dim) & (j >= 1) & (j <= dim) & ~((size < 0) & (i != j))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        row = " ".join(f"{v:g}" for v in entries[bad[0]])
+        raise BadParameters(f"SDPA entry '{row}' names no cell: matrices run 0..{m}, "
+                            f"blocks 1..{nblocks}, indices within the block")
+    # each entry's (matrix, block) group and the flat offsets of its cell in
+    # the upper and lower triangle, sorted by group and cell; float64 holds
+    # these integers exactly
+    group = mk * nblocks + blk - 1
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    upper, lower = lo * dim + hi, hi * dim + lo
+    order = np.lexsort((upper, group))
+    group, upper, lower, val = group[order], upper[order], lower[order], val[order]
+    same = group[1:] == group[:-1]
+    twice = np.flatnonzero(same & (upper[1:] == upper[:-1]))
+    if twice.size:
+        k, bl = divmod(int(group[twice[0]]), nblocks)
+        r, c = divmod(int(upper[twice[0]]), abs(sizes[bl]))
+        raise BadParameters(f"SDPA entry '{k} {bl + 1} {r + 1} {c + 1}' is listed twice")
+    cells = np.stack([upper, lower], axis=1).ravel().astype(np.int64)
+    vals = np.repeat(val, 2)
+    starts = np.flatnonzero(np.concatenate([[group.size > 0], ~same]))
+    cuts = (2 * starts).tolist() + [cells.size]
+    heads = [divmod(int(g), nblocks) for g in group[starts].tolist()]
+    # the fill touches a page of every slack block: free the entry arrays first
+    del entries, mk, blk, i, j, val, ok, bad, size, dim, lo, hi, order, group, upper, \
+        lower, same, starts
+    # one put per (matrix, block) of its cells in both triangles
+    for a, b, (k, bl) in zip(cuts, cuts[1:], heads):
+        blocks[k][bl].put(cells[a:b], vals[a:b])
     return {"name": name, "m": m, "block_sizes": sizes, "rhs": rhs, "blocks": blocks}

@@ -206,6 +206,11 @@ class TestUsageErrors:
          "--Lambda", "0", "--gamma", "1e-300", "--iters", "1"],
         ["check", "--theorem", "hgm", "--op", "identity3", "--L", "1e-200",
          "--Lambda", "0", "--gamma", "5e-324", "--iters", "1"],
+        # every constant passes its precondition, but the bound overflows
+        ["check", "--theorem", "gd", "--op", "identity3", "--ell", "1",
+         "--gamma", "5e-324", "--iters", "1"],
+        ["check", "--theorem", "hgm", "--op", "identity3", "--L", "1",
+         "--Lambda", "0", "--gamma", "5e-324", "--iters", "1"],
         ["check", "--theorem", "hgm", "--op", "logistic", "--gamma", "1",
          "--iters", "0"],
         ["check", "--theorem", "hgm-affine", "--op", "identity3", "--iters", "0"],

@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from test_golden import _problems
 
 from vicert import pep
 from vicert.certify import build_counterexample
@@ -29,6 +32,7 @@ from vicert.pep import (
     sq_matrix,
     verify_point,
 )
+from vicert.serial import fmt17
 from vicert.solvers import SolverConfig, run
 
 
@@ -242,6 +246,231 @@ class TestSdpa:
         assert lines[3] == "2"
         parsed = parse_sdpa(path)
         assert np.array_equal(parsed["blocks"][1][0], prob.equalities[0][1])
+
+
+# ---------------------------------------------------------------------------
+# The SDPA writer and reader before they were vectorised: one formatted line
+# per nonzero upper-triangle cell, and one Python step per entry line.
+# export_sdpa must reproduce the writer byte for byte, and parse_sdpa the
+# reader's blocks bit for bit.
+# ---------------------------------------------------------------------------
+
+def _reference_export(prob: GramProblem, path) -> None:
+    q = len(prob.inequalities)
+    m = q + len(prob.equalities)
+    n = prob.n
+    lines = [f'"{prob.name}"', str(m), "2" if q else "1",
+             f"{n} -{q}" if q else f"{n}"]
+    rhs = [rhs for _, _, rhs in prob.inequalities] + [rhs for _, _, rhs in prob.equalities]
+    lines.append(" ".join(fmt17(v) for v in rhs))
+
+    def emit(matno: int, blk: int, mat_or_entries):
+        if blk == 1:
+            mat = mat_or_entries
+            for i in range(n):
+                for j in range(i, n):
+                    if mat[i, j] != 0.0:
+                        lines.append(f"{matno} 1 {i + 1} {j + 1} {fmt17(mat[i, j])}")
+        else:
+            i, val = mat_or_entries
+            lines.append(f"{matno} 2 {i + 1} {i + 1} {fmt17(val)}")
+
+    emit(0, 1, prob.objective)
+    for idx, (_, mat, _) in enumerate(prob.inequalities):
+        emit(idx + 1, 1, mat)
+        emit(idx + 1, 2, (idx, -1.0))
+    for jdx, (_, mat, _) in enumerate(prob.equalities):
+        emit(q + jdx + 1, 1, mat)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _reference_parse(path) -> dict:
+    with open(path) as fh:
+        raw = [ln.strip() for ln in fh if ln.strip()]
+    idx = 0
+    name = None
+    if raw[idx].startswith('"') or raw[idx].startswith("*"):
+        name = raw[idx].strip('"')
+        idx += 1
+    m = int(raw[idx]); idx += 1
+    nblocks = int(raw[idx]); idx += 1
+    sizes = [int(tok) for tok in raw[idx].split()]; idx += 1
+    if len(sizes) != nblocks:
+        raise BadParameters("block size line does not match block count")
+    rhs = np.array([float(tok) for tok in raw[idx].split()]); idx += 1
+    blocks = {}
+    for mk in range(m + 1):
+        blocks[mk] = [np.zeros((abs(s), abs(s))) for s in sizes]
+    for ln in raw[idx:]:
+        mk, blk, i, j, val = ln.split()
+        mk, blk, i, j = int(mk), int(blk), int(i), int(j)
+        val = float(val)
+        blocks[mk][blk - 1][i - 1, j - 1] = val
+        blocks[mk][blk - 1][j - 1, i - 1] = val
+    return {"name": name, "m": m, "block_sizes": sizes, "rhs": rhs, "blocks": blocks}
+
+
+def _same_array(got, want) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _assert_same_parse(got: dict, want: dict) -> None:
+    assert got["name"] == want["name"]
+    assert got["m"] == want["m"] and got["block_sizes"] == want["block_sizes"]
+    assert _same_array(got["rhs"], want["rhs"])
+    assert sorted(got["blocks"]) == sorted(want["blocks"])
+    for mk, blocks in want["blocks"].items():
+        assert len(got["blocks"][mk]) == len(blocks)
+        for a, b in zip(got["blocks"][mk], blocks):
+            assert _same_array(a, b), f"matrix {mk} differs"
+
+
+def _extreme_problem() -> GramProblem:
+    """Entries that stress the 17-digit formatting: signed zeros (never
+    written), the least subnormal, values near the top of the range, 0.1,
+    and values that need all 17 significant digits."""
+    vals = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 0.1 + 0.2, -2.0 / 3.0,
+            float(np.nextafter(1.0, 2.0)), -1.7976931348623157e308,
+            2.2250738585072014e-308, 123456789.12345678, -4.9406564584124654e-322]
+    n = 5
+    rng = np.random.default_rng(3)
+
+    def sym(k):
+        M = np.zeros((n, n))
+        for idx in rng.choice(n * n, size=8, replace=False):
+            i, j = divmod(int(idx), n)
+            M[i, j] = M[j, i] = vals[(k + int(idx)) % len(vals)]
+        return M
+
+    ineqs = tuple((f"c{k}", sym(k), vals[k % len(vals)]) for k in range(12))
+    return GramProblem(name="extreme", basis=tuple("abcde"), objective=sym(99),
+                       inequalities=ineqs, equalities=(("e", sym(7), 1.0),))
+
+
+def _norm_problems():
+    for cls in ("monotone-lipschitz", "cocoercive"):
+        for K in range(1, 16):
+            yield f"norm-{cls}-K{K}", lambda cls=cls, K=K: build_norm_pep(
+                1.1, 0.45, 0.6, K, cls)
+    for K in (5, 10, 15):
+        yield f"bench-K{K}", lambda K=K: build_norm_pep(1.0, 0.5, 0.5, K)
+
+
+class TestSdpaAgainstReference:
+    def _both(self, prob, tmp_path):
+        _reference_export(prob, tmp_path / "want.dat-s")
+        export_sdpa(prob, tmp_path / "got.dat-s")
+        return (tmp_path / "got.dat-s").read_bytes(), (tmp_path / "want.dat-s").read_bytes()
+
+    def test_export_bytes_on_golden_problems(self, tmp_path):
+        for key, prob in _problems():
+            got, want = self._both(prob, tmp_path)
+            assert got == want, key
+
+    @pytest.mark.parametrize("build", [b for _, b in _norm_problems()],
+                             ids=[k for k, _ in _norm_problems()])
+    def test_export_bytes_on_norm_peps(self, build, tmp_path):
+        got, want = self._both(build(), tmp_path)
+        assert got == want
+
+    def test_export_bytes_on_extreme_values(self, tmp_path):
+        prob = _extreme_problem()
+        got, want = self._both(prob, tmp_path)
+        assert got == want
+        values = [ln.split()[-1] for ln in got.decode().splitlines()[5:]]
+        assert {"4.9406564584124654e-324", "1e+308", "0.30000000000000004"} <= set(values)
+        assert "-0" not in values and "0" not in values
+
+    @pytest.mark.parametrize("build", [
+        lambda: _extreme_problem(),
+        lambda: build_expansiveness_matrices(np.pi / 3.0, 0.37, 0.11),
+        lambda: build_norm_pep(1.0, 0.5, 0.5, 10),
+        lambda: build_delta_pep(1.0, 0.5, 0.7, measure="f-eg"),
+    ], ids=["extreme", "expansiveness", "norm-K10", "delta-f-eg"])
+    def test_parse_matches_reference(self, build, tmp_path):
+        path = tmp_path / "prob.dat-s"
+        export_sdpa(build(), path)
+        _assert_same_parse(parse_sdpa(path), _reference_parse(path))
+
+    def test_parse_ignores_entry_order_blank_lines_and_comment_header(self, tmp_path):
+        path = tmp_path / "prob.dat-s"
+        export_sdpa(_extreme_problem(), path)
+        want = _reference_parse(path)
+        lines = path.read_text().splitlines()
+        head, entries = lines[1:5], lines[5:]
+        random.Random(5).shuffle(entries)
+        spaced = [ln for e in entries for ln in (e, "", "   ")]
+        edited = tmp_path / "edited.dat-s"
+        edited.write_text("\n".join(["* a comment line", ""] + head + spaced) + "\n")
+        got = parse_sdpa(edited)
+        assert got["name"] == "* a comment line"
+        got["name"] = want["name"]
+        _assert_same_parse(got, want)
+        _assert_same_parse(got, {**_reference_parse(edited), "name": want["name"]})
+
+    def test_parse_reads_lower_triangle_and_negative_zero(self, tmp_path):
+        path = tmp_path / "toy.dat-s"
+        path.write_text('"toy"\n1\n2\n3 -1\n2.5\n'
+                        "0 1 1 1 -0\n0 1 3 1 0.1\n1 1 2 3 -7\n1 2 1 1 -1\n")
+        got = parse_sdpa(path)
+        _assert_same_parse(got, _reference_parse(path))
+        assert np.signbit(got["blocks"][0][0][0, 0])
+        assert got["blocks"][0][0][0, 2] == got["blocks"][0][0][2, 0] == 0.1
+
+
+_TOY_HEAD = '"toy"\n1\n2\n2 -2\n1\n'
+
+
+class TestParseSdpaErrors:
+    @pytest.mark.parametrize("body", [
+        "2 1 1 1 1.5\n",           # matrix number above m
+        "-1 1 1 1 1.5\n",          # matrix number below 0
+        "1 3 1 1 1.5\n",           # block number above the block count
+        "1 1 3 1 1.5\n",           # row index outside its block
+        "1 1 1 0 1.5\n",           # column index 0
+        "1 2 3 3 1.5\n",           # index outside the 2x2 diagonal block
+        "1 2 1 2 1.5\n",           # off-diagonal entry in the diagonal block
+        "1 1 1.5 1 1.5\n",         # fractional index
+        "0 1 1 1 1\n1 1 1\n",      # entry line of 3 tokens
+        "0 1 1 1 1\n1 1 1 1\n",    # entry line of 4 tokens
+        "1 1 1 1\n",               # every entry line of 4 tokens
+        "1 1 1 1 x\n",             # non-numeric value
+        "1 1 one 1 1\n",           # non-numeric index
+        "1 1 1 2 1\n1 1 2 1 2\n",  # one cell listed twice, from both triangles
+    ], ids=["matrix-above-m", "matrix-negative", "block-above-count", "row-outside",
+            "column-zero", "diagonal-block-outside", "diagonal-block-off-diagonal", "fractional-index",
+            "three-tokens", "four-tokens", "all-four-tokens", "non-numeric-value",
+            "non-numeric-index", "cell-twice"])
+    def test_malformed_entries(self, body, tmp_path):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(_TOY_HEAD + body)
+        with pytest.raises(BadParameters):
+            parse_sdpa(path)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        '"toy"\n1\n2\n',
+        '"toy"\nmany\n2\n2 -1\n1\n',
+        '"toy"\n1\n2\n2 -1 3\n1\n',
+        '"toy"\n1\n1\n2\n1 2\n',
+        '"toy"\n1\n1\n2\nx\n',
+    ], ids=["empty", "truncated-header", "non-numeric-count", "block-count-mismatch",
+            "rhs-count-mismatch", "non-numeric-rhs"])
+    def test_malformed_header(self, text, tmp_path):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(text)
+        with pytest.raises(BadParameters):
+            parse_sdpa(path)
+
+    def test_header_only_file_has_zero_blocks(self, tmp_path):
+        path = tmp_path / "empty.dat-s"
+        path.write_text(_TOY_HEAD)
+        got = parse_sdpa(path)
+        _assert_same_parse(got, _reference_parse(path))
+        assert not any(np.any(b) for blocks in got["blocks"].values() for b in blocks)
 
 
 class TestLowerBoundSearch:
