@@ -10,6 +10,7 @@ names, per choice, the library function and the flags it takes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -127,7 +128,9 @@ _PROBLEMS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built by the first call and reused after."""
     p = argparse.ArgumentParser(prog="vicert",
                                 description="variational-inequality solver and certificate toolkit")
     p.add_argument("--version", action="version", version=__version__)
@@ -274,8 +277,8 @@ def _cmd_pep_export(args) -> int:
     pep.export_sdpa(prob, args.out)
     _write_json({"name": prob.name, "basis": list(prob.basis),
                  "metadata": prob.metadata,
-                 "inequalities": [name for name, _, _ in prob.inequalities],
-                 "equalities": [name for name, _, _ in prob.equalities]},
+                 "inequalities": prob.inequalities.names,
+                 "equalities": prob.equalities.names},
                 args.out + ".json")
     return 0
 

@@ -11,6 +11,7 @@ constraint, so it is a certified lower bound.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,55 +93,186 @@ def sq_matrix(u: GramExpr) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class PairForms:
+    """Constraints in factored form: the class-table rows on the differences
+    of every pair of points.  Constraint ``p * len(rows) + t`` is the matrix
+    of ``rows[t].slack(dx[p], dF[p], inner_matrix)``, where ``dx[p]`` and
+    ``dF[p]`` hold the basis coefficients of x_i - x_j and F_i - F_j for the
+    p-th pair (i, j), labelled ``labels[p]``."""
+
+    dx: np.ndarray
+    dF: np.ndarray
+    rows: tuple[classes.Row, ...]
+    labels: tuple[tuple[str, str], ...]
+
+    def __len__(self) -> int:
+        return len(self.labels) * len(self.rows)
+
+    @property
+    def names(self) -> list[str]:
+        return [f"{row.tag}:{li}|{lj}" for li, lj in self.labels for row in self.rows]
+
+    def dense(self) -> np.ndarray:
+        """The constraint matrices, stacked (len, n, n)."""
+        def inner(u, v):  # inner_matrix of every pair at once
+            outer = u[:, :, None] * v[:, None, :]
+            return 0.5 * (outer + outer.transpose(0, 2, 1))
+
+        n = self.dx.shape[1]
+        return np.stack([row.slack(self.dx, self.dF, inner) for row in self.rows],
+                        axis=1).reshape(-1, n, n)
+
+    def upper_nonzeros(self, chunk: int = 8192):
+        """Yield ``(lo, hi, constraint, cell, value)`` for runs of consecutive
+        pairs: the nonzero upper-triangle cells (r <= c, as r*n + c) of
+        constraints lo..hi-1, sorted by constraint and cell.
+
+        Only cells whose row and column both lie in the pair's support (the
+        nonzero coefficients of its dx or dF) are computed: every product
+        outside it has a zero factor, so :meth:`dense` holds signed zeros
+        there, and inside it each value is :meth:`dense`'s to the bit.  A run
+        holds about ``chunk`` such cells, which keeps every temporary small.
+        """
+        npairs, n = self.dx.shape
+        nrows = len(self.rows)
+        pair_of, support = np.nonzero((self.dx != 0) | (self.dF != 0))
+        size = np.bincount(pair_of, minlength=npairs)
+        first = np.cumsum(size) - size
+        a, b = np.triu_indices(size.max(initial=0))
+        ends = np.cumsum(nrows * size * (size + 1) // 2)
+        cuts = np.searchsorted(ends, np.arange(chunk, ends.max(initial=0), chunk)).tolist()
+
+        def inner(u, v):  # the (r, c) cell of inner_matrix(u, v)
+            return 0.5 * (u[0] * v[1] + u[1] * v[0])
+
+        for lo, hi in zip([0] + cuts, cuts + [npairs]):
+            pair, k = np.nonzero(b < size[lo:hi, None])
+            pair += lo
+            at = first[pair]
+            r, c = support[at + a[k]], support[at + b[k]]
+            dx = self.dx[pair, r], self.dx[pair, c]
+            dF = self.dF[pair, r], self.dF[pair, c]
+            value = np.concatenate([row.slack(dx, dF, inner) for row in self.rows])
+            con = np.concatenate([pair * nrows + t for t in range(nrows)])
+            keep = np.flatnonzero(value)
+            # each row's cells come in pair order: a stable sort interleaves them
+            keep = keep[np.argsort(con[keep], kind="stable")]
+            yield (lo * nrows, hi * nrows, con[keep],
+                   np.tile(r * n + c, nrows)[keep], value[keep])
+
+
+class _Constraints(Sequence):
+    """(name, matrix, rhs) of a problem's constraints in ``span``.  Names and
+    right-hand sides are stored; each matrix is a view of the problem's
+    stacked :attr:`GramProblem.constraints`, which the first one builds."""
+
+    def __init__(self, prob: "GramProblem", span: range):
+        self._prob, self._span = prob, span
+
+    def __len__(self) -> int:
+        return len(self._span)
+
+    def __getitem__(self, k: int):
+        k = self._span[k]
+        return self._prob.names[k], self._prob.constraints[k], float(self._prob.rhs[k])
+
+    def __add__(self, other) -> tuple:
+        return tuple(self) + tuple(other)
+
+    @property
+    def names(self) -> list[str]:
+        return self._prob.names[self._span.start:self._span.stop]
+
+
 class GramProblem:
     """max Tr(objective . G) over PSD G subject to Tr(M_i G) >= rhs_i and
-    Tr(E_j G) = rhs_j, all matrices symmetric over the named basis."""
+    Tr(E_j G) = rhs_j, all matrices symmetric over the named basis.
 
-    name: str
-    basis: tuple[str, ...]
-    objective: np.ndarray
-    inequalities: tuple[tuple[str, np.ndarray, float], ...]
-    equalities: tuple[tuple[str, np.ndarray, float], ...]
-    metadata: dict = field(default_factory=dict)
-    interior: np.ndarray | None = None
+    ``inequalities`` and ``equalities`` are given as (name, matrix, rhs)
+    triples and read back as such.  ``pairs`` adds constraints in factored
+    form, before the given inequalities, as inequalities with rhs 0: names,
+    right-hand sides and the SDPA export read the factors, and their dense
+    matrices exist only once :attr:`constraints` is first used (by
+    :func:`solve`, :func:`verify_point` or a matrix of ``inequalities``).
+    """
 
-    def __post_init__(self):
+    def __init__(self, name: str, basis, objective: np.ndarray, inequalities=(),
+                 equalities=(), metadata: dict | None = None,
+                 interior: np.ndarray | None = None, pairs: PairForms | None = None):
+        self.name = name
+        self.basis = tuple(basis)
+        self.objective = objective
+        self.metadata = {} if metadata is None else metadata
+        self.interior = interior
+        self.pairs = pairs
+        inequalities, equalities = tuple(inequalities), tuple(equalities)
+        given = inequalities + equalities
+        lead = len(pairs) if pairs is not None else 0
+        self.names = (pairs.names if pairs is not None else []) + [nm for nm, _, _ in given]
+        self.rhs = np.array([0.0] * lead + [rhs for _, _, rhs in given], dtype=float)
+        self._q = lead + len(inequalities)
         n = len(self.basis)
-        for mat in [self.objective] + [m for _, m, _ in self.inequalities] \
-                + [m for _, m, _ in self.equalities]:
-            if mat.shape != (n, n):
-                raise BadParameters("constraint matrix shape does not match basis")
-            if np.abs(mat - mat.T).max(initial=0.0) > 1e-14 * (1.0 + np.abs(mat).max(initial=0.0)):
-                raise BadParameters("constraint matrices must be symmetric")
+        mats = [objective] + [mat for _, mat, _ in given]
+        if any(np.shape(mat) != (n, n) for mat in mats):
+            raise BadParameters("constraint matrix shape does not match basis")
+        # the objective, then the given constraints: one symmetry check for all
+        self._dense = np.array(mats, dtype=float)
+        asym = np.abs(self._dense - self._dense.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        if (asym > 1e-14 * (1.0 + np.abs(self._dense).max(axis=(1, 2), initial=0.0))).any():
+            raise BadParameters("constraint matrices must be symmetric")
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
+    @property
+    def inequalities(self) -> _Constraints:
+        return _Constraints(self, range(self._q))
+
+    @property
+    def equalities(self) -> _Constraints:
+        return _Constraints(self, range(self._q, len(self.rhs)))
+
     @cached_property
     def constraints(self) -> np.ndarray:
         """Every constraint matrix, inequalities first, stacked (m, n, n)."""
-        mats = [m for _, m, _ in self.inequalities] + [m for _, m, _ in self.equalities]
-        return np.array(mats).reshape(-1, self.n, self.n)
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        """Right-hand sides in the order of :attr:`constraints`."""
-        return np.array([r for _, _, r in self.inequalities]
-                        + [r for _, _, r in self.equalities], dtype=float)
+        if self.pairs is None:
+            return self._dense[1:]
+        return np.concatenate([self.pairs.dense(), self._dense[1:]])
 
     def constraint_values(self, G) -> np.ndarray:
         """Tr(M_k G) - rhs_k for every constraint, in stacked order."""
         return self.constraints.reshape(-1, self.n * self.n) @ np.ravel(G) - self.rhs
 
     def inequality_values(self, G) -> np.ndarray:
-        return self.constraint_values(G)[:len(self.inequalities)]
+        return self.constraint_values(G)[:self._q]
 
     def equality_residuals(self, G) -> np.ndarray:
-        return self.constraint_values(G)[len(self.inequalities):]
+        return self.constraint_values(G)[self._q:]
 
     def objective_value(self, G) -> float:
         return float(np.sum(self.objective * G))
+
+    def upper_nonzeros(self):
+        """Yield ``(lo, hi, matrix, cell, value)``: the nonzero upper-triangle
+        cells (r <= c, as r*n + c) of matrices lo..hi-1, sorted by matrix and
+        cell, with the objective as matrix 0 and constraint k as matrix k + 1.
+        The runs cover every matrix in order."""
+        n = self.n
+        rows, cols = np.triu_indices(n)
+        cells = rows * n + cols
+        upper = self._dense.reshape(len(self._dense), n * n)[:, cells]
+        mat, k = np.nonzero(upper)   # skips 0.0 and -0.0 alike
+        cell, value = cells[k], upper[mat, k]
+        head = np.searchsorted(mat, 1)   # the objective's cells
+        yield 0, 1, mat[:head], cell[:head], value[:head]
+        lead = 0
+        if self.pairs is not None:
+            lead = len(self.pairs)
+            for lo, hi, con, cell_p, value_p in self.pairs.upper_nonzeros():
+                yield lo + 1, hi + 1, con + 1, cell_p, value_p
+        yield (lead + 1, lead + len(self._dense), mat[head:] + lead,
+               cell[head:], value[head:])
 
 
 @dataclass
@@ -352,7 +484,10 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
     Gram basis {x0 - xstar} + {F(x^k)} + {F(xt^k)} with xt^k the extrapolated
     point of step k; pairwise interpolation constraints over all points
     including the solution; ||x0 - xstar||^2 = 1 (the scale-extremal form;
-    set ``distance_as_equality=False`` for the <= 1 relaxation).
+    set ``distance_as_equality=False`` for the <= 1 relaxation).  The
+    interpolation constraints are kept factored, as the coefficient rows of
+    every pair's (dx, dF) with the class rows (:class:`PairForms`), so the
+    export never builds their dense matrices.
     """
     if K < 1:
         raise BadParameters("K must be at least 1")
@@ -374,10 +509,12 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
         points.append((f"x{k}", pos_x[k], e[f"Fx{k}"]))
     for k in range(K + 1):
         points.append((f"xt{k}", pos_x[k] - gamma1 * e[f"Fx{k}"], e[f"Fxt{k}"]))
-
-    rows = classes.rows(_PEP_CLASSES[operator_class], L)
-    ineqs = [(f"{row.tag}:{li}|{lj}", row.slack(dx, dF, inner_matrix), 0.0)
-             for li, lj, dx, dF in classes.pairs(points) for row in rows]
+    X = np.array([x.coeffs for _, x, _ in points])
+    F = np.array([fx.coeffs for _, _, fx in points])
+    i, j = np.triu_indices(len(points), k=1)   # every pair, in classes.pairs order
+    pairs = PairForms(X[i] - X[j], F[i] - F[j],
+                      classes.rows(_PEP_CLASSES[operator_class], L),
+                      tuple((points[a][0], points[b][0]) for a, b in zip(i.tolist(), j.tolist())))
 
     if objective == "last-norm":
         obj = sq_matrix(e[f"Fx{K}"])
@@ -390,22 +527,22 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
 
     dist = sq_matrix(e["dx0"])
     if distance_as_equality:
-        eqs = (("unit-start", dist, 1.0),)
+        ineqs, eqs = (), (("unit-start", dist, 1.0),)
     else:
-        ineqs.append(("start-in-ball", -dist, -1.0))
-        eqs = ()
+        ineqs, eqs = (("start-in-ball", -dist, -1.0),), ()
 
     return GramProblem(
         name=f"eg-norm-pep-K{K}" if objective == "last-norm" else f"eg-{objective}",
         basis=tuple(labels),
         objective=obj,
-        inequalities=tuple(ineqs),
+        inequalities=ineqs,
         equalities=eqs,
         metadata={"L": L, "gamma1": gamma1, "gamma2": gamma2, "K": K,
                   "operator_class": operator_class, "objective": objective,
                   "logdet_delta": 1e-6},
         interior=_norm_pep_interior(L, gamma1, gamma2, K, labels)
         if distance_as_equality else None,
+        pairs=pairs,
     )
 
 
@@ -673,7 +810,7 @@ def _repair_and_verify(prob: GramProblem, G: np.ndarray,
     toward the stored interior point, after any rescaling)."""
     G = 0.5 * (G + G.T)
     path = "none"
-    homogeneous = all(rhs == 0.0 for _, _, rhs in prob.inequalities)
+    homogeneous = bool((prob.rhs[:len(prob.inequalities)] == 0.0).all())
     if homogeneous and len(prob.equalities) == 1 and prob.equalities[0][2] > 0:
         _, Meq, rhs = prob.equalities[0]
         t = float(np.sum(Meq * G))
@@ -715,28 +852,48 @@ def export_sdpa(prob: GramProblem, path) -> None:
     equalities follow with their right-hand sides; the dual of the exported
     problem maximizes Tr(M_0 G) over the same feasible set.  Each matrix
     lists the nonzero cells of its upper triangle in row-major order, values
-    in 17 significant digits as :func:`serial.fmt17` writes them.
+    in 17 significant digits as :func:`serial.fmt17` writes them, then its
+    slack-block entry.  The cells come from :meth:`GramProblem.upper_nonzeros`,
+    so a factored problem is written without its dense matrices.
     """
     q = len(prob.inequalities)
-    m = q + len(prob.equalities)
+    m = len(prob.rhs)
     n = prob.n
-    rows, cols = np.triu_indices(n)
-    upper_cells = rows * n + cols
-    cell_text = [f"{i} {j} " for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())]
-    rhs = [rhs for _, _, rhs in prob.inequalities] + [rhs for _, _, rhs in prob.equalities]
-    mats = [prob.objective] + [mat for _, mat, _ in prob.inequalities] \
-        + [mat for _, mat, _ in prob.equalities]
+    # a line is three pieces, each made once: the matrix's head, the cell's
+    # indices and the value's text
+    heads = np.array([f"{k} 1 " for k in range(m + 1)], dtype=object)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    cells = np.array([f"{i} {j} " for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())],
+                     dtype=object)
     with open(path, "w") as fh:
         fh.write(f'"{prob.name}"\n{m}\n{2 if q else 1}\n{f"{n} -{q}" if q else n}\n')
-        fh.write(" ".join(fmt17(v) for v in rhs) + "\n")
-        for matno, mat in enumerate(mats):
-            upper = mat.take(upper_cells)
-            nz = upper.nonzero()[0]   # skips 0.0 and -0.0 alike
-            head = f"{matno} 1 "
-            fh.write("".join([f"{head}{cell_text[k]}{v:.17g}\n"
-                              for k, v in zip(nz.tolist(), upper[nz].tolist())]))
-            if 0 < matno <= q:
-                fh.write(f"{matno} 2 {matno} {matno} -1\n")
+        fh.write(" ".join(_fmt17_each(prob.rhs).tolist()) + "\n")
+        for lo, hi, mat, cell, value in prob.upper_nonzeros():
+            # each inequality's slack-block line follows its Gram lines
+            slack = np.arange(max(lo, 1), min(hi, q + 1))
+            lines = np.empty((len(mat) + len(slack), 3), dtype=object)
+            gram = np.arange(len(mat)) + np.searchsorted(slack, mat)
+            lines[gram, 0] = heads[mat]
+            lines[gram, 1] = cells[cell]
+            lines[gram, 2] = _fmt17_each(value, "\n")
+            at = np.searchsorted(mat, slack, side="right") + np.arange(len(slack))
+            lines[at, 0] = [f"{k} 2 {k} {k} -1\n" for k in slack.tolist()]
+            lines[at, 1:] = ""
+            fh.write("".join(lines.ravel().tolist()))
+
+
+def _fmt17_each(values: np.ndarray, end: str = "") -> np.ndarray:
+    """``fmt17(v) + end`` for every float64 value, as an object array; each
+    distinct bit pattern is formatted once."""
+    # sorted with the stable sort that parse_sdpa's lexsort also runs: the
+    # default quicksort of np.unique pages in 0.5 MB more numpy code
+    order = np.argsort(values.view(np.int64), kind="stable")
+    bits = values.view(np.int64)[order]
+    new = np.concatenate([bits[:1] == bits[:1], bits[1:] != bits[:-1]])
+    texts = np.array([fmt17(v) + end for v in values[order][new].tolist()], dtype=object)
+    out = np.empty(len(values), dtype=object)
+    out[order] = texts[np.cumsum(new) - 1]
+    return out
 
 
 def _next_line(fh) -> str | None:

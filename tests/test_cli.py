@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vicert import cli
 from vicert.cli import main
 from vicert.pep import (
     build_delta_pep,
@@ -32,6 +33,42 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestCachedParser:
+    """main builds its parser on the first call and reuses it: a usage error,
+    two commands and --help give what a freshly built parser gives."""
+
+    _ARGV = [
+        ["pep-export", "--problem", "norm", "--gamma1", "0.5"],   # usage error
+        ["certify", "--check", "cocoercive-exact", "--A", "[[1,0],[0,2]]",
+         "--ell", "1.0", "--out", "{tmp}/cert.json"],
+        ["pep-export", "--problem", "norm", "--L", "1", "--gamma1", "0.5",
+         "--gamma2", "0.5", "--K", "3", "--out", "{tmp}/norm.dat-s"],
+        ["pep-bound", "--help"],
+    ]
+
+    def _results(self, tmp_path, capsys, fresh):
+        results = []
+        for argv in self._ARGV:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main([a.format(tmp=tmp_path) for a in argv])
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        return results, files
+
+    def test_reused_parser_matches_fresh_one(self, tmp_path, capsys):
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "cached").mkdir()
+        fresh = self._results(tmp_path / "fresh", capsys, fresh=True)
+        parser = cli._build_parser()
+        cached = self._results(tmp_path / "cached", capsys, fresh=False)
+        assert cli._build_parser() is parser
+        assert [code for code, _, _ in cached[0]] == [2, 0, 0, 0]
+        assert cached == fresh
+        assert "usage: vicert pep-bound" in cached[0][3][1]
 
 
 class TestRun:

@@ -1,10 +1,11 @@
+import json
 import random
 
 import numpy as np
 import pytest
 from test_golden import _problems
 
-from vicert import pep
+from vicert import classes, cli, pep
 from vicert.certify import build_counterexample
 from vicert.errors import (
     BadParameters,
@@ -31,6 +32,7 @@ from vicert.pep import (
     solve,
     sq_matrix,
     verify_point,
+    zero_expr,
 )
 from vicert.serial import fmt17
 from vicert.solvers import SolverConfig, run
@@ -528,6 +530,20 @@ class TestStackedConstraints:
             assert np.array_equal(prob.rhs, rhs)
             assert prob.constraints is prob.constraints
 
+    @pytest.mark.parametrize("where", ["objective", "middle-inequality", "equality"])
+    def test_asymmetric_matrix_rejected(self, where):
+        mats = _toy_matrices(asym={"objective": 0, "middle-inequality": 2,
+                                   "equality": 4}[where], by=1e-3)
+        with pytest.raises(BadParameters, match="must be symmetric"):
+            _toy_problem(mats)
+
+    def test_asymmetry_inside_tolerance_accepted(self):
+        # 1e-14 * (1 + max|M|) per matrix: the middle inequality's entries
+        # reach 3, so an asymmetry of 3e-14 passes and one of 5e-14 does not
+        _toy_problem(_toy_matrices(asym=2, by=3e-14))
+        with pytest.raises(BadParameters):
+            _toy_problem(_toy_matrices(asym=2, by=5e-14))
+
     def test_values_match_elementwise_sums(self):
         prob = build_norm_pep(1.0, 0.5, 0.5, K=2)
         G = np.random.default_rng(3).standard_normal((prob.n, prob.n))
@@ -536,6 +552,26 @@ class TestStackedConstraints:
         eq = [float(np.sum(m * G)) - r for _, m, r in prob.equalities]
         assert np.allclose(prob.inequality_values(G), ineq, rtol=0.0, atol=1e-12)
         assert np.allclose(prob.equality_residuals(G), eq, rtol=0.0, atol=1e-12)
+
+
+def _toy_matrices(asym: int, by: float) -> list[np.ndarray]:
+    """Objective, three inequalities and an equality, symmetric 3x3 with
+    entries up to 3, then matrix ``asym`` made asymmetric by ``by``."""
+    rng = np.random.default_rng(8)
+    mats = []
+    for _ in range(5):
+        M = rng.uniform(-1.0, 1.0, size=(3, 3))
+        M = M + M.T
+        M[0, 0] = 3.0
+        mats.append(M)
+    mats[asym][1, 2] += by
+    return mats
+
+
+def _toy_problem(mats) -> GramProblem:
+    return GramProblem(name="toy", basis=("a", "b", "c"), objective=mats[0],
+                       inequalities=tuple((f"i{k}", M, 0.0) for k, M in enumerate(mats[1:4])),
+                       equalities=(("e", mats[4], 1.0),))
 
 
 # Known values at ell = L = 1: exact ones (where a rational dual certificate,
@@ -609,3 +645,159 @@ class TestSolve:
     def test_infeasible_problem_raises(self):
         with pytest.raises(NoConvergence):
             solve(_infeasible_problem())
+
+
+# ---------------------------------------------------------------------------
+# The norm PEP builder before its constraints were factored: one dense matrix
+# per (pair, class row) from inner_matrix.  build_norm_pep must reproduce its
+# names, right-hand sides and matrices bit for bit, signed zeros included.
+# ---------------------------------------------------------------------------
+
+def _reference_norm_pep(L, gamma1, gamma2, K, operator_class="monotone-lipschitz",
+                        objective="last-norm", distance_as_equality=True) -> GramProblem:
+    labels = ["dx0"] + [f"Fx{k}" for k in range(K + 1)] + [f"Fxt{k}" for k in range(K + 1)]
+    e = basis_exprs(labels)
+    zero = zero_expr(labels)
+
+    pos_x = []
+    cur = e["dx0"]
+    for k in range(K + 1):
+        pos_x.append(cur)
+        cur = cur - gamma2 * e[f"Fxt{k}"]
+    points = [("xstar", zero, zero)]
+    for k in range(K + 1):
+        points.append((f"x{k}", pos_x[k], e[f"Fx{k}"]))
+    for k in range(K + 1):
+        points.append((f"xt{k}", pos_x[k] - gamma1 * e[f"Fx{k}"], e[f"Fxt{k}"]))
+
+    rows = classes.rows(pep._PEP_CLASSES[operator_class], L)
+    ineqs = [(f"{row.tag}:{li}|{lj}", row.slack(dx, dF, inner_matrix), 0.0)
+             for li, lj, dx, dF in classes.pairs(points) for row in rows]
+
+    if objective == "last-norm":
+        obj = sq_matrix(e[f"Fx{K}"])
+    elif objective == "delta-f":
+        obj = sq_matrix(e["Fx1"]) - sq_matrix(e["Fx0"])
+    else:
+        obj = sq_matrix(e["Fxt1"]) - sq_matrix(e["Fxt0"])
+
+    dist = sq_matrix(e["dx0"])
+    if distance_as_equality:
+        eqs = (("unit-start", dist, 1.0),)
+    else:
+        ineqs.append(("start-in-ball", -dist, -1.0))
+        eqs = ()
+    return GramProblem(
+        name=f"eg-norm-pep-K{K}" if objective == "last-norm" else f"eg-{objective}",
+        basis=tuple(labels), objective=obj, inequalities=tuple(ineqs), equalities=eqs,
+        metadata={"L": L, "gamma1": gamma1, "gamma2": gamma2, "K": K,
+                  "operator_class": operator_class, "objective": objective,
+                  "logdet_delta": 1e-6},
+        interior=pep._norm_pep_interior(L, gamma1, gamma2, K, labels)
+        if distance_as_equality else None)
+
+
+def _bits(a) -> bytes:
+    """The float64 bytes of ``a``: equal only when every bit, zero signs too, is."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# (L, gamma1, gamma2): the golden set, the benchmark's set, and stepsizes
+# whose products underflow to signed zeros, which the export must skip
+_FACTORED_PARAMS = {"golden": (1.1, 0.45, 0.6), "unit": (1.0, 0.5, 0.5),
+                    "underflow": (1.0, 1e-170, 1e-170)}
+_FACTORED_VARIANTS = {
+    "last-norm": {},
+    "delta-f": {"objective": "delta-f"},
+    "delta-composite": {"objective": "delta-composite"},
+    "ball": {"distance_as_equality": False},
+}
+
+
+class TestFactoredNormPep:
+    @pytest.mark.parametrize("variant", _FACTORED_VARIANTS)
+    @pytest.mark.parametrize("cls", ["monotone-lipschitz", "cocoercive"])
+    @pytest.mark.parametrize("params", _FACTORED_PARAMS)
+    def test_matches_dense_reference(self, params, cls, variant, tmp_path):
+        L, g1, g2 = _FACTORED_PARAMS[params]
+        for K in range(1, 21):
+            kwargs = dict(operator_class=cls, **_FACTORED_VARIANTS[variant])
+            got = build_norm_pep(L, g1, g2, K, **kwargs)
+            want = _reference_norm_pep(L, g1, g2, K, **kwargs)
+            assert got.inequalities.names == [nm for nm, _, _ in want.inequalities]
+            assert got.equalities.names == [nm for nm, _, _ in want.equalities]
+            assert (got.name, got.basis, got.metadata) == (want.name, want.basis, want.metadata)
+            assert _bits(got.rhs) == _bits(want.rhs)
+            assert _bits(got.objective) == _bits(want.objective)
+            export_sdpa(got, tmp_path / "got.dat-s")
+            export_sdpa(want, tmp_path / "want.dat-s")
+            assert (tmp_path / "got.dat-s").read_bytes() == \
+                (tmp_path / "want.dat-s").read_bytes(), K
+            # the dense stack, built from the factors once the export is written
+            assert "constraints" not in got.__dict__
+            assert got.constraints.shape == want.constraints.shape
+            assert _bits(got.constraints) == _bits(want.constraints), K
+
+    @pytest.mark.parametrize("chunk", [1, 7, 300, 10**9])
+    def test_runs_of_any_size_give_the_dense_cells(self, chunk):
+        pairs = build_norm_pep(1.1, 0.45, 0.6, 6).pairs
+        runs = list(pairs.upper_nonzeros(chunk))
+        # the runs cover the constraints in order, with no gap or overlap
+        assert [lo for lo, *_ in runs] == [0] + [hi for _, hi, *_ in runs[:-1]]
+        assert runs[-1][1] == len(pairs)
+        con, cell, value = (np.concatenate([run[i] for run in runs]) for i in (2, 3, 4))
+        n = pairs.dx.shape[1]
+        rows, cols = np.triu_indices(n)
+        upper = pairs.dense().reshape(len(pairs), n * n)[:, rows * n + cols]
+        want_con, k = np.nonzero(upper)
+        assert np.array_equal(con, want_con)
+        assert np.array_equal(cell, (rows * n + cols)[k])
+        assert _bits(value) == _bits(upper[want_con, k])
+
+    def test_underflow_is_exercised(self):
+        # products of the two stepsizes fall to zero inside a pair's support
+        prob = build_norm_pep(*_FACTORED_PARAMS["underflow"], 2)
+        lip = [k for k, nm in enumerate(prob.inequalities.names) if nm.startswith("lip:")]
+        assert any(np.count_nonzero(prob.constraints[k]) < np.count_nonzero(
+            build_norm_pep(1.0, 0.5, 0.5, 2).constraints[k]) for k in lip)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_solve_bits_match_reference(self, K):
+        got = solve(build_norm_pep(1.0, 0.5, 0.5, K))
+        want = solve(_reference_norm_pep(1.0, 0.5, 0.5, K))
+        assert got.objective == want.objective
+        assert _bits(got.G) == _bits(want.G)
+        assert got.solver == want.solver
+
+    def test_export_never_builds_dense_stack(self, tmp_path):
+        prob = build_norm_pep(1.1, 0.45, 0.6, 15, "cocoercive")
+        assert len(prob.inequalities) + len(prob.equalities) == 529
+        export_sdpa(prob, tmp_path / "norm.dat-s")
+        assert "constraints" not in prob.__dict__
+
+    def test_cli_export_never_builds_dense_stack(self, tmp_path, monkeypatch):
+        built = []
+
+        def build(*args):
+            built.append(build_norm_pep(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pep, "build_norm_pep", build)
+        path = tmp_path / "norm.dat-s"
+        assert cli.main(["pep-export", "--problem", "norm", "--L", "1", "--gamma1", "0.5",
+                         "--gamma2", "0.5", "--K", "15", "--out", str(path)]) == 0
+        prob, = built
+        assert "constraints" not in prob.__dict__
+        sidecar = json.loads((tmp_path / "norm.dat-s.json").read_text())
+        assert sidecar["inequalities"] == prob.inequalities.names
+        assert len(sidecar["inequalities"]) == 1056
+
+    def test_constraint_views(self):
+        prob = build_norm_pep(1.0, 0.5, 0.5, 2, distance_as_equality=False)
+        name, mat, rhs = prob.inequalities[-1]
+        assert name == "start-in-ball" and rhs == -1.0
+        assert mat is not None and mat[0, 0] == -1.0
+        assert prob.inequalities[0][0] == "mono:xstar|x0"
+        assert len(prob.equalities) == 0 and list(prob.equalities) == []
+        with pytest.raises(IndexError):
+            prob.inequalities[len(prob.inequalities)]
