@@ -77,11 +77,21 @@ def zero_expr(labels) -> GramExpr:
     return GramExpr(labels, np.zeros(len(labels)))
 
 
+def _sym_cell(u, v):
+    """The (r, c) cell of the symmetric form of u v^T, from ``u = (u_r, u_c)``
+    and ``v = (v_r, v_c)``; broadcast operands give whole matrices."""
+    return 0.5 * (u[0] * v[1] + u[1] * v[0])
+
+
+def _rows_cols(a):
+    """``a``'s entries broadcast along rows and along columns, for :func:`_sym_cell`."""
+    return a[..., :, None], a[..., None, :]
+
+
 def inner_matrix(u: GramExpr, v: GramExpr) -> np.ndarray:
     """Symmetric M with <u, v> = Tr(M G) for the basis Gram matrix G."""
     u._check(v)
-    P = np.outer(u.coeffs, v.coeffs)
-    return 0.5 * (P + P.T)
+    return _sym_cell(_rows_cols(u.coeffs), _rows_cols(v.coeffs))
 
 
 def sq_matrix(u: GramExpr) -> np.ndarray:
@@ -92,37 +102,47 @@ def sq_matrix(u: GramExpr) -> np.ndarray:
 # Problems
 # ---------------------------------------------------------------------------
 
+# pair cells computed per run of the export: each temporary stays near 64 kB
+_RUN_CELLS = 8192
+
+
 @dataclass(frozen=True)
 class PairForms:
     """Constraints in factored form: the class-table rows on the differences
-    of every pair of points.  Constraint ``p * len(rows) + t`` is the matrix
-    of ``rows[t].slack(dx[p], dF[p], inner_matrix)``, where ``dx[p]`` and
+    of pairs of points.  Constraint ``p * len(rows) + t``, named
+    ``names[p * len(rows) + t]``, is the matrix of
+    ``rows[t].slack(dx[p], dF[p], inner_matrix)``, where ``dx[p]`` and
     ``dF[p]`` hold the basis coefficients of x_i - x_j and F_i - F_j for the
-    p-th pair (i, j), labelled ``labels[p]``."""
+    p-th pair (i, j)."""
 
     dx: np.ndarray
     dF: np.ndarray
     rows: tuple[classes.Row, ...]
-    labels: tuple[tuple[str, str], ...]
+    names: tuple[str, ...]
+
+    @classmethod
+    def over(cls, points, rows, name: str) -> "PairForms":
+        """The rows on every pair i < j of ``(label, x, F(x))`` points with
+        :class:`GramExpr` x and F(x), in :func:`classes.pairs` order;
+        constraint names are ``name.format(tag=row.tag, i=label_i, j=label_j)``."""
+        X = np.array([x.coeffs for _, x, _ in points])
+        F = np.array([fx.coeffs for _, _, fx in points])
+        i, j = np.triu_indices(len(points), k=1)
+        names = tuple(name.format(tag=row.tag, i=points[a][0], j=points[b][0])
+                      for a, b in zip(i.tolist(), j.tolist()) for row in rows)
+        return cls(X[i] - X[j], F[i] - F[j], tuple(rows), names)
 
     def __len__(self) -> int:
-        return len(self.labels) * len(self.rows)
-
-    @property
-    def names(self) -> list[str]:
-        return [f"{row.tag}:{li}|{lj}" for li, lj in self.labels for row in self.rows]
+        return len(self.names)
 
     def dense(self) -> np.ndarray:
         """The constraint matrices, stacked (len, n, n)."""
-        def inner(u, v):  # inner_matrix of every pair at once
-            outer = u[:, :, None] * v[:, None, :]
-            return 0.5 * (outer + outer.transpose(0, 2, 1))
-
+        dx, dF = _rows_cols(self.dx), _rows_cols(self.dF)
         n = self.dx.shape[1]
-        return np.stack([row.slack(self.dx, self.dF, inner) for row in self.rows],
+        return np.stack([row.slack(dx, dF, _sym_cell) for row in self.rows],
                         axis=1).reshape(-1, n, n)
 
-    def upper_nonzeros(self, chunk: int = 8192):
+    def upper_nonzeros(self):
         """Yield ``(lo, hi, constraint, cell, value)`` for runs of consecutive
         pairs: the nonzero upper-triangle cells (r <= c, as r*n + c) of
         constraints lo..hi-1, sorted by constraint and cell.
@@ -131,7 +151,7 @@ class PairForms:
         nonzero coefficients of its dx or dF) are computed: every product
         outside it has a zero factor, so :meth:`dense` holds signed zeros
         there, and inside it each value is :meth:`dense`'s to the bit.  A run
-        holds about ``chunk`` such cells, which keeps every temporary small.
+        holds about ``_RUN_CELLS`` such cells.
         """
         npairs, n = self.dx.shape
         nrows = len(self.rows)
@@ -140,10 +160,8 @@ class PairForms:
         first = np.cumsum(size) - size
         a, b = np.triu_indices(size.max(initial=0))
         ends = np.cumsum(nrows * size * (size + 1) // 2)
-        cuts = np.searchsorted(ends, np.arange(chunk, ends.max(initial=0), chunk)).tolist()
-
-        def inner(u, v):  # the (r, c) cell of inner_matrix(u, v)
-            return 0.5 * (u[0] * v[1] + u[1] * v[0])
+        cuts = np.searchsorted(ends, np.arange(_RUN_CELLS, ends.max(initial=0),
+                                               _RUN_CELLS)).tolist()
 
         for lo, hi in zip([0] + cuts, cuts + [npairs]):
             pair, k = np.nonzero(b < size[lo:hi, None])
@@ -152,7 +170,7 @@ class PairForms:
             r, c = support[at + a[k]], support[at + b[k]]
             dx = self.dx[pair, r], self.dx[pair, c]
             dF = self.dF[pair, r], self.dF[pair, c]
-            value = np.concatenate([row.slack(dx, dF, inner) for row in self.rows])
+            value = np.concatenate([row.slack(dx, dF, _sym_cell) for row in self.rows])
             con = np.concatenate([pair * nrows + t for t in range(nrows)])
             keep = np.flatnonzero(value)
             # each row's cells come in pair order: a stable sort interleaves them
@@ -172,7 +190,9 @@ class _Constraints(Sequence):
     def __len__(self) -> int:
         return len(self._span)
 
-    def __getitem__(self, k: int):
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
         k = self._span[k]
         return self._prob.names[k], self._prob.constraints[k], float(self._prob.rhs[k])
 
@@ -189,7 +209,8 @@ class GramProblem:
     Tr(E_j G) = rhs_j, all matrices symmetric over the named basis.
 
     ``inequalities`` and ``equalities`` are given as (name, matrix, rhs)
-    triples and read back as such.  ``pairs`` adds constraints in factored
+    triples and read back as read-only sequences of them, which index, slice
+    and iterate like tuples but do not compare equal to them.  ``pairs`` adds constraints in factored
     form, before the given inequalities, as inequalities with rhs 0: names,
     right-hand sides and the SDPA export read the factors, and their dense
     matrices exist only once :attr:`constraints` is first used (by
@@ -208,7 +229,7 @@ class GramProblem:
         inequalities, equalities = tuple(inequalities), tuple(equalities)
         given = inequalities + equalities
         lead = len(pairs) if pairs is not None else 0
-        self.names = (pairs.names if pairs is not None else []) + [nm for nm, _, _ in given]
+        self.names = list(pairs.names if pairs is not None else ()) + [nm for nm, _, _ in given]
         self.rhs = np.array([0.0] * lead + [rhs for _, _, rhs in given], dtype=float)
         self._q = lead + len(inequalities)
         n = len(self.basis)
@@ -433,19 +454,16 @@ def expansiveness_from_interpolation(ell: float, gamma1: float, gamma2: float) -
         ("y", y, yf1),
         ("y_mid", y - gamma1 * yf1, yf2),
     ]
-    row, = classes.rows("cocoercive", ell)
-    ineqs = [(f"{li}|{lj}", row.slack(dx, dF, inner_matrix), 0.0)
-             for li, lj, dx, dF in classes.pairs(points)]
     objective = sq_matrix(x - gamma2 * xf2 - y + gamma2 * yf2)
     return GramProblem(
         name="eg-expansiveness",
         basis=_EXP_BASIS,
         objective=objective,
-        inequalities=tuple(ineqs),
         equalities=(("unit-separation", sq_matrix(x - y), 1.0),),
         metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2,
                   "logdet_delta": 1e-6},
         interior=_expansiveness_interior(ell, gamma1),
+        pairs=PairForms.over(points, classes.rows("cocoercive", ell), "{i}|{j}"),
     )
 
 
@@ -509,12 +527,8 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
         points.append((f"x{k}", pos_x[k], e[f"Fx{k}"]))
     for k in range(K + 1):
         points.append((f"xt{k}", pos_x[k] - gamma1 * e[f"Fx{k}"], e[f"Fxt{k}"]))
-    X = np.array([x.coeffs for _, x, _ in points])
-    F = np.array([fx.coeffs for _, _, fx in points])
-    i, j = np.triu_indices(len(points), k=1)   # every pair, in classes.pairs order
-    pairs = PairForms(X[i] - X[j], F[i] - F[j],
-                      classes.rows(_PEP_CLASSES[operator_class], L),
-                      tuple((points[a][0], points[b][0]) for a, b in zip(i.tolist(), j.tolist())))
+    pairs = PairForms.over(points, classes.rows(_PEP_CLASSES[operator_class], L),
+                           "{tag}:{i}|{j}")
 
     if objective == "last-norm":
         obj = sq_matrix(e[f"Fx{K}"])

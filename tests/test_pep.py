@@ -738,10 +738,12 @@ class TestFactoredNormPep:
             assert got.constraints.shape == want.constraints.shape
             assert _bits(got.constraints) == _bits(want.constraints), K
 
-    @pytest.mark.parametrize("chunk", [1, 7, 300, 10**9])
-    def test_runs_of_any_size_give_the_dense_cells(self, chunk):
-        pairs = build_norm_pep(1.1, 0.45, 0.6, 6).pairs
-        runs = list(pairs.upper_nonzeros(chunk))
+    @pytest.mark.parametrize("K", [1, 15])
+    def test_runs_give_the_dense_cells(self, K):
+        pairs = build_norm_pep(1.1, 0.45, 0.6, K).pairs
+        runs = list(pairs.upper_nonzeros())
+        # about 25k support cells at K=15: several runs, one at K=1
+        assert (len(runs) > 2) if K == 15 else (len(runs) == 1)
         # the runs cover the constraints in order, with no gap or overlap
         assert [lo for lo, *_ in runs] == [0] + [hi for _, hi, *_ in runs[:-1]]
         assert runs[-1][1] == len(pairs)
@@ -801,3 +803,8 @@ class TestFactoredNormPep:
         assert len(prob.equalities) == 0 and list(prob.equalities) == []
         with pytest.raises(IndexError):
             prob.inequalities[len(prob.inequalities)]
+        # slices give the triples, as tuples
+        assert prob.equalities[:] == ()
+        tail = prob.inequalities[-2:]
+        assert [nm for nm, _, _ in tail] == prob.inequalities.names[-2:]
+        assert tail[1][2] == -1.0 and _bits(tail[1][1]) == _bits(prob.inequalities[-1][1])
