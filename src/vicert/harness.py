@@ -299,19 +299,20 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12,
             for f2 in gamma2_fracs:
                 g2 = f2 * g1
                 for _ in range(num_starts):
+                    # the search's own finite points: no input check per call
                     x0 = rng.standard_normal(op.dim)
                     searched += 1
-                    cx0 = comp(x0)
+                    cx0 = comp._apply(x0)
                     x1 = x0 - g2 * cx0
                     c0 = float(np.sum(cx0 ** 2))
-                    c1 = float(np.sum(comp(x1) ** 2))
+                    c1 = float(np.sum(comp._apply(x1) ** 2))
                     if c1 > c0 + 1e-12:
                         composite_witnesses.append(
                             {"op": name, "ell": ell, "gamma1": g1, "gamma2": g2,
                              "x0": x0.tolist(), "increase": c1 - c0})
                     if g2 < g1:
-                        p0 = float(np.sum(op(x0) ** 2))
-                        p1 = float(np.sum(op(x1) ** 2))
+                        p0 = float(np.sum(op._apply(x0) ** 2))
+                        p1 = float(np.sum(op._apply(x1) ** 2))
                         if p1 > p0 + 1e-12:
                             plain_witnesses.append(
                                 {"op": name, "ell": ell, "gamma1": g1, "gamma2": g2,

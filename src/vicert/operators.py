@@ -352,14 +352,15 @@ class ImplicitComposite(Operator):
         y = x.copy()
         for _ in range(self.max_iters):
             target = x - self.gamma * self.inner._apply(y)
-            residual = float(np.sqrt(((y - target) ** 2).sum()))
+            d = y - target
+            residual = math.sqrt((d * d).sum())
             if residual <= self.tol:
                 return y
             if not math.isfinite(residual):
                 # a non-finite y makes the residual non-finite: only then is
                 # the full check of the point fed to F worth its cost
                 numerics.as_vector(y)
-            y = y + self._theta * (target - y)
+            y = y - self._theta * d
         raise NoConvergence("implicit-step fixed point did not reach tolerance")
 
     def _apply(self, x):

@@ -19,6 +19,7 @@ from .operators import Operator, pp_operator
 
 METHODS = ("gd", "pp", "eg", "eg2", "og", "eftp", "hgm")
 _DIVERGENCE_LIMIT = 1e150
+_PROVEN = 1e149  # a bound ||x||_2 <= _PROVEN proves x finite and inside the limit
 # rows a trace allocates up front; a longer run doubles its arrays as it goes,
 # so a huge iteration count that diverges early allocates little
 _FIRST_ROWS = 4096
@@ -125,8 +126,12 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     NaNs.
 
     Inputs are checked here, once; the loop calls the unchecked
-    ``op._apply`` and ``op._jacobian`` and checks only the points it creates
-    and feeds to F (an iterate, the eg mid point, the eftp tilde point).
+    ``op._apply`` and ``op._jacobian``.  A running upper bound on ||x||_2,
+    built from the squared step norms the loop computes anyway, proves the
+    iterate finite and inside the divergence limit, and the eg mid point and
+    the eftp tilde point finite, while it is at most 1e149.  pp, whose step
+    norm is not computed, and rows whose bound passes 1e149 scan the point
+    instead.  Rows and F evaluations are those of a scan of every point.
     Each F value is computed once: og reuses F(x_prev), eftp reuses
     F(x_tilde), hgm reuses J(x)^T F(x).
     """
@@ -141,6 +146,14 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     g1, g2 = (cfg.gamma1, cfg.gamma2) if method == "eg2" else (g, g)
     F = op._apply
     zeros = np.zeros(x.size)
+    # bound >= ||x||_2.  A step x - c*g*v moves x by at most c*g*||v||, and ||v||
+    # <= (1 - u)^-(d/2 + 2) * (sqrt(v @ v) + tiny), u = 2^-53: the dot rounds at most
+    # d times, the root and the sum once each, tiny covers squares lost to underflow.
+    # The step and the update round at most 7 times more: slack = 1 + (2d + 32)u
+    # covers all; the tenfold margin of _PROVEN covers absolute errors near 2^-1074
+    bound, x_max = math.inf, 0.0
+    slack = 1.0 + (x.size + 16) * 2.0**-52
+    tiny = math.sqrt(x.size) * 2.0**-537
 
     n = cfg.iters + 1
     # always one row more than the iterations fill, for the NaN row of an overflow
@@ -166,33 +179,38 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             dist_sq = None if star is None else _grown(dist_sq, k, size)
             extras = {name: _grown(col, k, size) for name, col in extras.items()}
         try:
-            # max|x| is NaN or inf exactly when x is not finite
-            x_max = float(np.abs(x).max(initial=0.0))
-            if not math.isfinite(x_max):
-                raise NonFinite("iterate overflowed")
+            if not bound <= _PROVEN:
+                # max|x| is NaN or inf exactly when x is not finite; an x_max
+                # left from an earlier row is within the limit, or it stopped the run
+                x_max = float(np.abs(x).max(initial=0.0))
+                if not math.isfinite(x_max):
+                    raise NonFinite("iterate overflowed")
+                bound = math.sqrt(x.size) * x_max * slack
             fx = F(x)
             f_evals += 1
             xs[k] = x
             fx_sq[k] = fsq = fx @ fx
+            root = math.sqrt(fsq) + tiny
             if star is not None:
                 d = x - star
                 dist_sq[k] = d @ d
             rows = k + 1
             if method in ("eg", "eg2"):
                 mid = x - g1 * fx
-                _check_finite(mid, zeros)
+                if not bound + g1 * root <= _PROVEN:
+                    _check_finite(mid, zeros)
                 fmid = F(mid)
                 f_evals += 1
-                extras["mid_sq"][k] = fmid @ fmid
+                extras["mid_sq"][k] = step_sq = fmid @ fmid
                 extras["x_mid"][k] = mid
             elif method == "eftp":
                 if k == 0:
-                    f_tilde = fx  # x_tilde starts at x0
-                extras["tilde_sq"][k] = f_tilde @ f_tilde
+                    f_tilde, step_sq, t_root = fx, fsq, root  # x_tilde starts at x0
+                extras["tilde_sq"][k] = step_sq
                 extras["x_tilde"][k] = x_tilde
             elif method == "hgm":
                 gh = op._jacobian(x).T @ fx
-                extras["grad_h_sq"][k] = gh @ gh
+                extras["grad_h_sq"][k] = step_sq = gh @ gh
                 extras["energy"][k] = 0.5 * fsq
             full = k + 1
             if not math.isfinite(fsq) or x_max > _DIVERGENCE_LIMIT:
@@ -203,24 +221,33 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
 
             if method == "gd":
                 x = x - g * fx
+                bound = (bound + g * root) * slack
             elif method == "pp":
                 if pp_comp is None:
                     pp_comp = pp_operator(op, g)
                 x = x - g * pp_comp._apply(x)
+                bound = math.inf
             elif method in ("eg", "eg2"):
                 x = x - g2 * fmid
+                bound = (bound + g2 * (math.sqrt(step_sq) + tiny)) * slack
             elif method == "og":
                 if k == 0:
-                    f_prev = fx  # x_prev starts at x0
+                    f_prev, p_root = fx, root  # x_prev starts at x0
                 x, f_prev = x - 2.0 * g * fx + g * f_prev, fx
+                bound, p_root = (bound + g * (2.0 * root + p_root)) * slack, root
             elif method == "eftp":
                 x_tilde = x - g * f_tilde
-                _check_finite(x_tilde, zeros)
+                if not bound + g * t_root <= _PROVEN:
+                    _check_finite(x_tilde, zeros)
                 f_tilde = F(x_tilde)
                 f_evals += 1
+                step_sq = f_tilde @ f_tilde
+                t_root = math.sqrt(step_sq) + tiny
                 x = x - g * f_tilde
+                bound = (bound + g * t_root) * slack
             elif method == "hgm":
                 x = x - g * gh
+                bound = (bound + g * (math.sqrt(step_sq) + tiny)) * slack
         except NonFinite:
             # F met an overflowed point, so the state it leads to is undefined:
             # finish the current row, if any, and add one more, all NaN

@@ -28,6 +28,9 @@ from vicert.solvers import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ZERO2 = Affine(np.zeros((2, 2)))
 METHODS = ["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"]
+# the affine operators of the huge-stepsize properties
+_PROPERTY_OPS = [scaled_identity(1.0, 2), rotation(), Affine([[2.0, 1.0], [-1.0, 0.5]]),
+                 scaled_identity(7.0, 3)]
 
 
 def _random_monotone_affine(rng, d, shift=0.25):
@@ -180,12 +183,9 @@ class TestRun:
         non-finite fx_sq or an iterate past the divergence limit."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        ops = [scaled_identity(1.0, 2), rotation(), Affine([[2.0, 1.0], [-1.0, 0.5]]),
-               scaled_identity(7.0, 3)]
-        methods = ["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"]
 
         @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
-        @hypothesis.given(op=st.sampled_from(ops), method=st.sampled_from(methods),
+        @hypothesis.given(op=st.sampled_from(_PROPERTY_OPS), method=st.sampled_from(METHODS),
                           gamma=st.floats(1e100, 1e300), scale=st.floats(1e-3, 1e149))
         def prop(op, method, gamma, scale):
             steps = ({"gamma1": gamma, "gamma2": gamma} if method == "eg2"
@@ -594,6 +594,56 @@ class TestBitIdentity:
             assert np.array_equal(got.extras[name], want.extras[name], equal_nan=True)
         assert got.diverged == want.diverged
         assert got.to_csv() == _reference_csv(want)
+
+    def test_matches_reference_property(self):
+        """Over stepsizes and start scales from tame to overflowing, run()
+        equals the reference loop bit for bit and evaluates F exactly
+        ``f_evals`` times, so the rows the norm bound lets through unscanned
+        end where a scan of every point ends them."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(op=st.sampled_from(_PROPERTY_OPS), method=st.sampled_from(METHODS),
+                          gamma=st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
+                          scale=st.floats(-3.0, 155.0).map(lambda e: 10.0 ** e),
+                          iters=st.integers(0, 60))
+        def prop(op, method, gamma, scale, iters):
+            steps = ({"gamma1": gamma, "gamma2": 0.5 * gamma} if method == "eg2"
+                     else {"gamma": gamma})
+            cfg = SolverConfig(method, iters=iters, x0=np.full(op.dim, scale), **steps)
+            self._assert_same(op, cfg)
+            counting = _CountingAffine(op.matrix)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = run(counting, cfg)
+            assert trace.f_evals == counting.f_calls
+            if not trace.diverged:
+                assert trace.f_evals == TestFEvals.EXPECTED[method](iters)
+
+        prop()
+
+    # |x| grows about 10 times a row (pp: its resolvent is 10*I) and passes
+    # 1e150 without overflowing, so only the exact scan the bound falls back
+    # to can find the last row
+    @pytest.mark.parametrize("method", METHODS)
+    def test_slow_divergence_passes_the_limit_where_the_reference_does(self, method):
+        op, gamma = (Affine(-0.5 * np.eye(2)), 1.8) if method == "pp" else (rotation(), 10.0)
+        steps = {"gamma1": gamma, "gamma2": gamma} if method == "eg2" else {"gamma": gamma}
+        cfg = SolverConfig(method, iters=200, x0=np.array([1.0, 0.0]), **steps)
+        self._assert_same(op, cfg)
+        trace = run(op, cfg)
+        x_max = np.abs(trace.xs).max(axis=1)
+        assert trace.diverged and np.isfinite(trace.fx_sq).all()
+        assert x_max[-1] > solvers._DIVERGENCE_LIMIT >= x_max[-2]
+
+    def test_loose_bound_measures_again(self):
+        # x only flips sign, while the summed step norms pass 1e149 every few
+        # rows: each time the bound falls back to a scan and starts again from it
+        cfg = SolverConfig("gd", gamma=2.0, iters=100, x0=np.full(2, 1e148))
+        self._assert_same(scaled_identity(1.0, 2), cfg)
+        trace = run(scaled_identity(1.0, 2), cfg)
+        assert not trace.diverged and len(trace) == 101
+        assert np.abs(trace.xs).max() == 1e148
 
 
 class _CountingAffine(Affine):
