@@ -277,8 +277,7 @@ def _cmd_pep_export(args) -> int:
     pep.export_sdpa(prob, args.out)
     _write_json({"name": prob.name, "basis": list(prob.basis),
                  "metadata": prob.metadata,
-                 "inequalities": prob.inequalities.names,
-                 "equalities": prob.equalities.names},
+                 "inequalities": prob.inequalities, "equalities": prob.equalities},
                 args.out + ".json")
     return 0
 

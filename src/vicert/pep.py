@@ -11,7 +11,6 @@ constraint, so it is a certified lower bound.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,6 +19,7 @@ import numpy as np
 from . import classes, numerics
 from .errors import (
     BadParameters,
+    DimensionMismatch,
     LabelMismatch,
     NoConvergence,
     NoFeasiblePointFound,
@@ -179,42 +179,17 @@ class PairForms:
                    np.tile(r * n + c, nrows)[keep], value[keep])
 
 
-class _Constraints(Sequence):
-    """(name, matrix, rhs) of a problem's constraints in ``span``.  Names and
-    right-hand sides are stored; each matrix is a view of the problem's
-    stacked :attr:`GramProblem.constraints`, which the first one builds."""
-
-    def __init__(self, prob: "GramProblem", span: range):
-        self._prob, self._span = prob, span
-
-    def __len__(self) -> int:
-        return len(self._span)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(len(self))[k])
-        k = self._span[k]
-        return self._prob.names[k], self._prob.constraints[k], float(self._prob.rhs[k])
-
-    def __add__(self, other) -> tuple:
-        return tuple(self) + tuple(other)
-
-    @property
-    def names(self) -> list[str]:
-        return self._prob.names[self._span.start:self._span.stop]
-
-
 class GramProblem:
     """max Tr(objective . G) over PSD G subject to Tr(M_i G) >= rhs_i and
     Tr(E_j G) = rhs_j, all matrices symmetric over the named basis.
 
     ``inequalities`` and ``equalities`` are given as (name, matrix, rhs)
-    triples and read back as read-only sequences of them, which index, slice
-    and iterate like tuples but do not compare equal to them.  ``pairs`` adds constraints in factored
-    form, before the given inequalities, as inequalities with rhs 0: names,
-    right-hand sides and the SDPA export read the factors, and their dense
-    matrices exist only once :attr:`constraints` is first used (by
-    :func:`solve`, :func:`verify_point` or a matrix of ``inequalities``).
+    triples and read back as tuples of their names.  ``pairs`` adds
+    constraints in factored form, before the given inequalities, as
+    inequalities with rhs 0: names, right-hand sides and the SDPA export read
+    the factors.  Code outside the class reaches the constraint matrices only
+    through :meth:`apply`, :meth:`adjoint` and :meth:`schur`, which build the
+    stacked :attr:`constraints` on first use.
     """
 
     def __init__(self, name: str, basis, objective: np.ndarray, inequalities=(),
@@ -229,9 +204,10 @@ class GramProblem:
         inequalities, equalities = tuple(inequalities), tuple(equalities)
         given = inequalities + equalities
         lead = len(pairs) if pairs is not None else 0
-        self.names = list(pairs.names if pairs is not None else ()) + [nm for nm, _, _ in given]
+        self.names = (pairs.names if pairs is not None else ()) + tuple(nm for nm, _, _ in given)
         self.rhs = np.array([0.0] * lead + [rhs for _, _, rhs in given], dtype=float)
-        self._q = lead + len(inequalities)
+        q = lead + len(inequalities)
+        self.inequalities, self.equalities = self.names[:q], self.names[q:]
         n = len(self.basis)
         mats = [objective] + [mat for _, mat, _ in given]
         if any(np.shape(mat) != (n, n) for mat in mats):
@@ -246,14 +222,6 @@ class GramProblem:
     def n(self) -> int:
         return len(self.basis)
 
-    @property
-    def inequalities(self) -> _Constraints:
-        return _Constraints(self, range(self._q))
-
-    @property
-    def equalities(self) -> _Constraints:
-        return _Constraints(self, range(self._q, len(self.rhs)))
-
     @cached_property
     def constraints(self) -> np.ndarray:
         """Every constraint matrix, inequalities first, stacked (m, n, n)."""
@@ -261,15 +229,27 @@ class GramProblem:
             return self._dense[1:]
         return np.concatenate([self.pairs.dense(), self._dense[1:]])
 
+    def apply(self, G) -> np.ndarray:
+        """Tr(M_k G) for every constraint k, in :attr:`names` order: shape (m,)
+        for one (n, n) matrix G, (b, m) for a (b, n, n) stack of them."""
+        G = np.asarray(G)
+        flat = self.constraints.reshape(-1, self.n * self.n)
+        return (flat @ G.reshape(*G.shape[:-2], -1).T).T
+
+    def adjoint(self, y) -> np.ndarray:
+        """sum_k y_k M_k: shape (n, n) for one (m,) vector y, (b, n, n) for a
+        (b, m) stack of them."""
+        return np.tensordot(y, self.constraints, axes=1)
+
+    def schur(self, G, W) -> np.ndarray:
+        """The (m, m) matrix of Tr(M_k G M_l W)."""
+        A, nn = self.constraints, self.n * self.n
+        m = len(A)
+        return (A @ G).reshape(m, nn) @ (A @ W).transpose(0, 2, 1).reshape(m, nn).T
+
     def constraint_values(self, G) -> np.ndarray:
-        """Tr(M_k G) - rhs_k for every constraint, in stacked order."""
-        return self.constraints.reshape(-1, self.n * self.n) @ np.ravel(G) - self.rhs
-
-    def inequality_values(self, G) -> np.ndarray:
-        return self.constraint_values(G)[:self._q]
-
-    def equality_residuals(self, G) -> np.ndarray:
-        return self.constraint_values(G)[self._q:]
+        """Tr(M_k G) - rhs_k for every constraint, in :attr:`names` order."""
+        return self.apply(G) - self.rhs
 
     def objective_value(self, G) -> float:
         return float(np.sum(self.objective * G))
@@ -333,7 +313,9 @@ class FeasiblePoint:
 
 
 def verify_point(prob: GramProblem, G) -> FeasiblePoint:
-    G = numerics.as_matrix(G, square=True)
+    G = numerics.as_matrix(G)
+    if G.shape != (prob.n, prob.n):
+        raise DimensionMismatch(f"Gram matrix of shape {G.shape} for a basis of {prob.n}")
     w = numerics.sym_eigs(0.5 * (G + G.T))
     values = prob.constraint_values(G)
     q = len(prob.inequalities)
@@ -601,7 +583,11 @@ def embed_points(prob: GramProblem, vectors: dict[str, np.ndarray]) -> FeasibleP
         missing = set(prob.basis) - set(vectors)
         extra = set(vectors) - set(prob.basis)
         raise LabelMismatch(f"missing labels {sorted(missing)}, extra {sorted(extra)}")
-    U = np.array([numerics.as_vector(vectors[lab]) for lab in prob.basis])
+    vecs = [numerics.as_vector(vectors[lab]) for lab in prob.basis]
+    sizes = {v.size for v in vecs}
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"vectors of unequal lengths {sorted(sizes)}")
+    U = np.array(vecs)
     return verify_point(prob, U @ U.T)
 
 
@@ -647,19 +633,16 @@ def solve(prob: GramProblem) -> FeasiblePoint:
     :class:`NoConvergence` when no iterate verifies.
     """
     n, q = prob.n, len(prob.inequalities)
-    A = prob.constraints
-    m = A.shape[0]
-    Af = A.reshape(m, n * n)
     C = -prob.objective              # the standard form minimizes Tr(C G)
     G, S = np.eye(n), np.eye(n)
     s, z = np.ones(q), np.ones(q)
-    y = np.zeros(m)
+    y = np.zeros(len(prob.rhs))
     N = n + q
     iterates = []                    # (G, max |primal residual|, relative mu)
     stop = "max-iterations"
 
     def primal(H, h):
-        out = Af @ H.ravel()
+        out = prob.apply(H)
         out[:q] -= h
         return out
 
@@ -674,7 +657,7 @@ def solve(prob: GramProblem) -> FeasiblePoint:
     with np.errstate(all="ignore"):
         for it in range(_SOLVE_MAX_ITERS + 1):
             rp = prob.rhs - primal(G, s)
-            Rd = C - S - np.tensordot(y, A, axes=1)
+            Rd = C - S - prob.adjoint(y)
             rd = y[:q] - z
             gap = float(np.sum(G * S) + s @ z)
             relmu = gap / (1.0 + abs(prob.objective_value(G)))
@@ -689,9 +672,7 @@ def solve(prob: GramProblem) -> FeasiblePoint:
                 break
             try:
                 Sinv = np.linalg.inv(S)
-                U = (A @ G).reshape(m, n * n)
-                W = (A @ Sinv).transpose(0, 2, 1).reshape(m, n * n)
-                M = U @ W.T
+                M = prob.schur(G, Sinv)
                 M[:q, :q] += np.diag(s / z)
                 Li = np.linalg.inv(np.linalg.cholesky(0.5 * (M + M.T)))
             except np.linalg.LinAlgError:
@@ -703,7 +684,7 @@ def solve(prob: GramProblem) -> FeasiblePoint:
                 """HKM direction for the complementarity residual (Rc, rc)."""
                 H, h = Rc @ Sinv, rc / z
                 dy = Li.T @ (Li @ (base - primal(H, h)))
-                dS = Rd - np.tensordot(dy, A, axes=1)
+                dS = Rd - prob.adjoint(dy)
                 dz = rd + dy[:q]
                 dG = H - G @ dS @ Sinv
                 return 0.5 * (dG + dG.T), h - s * dz / z, dy, dS, dz
@@ -767,36 +748,33 @@ def lower_bound_search(prob: GramProblem, rank: int = 6, restarts: int = 32,
     V = rng.standard_normal((restarts, rank, n))
 
     q = len(prob.inequalities)
-    Mi, Me = prob.constraints[:q], prob.constraints[q:]
-    ri, re = prob.rhs[:q], prob.rhs[q:]
-    M0 = prob.objective
+
+    def multipliers(lam, G, mu):
+        """lam - mu (Tr(M_k G) - rhs_k) per restart, clipped at 0 on the
+        inequalities; ``lam`` holds the equalities' multipliers negated."""
+        w = lam - mu * prob.constraint_values(G)
+        w[:, :q] = np.maximum(0.0, w[:, :q])
+        return w
 
     G = np.einsum("bri,brj->bij", V, V)
-    if Me.shape[0]:
-        t0 = np.einsum("bij,ij->b", G, Me[0])
-        target = re[0] if re[0] > 0 else 1.0
+    if prob.equalities:
+        t0 = prob.apply(G)[:, q]
+        target = prob.rhs[q] if prob.rhs[q] > 0 else 1.0
         V *= (init_scale * np.sqrt(target / np.maximum(np.abs(t0), 1e-12)))[:, None, None]
 
-    lam_i = np.zeros((restarts, Mi.shape[0]))
-    lam_e = np.zeros((restarts, Me.shape[0]))
-
+    lam = np.zeros((restarts, len(prob.rhs)))
     for rnd in range(rounds):
         mu = penalty0 * penalty_growth**rnd
         for it in range(ascent_steps):
             G = np.einsum("bri,brj->bij", V, V)
-            ti = np.einsum("bij,qij->bq", G, Mi) - ri
-            te = np.einsum("bij,qij->bq", G, Me) - re
-            wi = np.maximum(0.0, lam_i - mu * ti)
-            comb = M0 + np.einsum("bq,qij->bij", wi, Mi) \
-                - np.einsum("bq,qij->bij", lam_e + mu * te, Me)
+            comb = prob.objective + prob.adjoint(multipliers(lam, G, mu))
             grad = 2.0 * np.matmul(V, comb)
             gn = np.sqrt(np.einsum("bri,bri->b", grad, grad))
             vn = np.sqrt(np.einsum("bri,bri->b", V, V))
             step = 0.1 * vn / (gn + 1e-30) / (1.0 + it / 50.0)
             V = V + step[:, None, None] * grad
         G = np.einsum("bri,brj->bij", V, V)
-        lam_i = np.maximum(0.0, lam_i - mu * (np.einsum("bij,qij->bq", G, Mi) - ri))
-        lam_e = lam_e + mu * (np.einsum("bij,qij->bq", G, Me) - re)
+        lam = multipliers(lam, G, mu)
 
     best: FeasiblePoint | None = None
     feasible = 0
@@ -824,26 +802,27 @@ def _repair_and_verify(prob: GramProblem, G: np.ndarray,
     toward the stored interior point, after any rescaling)."""
     G = 0.5 * (G + G.T)
     path = "none"
-    homogeneous = bool((prob.rhs[:len(prob.inequalities)] == 0.0).all())
-    if homogeneous and len(prob.equalities) == 1 and prob.equalities[0][2] > 0:
-        _, Meq, rhs = prob.equalities[0]
-        t = float(np.sum(Meq * G))
+    q = len(prob.inequalities)
+    homogeneous = bool((prob.rhs[:q] == 0.0).all())
+    if homogeneous and len(prob.equalities) == 1 and prob.rhs[-1] > 0:
+        # the last given matrix: a problem never factors its equalities
+        rhs, t = float(prob.rhs[-1]), float(np.sum(prob._dense[-1] * G))
         if t <= 1e-12:
             return None, path
         if rhs != t:
             G = G * (rhs / t)
             path = "rescale"
     if prob.interior is not None and homogeneous:
-        vals = prob.inequality_values(G)
+        vals = prob.constraint_values(G)[:q]
         violation = float(np.maximum(0.0, -vals).max(initial=0.0))
         if violation > 0.0:
-            s_int = prob.inequality_values(prob.interior)
+            s_int = prob.constraint_values(prob.interior)[:q]
             s_min = float(s_int.min(initial=np.inf))
             if s_min > 0.0:
                 theta = min(1.0, 1.02 * violation / (violation + s_min))
                 for _ in range(4):
                     cand = (1.0 - theta) * G + theta * prob.interior
-                    if prob.inequality_values(cand).min(initial=0.0) >= 0.0:
+                    if prob.constraint_values(cand)[:q].min(initial=0.0) >= 0.0:
                         G = cand
                         path = "interior-mix"
                         break

@@ -102,14 +102,6 @@ class Trace:
 # Run loop
 # ---------------------------------------------------------------------------
 
-def _check_finite(v: np.ndarray, zeros: np.ndarray) -> None:
-    """Raise :class:`NonFinite` unless ``v`` is finite, at the cost of one dot
-    product that cannot overflow: ``0 * v_i`` is 0 for a finite entry and NaN
-    for an inf or a NaN."""
-    if v @ zeros != 0.0:
-        numerics.as_vector(v)
-
-
 def _grown(a: np.ndarray, rows: int, size: int) -> np.ndarray:
     """``a`` with room for ``size`` rows, its first ``rows`` rows kept."""
     out = np.empty((size,) + a.shape[1:])
@@ -127,12 +119,11 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
 
     Inputs are checked here, once; the loop calls the unchecked
     ``op._apply`` and ``op._jacobian``.  A running upper bound on ||x||_2,
-    built from the squared step norms the loop computes anyway, proves the
-    iterate finite and inside the divergence limit, and the eg mid point and
-    the eftp tilde point finite, while it is at most 1e149.  pp, whose step
-    norm is not computed, and rows whose bound passes 1e149 scan the point
-    instead.  Rows and F evaluations are those of a scan of every point.
-    Each F value is computed once: og reuses F(x_prev), eftp reuses
+    built from the squared norms of the steps, proves the iterate finite and
+    inside the divergence limit, and the eg mid point and the eftp tilde
+    point finite, while it is at most 1e149; rows whose bound passes it
+    check the point exactly instead.  Rows and F evaluations are those of a
+    check of every point.  Each F value is computed once: og reuses F(x_prev), eftp reuses
     F(x_tilde), hgm reuses J(x)^T F(x).
     """
     x = cfg.x0.copy()
@@ -145,7 +136,6 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     # eg runs as eg2 with both stepsizes gamma
     g1, g2 = (cfg.gamma1, cfg.gamma2) if method == "eg2" else (g, g)
     F = op._apply
-    zeros = np.zeros(x.size)
     # bound >= ||x||_2.  A step x - c*g*v moves x by at most c*g*||v||, and ||v||
     # <= (1 - u)^-(d/2 + 2) * (sqrt(v @ v) + tiny), u = 2^-53: the dot rounds at most
     # d times, the root and the sum once each, tiny covers squares lost to underflow.
@@ -198,7 +188,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             if method in ("eg", "eg2"):
                 mid = x - g1 * fx
                 if not bound + g1 * root <= _PROVEN:
-                    _check_finite(mid, zeros)
+                    numerics.as_vector(mid)
                 fmid = F(mid)
                 f_evals += 1
                 extras["mid_sq"][k] = step_sq = fmid @ fmid
@@ -225,8 +215,9 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             elif method == "pp":
                 if pp_comp is None:
                     pp_comp = pp_operator(op, g)
-                x = x - g * pp_comp._apply(x)
-                bound = math.inf
+                step = pp_comp._apply(x)
+                x = x - g * step
+                bound = (bound + g * (math.sqrt(step @ step) + tiny)) * slack
             elif method in ("eg", "eg2"):
                 x = x - g2 * fmid
                 bound = (bound + g2 * (math.sqrt(step_sq) + tiny)) * slack
@@ -238,7 +229,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             elif method == "eftp":
                 x_tilde = x - g * f_tilde
                 if not bound + g * t_root <= _PROVEN:
-                    _check_finite(x_tilde, zeros)
+                    numerics.as_vector(x_tilde)
                 f_tilde = F(x_tilde)
                 f_evals += 1
                 step_sq = f_tilde @ f_tilde

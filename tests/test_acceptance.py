@@ -245,10 +245,9 @@ class TestA5Pep:
             hand = pep.build_expansiveness_matrices(ell, g1, g2)
             sym = pep.expansiveness_from_interpolation(ell, g1, g2)
             gap = np.abs(hand.objective - sym.objective).max()
-            for (_, mh, _), (_, ms, _) in zip(hand.inequalities, sym.inequalities):
+            # six inequalities, then the equality
+            for mh, ms in zip(hand.constraints, sym.constraints, strict=True):
                 gap = max(gap, float(np.abs(mh - ms).max()))
-            gap = max(gap, float(np.abs(hand.equalities[0][1]
-                                        - sym.equalities[0][1]).max()))
             worst = max(worst, gap)
             assert gap <= 1e-14
         _line("A5a matrix-assembly", True,
@@ -468,10 +467,8 @@ class TestA9Properties:
         pep.export_sdpa(prob, path)
         parsed = pep.parse_sdpa(path)
         exact = np.array_equal(parsed["blocks"][0][0], prob.objective)
-        for idx, (_, mat, _) in enumerate(prob.inequalities):
-            exact = exact and np.array_equal(parsed["blocks"][idx + 1][0], mat)
-        exact = exact and np.array_equal(parsed["blocks"][7][0],
-                                         prob.equalities[0][1])
+        for k, mat in enumerate(prob.constraints):
+            exact = exact and np.array_equal(parsed["blocks"][k + 1][0], mat)
         _line("A9d sdpa-round-trip", exact, "re-parsed matrices are bit-identical")
 
     def test_a9_seed_determinism(self):

@@ -36,8 +36,7 @@ def _sdpa(prob, tmp_path) -> bytes:
 
 
 def _names(prob) -> bytes:
-    names = [nm for nm, _, _ in prob.inequalities] + [nm for nm, _, _ in prob.equalities]
-    return json.dumps(names).encode()
+    return json.dumps(list(prob.inequalities + prob.equalities)).encode()
 
 
 def _js(obj) -> bytes:

@@ -9,6 +9,7 @@ from vicert import classes, cli, pep
 from vicert.certify import build_counterexample
 from vicert.errors import (
     BadParameters,
+    DimensionMismatch,
     LabelMismatch,
     NoConvergence,
     NoFeasiblePointFound,
@@ -72,8 +73,8 @@ class TestExpansivenessMatrices:
     def test_printed_entries(self):
         prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
         M0 = prob.objective
-        M1 = prob.inequalities[0][1]
-        M7 = prob.equalities[0][1]
+        M1 = prob.constraints[0]
+        M7 = prob.constraints[len(prob.inequalities)]
         assert M0[4, 4] == 0.25
         assert M1[2, 2] == -0.5
         assert M7[1, 1] == 1.0
@@ -81,7 +82,7 @@ class TestExpansivenessMatrices:
 
     def test_gamma2_zero_limit(self):
         tiny = build_expansiveness_matrices(1.0, 0.5, 1e-300)
-        M7 = tiny.equalities[0][1]
+        M7 = tiny.constraints[len(tiny.inequalities)]
         assert np.abs(tiny.objective - M7).max() <= 1e-299
 
     def test_hand_coded_matches_symbolic_on_random_triples(self):
@@ -91,9 +92,10 @@ class TestExpansivenessMatrices:
             hand = build_expansiveness_matrices(ell, g1, g2)
             sym = expansiveness_from_interpolation(ell, g1, g2)
             assert np.abs(hand.objective - sym.objective).max() <= 1e-14
-            for (_, mh, _), (_, ms, _) in zip(hand.inequalities, sym.inequalities):
+            q = len(hand.inequalities)
+            for mh, ms in zip(hand.constraints[:q], sym.constraints[:q]):
                 assert np.abs(mh - ms).max() <= 1e-14
-            assert np.abs(hand.equalities[0][1] - sym.equalities[0][1]).max() == 0.0
+            assert np.abs(hand.constraints[q] - sym.constraints[q]).max() == 0.0
 
     def test_interior_point_strictly_feasible(self):
         for ell, g1 in ((1.0, 0.25), (2.0, 0.5), (0.5, 2.0)):
@@ -128,7 +130,7 @@ class TestNormPep:
     def test_ball_constraint_flag(self):
         prob = build_norm_pep(1.0, 0.5, 0.5, K=1, distance_as_equality=False)
         assert len(prob.equalities) == 0
-        assert any(rhs == -1.0 for _, _, rhs in prob.inequalities)
+        assert any(rhs == -1.0 for rhs in prob.rhs[:len(prob.inequalities)])
 
     def test_delta_objective(self):
         prob = build_delta_pep(1.0, 0.5, 0.5)
@@ -150,7 +152,7 @@ class TestNormPep:
     def test_cocoercive_variant(self):
         prob = build_delta_pep(1.0, 0.5, 0.25, operator_class="cocoercive",
                                measure="f-eg")
-        assert all(name.startswith("coco:") for name, _, _ in prob.inequalities)
+        assert all(name.startswith("coco:") for name in prob.inequalities)
         assert len(prob.inequalities) == 10
 
 
@@ -176,6 +178,20 @@ class TestEmbedding:
         prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
         with pytest.raises(LabelMismatch):
             embed_points(prob, {"x": np.zeros(2)})
+
+    def test_vectors_of_unequal_length(self):
+        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        vecs = {lab: np.zeros(2) for lab in prob.basis}
+        vecs["y"] = np.zeros(3)
+        with pytest.raises(DimensionMismatch):
+            embed_points(prob, vecs)
+
+    def test_gram_matrix_of_another_size(self):
+        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        with pytest.raises(DimensionMismatch):
+            verify_point(prob, np.eye(7))
+        with pytest.raises(DimensionMismatch):
+            verify_point(prob, np.ones((6, 5)))
 
     def test_concrete_cocoercive_map_is_feasible(self):
         prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
@@ -228,11 +244,11 @@ class TestSdpa:
         parsed = parse_sdpa(path)
         assert parsed["m"] == 7
         assert np.array_equal(parsed["blocks"][0][0], prob.objective)
-        for idx, (_, mat, _) in enumerate(prob.inequalities):
-            assert np.array_equal(parsed["blocks"][idx + 1][0], mat)
+        for idx in range(len(prob.inequalities)):
+            assert np.array_equal(parsed["blocks"][idx + 1][0], prob.constraints[idx])
             slack = parsed["blocks"][idx + 1][1]
             assert slack[idx, idx] == -1.0
-        assert np.array_equal(parsed["blocks"][7][0], prob.equalities[0][1])
+        assert np.array_equal(parsed["blocks"][7][0], prob.constraints[6])
         assert np.array_equal(parsed["rhs"], [0.0] * 6 + [1.0])
 
     def test_no_inequalities_single_block(self, tmp_path):
@@ -247,7 +263,7 @@ class TestSdpa:
         assert lines[2] == "1"
         assert lines[3] == "2"
         parsed = parse_sdpa(path)
-        assert np.array_equal(parsed["blocks"][1][0], prob.equalities[0][1])
+        assert np.array_equal(parsed["blocks"][1][0], prob.constraints[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +279,7 @@ def _reference_export(prob: GramProblem, path) -> None:
     n = prob.n
     lines = [f'"{prob.name}"', str(m), "2" if q else "1",
              f"{n} -{q}" if q else f"{n}"]
-    rhs = [rhs for _, _, rhs in prob.inequalities] + [rhs for _, _, rhs in prob.equalities]
-    lines.append(" ".join(fmt17(v) for v in rhs))
+    lines.append(" ".join(fmt17(v) for v in prob.rhs.tolist()))
 
     def emit(matno: int, blk: int, mat_or_entries):
         if blk == 1:
@@ -278,11 +293,10 @@ def _reference_export(prob: GramProblem, path) -> None:
             lines.append(f"{matno} 2 {i + 1} {i + 1} {fmt17(val)}")
 
     emit(0, 1, prob.objective)
-    for idx, (_, mat, _) in enumerate(prob.inequalities):
-        emit(idx + 1, 1, mat)
-        emit(idx + 1, 2, (idx, -1.0))
-    for jdx, (_, mat, _) in enumerate(prob.equalities):
-        emit(q + jdx + 1, 1, mat)
+    for k, mat in enumerate(prob.constraints):
+        emit(k + 1, 1, mat)
+        if k < q:
+            emit(k + 1, 2, (k, -1.0))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -520,15 +534,18 @@ def _infeasible_problem():
 
 
 class TestStackedConstraints:
-    def test_stack_matches_tuples(self):
-        for prob in (build_expansiveness_matrices(1.0, 0.5, 0.5),
-                     build_norm_pep(1.0, 0.5, 0.5, K=2, distance_as_equality=False)):
-            mats = [m for _, m, _ in prob.inequalities + prob.equalities]
-            rhs = [r for _, _, r in prob.inequalities + prob.equalities]
-            assert prob.constraints.shape == (len(mats), prob.n, prob.n)
-            assert all(np.array_equal(a, b) for a, b in zip(prob.constraints, mats))
-            assert np.array_equal(prob.rhs, rhs)
-            assert prob.constraints is prob.constraints
+    def test_stack_matches_given(self):
+        mats = _toy_matrices(asym=0, by=0.0)
+        prob = _toy_problem(mats)
+        assert prob.names == ("i0", "i1", "i2", "e")
+        assert (prob.inequalities, prob.equalities) == (("i0", "i1", "i2"), ("e",))
+        assert prob.constraints.shape == (4, 3, 3)
+        assert all(np.array_equal(prob.constraints[k], mats[k + 1]) for k in range(4))
+        assert np.array_equal(prob.rhs, [0.0, 0.0, 0.0, 1.0])
+        assert prob.constraints is prob.constraints
+        factored = build_norm_pep(1.0, 0.5, 0.5, K=2, distance_as_equality=False)
+        assert factored.constraints.shape == (len(factored.names), factored.n, factored.n)
+        assert factored.rhs[-1] == -1.0 and factored.constraints[-1][0, 0] == -1.0
 
     @pytest.mark.parametrize("where", ["objective", "middle-inequality", "equality"])
     def test_asymmetric_matrix_rejected(self, where):
@@ -548,10 +565,71 @@ class TestStackedConstraints:
         prob = build_norm_pep(1.0, 0.5, 0.5, K=2)
         G = np.random.default_rng(3).standard_normal((prob.n, prob.n))
         G = G @ G.T
-        ineq = [float(np.sum(m * G)) - r for _, m, r in prob.inequalities]
-        eq = [float(np.sum(m * G)) - r for _, m, r in prob.equalities]
-        assert np.allclose(prob.inequality_values(G), ineq, rtol=0.0, atol=1e-12)
-        assert np.allclose(prob.equality_residuals(G), eq, rtol=0.0, atol=1e-12)
+        want = [float(np.sum(m * G)) - r for m, r in zip(prob.constraints, prob.rhs)]
+        assert np.allclose(prob.constraint_values(G), want, rtol=0.0, atol=1e-12)
+
+    def test_operations_match_their_definitions(self):
+        prob = build_norm_pep(1.0, 0.5, 0.5, K=2)
+        rng = np.random.default_rng(5)
+        A, m, n = prob.constraints, len(prob.names), prob.n
+        Gs = rng.standard_normal((3, n, n))
+        Gs = Gs @ Gs.transpose(0, 2, 1)
+        ys = rng.standard_normal((3, m))
+        # a stack gives what each of its matrices gives
+        assert prob.apply(Gs).shape == (3, m)
+        for G, y, row, comb in zip(Gs, ys, prob.apply(Gs), prob.adjoint(ys)):
+            assert np.allclose(row, [np.sum(M * G) for M in A], rtol=1e-13, atol=1e-13)
+            assert np.allclose(row, prob.apply(G), rtol=1e-13, atol=1e-13)
+            assert np.allclose(comb, np.einsum("k,kij->ij", y, A), rtol=1e-13, atol=1e-13)
+            assert np.allclose(comb, prob.adjoint(y), rtol=1e-13, atol=1e-13)
+        W = np.linalg.inv(Gs[1])
+        want = [[np.trace(Mk @ Gs[0] @ Ml @ W) for Ml in A] for Mk in A]
+        assert np.allclose(prob.schur(Gs[0], W), want, rtol=1e-12, atol=1e-12)
+
+
+class TestStorageAgnostic:
+    """solve, the search and verify_point reach the constraint matrices only
+    through apply, adjoint and schur."""
+
+    @staticmethod
+    def _opaque(prob: GramProblem, served: GramProblem) -> GramProblem:
+        """``prob`` with a stack that raises when read, and apply, adjoint
+        and schur served from ``served``'s stack."""
+
+        class Opaque(GramProblem):
+            @property
+            def constraints(self):
+                raise AssertionError("the stacked constraints were read")
+
+            def apply(self, G):
+                return served.apply(G)
+
+            def adjoint(self, y):
+                return served.adjoint(y)
+
+            def schur(self, G, W):
+                return served.schur(G, W)
+
+        prob.__class__ = Opaque
+        return prob
+
+    @pytest.mark.parametrize("method", ["solve", "search", "verify"])
+    def test_same_bits_without_the_stack(self, method):
+        call = {
+            "solve": solve,
+            "search": lambda p: lower_bound_search(p, restarts=4, ascent_steps=300,
+                                                   rounds=2, seed=3),
+            "verify": lambda p: verify_point(p, p.interior),
+        }[method]
+        plain = build_norm_pep(1.0, 0.5, 0.5, 2)
+        opaque = self._opaque(build_norm_pep(1.0, 0.5, 0.5, 2),
+                              build_norm_pep(1.0, 0.5, 0.5, 2))
+        with pytest.raises(AssertionError, match="were read"):
+            opaque.constraints
+        got, want = call(opaque), call(plain)
+        assert got.objective == want.objective
+        assert _bits(got.G) == _bits(want.G)
+        assert got.solver == want.solver
 
 
 def _toy_matrices(asym: int, by: float) -> list[np.ndarray]:
@@ -724,8 +802,7 @@ class TestFactoredNormPep:
             kwargs = dict(operator_class=cls, **_FACTORED_VARIANTS[variant])
             got = build_norm_pep(L, g1, g2, K, **kwargs)
             want = _reference_norm_pep(L, g1, g2, K, **kwargs)
-            assert got.inequalities.names == [nm for nm, _, _ in want.inequalities]
-            assert got.equalities.names == [nm for nm, _, _ in want.equalities]
+            assert (got.inequalities, got.equalities) == (want.inequalities, want.equalities)
             assert (got.name, got.basis, got.metadata) == (want.name, want.basis, want.metadata)
             assert _bits(got.rhs) == _bits(want.rhs)
             assert _bits(got.objective) == _bits(want.objective)
@@ -759,7 +836,7 @@ class TestFactoredNormPep:
     def test_underflow_is_exercised(self):
         # products of the two stepsizes fall to zero inside a pair's support
         prob = build_norm_pep(*_FACTORED_PARAMS["underflow"], 2)
-        lip = [k for k, nm in enumerate(prob.inequalities.names) if nm.startswith("lip:")]
+        lip = [k for k, nm in enumerate(prob.inequalities) if nm.startswith("lip:")]
         assert any(np.count_nonzero(prob.constraints[k]) < np.count_nonzero(
             build_norm_pep(1.0, 0.5, 0.5, 2).constraints[k]) for k in lip)
 
@@ -791,20 +868,17 @@ class TestFactoredNormPep:
         prob, = built
         assert "constraints" not in prob.__dict__
         sidecar = json.loads((tmp_path / "norm.dat-s.json").read_text())
-        assert sidecar["inequalities"] == prob.inequalities.names
+        assert sidecar["inequalities"] == list(prob.inequalities)
         assert len(sidecar["inequalities"]) == 1056
 
-    def test_constraint_views(self):
+    def test_constraint_names(self):
         prob = build_norm_pep(1.0, 0.5, 0.5, 2, distance_as_equality=False)
-        name, mat, rhs = prob.inequalities[-1]
-        assert name == "start-in-ball" and rhs == -1.0
-        assert mat is not None and mat[0, 0] == -1.0
-        assert prob.inequalities[0][0] == "mono:xstar|x0"
-        assert len(prob.equalities) == 0 and list(prob.equalities) == []
-        with pytest.raises(IndexError):
-            prob.inequalities[len(prob.inequalities)]
-        # slices give the triples, as tuples
-        assert prob.equalities[:] == ()
-        tail = prob.inequalities[-2:]
-        assert [nm for nm, _, _ in tail] == prob.inequalities.names[-2:]
-        assert tail[1][2] == -1.0 and _bits(tail[1][1]) == _bits(prob.inequalities[-1][1])
+        # the pairs' names, then the given inequality's, read without the stack
+        assert prob.inequalities == prob.pairs.names + ("start-in-ball",)
+        assert prob.inequalities[0] == "mono:xstar|x0"
+        assert prob.equalities == () and prob.names == prob.inequalities
+        assert prob.rhs[-1] == -1.0
+        eq = build_norm_pep(1.0, 0.5, 0.5, 2)
+        assert eq.names == eq.pairs.names + ("unit-start",)
+        assert (eq.inequalities, eq.equalities) == (eq.pairs.names, ("unit-start",))
+        assert "constraints" not in prob.__dict__ and "constraints" not in eq.__dict__
