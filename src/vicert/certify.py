@@ -26,6 +26,9 @@ HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
+# the slack (and relative expansion error) that the interpolation checks forgive
+_INTERP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PointSystem:
@@ -95,12 +98,12 @@ def _pair_rows(ps: PointSystem) -> list[ConditionRow]:
             for li, lj, dx, df in classes.pairs(ps.points) for row in rows]
 
 
-def check_interpolation(ps: PointSystem, tol: float = 1e-12) -> CertificateReport:
+def check_interpolation(ps: PointSystem) -> CertificateReport:
     """Evaluate the class-defining inequality on every unordered point pair.
 
     The system is interpolable by an operator of the class exactly when all
     pairwise slacks are nonnegative; verdict ``holds`` allows slack down
-    to ``-tol``.
+    to ``-1e-12``.
     """
     if len(ps.points) < 2:
         raise BadParameters("need at least two points")
@@ -109,7 +112,7 @@ def check_interpolation(ps: PointSystem, tol: float = 1e-12) -> CertificateRepor
     worst_row = min(rows, key=lambda r: r.slack)
     witness = None
     verdict = HOLDS
-    if worst < -tol:
+    if worst < -_INTERP_TOL:
         verdict = VIOLATED
         i = {p[0]: p for p in ps.points}
         witness = {
@@ -191,13 +194,12 @@ def build_counterexample(ell: float, gamma1: float, scale: float = 1.0) -> Count
     return CounterexampleInstance(ell, gamma1, scale, x, y, x_f1, y_f1, x_f2, y_f2)
 
 
-def verify_counterexample(inst: CounterexampleInstance, gamma2: float,
-                          tol: float = 1e-12) -> CertificateReport:
+def verify_counterexample(inst: CounterexampleInstance, gamma2: float) -> CertificateReport:
     """Check the four-point system interpolates an ell-cocoercive map and that
     the two-stepsize update expands ||x - y||.
 
     The squared expansion E = ||x - g2*x_f2 - y + g2*y_f2||^2 must equal
-    scale^2 * (1 + g1^2 g2^2 ell^4 / 4) to within ``tol``; verdict is
+    scale^2 * (1 + g1^2 g2^2 ell^4 / 4) to within 1e-12 relative; verdict is
     ``violated`` (non-expansiveness disproved) when E exceeds ||x - y||^2.
     """
     if gamma2 <= 0.0:
@@ -206,11 +208,11 @@ def verify_counterexample(inst: CounterexampleInstance, gamma2: float,
     predicted = inst.scale * inst.scale * (1.0 + q * q / 4.0)
     if not predicted < np.inf:
         raise BadParameters(f"the predicted expansion {predicted!r} is beyond float range")
-    interp = check_interpolation(inst.point_system(), tol=tol)
+    interp = check_interpolation(inst.point_system())
     diff = (inst.x - gamma2 * inst.x_f2) - (inst.y - gamma2 * inst.y_f2)
     expansion = float(diff @ diff)
     base = float((inst.x - inst.y) @ (inst.x - inst.y))
-    if abs(expansion - predicted) > tol * max(1.0, predicted):
+    if abs(expansion - predicted) > _INTERP_TOL * max(1.0, predicted):
         # at extreme parameters the float points lose the construction
         raise BadParameters(
             f"expansion {expansion!r} does not match predicted {predicted!r}")
@@ -238,10 +240,18 @@ def verify_counterexample(inst: CounterexampleInstance, gamma2: float,
 # Exact affine certificates
 # ---------------------------------------------------------------------------
 
+def _square(a) -> np.ndarray:
+    """``a`` as a finite, square, non-empty matrix: every matrix input here passes it."""
+    A = numerics.as_matrix(a, square=True)
+    if not A.size:
+        raise DimensionMismatch("expected a non-empty matrix, got shape (0, 0)")
+    return A
+
+
 def cocoercivity_pencil(a, ell: float) -> np.ndarray:
     """(ell/2)(A + A^T) - A^T A; PSD exactly when x -> Ax is ell-cocoercive:
     the cocoercive row at dx = I, dF = A with <U, V> = (U^T V + V^T U)/2."""
-    A = numerics.as_matrix(a, square=True)
+    A = _square(a)
     row, = classes.rows("cocoercive", ell)
     return row.slack(np.eye(A.shape[0]), A, lambda U, V: 0.5 * (U.T @ V + V.T @ U))
 
@@ -264,7 +274,7 @@ def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> Certif
     """
     if ell <= 0.0:
         raise BadParameters("ell must be positive")
-    A = numerics.as_matrix(a, square=True)
+    A = _square(a)
     w, V = numerics.sym_eig(cocoercivity_pencil(A, ell))
     if tol is None:
         tol = 1e-10 * _pencil_scale(A, ell)
@@ -279,8 +289,8 @@ def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> Certif
                              details={"pencil_min_eig": worst, "ell": ell})
 
 
-def spectral_disk_check(a, ell: float, tol: float = 1e-9) -> CertificateReport:
-    """Disk criterion: every eigenvalue must lie in |lambda - ell/2| <= ell/2.
+def spectral_disk_check(a, ell: float) -> CertificateReport:
+    """Disk criterion: every eigenvalue must lie in |lambda - ell/2| <= ell/2 + 1e-9.
 
     Equivalent to Re(1/lambda) >= 1/ell for nonzero eigenvalues; lambda = 0
     sits on the boundary and counts as inside.  A positive certificate is
@@ -289,7 +299,7 @@ def spectral_disk_check(a, ell: float, tol: float = 1e-9) -> CertificateReport:
     """
     if ell <= 0.0:
         raise BadParameters("ell must be positive")
-    vals = numerics.eigenvalues(a)
+    vals = numerics.eigenvalues(_square(a))
     center = ell / 2.0
     rows = []
     worst = np.inf
@@ -300,9 +310,7 @@ def spectral_disk_check(a, ell: float, tol: float = 1e-9) -> CertificateReport:
         if slack < worst:
             worst = float(slack)
             worst_val = lam
-    if not len(vals):
-        return CertificateReport(HOLDS, np.inf, details={"eigenvalues": []})
-    verdict = HOLDS if worst >= -tol else VIOLATED
+    verdict = HOLDS if worst >= -1e-9 else VIOLATED
     witness = None
     if verdict == VIOLATED:
         witness = {"eigenvalue": {"re": worst_val.real, "im": worst_val.imag},
@@ -312,7 +320,11 @@ def spectral_disk_check(a, ell: float, tol: float = 1e-9) -> CertificateReport:
                                       "ell": ell})
 
 
-def min_cocoercivity_ell(a, lo: float = 1e-9, hi: float = 1e9) -> float | None:
+# the range of ell that min_cocoercivity_ell reports
+_MIN_ELL, _MAX_ELL = 1e-9, 1e9
+
+
+def min_cocoercivity_ell(a) -> float | None:
     """Smallest ell for which x -> Ax is ell-cocoercive, in closed form.
 
     With H = (A + A^T)/2 the pencil ``ell*H - A^T A`` is PSD exactly when
@@ -323,13 +335,13 @@ def min_cocoercivity_ell(a, lo: float = 1e-9, hi: float = 1e9) -> float | None:
     within ``n * eps * max|A^T A|``.
 
     Returns None when H is indefinite, when null(H) is not inside null(A),
-    or when the result exceeds ``hi``; a result below ``lo`` is clamped to
-    ``lo``.  The returned value is re-checked on the pencil itself: it must
-    pass the exact test within ``1e-12 * (ell*max|H| + max|A^T A|)``, and,
-    unless clamped, ``(1 - 1e-6) * ell`` must fail it.  A failed re-check
-    raises :class:`NoConvergence`.
+    or when the result exceeds ``_MAX_ELL``; a result below ``_MIN_ELL`` is
+    clamped to it.  The returned value is re-checked on the pencil itself: it
+    must pass the exact test within ``1e-12 * (ell*max|H| + max|A^T A|)``,
+    and, unless clamped, ``(1 - 1e-6) * ell`` must fail it.  A failed
+    re-check raises :class:`NoConvergence`.
     """
-    A = numerics.as_matrix(a, square=True)
+    A = _square(a)
     n = A.shape[0]
     H = 0.5 * (A + A.T)
     M = A.T @ A
@@ -344,10 +356,10 @@ def min_cocoercivity_ell(a, lo: float = 1e-9, hi: float = 1e9) -> float | None:
     if float(null_sq.max(initial=0.0)) > n * eps * float(np.abs(M).max()):
         return None
     ell = numerics.spectral_norm(A @ (V[:, pos] / np.sqrt(w[pos]))) ** 2
-    if ell > hi:
+    if ell > _MAX_ELL:
         return None
-    clamped = ell < lo
-    ell = max(ell, lo)
+    clamped = ell < _MIN_ELL
+    ell = max(ell, _MIN_ELL)
     if not affine_cocoercivity_exact(A, ell, tol=1e-12 * _pencil_scale(A, ell)).holds:
         raise NoConvergence(f"pencil is not PSD at the closed-form ell {ell!r}")
     if not clamped and affine_cocoercivity_exact(A, (1.0 - 1e-6) * ell, tol=0.0).holds:
@@ -359,7 +371,7 @@ def eg_affine_cocoercivity_check(a, gamma: float, L: float) -> CertificateReport
     """Certify that the extragradient composite of a monotone L-Lipschitz
     linear map is (2/gamma)-cocoercive, by both the spectral-disk criterion
     and the exact pencil test on A(I - gamma*A)."""
-    A = numerics.as_matrix(a, square=True)
+    A = _square(a)
     if L <= 0.0 or not 0.0 < gamma <= 1.0 / L + 1e-12:
         raise PreconditionViolated("need 0 < gamma <= 1/L")
     sym_min = float(numerics.sym_eigs(0.5 * (A + A.T))[0])
@@ -402,7 +414,7 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
         raise BadParameters(
             f"ell*gamma = {ell * gamma!r} is below 1e-150; the floor 1 + 4/(ell*gamma)^2 overflows")
     formula_floor = 1.0 + (2.0 / (ell * gamma)) ** 2
-    A = numerics.as_matrix(a, square=True)
+    A = _square(a)
     c = ell / 2.0 if which == "og" else ell
     w, V = numerics.sym_eig(cocoercivity_pencil(A, c))
     if w[0] >= 0.0:
@@ -440,7 +452,7 @@ def linear_star_equiv_check(a, ell: float, trials: int = 200,
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
-    A = numerics.as_matrix(a, square=True)
+    A = _square(a)
     exact = affine_cocoercivity_exact(A, ell)
     row, = classes.rows("cocoercive", ell)
     rng = np.random.default_rng(seed)
@@ -471,13 +483,13 @@ def linear_star_equiv_check(a, ell: float, trials: int = 200,
 # Scalar logistic-gradient constants and energy non-convexity
 # ---------------------------------------------------------------------------
 
-def logistic_constants(a: float, delta: float, samples: int = 2001) -> dict:
+def logistic_constants(a: float, delta: float) -> dict:
     """Closed-form bounds L <= a^2/4 + delta, Lambda <= |a|^3/4, cross-checked
-    against a sampled grid of |F'| and |F''| on [-20/|a|, 20/|a|]."""
+    against |F'| and |F''| on 2001 grid points of [-20/|a|, 20/|a|]."""
     op = LogisticGrad(a, delta)
     L_bound = a * a / 4.0 + delta
     lam_bound = abs(a) ** 3 / 4.0
-    grid = np.linspace(-20.0 / abs(a), 20.0 / abs(a), samples)
+    grid = np.linspace(-20.0 / abs(a), 20.0 / abs(a), 2001)
     d1 = max(abs(op.jacobian(np.array([t]))[0, 0]) for t in grid)
     d2 = max(abs(op.second_derivative(t)) for t in grid)
     if d1 > L_bound + 1e-9 or d2 > lam_bound + 1e-9:
@@ -500,10 +512,10 @@ def _residual_energy_curvature(x: float) -> float:
     return float(t1 + t2 + t3)
 
 
-def hamiltonian_nonconvexity_check(x_probe: float = 3.0, h: float = 1e-4) -> CertificateReport:
-    """Show the residual energy H = 0.5*||F||^2 of the default logistic
-    gradient is non-convex: 2*H'' at the probe point is negative, and the
-    closed form agrees with a central second difference of H."""
+def hamiltonian_nonconvexity_check() -> CertificateReport:
+    """Show that H = 0.5*||F||^2 of the default logistic gradient is non-convex:
+    2*H'' at x = 3 is negative, and a central second difference (step 1e-4) agrees."""
+    x_probe, h = 3.0, 1e-4
     op = LogisticGrad(1.0, 0.01)
 
     def energy(t: float) -> float:
@@ -537,8 +549,7 @@ _STAR_CLASSES = {"star-monotone": "monotone", "star-cocoercive": "cocoercive"}
 
 
 def sampled_property_check(op: Operator, op_class: str, trials: int = 200,
-                           seed: int = 0, parameter: float | None = None,
-                           tol: float = 1e-12) -> CertificateReport:
+                           seed: int = 0, parameter: float | None = None) -> CertificateReport:
     """Sample seeded Gaussian pairs and evaluate the class inequality.
 
     Sampling can refute but never prove: the verdict is ``violated`` with a
@@ -570,7 +581,7 @@ def sampled_property_check(op: Operator, op_class: str, trials: int = 200,
             if s < worst:
                 worst = s
                 witness = {"x": x.tolist(), "y": y.tolist(), "slack": s}
-    if worst < -tol:
+    if worst < -_INTERP_TOL:
         return CertificateReport(VIOLATED, worst, witness,
                                  details={"trials": trials, "seed": seed})
     return CertificateReport(INCONCLUSIVE, worst, None,

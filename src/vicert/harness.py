@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import __version__, numerics
 from .errors import BadParameters, PreconditionViolated
 from .operators import (
     Affine,
@@ -251,7 +251,7 @@ def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
     # null-space component of the iterates never moves
     S = A.T @ A
     grad0 = S @ x0 + A.T @ op.offset
-    x_star = x0 - numerics.sym_pseudo_solve(S, grad0, rtol=1e-10)
+    x_star = x0 - numerics.sym_pseudo_solve(S, grad0)
     trace = run(op, SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0),
                 x_star=x_star)
     return BoundCheck("hgm-affine-contraction",
@@ -264,10 +264,11 @@ def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
 # Norm-increase search across stepsize regimes
 # ---------------------------------------------------------------------------
 
-def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12,
-                                    num_starts: int = 8,
-                                    gamma1_fracs=(0.25, 0.5, 1.0),
-                                    gamma2_fracs=(0.25, 0.5, 1.0)) -> dict:
+# the search's stepsizes: gamma1 = f/ell and gamma2 = f*gamma1 for f in these
+_STEP_FRACS = (0.25, 0.5, 1.0)
+
+
+def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts: int = 8) -> dict:
     """Search cocoercive affine instances for one-step norm increases.
 
     Looks for (a) increases of the composite-update residual with matched
@@ -293,10 +294,10 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12,
     plain_witnesses = []
     searched = 0
     for name, op, ell in ops:
-        for f1 in gamma1_fracs:
+        for f1 in _STEP_FRACS:
             g1 = f1 / ell
             comp = eg_operator(op, g1)
-            for f2 in gamma2_fracs:
+            for f2 in _STEP_FRACS:
                 g2 = f2 * g1
                 for _ in range(num_starts):
                     # the search's own finite points: no input check per call
@@ -411,7 +412,7 @@ def run_report(seed: int = 20240406, iters: int = 300) -> dict:
             check.params["op"] = entry.name
         checks.extend(fresh)
     return {
-        "version": "0.1.0",
+        "version": __version__,
         "seed": seed,
         "iters": iters,
         "checks": [c.to_json() for c in checks],

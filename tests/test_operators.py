@@ -372,6 +372,23 @@ class TestJson:
         assert np.array_equal(back.matrix, op.matrix)
         assert np.array_equal(back.offset, op.offset)
 
+    def test_malformed_description_is_bad_parameters(self, tmp_path):
+        with pytest.raises(BadParameters, match="malformed operator description"):
+            operators.operator_from_json({"kind": "affine"})
+        path = tmp_path / "op.json"
+        path.write_text('{"kind": "affine", "A": [[1]')
+        with pytest.raises(BadParameters, match="operator file .*op.json"):
+            operators.load_operator(path)
+
+    def test_operator_errors_pass_through(self, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text('{"kind": "affine", "A": [[1e999]]}')
+        with pytest.raises(NonFinite):
+            operators.load_operator(path)
+        path.write_text('{"kind": "affine", "A": [[1, 0]]}')
+        with pytest.raises(DimensionMismatch):
+            operators.load_operator(path)
+
     def test_composite_not_serializable(self):
         comp = eg_operator(LogisticGrad(), 0.5)
         with pytest.raises(BadParameters):

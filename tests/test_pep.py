@@ -512,7 +512,7 @@ class TestLowerBoundSearch:
     def test_bad_parameters(self):
         prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
         with pytest.raises(BadParameters):
-            lower_bound_search(prob, rank=0)
+            lower_bound_search(prob, restarts=0)
 
     def test_norm_pep_search_is_sound(self):
         # any verified point must sit below the problem value; 0.8125 is the
@@ -769,8 +769,7 @@ def _reference_norm_pep(L, gamma1, gamma2, K, operator_class="monotone-lipschitz
         name=f"eg-norm-pep-K{K}" if objective == "last-norm" else f"eg-{objective}",
         basis=tuple(labels), objective=obj, inequalities=tuple(ineqs), equalities=eqs,
         metadata={"L": L, "gamma1": gamma1, "gamma2": gamma2, "K": K,
-                  "operator_class": operator_class, "objective": objective,
-                  "logdet_delta": 1e-6},
+                  "operator_class": operator_class, "objective": objective},
         interior=pep._norm_pep_interior(L, gamma1, gamma2, K, labels)
         if distance_as_equality else None)
 
