@@ -5,20 +5,23 @@ list, a certificate's JSON, a pencil's raw float64 buffer) and compares its
 sha256 digest with the digest recorded before the class inequalities were
 moved into one table.  A refactor that changes a single bit of any of these
 outputs, or the order of any constraint, fails here.  The PEP cases use
-only elementwise float64 arithmetic; the certificate cases also take BLAS
-dot products of short vectors, so their digests hold where those round
-alike (x86-64 builds of numpy's bundled OpenBLAS, whose kernels use FMA).
-Regenerate the digests with ``python tests/test_golden.py`` only for an
-intended change of output.
+only elementwise float64 arithmetic; the certificate cases, the ``report``
+JSON and the solver trace CSVs (recorded before the run loop's products
+were respelled) also take BLAS dot products of short vectors, so their
+digests hold where those round alike (x86-64 builds of numpy's bundled
+OpenBLAS, whose kernels use FMA).  Regenerate the digests with
+``python tests/test_golden.py`` only for an intended change of output.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
-from vicert import certify, pep
-from vicert.operators import Affine
+from vicert import certify, cli, harness, pep
+from vicert.operators import Affine, LogisticGrad, load_operator, rotation
+from vicert.solvers import METHODS, SolverConfig, run
 
 _SYS_POINTS = [
     ("p", [0.3, -1.2], [1.1, 0.4]),
@@ -27,6 +30,9 @@ _SYS_POINTS = [
     ("s", [0.0, 0.0], [0.0, 0.0]),
 ]
 _SAMPLED_OP = Affine([[1.0, 2.0], [-1.5, 0.5]], offset=[0.25, -1.0])
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# stepsizes as fractions of 1/L (1/L^2 for hgm), as the benchmark's trace runs use
+_STEP = {"gd": 0.1, "pp": 0.5, "eg": 0.5, "eg2": 0.5, "og": 0.25, "eftp": 0.25, "hgm": 0.5}
 
 
 def _sdpa(prob, tmp_path) -> bytes:
@@ -57,8 +63,30 @@ def _problems():
         yield f"delta-{measure}", pep.build_delta_pep(1.0, 0.5, 0.7, measure=measure)
 
 
+def _traces():
+    for name, op, x0 in (("rotation", rotation(), [1.0, 0.0]),
+                         ("bilinear4", load_operator(_FIXTURES / "bilinear4.json"),
+                          [0.5, -1.0, 0.25, 2.0]),
+                         ("logistic", LogisticGrad(1.0, 0.01), [2.0])):
+        L = op.constants.lipschitz
+        for method in METHODS:
+            g = _STEP[method] / (L * L if method == "hgm" else L)
+            steps = {"gamma1": g, "gamma2": 0.5 * g} if method == "eg2" else {"gamma": g}
+            cfg = SolverConfig(method, iters=300, x0=np.array(x0), **steps)
+            yield f"{name}-{method}", run(op, cfg, x_star=op.root()).to_csv().encode()
+
+
 def outputs(tmp_path) -> dict[str, bytes]:
     out = {}
+    # the CSV the console-script CI step writes, through the same entry point
+    eg_csv = tmp_path / "eg.csv"
+    cli.main(["run", "--op", "rotation", "--method", "eg", "--gamma", "0.5",
+              "--iters", "10000", "--x0", "1,0", "--out", str(eg_csv)])
+    out["cli:run-rotation-eg-10000"] = eg_csv.read_bytes()
+    out["report:20240406-300"] = harness.report_to_json(
+        harness.run_report(seed=20240406, iters=300)).encode()
+    for key, blob in _traces():
+        out[f"csv:{key}"] = blob
     for key, prob in _problems():
         out[f"sdpa:{key}"] = _sdpa(prob, tmp_path)
         out[f"names:{key}"] = _names(prob)
@@ -122,6 +150,29 @@ GOLDEN = {
     'pencil:diag': 'b855e72e54dfee9a3761fb61a890ead0d0b434b153424760dabe3fec64ec3f1d',
     'star-equiv:shear': 'ffbcd56562dea4a9b2a8e3f4245707ff04b8464f56932e4f10d02bdf9b9b9627',
     'pencil:shear': '110f07453be02a7641e3225e43e7695c8cd8c0ea0adf530d9f2c9567eea25e2d',
+    'cli:run-rotation-eg-10000': '6310e2ea03cb829a7e5f3ce3c218eba9fee2ed3ec4996864c807c9b64e357d1c',
+    'report:20240406-300': '254b11129b4f8e8d6fadeee0986ab056a65f2462e59935ea5c35d73257664acf',
+    'csv:rotation-gd': 'b1929bdb0c04a190f1260220f590b8d85b5d91facc6b6d1b82d530830a3b03eb',
+    'csv:rotation-pp': 'c5f87ecc9d6871f835a41262baeeb1713e68cf2a0ce4962cc6e8babfea0b4d72',
+    'csv:rotation-eg': '0951e4c64f11aa6fd9ee6e443de0d50239311ebd343a44a66ee6b5a752c1a13a',
+    'csv:rotation-eg2': 'faafc8d66147fc4644319400f7cd4a869cc8dafefb850feeaebf6b5c24701ce4',
+    'csv:rotation-og': '126fe1502ac6664c825c65efb3e4585f5a578773dda4128929cb9af808cceb27',
+    'csv:rotation-eftp': 'a5457623e7c38426d5fd932d14ec607ece7030c62a0b520a854dfa15ae6efd61',
+    'csv:rotation-hgm': '4a17c70721bdf2c7349cc2eba5f9add4cadff276bfbe9faf4771f63f5e62c07d',
+    'csv:bilinear4-gd': '68c2ed858881f77b2de807c1dc16931e7595f16a0e80906027ef19d35577ab19',
+    'csv:bilinear4-pp': '8727293d2e869ac42cad8facd049a81c02218bfa936273ff0457a7ec55167015',
+    'csv:bilinear4-eg': '497da0612dad88a19c9da300dda680b01880ba9d0962b2e9b92454c75842a64e',
+    'csv:bilinear4-eg2': 'ad6ca5538300fdb13cf18162fd1ccce6d44eee414837a74ec47252443fe2bb6b',
+    'csv:bilinear4-og': '6c01dd9fb78cf3644e14822fc8da39580735eca01b89cf483ecdc9994696da63',
+    'csv:bilinear4-eftp': 'a5362406be19151ac1ddfbed5834e6a0bc686254ca79ce90168cba4c1049254f',
+    'csv:bilinear4-hgm': '4b0e50a64da0c3a603eb110129cb866007dbaeee40a82e4c92a2b3dfa4fd4b7d',
+    'csv:logistic-gd': '2e53aee3fc7d7da1301ee9f07c494fe4ae2e150c35ca6447d06a5fa5eee9e15e',
+    'csv:logistic-pp': '20370def9ca3dc46439740c2f18cbe76a2d558cfeddd61979d8e1919f60a5d44',
+    'csv:logistic-eg': '7071c7f190e0593d1eb0b70a53cea10f3c33249879a6d5f47c54900239d3538e',
+    'csv:logistic-eg2': 'eae9b2e96ec0ac1aac57a84b449cb2e93dd757bd967e47f661851dbd4228254f',
+    'csv:logistic-og': 'abc7974a14f4f8526eeb4e530b57e9bdc39bed896c11390a6be869a1bde19ef3',
+    'csv:logistic-eftp': 'fe0aae566982f30936e198aebb6c1b6c7005a39670310039783d69d986bd886c',
+    'csv:logistic-hgm': '845e060e6bf8ac8c4738f0c0eb5e67bbdeccb33e53611052380a0efee850b06f',
 }
 
 
