@@ -305,15 +305,17 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts
                     searched += 1
                     cx0 = comp._apply(x0)
                     x1 = x0 - g2 * cx0
-                    c0 = float(np.sum(cx0 ** 2))
-                    c1 = float(np.sum(comp._apply(x1) ** 2))
+                    c0 = float(np.add.reduce(cx0 * cx0))
+                    cx1 = comp._apply(x1)
+                    c1 = float(np.add.reduce(cx1 * cx1))
                     if c1 > c0 + 1e-12:
                         composite_witnesses.append(
                             {"op": name, "ell": ell, "gamma1": g1, "gamma2": g2,
                              "x0": x0.tolist(), "increase": c1 - c0})
                     if g2 < g1:
-                        p0 = float(np.sum(op._apply(x0) ** 2))
-                        p1 = float(np.sum(op._apply(x1) ** 2))
+                        px0, px1 = op._apply(x0), op._apply(x1)
+                        p0 = float(np.add.reduce(px0 * px0))
+                        p1 = float(np.add.reduce(px1 * px1))
                         if p1 > p0 + 1e-12:
                             plain_witnesses.append(
                                 {"op": name, "ell": ell, "gamma1": g1, "gamma2": g2,

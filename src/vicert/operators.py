@@ -38,10 +38,14 @@ class Constants:
     cocoercivity: float | None = None
 
     def __post_init__(self):
-        if self.lipschitz is not None and self.lipschitz <= 0.0:
-            raise BadParameters("declared Lipschitz constant must be positive")
-        if self.cocoercivity is not None and self.cocoercivity <= 0.0:
-            raise BadParameters("declared cocoercivity constant must be positive")
+        # written so that NaN fails each test
+        for name, value, least in (("L", self.lipschitz, "positive"),
+                                   ("Lambda", self.jac_lipschitz, "nonnegative"),
+                                   ("ell", self.cocoercivity, "positive")):
+            if value is not None and not (math.isfinite(value) and (
+                    value > 0.0 if least == "positive" else value >= 0.0)):
+                raise BadParameters(f"declared constant {name} = {value!r} "
+                                    f"must be finite and {least}")
 
     def to_json(self) -> dict:
         out = {}
@@ -107,6 +111,10 @@ class Affine(Operator):
         b.setflags(write=False)
         self.matrix = A
         self.offset = b
+        # what _apply adds: the offset with each -0.0 made +0.0.  At d = 1,
+        # A.dot(x) is the bare product a*x, which is -0.0 where the dot
+        # 0 + a*x of ``A @ x`` gives +0.0; adding +0.0 restores that bit
+        self._shift = b + 0.0
         self.kind = kind
         self.dim = A.shape[0]
         self.constants = constants or Constants()
@@ -114,7 +122,9 @@ class Affine(Operator):
         self._root_computed = root is not None
 
     def _apply(self, x):
-        return self.matrix @ x + self.offset
+        # ndarray.dot calls the gemv kernel that @ calls, with less dispatch;
+        # the shift is added even when it is zero (see __init__)
+        return self.matrix.dot(x) + self._shift
 
     def _jacobian(self, x):
         return self.matrix
@@ -159,9 +169,11 @@ def bilinear_game(coupling) -> Affine:
 
 
 def _sigmoid(t: float) -> float:
+    # np.exp, not math.exp, whose last bit may differ; the arithmetic around
+    # it is on Python floats, which round as numpy scalars do, for less dispatch
     if t >= 0.0:
-        return 1.0 / (1.0 + np.exp(-t))
-    z = np.exp(t)
+        return 1.0 / (1.0 + np.exp(-t).item())
+    z = np.exp(t).item()
     return z / (1.0 + z)
 
 
@@ -172,24 +184,31 @@ class LogisticGrad(Operator):
     dim = 1
 
     def __init__(self, a: float = 1.0, delta: float = 0.01):
-        if a == 0.0:
-            raise BadParameters("slope a must be nonzero")
-        if delta < 0.0:
-            raise BadParameters("regularizer delta must be nonnegative")
-        self.a = float(a)
-        self.delta = float(delta)
+        a, delta = float(a), float(delta)
+        if not (math.isfinite(a) and a != 0.0):
+            raise BadParameters(f"slope a = {a!r} must be finite and nonzero")
+        if not (math.isfinite(delta) and delta >= 0.0):
+            raise BadParameters(f"regularizer delta = {delta!r} must be finite and nonnegative")
         L = a * a / 4.0 + delta
-        self.constants = Constants(lipschitz=L, jac_lipschitz=abs(a) ** 3 / 4.0,
-                                   cocoercivity=L)
+        try:
+            lam = abs(a) ** 3 / 4.0
+        except OverflowError:
+            lam = math.inf
+        if not math.isfinite(L + lam):
+            raise BadParameters(f"a = {a!r}, delta = {delta!r} overflow the constants "
+                                "L = a^2/4 + delta and Lambda = |a|^3/4")
+        self.a = a
+        self.delta = delta
+        self.constants = Constants(lipschitz=L, jac_lipschitz=lam, cocoercivity=L)
         self._root = None
         self._root_computed = False
 
     def _apply(self, x):
-        t = self.a * x[0]
-        return np.array([self.a * _sigmoid(t) + self.delta * x[0]])
+        x0 = x.item()
+        return np.array([self.a * _sigmoid(self.a * x0) + self.delta * x0])
 
     def _jacobian(self, x):
-        s = _sigmoid(self.a * x[0])
+        s = _sigmoid(self.a * x.item())
         return np.array([[self.a * self.a * s * (1.0 - s) + self.delta]])
 
     def second_derivative(self, x0: float) -> float:
@@ -351,7 +370,7 @@ class ImplicitComposite(Operator):
         for _ in range(self.max_iters):
             target = x - self.gamma * self.inner._apply(y)
             d = y - target
-            residual = math.sqrt((d * d).sum())
+            residual = math.sqrt(np.add.reduce(d * d))
             if residual <= self.tol:
                 return y
             if not math.isfinite(residual):

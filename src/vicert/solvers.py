@@ -179,11 +179,11 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             fx = F(x)
             f_evals += 1
             xs[k] = x
-            fx_sq[k] = fsq = fx @ fx
+            fx_sq[k] = fsq = fx.dot(fx)
             root = math.sqrt(fsq) + tiny
             if star is not None:
                 d = x - star
-                dist_sq[k] = d @ d
+                dist_sq[k] = d.dot(d)
             rows = k + 1
             if method in ("eg", "eg2"):
                 mid = x - g1 * fx
@@ -191,7 +191,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                     numerics.as_vector(mid)
                 fmid = F(mid)
                 f_evals += 1
-                extras["mid_sq"][k] = step_sq = fmid @ fmid
+                extras["mid_sq"][k] = step_sq = fmid.dot(fmid)
                 extras["x_mid"][k] = mid
             elif method == "eftp":
                 if k == 0:
@@ -199,8 +199,10 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 extras["tilde_sq"][k] = step_sq
                 extras["x_tilde"][k] = x_tilde
             elif method == "hgm":
+                # @, not .dot: at d = 1, .dot is the bare product j*f, which is
+                # -0.0 where the dot 0 + j*f of @ gives +0.0, and x - g*gh keeps the sign
                 gh = op._jacobian(x).T @ fx
-                extras["grad_h_sq"][k] = step_sq = gh @ gh
+                extras["grad_h_sq"][k] = step_sq = gh.dot(gh)
                 extras["energy"][k] = 0.5 * fsq
             full = k + 1
             if not math.isfinite(fsq) or x_max > _DIVERGENCE_LIMIT:
@@ -217,7 +219,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                     pp_comp = pp_operator(op, g)
                 step = pp_comp._apply(x)
                 x = x - g * step
-                bound = (bound + g * (math.sqrt(step @ step) + tiny)) * slack
+                bound = (bound + g * (math.sqrt(step.dot(step)) + tiny)) * slack
             elif method in ("eg", "eg2"):
                 x = x - g2 * fmid
                 bound = (bound + g2 * (math.sqrt(step_sq) + tiny)) * slack
@@ -232,7 +234,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                     numerics.as_vector(x_tilde)
                 f_tilde = F(x_tilde)
                 f_evals += 1
-                step_sq = f_tilde @ f_tilde
+                step_sq = f_tilde.dot(f_tilde)
                 t_root = math.sqrt(step_sq) + tiny
                 x = x - g * f_tilde
                 bound = (bound + g * t_root) * slack

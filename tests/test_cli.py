@@ -272,6 +272,8 @@ class TestUsageErrors:
         '{"kind": "affine", "A": [[1, 0], [0, 1]], "constants": {"L": "big"}}',
         '{"kind": "custom-table", "points": [[[1, 0], [0, 1], [2, 2]]]}',
         '{"kind": "logistic-grad", "a": 1e200}',   # |a|^3 overflows a Python float
+        '{"kind": "logistic-grad", "a": NaN}',     # Python's json reads NaN
+        '{"kind": "logistic-grad", "delta": Infinity}',
     ])
     def test_malformed_operator_file(self, body, tmp_path, capsys):
         path = tmp_path / "op.json"
@@ -282,6 +284,17 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(f"error: operator file {path}")
+
+    def test_nan_constant_is_named(self, tmp_path, capsys):
+        # NaN <= 0 is false, so a NaN constant once passed its check and the
+        # run failed later on the stepsize it was compared with
+        path = tmp_path / "op.json"
+        path.write_text('{"kind": "affine", "A": [[0, 1], [-1, 0]], "constants": {"L": NaN}}')
+        assert main(["check", "--theorem", "eg-last", "--op", str(path), "--gamma", "0.5",
+                     "--iters", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: operator file {path}")
+        assert "constant L = nan" in err and "gamma" not in err
 
     def test_certify_argv_property(self):
         """Any certify argv, with each constant present or absent (down to

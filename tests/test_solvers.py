@@ -1,13 +1,15 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vicert import numerics, solvers
-from vicert.errors import BadParameters, NonFinite
+from vicert.errors import BadParameters, NoConvergence, NonFinite
 from vicert.operators import (
     Affine,
     Constants,
+    ImplicitComposite,
     LogisticGrad,
     Operator,
     bilinear_game,
@@ -401,11 +403,56 @@ class TestCsv:
 
 
 # ---------------------------------------------------------------------------
-# The run loop before it validated once and cached F values: every F value
-# through the public, checked op(x), og and eftp re-evaluating the F values
-# they already hold, and rows collected in lists.  run() must reproduce it
+# The run loop before it validated once and cached F values: every point
+# checked as the public op(x) checks it, og and eftp re-evaluating the F
+# values they already hold, and rows collected in lists.  F, its Jacobian and
+# every product are spelled as they were before the hot path was respelled
+# (``@`` products, ``.sum()`` residuals, numpy-scalar logistic arithmetic), so
+# run() is compared with code it does not share.  run() must reproduce it
 # bit for bit.
 # ---------------------------------------------------------------------------
+
+def _reference_sigmoid(t):
+    if t >= 0.0:
+        return 1.0 / (1.0 + np.exp(-t))
+    z = np.exp(t)
+    return z / (1.0 + z)
+
+
+def _reference_logistic(op, x):
+    """F(x) and F'(x) of a LogisticGrad, in numpy-scalar arithmetic."""
+    t = op.a * x[0]
+    s = _reference_sigmoid(t)
+    return (np.array([op.a * s + op.delta * x[0]]),
+            np.array([[op.a * op.a * s * (1.0 - s) + op.delta]]))
+
+
+def _reference_apply(op, x):
+    x = numerics.as_vector(x)   # the check op(x) makes
+    if isinstance(op, Affine):
+        return op.matrix @ x + op.offset
+    if isinstance(op, LogisticGrad):
+        return _reference_logistic(op, x)[0]
+    if isinstance(op, ImplicitComposite):
+        y = x.copy()
+        for _ in range(op.max_iters):
+            target = x - op.gamma * _reference_apply(op.inner, y)
+            d = y - target
+            if math.sqrt((d * d).sum()) <= op.tol:
+                return _reference_apply(op.inner, y)
+            y = y - op._theta * d
+        raise NoConvergence("reference fixed point did not converge")
+    return op(x)
+
+
+def _reference_jacobian(op, x):
+    x = numerics.as_vector(x)
+    if isinstance(op, Affine):
+        return op.matrix
+    if isinstance(op, LogisticGrad):
+        return _reference_logistic(op, x)[1]
+    return op.jacobian(x)
+
 
 def _reference_run(op, cfg, x_star=None):
     x = cfg.x0.copy()
@@ -420,9 +467,10 @@ def _reference_run(op, cfg, x_star=None):
     xs, fx_sq, dist_sq = [], [], []
     extras = {name: [] for name in solvers._EXTRAS.get(method, ())}
     diverged = False
+    F = _reference_apply
     for k in range(cfg.iters + 1):
         try:
-            fx = op(x)
+            fx = F(op, x)
             xs.append(x.copy())
             fx_sq.append(float(fx @ fx))
             if star is not None:
@@ -430,15 +478,15 @@ def _reference_run(op, cfg, x_star=None):
                 dist_sq.append(float(d @ d))
             if method in ("eg", "eg2"):
                 mid = x - g1 * fx
-                fmid = op(mid)
+                fmid = F(op, mid)
                 extras["mid_sq"].append(float(fmid @ fmid))
                 extras["x_mid"].append(mid)
             elif method == "eftp":
-                ft = op(x_tilde)
+                ft = F(op, x_tilde)
                 extras["tilde_sq"].append(float(ft @ ft))
                 extras["x_tilde"].append(x_tilde.copy())
             elif method == "hgm":
-                gh = op.jacobian(x).T @ fx
+                gh = _reference_jacobian(op, x).T @ fx
                 extras["grad_h_sq"].append(float(gh @ gh))
                 extras["energy"].append(0.5 * float(fx @ fx))
             if not np.isfinite(fx_sq[-1]) or float(np.abs(x).max(initial=0.0)) > 1e150:
@@ -449,19 +497,19 @@ def _reference_run(op, cfg, x_star=None):
             if method == "gd":
                 x = x - g * fx
             elif method == "pp":
-                x = x - g * pp_comp(x)
+                x = x - g * F(pp_comp, x)
             elif method == "eg":
                 x = x - g * fmid
             elif method == "eg2":
                 x = x - g2 * fmid
             elif method == "og":
-                x_new = x - 2.0 * g * fx + g * op(x_prev)
+                x_new = x - 2.0 * g * fx + g * F(op, x_prev)
                 x_prev, x = x, x_new
             elif method == "eftp":
-                x_tilde = x - g * op(x_tilde)
-                x = x - g * op(x_tilde)
+                x_tilde = x - g * F(op, x_tilde)
+                x = x - g * F(op, x_tilde)
             elif method == "hgm":
-                x = x - g * (op.jacobian(x).T @ fx)
+                x = x - g * (_reference_jacobian(op, x).T @ fx)
         except NonFinite:
             length = len(xs) + 1
             for name, col in {"xs": xs, "fx_sq": fx_sq, "dist_sq": dist_sq, **extras}.items():
@@ -473,6 +521,12 @@ def _reference_run(op, cfg, x_star=None):
                  dist_sq=np.array(dist_sq) if star is not None else None,
                  extras={name: np.array(rows) for name, rows in extras.items() if rows},
                  diverged=diverged)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values, NaN included, and zeros of equal sign."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[a == 0]), np.signbit(b[b == 0])))
 
 
 def _reference_csv(trace):
@@ -511,6 +565,8 @@ def _bit_identity_operators():
         ("monotone50", m50, float(np.linalg.norm(m50.matrix, 2)), rng.standard_normal(50)),
         ("bilinear4", load_operator(FIXTURES / "bilinear4.json"), None, rng.standard_normal(4)),
         ("logistic", LogisticGrad(1.0, 0.01), 0.26, np.array([2.0])),
+        # d = 1 from its root: every product is a signed zero
+        ("signed-zero", Affine([[-1.0]], [-0.0]), 1.0, np.array([-0.0])),
         # |F| is near its peak at the 100-times start of the 1e308 case
         ("bump", _Bump(), 10.0, np.array([0.009, -0.008])),
     ]
@@ -581,17 +637,17 @@ class TestBitIdentity:
                 assert got.diverged and len(got) == 2 and np.isnan(got.fx_sq[1])
                 return
             got = run(op, cfg, star)
-        assert np.array_equal(got.xs, want.xs, equal_nan=True)
         assert got.xs.shape == want.xs.shape
-        assert np.array_equal(got.fx_sq, want.fx_sq, equal_nan=True)
+        assert _same_bits(got.xs, want.xs)
+        assert _same_bits(got.fx_sq, want.fx_sq)
         if star is None:
             assert got.dist_sq is None and want.dist_sq is None
         else:
-            assert np.array_equal(got.dist_sq, want.dist_sq, equal_nan=True)
+            assert _same_bits(got.dist_sq, want.dist_sq)
         assert got.extras.keys() == want.extras.keys()
         for name in want.extras:
             assert got.extras[name].shape == want.extras[name].shape
-            assert np.array_equal(got.extras[name], want.extras[name], equal_nan=True)
+            assert _same_bits(got.extras[name], want.extras[name])
         assert got.diverged == want.diverged
         assert got.to_csv() == _reference_csv(want)
 
