@@ -189,14 +189,13 @@ class LogisticGrad(Operator):
             raise BadParameters(f"slope a = {a!r} must be finite and nonzero")
         if not (math.isfinite(delta) and delta >= 0.0):
             raise BadParameters(f"regularizer delta = {delta!r} must be finite and nonnegative")
-        L = a * a / 4.0 + delta
         try:
+            # a Python float power raises where a product would return inf;
+            # with Lambda finite, L = a^2/4 + delta is finite too
             lam = abs(a) ** 3 / 4.0
         except OverflowError:
-            lam = math.inf
-        if not math.isfinite(L + lam):
-            raise BadParameters(f"a = {a!r}, delta = {delta!r} overflow the constants "
-                                "L = a^2/4 + delta and Lambda = |a|^3/4")
+            raise BadParameters(f"slope a = {a!r} overflows Lambda = |a|^3/4") from None
+        L = a * a / 4.0 + delta
         self.a = a
         self.delta = delta
         self.constants = Constants(lipschitz=L, jac_lipschitz=lam, cocoercivity=L)
