@@ -117,85 +117,6 @@ class TestCheckedCall:
                     call(np.ones(2))
 
 
-def _bits(a) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
-
-
-def _old_sigmoid(t):
-    if t >= 0.0:
-        return 1.0 / (1.0 + np.exp(-t))
-    z = np.exp(t)
-    return z / (1.0 + z)
-
-
-class TestHotPathSpellings:
-    """The unchecked calls the run loop makes give, bit for bit, what the
-    spellings they replaced give: ``A @ x + b`` for an affine map and
-    numpy-scalar arithmetic for the logistic gradient."""
-
-    def test_affine_apply_is_matmul_property(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-
-        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-        @hypothesis.given(d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
-                          scale=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
-                          zeros=st.floats(0.0, 0.9), offset=st.booleans(),
-                          transposed=st.booleans())
-        def prop(d, seed, scale, zeros, offset, transposed):
-            rng = np.random.default_rng(seed)
-            A = scale * rng.standard_normal((d, d))
-            # signed zeros in A and x make A x hold -0.0 entries
-            A[rng.random((d, d)) < zeros] = -0.0
-            x = rng.standard_normal(d)
-            x[rng.random(d) < zeros] = -0.0
-            b = rng.standard_normal(d) if offset else np.zeros(d)
-            b[rng.random(d) < zeros] = -0.0
-            op = Affine(A, b)
-            if transposed:
-                op.matrix = op.matrix.T
-            assert op.matrix.flags.f_contiguous if transposed else op.matrix.flags.c_contiguous
-            assert _bits(op._apply(x)) == _bits(op.matrix @ x + op.offset)
-            # the squared norms of the run loop
-            assert _bits(np.array(x.dot(x))) == _bits(np.array(x @ x))
-            if d > 1:
-                # at d = 1 .dot is the bare product, -0.0 where @ gives +0.0
-                assert _bits(op.matrix.dot(x)) == _bits(op.matrix @ x)
-
-        prop()
-
-    def test_affine_apply_signed_zero_at_d1(self):
-        # a*x = -0.0, which the dot of @ turns into +0.0, plus an offset of
-        # -0.0: an offset added as given would keep -0.0
-        op = Affine([[1.0]], [-0.0])
-        x = np.array([-0.0])
-        assert _bits(op.matrix.dot(x)) == _bits(np.array([-0.0]))
-        assert _bits(op._apply(x)) == _bits(op.matrix @ x + op.offset) == _bits(np.array([0.0]))
-        assert _bits(op.offset) == _bits(np.array([-0.0]))
-
-    def test_logistic_matches_numpy_scalar_formula_property(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        point = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
-
-        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
-        @hypothesis.given(x0=point, a=st.sampled_from([1.0, -2.5, 1e-3, 37.0]),
-                          delta=st.sampled_from([0.01, 0.0, 3.0]))
-        def prop(x0, a, delta):
-            op = LogisticGrad(a, delta)
-            x = np.array([x0])
-            # a*x may overflow to inf, which numpy scalars warn about
-            with np.errstate(over="ignore"):
-                t = op.a * x[0]
-                s = _old_sigmoid(t)
-                f_old = np.array([op.a * s + op.delta * x[0]])
-                j_old = np.array([[op.a * op.a * s * (1.0 - s) + op.delta]])
-            assert _bits(op._apply(x)) == _bits(f_old)
-            assert _bits(op._jacobian(x)) == _bits(j_old)
-
-        prop()
-
-
 class TestParameters:
     @pytest.mark.parametrize("a, delta", [
         (np.nan, 0.01), (np.inf, 0.01), (-np.inf, 0.01), (0.0, 0.01),
