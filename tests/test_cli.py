@@ -286,8 +286,8 @@ class TestUsageErrors:
         assert captured.err.startswith(f"error: operator file {path}")
 
     def test_nan_constant_is_named(self, tmp_path, capsys):
-        # NaN <= 0 is false, so a NaN constant once passed its check and the
-        # run failed later on the stepsize it was compared with
+        # NaN <= 0 is false: a check that only compares lets a NaN constant
+        # through, and the run then fails on the stepsize compared with it
         path = tmp_path / "op.json"
         path.write_text('{"kind": "affine", "A": [[0, 1], [-1, 0]], "constants": {"L": NaN}}')
         assert main(["check", "--theorem", "eg-last", "--op", str(path), "--gamma", "0.5",
