@@ -4,10 +4,13 @@ Each case renders one output to bytes (an SDPA export, a constraint-name
 list, a certificate's JSON, a pencil's raw float64 buffer) and compares its
 sha256 digest with the digest recorded before the class inequalities were
 moved into one table.  A refactor that changes a single bit of any of these
-outputs, or the order of any constraint, fails here.  The PEP cases use
-only elementwise float64 arithmetic; the certificate cases, the ``report``
-JSON and the solver trace CSVs (recorded before the run loop's products
-were respelled) also take BLAS dot products of short vectors, so their
+outputs, or the order of any constraint, fails here.  The PEP cases and the
+logistic roots use only elementwise float64 arithmetic; the certificate
+cases, the ``report`` JSON and the solver trace CSVs (recorded before the
+run loop's products were respelled), and the ``check`` JSONs and the
+violation search (recorded before the bound checks stopped recording
+distances they do not read) also take BLAS dot products of short vectors,
+so their
 digests hold where those round alike (x86-64 builds of numpy's bundled
 OpenBLAS, whose kernels use FMA).  Regenerate the digests with
 ``python tests/test_golden.py`` only for an intended change of output.
@@ -76,6 +79,20 @@ def _traces():
             yield f"{name}-{method}", run(op, cfg, x_star=op.root()).to_csv().encode()
 
 
+# the check JSONs of the five checks that run through harness._run_from; gd
+# is the command line of the console-script CI step, with --ell as declared
+_CHECK_ARGV = {
+    "gd-diag12": ["gd", "--op", str(_FIXTURES / "diag12.json"), "--ell", "2",
+                  "--gamma", "0.5", "--iters", "5"],
+    "pp-diag12": ["pp", "--op", str(_FIXTURES / "diag12.json"), "--ell", "2",
+                  "--gamma", "0.5", "--iters", "300"],
+    "eg-random-rotation": ["eg-random", "--op", "rotation", "--gamma1", "1",
+                           "--gamma2", "0.5", "--iters", "300"],
+    "eg-last-rotation": ["eg-last", "--op", "rotation", "--gamma", "0.7", "--iters", "300"],
+    "eftp-rotation": ["eftp", "--op", "rotation", "--gamma", "0.25", "--iters", "300"],
+}
+
+
 def outputs(tmp_path) -> dict[str, bytes]:
     out = {}
     # the CSV the console-script CI step writes, through the same entry point
@@ -87,6 +104,14 @@ def outputs(tmp_path) -> dict[str, bytes]:
         harness.run_report(seed=20240406, iters=300)).encode()
     for key, blob in _traces():
         out[f"csv:{key}"] = blob
+    for key, argv in _CHECK_ARGV.items():
+        path = tmp_path / f"check-{key}.json"
+        assert cli.main(["check", "--theorem", *argv, "--out", str(path)]) == 0
+        out[f"check:{key}"] = path.read_bytes()
+    out["violation-search:7"] = json.dumps(
+        harness.check_eg_norm_violation_regimes(seed=7), sort_keys=True).encode()
+    for a, delta in ((1.0, 0.01), (-2.5, 3.0)):
+        out[f"logistic-root:{a}-{delta}"] = LogisticGrad(a, delta).root().tobytes()
     for key, prob in _problems():
         out[f"sdpa:{key}"] = _sdpa(prob, tmp_path)
         out[f"names:{key}"] = _names(prob)
@@ -173,6 +198,14 @@ GOLDEN = {
     'csv:logistic-og': 'abc7974a14f4f8526eeb4e530b57e9bdc39bed896c11390a6be869a1bde19ef3',
     'csv:logistic-eftp': 'fe0aae566982f30936e198aebb6c1b6c7005a39670310039783d69d986bd886c',
     'csv:logistic-hgm': '845e060e6bf8ac8c4738f0c0eb5e67bbdeccb33e53611052380a0efee850b06f',
+    'check:gd-diag12': '8974fe6745001843b9c3734cd236fffaefdf273bad5825bb307d8991ddce5809',
+    'check:pp-diag12': '7a18427438cc81eaf84c8794dc9d33eda83ff319e13194181e345faf221bf46a',
+    'check:eg-random-rotation': '1266296a27977c0962d6f1445c8b109d7faece02e8b1585c962ccb77eed08ae7',
+    'check:eg-last-rotation': 'a0c79ab4944fc68b3c219f46a4015c0e162662e7c7ce70d0c07d9a9f77e8ca32',
+    'check:eftp-rotation': 'f8d88f50fcbf938d3a33f0e6c97598209c9d103e0954a1fc3ddbfaa29b39b7df',
+    'violation-search:7': 'a8939eb8e090cd8d076ce6782690682fc711b477db4c9c9be9373ebc19d60531',
+    'logistic-root:1.0-0.01': '469281dcf43633cace3646f3e6fe805257d816a3ee7ee8cde76b63ea0685a641',
+    'logistic-root:-2.5-3.0': 'c85078c9bccf5245e71fa91a71391e5e26f1f9e5e1178c367b01243248c71341',
 }
 
 
