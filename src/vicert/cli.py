@@ -42,6 +42,8 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 _FLAGS = {"lipschitz": "--L", "jac_lipschitz": "--Lambda"}
+# flag dest -> the declared operator constant `check` takes when it is omitted
+_DECLARED = {"ell": "cocoercivity", "lipschitz": "lipschitz", "jac_lipschitz": "jac_lipschitz"}
 
 
 def _require(args, what: str, dests) -> list:
@@ -237,10 +239,9 @@ def _cmd_check(args) -> int:
     args.x0 = _parse_vector(args.x0) if args.x0 else np.ones(op.dim)
     args.xstar = _parse_vector(args.xstar) if args.xstar else op.root()
     # declared operator constants stand in for omitted flags
-    if args.lipschitz is None:
-        args.lipschitz = op.constants.lipschitz
-    if args.jac_lipschitz is None:
-        args.jac_lipschitz = op.constants.jac_lipschitz
+    for dest, constant in _DECLARED.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, getattr(op.constants, constant))
     result = getattr(harness, name)(op, *_require(args, f"--theorem {args.theorem}", dests))
     checks = result if isinstance(result, tuple) else (result,)
     _write_json({"checks": [c.to_json() for c in checks]}, args.out)

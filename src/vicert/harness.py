@@ -86,15 +86,14 @@ class BoundCheck:
 
 
 def _run_from(op: Operator, method: str, iters: int, x0, x_star, **gammas):
-    """Run ``method`` from x0 against the given or stored solution point.
-
-    Returns the trace, its iteration indices k and d0 = ||x0 - x*||^2.
-    """
+    """Run ``method`` from x0; return the trace, its iteration indices k and
+    d0 = ||x0 - x*||^2.  The run records no distances: the given or stored
+    solution point enters the bound through d0 alone."""
     star = numerics.as_vector(x_star) if x_star is not None else op.root()
     if star is None:
         raise PreconditionViolated("this check needs a known solution point")
     x0 = numerics.as_vector(x0)
-    trace = run(op, SolverConfig(method, iters=iters, x0=x0, **gammas), x_star=star)
+    trace = run(op, SolverConfig(method, iters=iters, x0=x0, **gammas))
     return trace, np.arange(len(trace)), float(np.sum((x0 - star) ** 2))
 
 
@@ -299,9 +298,9 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts
             comp = eg_operator(op, g1)
             for f2 in _STEP_FRACS:
                 g2 = f2 * g1
-                for _ in range(num_starts):
-                    # the search's own finite points: no input check per call
-                    x0 = rng.standard_normal(op.dim)
+                # one draw fills the rows in C order, the stream of one draw
+                # per row; the search's own finite points: no input check per call
+                for x0 in rng.standard_normal((num_starts, op.dim)):
                     searched += 1
                     cx0 = comp._apply(x0)
                     x1 = x0 - g2 * cx0

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     NoAnalyticJacobian,
     NoConvergence,
+    NonFinite,
     NotAffine,
     OffTable,
     SingularMatrix,
@@ -200,7 +201,6 @@ class LogisticGrad(Operator):
         self.delta = delta
         self.constants = Constants(lipschitz=L, jac_lipschitz=lam, cocoercivity=L)
         self._root = None
-        self._root_computed = False
 
     def _apply(self, x):
         x0 = x.item()
@@ -217,17 +217,20 @@ class LogisticGrad(Operator):
     def root(self):
         if self.delta == 0.0:
             return None
-        if not self._root_computed:
-            lo = -(abs(self.a) + 1.0) / self.delta
+        if self._root is None:
             hi = (abs(self.a) + 1.0) / self.delta
+            if not math.isfinite(hi):
+                raise NonFinite(f"root bracket (|a| + 1)/delta = {hi!r} is beyond float range")
+            lo = -hi
+            # the root lies within hi/2 of 0, so lo + hi never leaves [-hi, hi]:
+            # every midpoint is finite and F takes it unchecked
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                if self(np.array([mid]))[0] > 0.0:
+                if self._apply(np.array([mid]))[0] > 0.0:
                     hi = mid
                 else:
                     lo = mid
             self._root = np.array([0.5 * (lo + hi)])
-            self._root_computed = True
         return self._root.copy()
 
 

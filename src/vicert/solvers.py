@@ -85,13 +85,13 @@ class Trace:
 
     def to_csv(self) -> str:
         cols = self.scalar_extras()
-        n = len(self)
-        dist = self.dist_sq if self.dist_sq is not None else np.full(n, np.nan)
         header = "k,fx_sq,dist_sq" + "".join("," + name for name in cols) + "\n"
-        # "%.17g" writes what serial.fmt17 writes, nan, inf and -0 included
-        row = "%d" + ",%.17g" * (2 + len(cols)) + "\n"
-        columns = [self.fx_sq.tolist(), dist.tolist(), *(c.tolist() for c in cols.values())]
-        return header + "".join(row % values for values in zip(range(n), *columns))
+        # "%.17g" writes what serial.fmt17 writes, nan, inf and -0 included; a
+        # trace without distances writes the nan of its dist_sq column literally
+        dist = ",nan" if self.dist_sq is None else ",%.17g"
+        row = "%d,%.17g" + dist + ",%.17g" * len(cols) + "\n"
+        columns = [c.tolist() for c in (self.fx_sq, self.dist_sq, *cols.values()) if c is not None]
+        return header + "".join(row % values for values in zip(range(len(self)), *columns))
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -203,7 +203,6 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 # -0.0 where the dot 0 + j*f of @ gives +0.0, and x - g*gh keeps the sign
                 gh = op._jacobian(x).T @ fx
                 extras["grad_h_sq"][k] = step_sq = gh.dot(gh)
-                extras["energy"][k] = 0.5 * fsq
             full = k + 1
             if not math.isfinite(fsq) or x_max > _DIVERGENCE_LIMIT:
                 diverged = True
@@ -252,6 +251,10 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             rows += 1
             diverged = True
             break
+    if method == "hgm":
+        # 0.5 * ||F(x^k)||^2 for every full row at once, the same product as
+        # row by row; the rows past full keep the NaN of an overflow
+        extras["energy"][:full] = 0.5 * fx_sq[:full]
 
     def trim(a):
         if a is None:

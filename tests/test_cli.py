@@ -148,6 +148,35 @@ class TestCheck:
                      "--gamma", "1.0", "--iters", "50", "--x0", "2"])
         assert code == 0
 
+    def test_ell_defaults_to_the_declared_constant(self, tmp_path, capsys):
+        # diag12.json declares ell = 2: the output is that of --ell 2
+        argv = ["check", "--theorem", "gd", "--op", str(FIXTURES / "diag12.json"),
+                "--gamma", "0.5", "--iters", "5", "--out"]
+        assert main(argv + [str(tmp_path / "declared.json")]) == 0
+        assert main(argv + [str(tmp_path / "given.json"), "--ell", "2"]) == 0
+        declared = (tmp_path / "declared.json").read_bytes()
+        assert declared == (tmp_path / "given.json").read_bytes()
+        assert json.loads(declared)["checks"][0]["params"]["ell"] == 2.0
+
+    def test_explicit_flag_wins_over_the_declared_constant(self, capsys):
+        assert main(["check", "--theorem", "gd", "--op", str(FIXTURES / "diag12.json"),
+                     "--ell", "4", "--gamma", "0.25", "--iters", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {c["params"]["ell"] for c in payload["checks"]} == {4.0}
+
+    def test_gd_on_logistic_file(self, capsys):
+        assert main(["check", "--theorem", "gd", "--op", str(FIXTURES / "logistic.json"),
+                     "--gamma", "1", "--iters", "5"]) == 0
+
+    def test_pp_on_logistic_file_names_the_precondition(self, capsys):
+        # the declared ell = 0.26 gives the inner stepsize 2/ell, which the
+        # nonlinear implicit step refuses
+        assert main(["check", "--theorem", "pp", "--op", str(FIXTURES / "logistic.json"),
+                     "--gamma", "1", "--iters", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "gamma*L = 2 >= 1 breaks the inner contraction" in err
+        assert "required" not in err
+
 
 class TestCertify:
     def test_rotation_rejected(self, capsys):

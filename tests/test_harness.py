@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vicert import harness
+from vicert import harness, numerics
 from vicert.errors import PreconditionViolated
 from vicert.harness import (
     check_eftp_bound,
@@ -20,6 +20,7 @@ from vicert.harness import (
     standard_suite,
 )
 from vicert.operators import Affine, LogisticGrad, rotation, scaled_identity
+from vicert.solvers import SolverConfig, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -176,7 +177,107 @@ class TestHgm:
         assert check.passed
 
 
+def _reference_run_from(op, method, iters, x0, x_star, **gammas):
+    """The checks' run before they stopped recording distances: the run is
+    given the solution point."""
+    star = numerics.as_vector(x_star) if x_star is not None else op.root()
+    if star is None:
+        raise PreconditionViolated("this check needs a known solution point")
+    x0 = numerics.as_vector(x0)
+    trace = run(op, SolverConfig(method, iters=iters, x0=x0, **gammas), x_star=star)
+    return trace, np.arange(len(trace)), float(np.sum((x0 - star) ** 2))
+
+
+# the five checks that run through _run_from, called as in the report
+_RUN_FROM_CHECKS = {
+    "gd": lambda e: check_gd_bounds(e.op, e.ell, 1.0 / e.ell, 80, e.x0, e.x_star),
+    "pp": lambda e: check_pp_bound(e.op, max(1.0, 2.5 * e.L), 1.0 / max(1.0, 2.5 * e.L),
+                                   80, e.x0, e.x_star),
+    "eg-random": lambda e: check_eg_random_bound(e.op, e.L, 1.0 / e.L, 0.5 / e.L, 80,
+                                                 e.x0, e.x_star),
+    "eg-last": lambda e: check_eg_last_bounds(e.op, e.L, 1.0 / (np.sqrt(2.0) * e.L), 80,
+                                              e.x0, e.x_star),
+    "eftp": lambda e: check_eftp_bound(e.op, e.L, 0.9 / (np.sqrt(10.0) * e.L), 80,
+                                       e.x0, e.x_star),
+}
+_SUITE = {e.name: e for e in standard_suite()}
+
+
+class TestRunFromRecordsNoDistances:
+    """The bound checks read the solution point through d0 only: run without
+    it, they give every array bit for bit as the run given it does."""
+
+    @pytest.mark.parametrize("entry", ["diag12", "spd-5d", "logistic"])
+    @pytest.mark.parametrize("check", sorted(_RUN_FROM_CHECKS))
+    def test_arrays_match_the_run_given_the_solution(self, check, entry, monkeypatch):
+        e = _SUITE[entry]
+        got = _RUN_FROM_CHECKS[check](e)
+        monkeypatch.setattr(harness, "_run_from", _reference_run_from)
+        want = _RUN_FROM_CHECKS[check](e)
+        got, want = (c if isinstance(c, tuple) else (c,) for c in (got, want))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.check_id == w.check_id and g.params == w.params
+            for name in ("ks", "observed", "bound"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("check", sorted(_RUN_FROM_CHECKS) + ["hgm-affine"])
+    def test_only_the_affine_contraction_records_distances(self, check, monkeypatch):
+        stars = []
+
+        def spy(op, cfg, x_star=None):
+            stars.append(x_star)
+            return run(op, cfg, x_star)
+
+        monkeypatch.setattr(harness, "run", spy)
+        e = _SUITE["diag12"]
+        if check == "hgm-affine":
+            check_hgm_affine_contraction(e.op, 20, e.x0)
+        else:
+            _RUN_FROM_CHECKS[check](e)
+        assert [star is not None for star in stars] == [check == "hgm-affine"]
+
+
 class TestViolationSearch:
+    def test_starts_are_the_stream_of_one_draw_per_start(self, monkeypatch):
+        """The starts of each cell, drawn as one (num_starts, d) array, are the
+        draws one standard_normal(d) per start gives."""
+        seen = []
+        real = harness.eg_operator
+
+        def spy(op, gamma):
+            comp = real(op, gamma)
+            apply = comp._apply
+
+            def recording(x):
+                seen.append(x.copy())
+                return apply(x)
+
+            comp._apply = recording
+            return comp
+
+        monkeypatch.setattr(harness, "eg_operator", spy)
+        num_ops, num_starts = 6, 5
+        report = check_eg_norm_violation_regimes(seed=3, num_ops=num_ops,
+                                                 num_starts=num_starts)
+        starts = seen[0::2]   # per start: F at x0, then at x1
+        rng = np.random.default_rng(3)
+        dims = []
+        for i in range(num_ops):
+            if i % 3 == 0:
+                rng.uniform(0.5, 4.0)
+                dims.append(2)
+            else:
+                d = int(rng.integers(2, 5))
+                rng.standard_normal((d, d))
+                dims.append(d)
+        cells = len(harness._STEP_FRACS) ** 2
+        want = [rng.standard_normal(d) for d in dims for _ in range(cells * num_starts)]
+        assert len(starts) == len(want) == report["searched"]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(starts, want))
+
     def test_matched_stepsizes_find_nothing(self):
         report = check_eg_norm_violation_regimes(seed=0, num_ops=6, num_starts=4)
         assert report["composite_norm_increases"] == []

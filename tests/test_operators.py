@@ -117,6 +117,49 @@ class TestCheckedCall:
                     call(np.ones(2))
 
 
+class TestLogisticRoot:
+    @staticmethod
+    def _reference_root(op):
+        # the bisection through the checked public call
+        lo = -(abs(op.a) + 1.0) / op.delta
+        hi = (abs(op.a) + 1.0) / op.delta
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if op(np.array([mid]))[0] > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return np.array([0.5 * (lo + hi)])
+
+    @pytest.mark.parametrize("a, delta", [
+        (1.0, 0.01), (-2.5, 3.0), (37.0, 1e-3), (1e-3, 1e-6), (-4e100, 1.0),
+        (1.0, 1e-300),   # a bracket of +-2e300, wider than 200 halvings close
+    ])
+    def test_same_bits_as_the_checked_bisection(self, a, delta):
+        op = LogisticGrad(a, delta)
+        assert op.root().tobytes() == self._reference_root(op).tobytes()
+
+    def test_no_input_check_per_midpoint(self, monkeypatch):
+        calls = []
+        checked = LogisticGrad._checked
+
+        def counting(self, x):
+            calls.append(1)
+            return checked(self, x)
+
+        monkeypatch.setattr(LogisticGrad, "_checked", counting)
+        LogisticGrad(1.0, 0.01).root()
+        assert calls == []
+
+    def test_bracket_beyond_float_range(self):
+        # (|a| + 1)/delta overflows, so the first midpoint would be NaN
+        op = LogisticGrad(1.0, 1e-310)
+        with pytest.raises(NonFinite, match="beyond float range"):
+            op.root()
+        with pytest.raises(NonFinite):
+            self._reference_root(op)
+
+
 class TestParameters:
     @pytest.mark.parametrize("a, delta", [
         (np.nan, 0.01), (np.inf, 0.01), (-np.inf, 0.01), (0.0, 0.01),

@@ -401,6 +401,31 @@ class TestCsv:
         row1 = text.splitlines()[1].split(",")
         assert float(row1[1]) == trace.fx_sq[0]
 
+    def test_matches_reference_formatter_property(self):
+        """to_csv writes what the per-value reference formatter writes, with
+        and without distances, for any float64 column values (nan of either
+        sign, +-inf, -0 and subnormals included)."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        value = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                 | st.sampled_from([-0.0, -math.nan, 5e-324, np.finfo(float).max]))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(method=st.sampled_from(METHODS), with_star=st.booleans(),
+                          data=st.data(), n=st.integers(0, 20))
+        def prop(method, with_star, data, n):
+            def column():
+                return np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
+                                dtype=float)
+
+            extras = {name: np.zeros((n, 2)) if name.startswith("x") else column()
+                      for name in solvers._EXTRAS.get(method, ())}
+            trace = Trace(method=method, xs=np.zeros((n, 2)), fx_sq=column(),
+                          dist_sq=column() if with_star else None, extras=extras)
+            assert trace.to_csv() == _reference_csv(trace)
+
+        prop()
+
 
 # ---------------------------------------------------------------------------
 # The run loop before it validated once and cached F values: every point
@@ -717,6 +742,23 @@ class TestBitIdentity:
             assert _same_bits(got.extras[name], want.extras[name])
         assert got.diverged == want.diverged
         assert got.to_csv() == _reference_csv(want)
+
+    def test_hgm_energy_on_the_nan_row_paths(self):
+        # hgm's energy column is filled after the loop: at 1e160 its last row
+        # is inf, and at 1e308 from the 100-times start F meets an overflowed
+        # iterate, so the trace ends on the NaN row the overflow path writes
+        nan_rows = 0
+        for _, op, _, x0 in _BIT_OPS:
+            for scale in (1e160, 1e308):
+                cfg = SolverConfig("hgm", gamma=scale, iters=200,
+                                   x0=x0 * (100.0 if scale == 1e308 else 1.0))
+                self._assert_same(op, cfg)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trace = run(op, cfg)
+                energy = trace.extras["energy"]
+                assert _same_bits(energy, 0.5 * trace.fx_sq)
+                nan_rows += bool(np.isnan(energy[-1]))
+        assert nan_rows >= 4
 
     def test_matches_reference_property(self):
         """Over stepsizes and start scales from tame to overflowing, run()
