@@ -7,10 +7,10 @@ moved into one table.  A refactor that changes a single bit of any of these
 outputs, or the order of any constraint, fails here.  The PEP cases and the
 logistic roots use only elementwise float64 arithmetic; the certificate
 cases, the ``report`` JSON and the solver trace CSVs (recorded before the
-run loop's products were respelled), and the ``check`` JSONs and the
+run loop's products were respelled), the ``check`` JSONs and the
 violation search (recorded before the bound checks stopped recording
-distances they do not read) also take BLAS dot products of short vectors,
-so their
+distances they do not read; the hgm ones before the report's two hgm checks
+shared a run) also take BLAS dot products of short vectors, so their
 digests hold where those round alike (x86-64 builds of numpy's bundled
 OpenBLAS, whose kernels use FMA).  Regenerate the digests with
 ``python tests/test_golden.py`` only for an intended change of output.
@@ -79,8 +79,9 @@ def _traces():
             yield f"{name}-{method}", run(op, cfg, x_star=op.root()).to_csv().encode()
 
 
-# the check JSONs of the five checks that run through harness._run_from; gd
-# is the command line of the console-script CI step, with --ell as declared
+# the check JSONs of the five checks that run through harness._run_from and
+# of the two hgm checks; gd, hgm and hgm-affine are the command lines of the
+# console-script CI step (which leaves gd's --ell to the declared constants)
 _CHECK_ARGV = {
     "gd-diag12": ["gd", "--op", str(_FIXTURES / "diag12.json"), "--ell", "2",
                   "--gamma", "0.5", "--iters", "5"],
@@ -90,6 +91,10 @@ _CHECK_ARGV = {
                            "--gamma2", "0.5", "--iters", "300"],
     "eg-last-rotation": ["eg-last", "--op", "rotation", "--gamma", "0.7", "--iters", "300"],
     "eftp-rotation": ["eftp", "--op", "rotation", "--gamma", "0.25", "--iters", "300"],
+    "hgm-diag12": ["hgm", "--op", str(_FIXTURES / "diag12.json"), "--Lambda", "0",
+                   "--gamma", "0.25", "--iters", "300"],
+    "hgm-affine-diag12": ["hgm-affine", "--op", str(_FIXTURES / "diag12.json"),
+                          "--iters", "300"],
 }
 
 
@@ -203,6 +208,8 @@ GOLDEN = {
     'check:eg-random-rotation': '1266296a27977c0962d6f1445c8b109d7faece02e8b1585c962ccb77eed08ae7',
     'check:eg-last-rotation': 'a0c79ab4944fc68b3c219f46a4015c0e162662e7c7ce70d0c07d9a9f77e8ca32',
     'check:eftp-rotation': 'f8d88f50fcbf938d3a33f0e6c97598209c9d103e0954a1fc3ddbfaa29b39b7df',
+    'check:hgm-diag12': '1363965213b9ae836c23c18ab8f90ace7db163c229df05ad90806774d7558e78',
+    'check:hgm-affine-diag12': 'd91a2f70252639f3e304886de20a6e6cd601ad3069cb2391d931a691b4b87817',
     'violation-search:7': 'a8939eb8e090cd8d076ce6782690682fc711b477db4c9c9be9373ebc19d60531',
     'logistic-root:1.0-0.01': '469281dcf43633cace3646f3e6fe805257d816a3ee7ee8cde76b63ea0685a641',
     'logistic-root:-2.5-3.0': 'c85078c9bccf5245e71fa91a71391e5e26f1f9e5e1178c367b01243248c71341',
