@@ -4,6 +4,7 @@ and deterministic machine-readable reports."""
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .operators import (
     scaled_identity,
 )
 from .serial import jsonable
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, Trace, run
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT10 = float(np.sqrt(10.0))
@@ -205,32 +206,78 @@ def _hgm_cap(op: Operator, L: float, jac_lipschitz: float, x0) -> tuple[float, f
     return _positive("L^2 + Lambda*||F(x0)||", L * L + jac_lipschitz * f0), f0
 
 
+@dataclass(frozen=True)
+class _Planned:
+    """A check split at its run: the run it asks for, the solution point the
+    run records distances to (None for none), and the bound evaluation on
+    the trace."""
+
+    cfg: SolverConfig
+    x_star: np.ndarray | None
+    finish: Callable[[Trace], tuple[BoundCheck, ...]]
+
+    def run_key(self) -> tuple:
+        """Equal for two plans that ask for the same iterates."""
+        c = self.cfg
+        return (c.method, c.gamma, c.gamma1, c.gamma2, c.iters, c.x0.tobytes())
+
+
+def _finish_sharing_runs(op: Operator, plans: list[_Planned]) -> list[BoundCheck]:
+    """Each plan's checks, in order, from one run per distinct ``run_key``.
+    Distances never feed back into the iterates, so a shared run records
+    those of the plan that names a solution point; at most one plan of a
+    group may name one."""
+    stars: dict[tuple, np.ndarray | None] = {}
+    for plan in plans:
+        key = plan.run_key()
+        if stars.get(key) is None:
+            stars[key] = plan.x_star
+    traces = {}
+    checks: list[BoundCheck] = []
+    for plan in plans:
+        key = plan.run_key()
+        if key not in traces:
+            traces[key] = run(op, plan.cfg, x_star=stars[key])
+        checks.extend(plan.finish(traces[key]))
+    return checks
+
+
+def _plan_hgm_bounds(op: Operator, L: float, jac_lipschitz: float, gamma: float,
+                     iters: int, x0, capped: tuple[float, float] | None = None) -> _Planned:
+    """check_hgm_bounds up to its run; ``capped`` is ``_hgm_cap``'s result
+    when the caller has it already."""
+    if iters < 1:
+        raise PreconditionViolated("the monotonicity check needs iters >= 1")
+    x0 = numerics.as_vector(x0)
+    cap, f0 = capped if capped is not None else _hgm_cap(op, L, jac_lipschitz, x0)
+    if not 0.0 < gamma <= 2.0 / cap + 1e-12:
+        raise PreconditionViolated("need 0 < gamma <= 2/(L^2 + Lambda*||F(x0)||)")
+    denom = _positive("gamma*(2 - gamma*cap)", gamma * (2.0 - gamma * cap))
+    params = {"L": L, "Lambda": jac_lipschitz, "gamma": gamma, "iters": iters}
+
+    def finish(trace: Trace) -> tuple[BoundCheck, BoundCheck]:
+        ks = np.arange(len(trace))
+        best = np.minimum.accumulate(trace.extras["grad_h_sq"])
+        bound = f0 * f0 / (denom * (ks + 1.0))
+        best_check = BoundCheck("hgm-best", params, ks, best, bound)
+        norms = np.sqrt(trace.fx_sq)
+        mono = BoundCheck("hgm-monotone", params, ks[1:], norms[1:], norms[:-1],
+                          rel_tol=0.0, abs_tol=1e-12)
+        return best_check, mono
+
+    return _Planned(SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0), None, finish)
+
+
 def check_hgm_bounds(op: Operator, L: float, jac_lipschitz: float, gamma: float,
                      iters: int, x0) -> tuple[BoundCheck, BoundCheck]:
     """Best-iterate bound on the residual-energy gradient and the residual
     norm monotonicity of the energy-descent method."""
-    if iters < 1:
-        raise PreconditionViolated("the monotonicity check needs iters >= 1")
-    x0 = numerics.as_vector(x0)
-    cap, f0 = _hgm_cap(op, L, jac_lipschitz, x0)
-    if not 0.0 < gamma <= 2.0 / cap + 1e-12:
-        raise PreconditionViolated("need 0 < gamma <= 2/(L^2 + Lambda*||F(x0)||)")
-    denom = _positive("gamma*(2 - gamma*cap)", gamma * (2.0 - gamma * cap))
-    trace = run(op, SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0))
-    ks = np.arange(len(trace))
-    best = np.minimum.accumulate(trace.extras["grad_h_sq"])
-    bound = f0 * f0 / (denom * (ks + 1.0))
-    params = {"L": L, "Lambda": jac_lipschitz, "gamma": gamma, "iters": iters}
-    best_check = BoundCheck("hgm-best", params, ks, best, bound)
-    norms = np.sqrt(trace.fx_sq)
-    mono = BoundCheck("hgm-monotone", params, ks[1:], norms[1:], norms[:-1],
-                      rel_tol=0.0, abs_tol=1e-12)
-    return best_check, mono
+    plan = _plan_hgm_bounds(op, L, jac_lipschitz, gamma, iters, x0)
+    return plan.finish(run(op, plan.cfg))
 
 
-def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
-    """Per-step distance contraction of the energy-descent method on an affine
-    operator at stepsize 1/sigma_max^2, with factor (1-kappa)/(1+kappa)."""
+def _plan_hgm_affine_contraction(op: Affine, iters: int, x0) -> _Planned:
+    """check_hgm_affine_contraction up to its run."""
     if not isinstance(op, Affine):
         raise BadParameters("affine contraction check needs an affine operator")
     if iters < 1:
@@ -251,12 +298,21 @@ def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
     S = A.T @ A
     grad0 = S @ x0 + A.T @ op.offset
     x_star = x0 - numerics.sym_pseudo_solve(S, grad0)
-    trace = run(op, SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0),
-                x_star=x_star)
-    return BoundCheck("hgm-affine-contraction",
-                      {"gamma": gamma, "kappa": kappa, "rho": rho, "iters": iters},
-                      np.arange(len(trace) - 1), trace.dist_sq[1:],
-                      rho * trace.dist_sq[:-1], rel_tol=1e-12, abs_tol=1e-12)
+
+    def finish(trace: Trace) -> tuple[BoundCheck]:
+        return (BoundCheck("hgm-affine-contraction",
+                           {"gamma": gamma, "kappa": kappa, "rho": rho, "iters": iters},
+                           np.arange(len(trace) - 1), trace.dist_sq[1:],
+                           rho * trace.dist_sq[:-1], rel_tol=1e-12, abs_tol=1e-12),)
+
+    return _Planned(SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0), x_star, finish)
+
+
+def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
+    """Per-step distance contraction of the energy-descent method on an affine
+    operator at stepsize 1/sigma_max^2, with factor (1-kappa)/(1+kappa)."""
+    plan = _plan_hgm_affine_contraction(op, iters, x0)
+    return plan.finish(run(op, plan.cfg, x_star=plan.x_star))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +460,15 @@ def run_report(seed: int = 20240406, iters: int = 300) -> dict:
         fresh.append(check_eg_random_bound(op, L, 1.0 / L, 0.5 / L, iters, x0, star))
         fresh.extend(check_eg_last_bounds(op, L, 1.0 / (_SQRT2 * L), iters, x0, star))
         fresh.append(check_eftp_bound(op, L, 0.9 / (_SQRT10 * L), iters, x0, star))
+        # the two hgm checks run once where they ask for the same run
+        hgm: list[_Planned] = []
         if entry.jac_lipschitz is not None:
-            gamma = 1.0 / _hgm_cap(op, L, entry.jac_lipschitz, x0)[0]
-            fresh.extend(check_hgm_bounds(op, L, entry.jac_lipschitz, gamma, iters, x0))
+            capped = _hgm_cap(op, L, entry.jac_lipschitz, x0)
+            hgm.append(_plan_hgm_bounds(op, L, entry.jac_lipschitz, 1.0 / capped[0],
+                                        iters, x0, capped))
         if isinstance(op, Affine):
-            fresh.append(check_hgm_affine_contraction(op, iters, x0))
+            hgm.append(_plan_hgm_affine_contraction(op, iters, x0))
+        fresh.extend(_finish_sharing_runs(op, hgm))
         for check in fresh:
             check.params["op"] = entry.name
         checks.extend(fresh)

@@ -223,14 +223,16 @@ class LogisticGrad(Operator):
                 raise NonFinite(f"root bracket (|a| + 1)/delta = {hi!r} is beyond float range")
             lo = -hi
             # the root lies within hi/2 of 0, so lo + hi never leaves [-hi, hi]:
-            # every midpoint is finite and F takes it unchecked
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
+            # every midpoint is finite and F takes it unchecked.  F(lo) <= 0 < F(hi)
+            # until the midpoint rounds to an end, when lo and hi are adjacent floats
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
                 if self._apply(np.array([mid]))[0] > 0.0:
                     hi = mid
                 else:
                     lo = mid
-            self._root = np.array([0.5 * (lo + hi)])
+                mid = 0.5 * (lo + hi)
+            self._root = np.array([mid])
         return self._root.copy()
 
 
@@ -365,16 +367,17 @@ class ImplicitComposite(Operator):
         self._theta = 1.0 if L is None or gamma * L <= 0.9 else 1.0 / (1.0 + gamma * L)
 
     def inner_point(self, x) -> np.ndarray:
-        return self._inner_point(self._checked(x))
+        return self._solve(self._checked(x))[0]
 
-    def _inner_point(self, x) -> np.ndarray:
+    def _solve(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The fixed point y and F(y), the value its last iteration computed."""
         y = x.copy()
         for _ in range(self.max_iters):
-            target = x - self.gamma * self.inner._apply(y)
-            d = y - target
+            fy = self.inner._apply(y)
+            d = y - (x - self.gamma * fy)
             residual = math.sqrt(np.add.reduce(d * d))
             if residual <= self.tol:
-                return y
+                return y, fy
             if not math.isfinite(residual):
                 # a non-finite y makes the residual non-finite: only then is
                 # the full check of the point fed to F worth its cost
@@ -383,7 +386,7 @@ class ImplicitComposite(Operator):
         raise NoConvergence("implicit-step fixed point did not reach tolerance")
 
     def _apply(self, x):
-        return self.inner._apply(self._inner_point(x))
+        return self._solve(x)[1]
 
     def root(self):
         return self.inner.root()

@@ -240,6 +240,58 @@ class TestRunFromRecordsNoDistances:
         assert [star is not None for star in stars] == [check == "hgm-affine"]
 
 
+def _spy_runs(monkeypatch):
+    runs = []
+
+    def spy(op, cfg, x_star=None):
+        runs.append((op, cfg, x_star))
+        return run(op, cfg, x_star)
+
+    monkeypatch.setattr(harness, "run", spy)
+    return runs
+
+
+class TestReportSharesHgmRuns:
+    """Where the hgm bound checks and the affine contraction check ask for the
+    same run, the report runs it once and evaluates both on its trace."""
+
+    def test_one_run_per_distinct_run(self, monkeypatch):
+        runs = _spy_runs(monkeypatch)
+        run_report(seed=20240406, iters=300)
+        assert len(runs) == 50
+        keys = [(id(op), cfg.method, cfg.gamma, cfg.gamma1, cfg.gamma2, cfg.iters,
+                 cfg.x0.tobytes()) for op, cfg, _ in runs]
+        assert len(set(keys)) == len(keys)
+        suite = standard_suite(20240406)
+        affine = [e for e in suite if isinstance(e.op, Affine)]
+        hgm = [(op, cfg, star) for op, cfg, star in runs if cfg.method == "hgm"]
+        # every entry has a jac_lipschitz; the affine ones share where the
+        # contraction's stepsize 1/sigma_max^2 is the report's 1/L^2
+        shared = [e for e in affine
+                  if 1.0 / (e.L * e.L) == 1.0 / numerics.spectral_norm(e.op.matrix) ** 2]
+        assert len(affine) == 8 and len(shared) == 6
+        assert len(hgm) == len(suite) + len(affine) - len(shared)
+        # each affine entry's contraction still records its distances
+        assert sum(star is not None for _, _, star in hgm) == len(affine)
+
+    def test_standalone_checks_make_their_own_runs(self, monkeypatch):
+        runs = _spy_runs(monkeypatch)
+        e = _SUITE["diag12"]
+        check_hgm_bounds(e.op, e.L, 0.0, 1.0 / (e.L * e.L), 20, e.x0)
+        check_hgm_affine_contraction(e.op, 20, e.x0)
+        assert [star is not None for _, _, star in runs] == [False, True]
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 20240406])
+    def test_same_json_as_one_run_per_check(self, seed, monkeypatch):
+        got = report_to_json(run_report(seed=seed, iters=100))
+
+        def unshared(op, plans):
+            return [c for p in plans for c in p.finish(run(op, p.cfg, x_star=p.x_star))]
+
+        monkeypatch.setattr(harness, "_finish_sharing_runs", unshared)
+        assert got == report_to_json(run_report(seed=seed, iters=100))
+
+
 class TestViolationSearch:
     def test_starts_are_the_stream_of_one_draw_per_start(self, monkeypatch):
         """The starts of each cell, drawn as one (num_starts, d) array, are the

@@ -27,6 +27,7 @@ from vicert.operators import (
     rotation,
     scaled_identity,
 )
+from vicert.solvers import SolverConfig, run
 
 
 class TestEval:
@@ -119,17 +120,23 @@ class TestCheckedCall:
 
 class TestLogisticRoot:
     @staticmethod
-    def _reference_root(op):
-        # the bisection through the checked public call
+    def _reference_root(op, halvings=None):
+        # the bisection through the checked public call, which checks every
+        # midpoint, until the midpoint rounds to an end of the bracket or for
+        # a fixed number of halvings
         lo = -(abs(op.a) + 1.0) / op.delta
         hi = (abs(op.a) + 1.0) / op.delta
-        for _ in range(200):
+        done = 0
+        while True:
             mid = 0.5 * (lo + hi)
-            if op(np.array([mid]))[0] > 0.0:
+            positive = op(np.array([mid]))[0] > 0.0
+            if done == halvings or (halvings is None and not lo < mid < hi):
+                return np.array([mid])
+            if positive:
                 hi = mid
             else:
                 lo = mid
-        return np.array([0.5 * (lo + hi)])
+            done += 1
 
     @pytest.mark.parametrize("a, delta", [
         (1.0, 0.01), (-2.5, 3.0), (37.0, 1e-3), (1e-3, 1e-6), (-4e100, 1.0),
@@ -138,6 +145,30 @@ class TestLogisticRoot:
     def test_same_bits_as_the_checked_bisection(self, a, delta):
         op = LogisticGrad(a, delta)
         assert op.root().tobytes() == self._reference_root(op).tobytes()
+
+    @pytest.mark.parametrize("a, delta", [
+        (1.0, 0.01), (-2.5, 3.0), (37.0, 1e-3), (1e-3, 1e-6),
+    ])
+    def test_same_bits_as_200_halvings_where_they_close(self, a, delta):
+        # the bisection stopped after 200 halvings before; where those already
+        # reached adjacent floats, the root keeps its bits
+        op = LogisticGrad(a, delta)
+        assert op.root().tobytes() == self._reference_root(op, 200).tobytes()
+
+    @pytest.mark.parametrize("a, delta", [
+        (1.0, 1e-70), (1.0, 1e-50), (1.0, 0.01), (-2.5, 3.0), (1.0, 1e-300), (-4e100, 1.0),
+    ])
+    def test_sign_change_at_an_adjacent_float(self, a, delta):
+        op = LogisticGrad(a, delta)
+        r = op.root()[0]
+        f = lambda x: op(np.array([x]))[0]
+        below, above = np.nextafter(r, -np.inf), np.nextafter(r, np.inf)
+        assert f(r) == 0.0 or f(below) <= 0.0 < f(r) or f(r) <= 0.0 < f(above)
+
+    def test_small_regularizer_root_is_near_the_root(self):
+        # 200 halvings of the +-2e70 bracket left it 2.5e10 wide: -1.24e10
+        r = LogisticGrad(1.0, 1e-70).root()[0]
+        assert -157.0 < r < -156.0
 
     def test_no_input_check_per_midpoint(self, monkeypatch):
         calls = []
@@ -337,6 +368,50 @@ class TestPpOperator:
             x = rng.standard_normal(1) * 3.0
             y = comp.inner_point(x)
             assert np.linalg.norm(y - x + gamma * base(y)) <= 1e-11
+
+    @staticmethod
+    def _counting(monkeypatch, op):
+        seen = []
+        apply = op._apply
+
+        def counting(x):
+            seen.append(x.copy())
+            return apply(x)
+
+        monkeypatch.setattr(op, "_apply", counting)
+        return seen, apply
+
+    def test_value_is_the_last_inner_evaluation(self, monkeypatch):
+        # the fixed-point iteration evaluates F once per inner iteration, the
+        # last time at the y it returns; the composite takes that F(y)
+        base = LogisticGrad(1.0, 0.01)
+        comp = pp_operator(base, 2.0)
+        seen, apply = self._counting(monkeypatch, base)
+        x = np.array([2.0])
+        y = comp.inner_point(x)
+        inner = len(seen)
+        seen.clear()
+        out = comp._apply(x)
+        assert inner > 1 and len(seen) == inner
+        assert seen[-1].tobytes() == y.tobytes()
+        assert out.tobytes() == apply(y).tobytes()
+
+    def test_pp_run_evaluates_f_once_fewer_per_step(self, monkeypatch):
+        # against the composite that evaluates F again at the fixed point:
+        # the same trace, one F evaluation fewer per pp step
+        K = 25
+        cfg = SolverConfig("pp", gamma=2.0, iters=K, x0=np.array([2.0]))
+        counts, csvs = [], []
+        for again in (False, True):
+            if again:
+                monkeypatch.setattr(ImplicitComposite, "_apply",
+                                    lambda self, x: self.inner._apply(self.inner_point(x)))
+            base = LogisticGrad(1.0, 0.01)
+            seen, _ = self._counting(monkeypatch, base)
+            csvs.append(run(base, cfg).to_csv())
+            counts.append(len(seen))
+        assert csvs[0] == csvs[1]
+        assert counts[1] - counts[0] == K
 
     def test_nonlinear_contraction_guard(self):
         with pytest.raises(BadParameters):
