@@ -223,8 +223,9 @@ class LogisticGrad(Operator):
                 raise NonFinite(f"root bracket (|a| + 1)/delta = {hi!r} is beyond float range")
             lo = -hi
             # the root lies within hi/2 of 0, so lo + hi never leaves [-hi, hi]:
-            # every midpoint is finite and F takes it unchecked.  F(lo) <= 0 < F(hi)
-            # until the midpoint rounds to an end, when lo and hi are adjacent floats
+            # every midpoint is finite and F takes it unchecked.  The loop keeps
+            # F(lo) <= 0 < F(hi) and stops when the midpoint rounds to an end,
+            # that is, when lo and hi are adjacent floats
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
                 if self._apply(np.array([mid]))[0] > 0.0:
