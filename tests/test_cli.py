@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import GOLDEN
 
 from vicert import cli
 from vicert.cli import main
@@ -458,6 +460,47 @@ class TestPep:
         assert payload["lower_bound"] >= search.objective - 1e-9
 
 
+# (ell, gamma1, gamma2): the three pinned stepsizes at ell = 1, two unequal
+# pairs, and the second golden triple
+_EXP_TRIPLES = [(1.0, 0.5, 0.5), (1.0, 1.0, 1.0), (1.0, 0.25, 0.25), (1.0, 0.45, 0.6),
+                (1.0, 0.3, 0.9), (1.3, 0.7, 0.45)]
+
+
+def _exp_flags(ell, g1, g2):
+    return ["--problem", "expansiveness", "--ell", repr(ell), "--gamma1", repr(g1),
+            "--gamma2", repr(g2)]
+
+
+class TestExpansivenessAgainstHandCoded:
+    """``--problem expansiveness`` writes what the hand-coded matrices give:
+    the bytes of their solve, rendered as pep-bound renders it, and their
+    golden SDPA export and constraint names."""
+
+    @pytest.mark.parametrize("triple", _EXP_TRIPLES, ids=lambda t: "-".join(map(repr, t)))
+    def test_bound_bytes(self, triple, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        assert main(["pep-bound", *_exp_flags(*triple), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        prob = build_expansiveness_matrices(*triple)
+        point = solve(prob)
+        want = json.dumps({"problem": prob.name, "metadata": prob.metadata,
+                           "lower_bound": point.objective, "solver": point.solver,
+                           "point": point.to_json()}, sort_keys=True, indent=2) + "\n"
+        assert out.read_text() == want
+
+    def test_export_bytes(self, tmp_path):
+        out = tmp_path / "exp.dat-s"
+        assert main(["pep-export", *_exp_flags(1.0, 0.5, 0.5), "--out", str(out)]) == 0
+        assert _sha(out.read_bytes()) == GOLDEN["sdpa:hand-1-.5-.5"]
+        sidecar = json.loads((tmp_path / "exp.dat-s.json").read_text())
+        names = json.dumps(sidecar["inequalities"] + sidecar["equalities"]).encode()
+        assert _sha(names) == GOLDEN["names:hand-1-.5-.5"]
+
+
+def _sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
 def _unit(g):
     return ["--L", "1", "--gamma1", g, "--gamma2", g]
 
@@ -470,9 +513,12 @@ _BOUND_GRID = (
     + [["--problem", "delta", *_unit(g)] for g in ("0.5", "0.7071", "1.0", "1.1", "1.5")]
 )
 
-# known to end in a usage error: L**2 beyond float range (BadParameters), and
-# data so badly scaled that no interior-point iterate verifies (NoConvergence)
+# known to end in a usage error: a stepsize that is not positive and L**2
+# beyond float range (BadParameters), and data so badly scaled that no
+# interior-point iterate verifies (NoConvergence)
 _BOUND_FAILS = [
+    ["--problem", "expansiveness", "--ell", "1", "--gamma1", "-1", "--gamma2", "0.5"],
+    ["--problem", "expansiveness", "--ell", "1", "--gamma1", "0.5", "--gamma2", "0"],
     ["--problem", "norm", "--L", "1e200", "--gamma1", "1e200", "--gamma2", "0.5",
      "--K", "2"],
     ["--problem", "norm", "--L", "1e100", "--gamma1", "1e-100", "--gamma2", "1e-100",
