@@ -123,7 +123,7 @@ _CERTIFICATES = {
 
 # problem -> (function in pep, flag dests); called as fn(*flags)
 _PROBLEMS = {
-    "expansiveness": ("build_expansiveness_matrices", ("ell", "gamma1", "gamma2")),
+    "expansiveness": ("build_expansiveness_pep", ("ell", "gamma1", "gamma2")),
     "norm": ("build_norm_pep",
              ("lipschitz", "gamma1", "gamma2", "K", "operator_class")),
     "delta": ("build_delta_pep", ("lipschitz", "gamma1", "gamma2", "operator_class")),

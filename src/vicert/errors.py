@@ -55,7 +55,3 @@ class LabelMismatch(VicertError):
 
 class NotPSD(VicertError):
     pass
-
-
-class NoFeasiblePointFound(VicertError):
-    pass

@@ -1,16 +1,17 @@
 """Worst-case analysis problems in Gram-matrix form.
 
 Assembles the expansiveness and norm-decay SDPs over a basis of abstract
-vectors, solves them by an interior-point method, exports SDPA sparse files
-for external solvers, embeds concrete point systems as feasible Gram
-matrices, and searches for feasible points by low-rank factorization.  Every
-point returned as a bound is repaired and re-verified against every
-constraint, so it is a certified lower bound.
+vectors from the pairwise class inequalities, solves them by an
+interior-point method, exports SDPA sparse files for external solvers, and
+embeds concrete point systems as feasible Gram matrices.  Every point
+returned as a bound is repaired and re-verified against every constraint,
+so it is a certified lower bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     LabelMismatch,
     NoConvergence,
-    NoFeasiblePointFound,
     NotPSD,
 )
 from .serial import fmt17
@@ -230,15 +230,12 @@ class GramProblem:
         return np.concatenate([self.pairs.dense(), self._dense[1:]])
 
     def apply(self, G) -> np.ndarray:
-        """Tr(M_k G) for every constraint k, in :attr:`names` order: shape (m,)
-        for one (n, n) matrix G, (b, m) for a (b, n, n) stack of them."""
-        G = np.asarray(G)
-        flat = self.constraints.reshape(-1, self.n * self.n)
-        return (flat @ G.reshape(*G.shape[:-2], -1).T).T
+        """Tr(M_k G) for every constraint k, in :attr:`names` order, for one
+        (n, n) matrix G: shape (m,)."""
+        return self.constraints.reshape(-1, self.n * self.n) @ np.asarray(G).reshape(-1)
 
     def adjoint(self, y) -> np.ndarray:
-        """sum_k y_k M_k: shape (n, n) for one (m,) vector y, (b, n, n) for a
-        (b, m) stack of them."""
+        """sum_k y_k M_k for one (m,) vector y: shape (n, n)."""
         return np.tensordot(y, self.constraints, axes=1)
 
     def schur(self, G, W) -> np.ndarray:
@@ -335,100 +332,25 @@ def verify_point(prob: GramProblem, G) -> FeasiblePoint:
 _EXP_BASIS = ("x", "y", "xF1", "yF1", "xF2", "yF2")
 
 
-def build_expansiveness_matrices(ell: float, gamma1: float, gamma2: float) -> GramProblem:
-    """The six-point expansiveness SDP with hand-coded constraint matrices.
+def _require_positive(names: str, *values) -> None:
+    """:class:`BadParameters` unless every value is finite and positive;
+    written so that NaN fails."""
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise BadParameters(f"{names} must be finite and positive")
 
-    Basis order (x, y, xF1, yF1, xF2, yF2); objective is the squared
-    expansion of the update, six interpolation inequalities, and the unit
-    separation equality.
+
+def build_expansiveness_pep(ell: float, gamma1: float, gamma2: float) -> GramProblem:
+    """Worst-case squared expansion of the two-stepsize extrapolated update
+    on ell-cocoercive operators, at unit separation of the two start points.
+
+    Basis (x, y, xF1, yF1, xF2, yF2): the starts, F at the starts and F at
+    the extrapolated points x_mid = x - gamma1 F(x) and y_mid; the six
+    cocoercivity inequalities over the pairs of (x, x_mid, y, y_mid), named
+    ``i|j`` and kept factored, and the equality ``unit-separation``.
     """
-    if min(ell, gamma1, gamma2) <= 0.0:
-        raise BadParameters("ell, gamma1, gamma2 must be positive")
-    l, g, g2 = ell, gamma1, gamma2
-
-    M0 = np.zeros((6, 6))
-    M0[0, 0] = M0[1, 1] = 1.0
-    M0[0, 1] = M0[1, 0] = -1.0
-    M0[0, 4] = M0[4, 0] = -g2
-    M0[0, 5] = M0[5, 0] = g2
-    M0[1, 4] = M0[4, 1] = g2
-    M0[1, 5] = M0[5, 1] = -g2
-    M0[4, 4] = M0[5, 5] = g2 * g2
-    M0[4, 5] = M0[5, 4] = -g2 * g2
-
-    M1 = np.zeros((6, 6))
-    M1[2, 2] = l * g - 1.0
-    M1[2, 4] = M1[4, 2] = 1.0 - l * g / 2.0
-    M1[4, 4] = -1.0
-
-    M2 = np.zeros((6, 6))
-    M2[0, 2] = M2[2, 0] = l / 2.0
-    M2[0, 3] = M2[3, 0] = -l / 2.0
-    M2[1, 2] = M2[2, 1] = -l / 2.0
-    M2[1, 3] = M2[3, 1] = l / 2.0
-    M2[2, 2] = M2[3, 3] = -1.0
-    M2[2, 3] = M2[3, 2] = 1.0
-
-    M3 = np.zeros((6, 6))
-    M3[0, 2] = M3[2, 0] = l / 2.0
-    M3[0, 5] = M3[5, 0] = -l / 2.0
-    M3[1, 2] = M3[2, 1] = -l / 2.0
-    M3[1, 5] = M3[5, 1] = l / 2.0
-    M3[2, 2] = -1.0
-    M3[2, 3] = M3[3, 2] = l * g / 2.0
-    M3[2, 5] = M3[5, 2] = 1.0
-    M3[3, 5] = M3[5, 3] = -l * g / 2.0
-    M3[5, 5] = -1.0
-
-    M4 = np.zeros((6, 6))
-    M4[0, 3] = M4[3, 0] = -l / 2.0
-    M4[0, 4] = M4[4, 0] = l / 2.0
-    M4[1, 3] = M4[3, 1] = l / 2.0
-    M4[1, 4] = M4[4, 1] = -l / 2.0
-    M4[2, 3] = M4[3, 2] = l * g / 2.0
-    M4[2, 4] = M4[4, 2] = -l * g / 2.0
-    M4[3, 3] = M4[4, 4] = -1.0
-    M4[3, 4] = M4[4, 3] = 1.0
-
-    M5 = np.zeros((6, 6))
-    M5[0, 4] = M5[4, 0] = l / 2.0
-    M5[0, 5] = M5[5, 0] = -l / 2.0
-    M5[1, 4] = M5[4, 1] = -l / 2.0
-    M5[1, 5] = M5[5, 1] = l / 2.0
-    M5[2, 4] = M5[4, 2] = -l * g / 2.0
-    M5[2, 5] = M5[5, 2] = l * g / 2.0
-    M5[3, 4] = M5[4, 3] = l * g / 2.0
-    M5[3, 5] = M5[5, 3] = -l * g / 2.0
-    M5[4, 4] = M5[5, 5] = -1.0
-    M5[4, 5] = M5[5, 4] = 1.0
-
-    M6 = np.zeros((6, 6))
-    M6[3, 3] = l * g - 1.0
-    M6[3, 5] = M6[5, 3] = 1.0 - l * g / 2.0
-    M6[5, 5] = -1.0
-
-    M7 = np.zeros((6, 6))
-    M7[0, 0] = M7[1, 1] = 1.0
-    M7[0, 1] = M7[1, 0] = -1.0
-
-    names = ("x|x_mid", "x|y", "x|y_mid", "x_mid|y", "x_mid|y_mid", "y|y_mid")
-    return GramProblem(
-        name="eg-expansiveness",
-        basis=_EXP_BASIS,
-        objective=M0,
-        inequalities=tuple((nm, M, 0.0) for nm, M in zip(names, (M1, M2, M3, M4, M5, M6))),
-        equalities=(("unit-separation", M7, 1.0),),
-        metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2},
-        interior=_expansiveness_interior(ell, gamma1),
-    )
-
-
-def expansiveness_from_interpolation(ell: float, gamma1: float, gamma2: float) -> GramProblem:
-    """Same problem assembled symbolically from the pairwise interpolation
-    inequalities; the independent cross-check for the hand-coded matrices."""
+    _require_positive("ell, gamma1, gamma2", ell, gamma1, gamma2)
     e = basis_exprs(_EXP_BASIS)
     x, y, xf1, yf1, xf2, yf2 = (e[k] for k in _EXP_BASIS)
-    # this order gives the constraint order of build_expansiveness_matrices
     points = [
         ("x", x, xf1),
         ("x_mid", x - gamma1 * xf1, xf2),
@@ -489,8 +411,7 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
     """
     if K < 1:
         raise BadParameters("K must be at least 1")
-    if min(L, gamma1, gamma2) <= 0.0:
-        raise BadParameters("L, gamma1, gamma2 must be positive")
+    _require_positive("L, gamma1, gamma2", L, gamma1, gamma2)
     if operator_class not in _PEP_CLASSES:
         raise BadParameters(f"unknown operator class {operator_class!r}")
     labels = ["dx0"] + [f"Fx{k}" for k in range(K + 1)] + [f"Fxt{k}" for k in range(K + 1)]
@@ -716,74 +637,6 @@ def solve(prob: GramProblem) -> FeasiblePoint:
     if best is None:
         raise NoConvergence(f"no interior-point iterate of {prob.name} verifies "
                             f"within tolerance {_SOLVE_TOL} (stopped: {stop})")
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Low-rank feasible-point search (certified lower bounds)
-# ---------------------------------------------------------------------------
-
-def lower_bound_search(prob: GramProblem, restarts: int = 32, seed: int = 0,
-                       ascent_steps: int = 5000, rounds: int = 5) -> FeasiblePoint:
-    """Maximize the objective over feasible Gram matrices via G = V^T V.
-
-    Batched gradient ascent with augmented-Lagrangian penalties, one V per
-    restart, V of rank 6, and a penalty of 10 that grows tenfold per round;
-    starts are drawn at four times the equality's natural scale, which keeps
-    the low-rank iterates clear of the degenerate rank-one critical point at
-    the equality's own Gram matrix.  Every candidate is repaired (exact
-    rescaling onto the homogeneous equality, then a minimal mix toward the
-    stored interior point) and re-verified; the best verified objective is a
-    certified lower bound on the problem value.  Deterministic for a fixed seed.
-    """
-    if restarts < 1:
-        raise BadParameters("restarts must be at least 1")
-    V = np.random.default_rng(seed).standard_normal((restarts, 6, prob.n))
-
-    q = len(prob.inequalities)
-
-    def multipliers(lam, G, mu):
-        """lam - mu (Tr(M_k G) - rhs_k) per restart, clipped at 0 on the
-        inequalities; ``lam`` holds the equalities' multipliers negated."""
-        w = lam - mu * prob.constraint_values(G)
-        w[:, :q] = np.maximum(0.0, w[:, :q])
-        return w
-
-    G = np.einsum("bri,brj->bij", V, V)
-    if prob.equalities:
-        t0 = prob.apply(G)[:, q]
-        target = prob.rhs[q] if prob.rhs[q] > 0 else 1.0
-        V *= (4.0 * np.sqrt(target / np.maximum(np.abs(t0), 1e-12)))[:, None, None]
-
-    lam = np.zeros((restarts, len(prob.rhs)))
-    for rnd in range(rounds):
-        mu = 10.0 * 10.0**rnd
-        for it in range(ascent_steps):
-            G = np.einsum("bri,brj->bij", V, V)
-            comb = prob.objective + prob.adjoint(multipliers(lam, G, mu))
-            grad = 2.0 * np.matmul(V, comb)
-            gn = np.sqrt(np.einsum("bri,bri->b", grad, grad))
-            vn = np.sqrt(np.einsum("bri,bri->b", V, V))
-            step = 0.1 * vn / (gn + 1e-30) / (1.0 + it / 50.0)
-            V = V + step[:, None, None] * grad
-        G = np.einsum("bri,brj->bij", V, V)
-        lam = multipliers(lam, G, mu)
-
-    best: FeasiblePoint | None = None
-    feasible = 0
-    for b in range(restarts):
-        point, path = _repair_and_verify(prob, G[b])
-        if point is None:
-            continue
-        feasible += 1
-        if best is None or point.objective > best.objective:
-            best, best_path = point, path
-    if best is None:
-        raise NoFeasiblePointFound(
-            f"no restart produced a feasible point within tolerance {_SOLVE_TOL}")
-    best.solver = {"method": "search", "iterations": rounds * ascent_steps,
-                   "restarts": restarts, "feasible_restarts": feasible,
-                   "repair": best_path}
     return best
 
 

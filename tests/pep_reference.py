@@ -1,0 +1,193 @@
+"""Independent references for the PEP tests.
+
+``build_expansiveness_matrices`` writes the six-point expansiveness problem
+with hand-coded matrices, the cross-check of :func:`pep.build_expansiveness_pep`,
+which builds it from the class table.  ``lower_bound_search`` is a
+solver-free lower bound by low-rank gradient ascent, a check on
+:func:`pep.solve` that shares nothing with the interior-point method but the
+repair-and-verify step.
+"""
+
+import numpy as np
+
+from vicert.errors import BadParameters, NoConvergence
+from vicert.pep import (
+    _EXP_BASIS,
+    _SOLVE_TOL,
+    FeasiblePoint,
+    GramProblem,
+    _expansiveness_interior,
+    _repair_and_verify,
+)
+
+
+def build_expansiveness_matrices(ell: float, gamma1: float, gamma2: float) -> GramProblem:
+    """The six-point expansiveness SDP with hand-coded constraint matrices.
+
+    Basis order (x, y, xF1, yF1, xF2, yF2); objective is the squared
+    expansion of the update, six interpolation inequalities, and the unit
+    separation equality.
+    """
+    if min(ell, gamma1, gamma2) <= 0.0:
+        raise BadParameters("ell, gamma1, gamma2 must be positive")
+    l, g, g2 = ell, gamma1, gamma2
+
+    M0 = np.zeros((6, 6))
+    M0[0, 0] = M0[1, 1] = 1.0
+    M0[0, 1] = M0[1, 0] = -1.0
+    M0[0, 4] = M0[4, 0] = -g2
+    M0[0, 5] = M0[5, 0] = g2
+    M0[1, 4] = M0[4, 1] = g2
+    M0[1, 5] = M0[5, 1] = -g2
+    M0[4, 4] = M0[5, 5] = g2 * g2
+    M0[4, 5] = M0[5, 4] = -g2 * g2
+
+    M1 = np.zeros((6, 6))
+    M1[2, 2] = l * g - 1.0
+    M1[2, 4] = M1[4, 2] = 1.0 - l * g / 2.0
+    M1[4, 4] = -1.0
+
+    M2 = np.zeros((6, 6))
+    M2[0, 2] = M2[2, 0] = l / 2.0
+    M2[0, 3] = M2[3, 0] = -l / 2.0
+    M2[1, 2] = M2[2, 1] = -l / 2.0
+    M2[1, 3] = M2[3, 1] = l / 2.0
+    M2[2, 2] = M2[3, 3] = -1.0
+    M2[2, 3] = M2[3, 2] = 1.0
+
+    M3 = np.zeros((6, 6))
+    M3[0, 2] = M3[2, 0] = l / 2.0
+    M3[0, 5] = M3[5, 0] = -l / 2.0
+    M3[1, 2] = M3[2, 1] = -l / 2.0
+    M3[1, 5] = M3[5, 1] = l / 2.0
+    M3[2, 2] = -1.0
+    M3[2, 3] = M3[3, 2] = l * g / 2.0
+    M3[2, 5] = M3[5, 2] = 1.0
+    M3[3, 5] = M3[5, 3] = -l * g / 2.0
+    M3[5, 5] = -1.0
+
+    M4 = np.zeros((6, 6))
+    M4[0, 3] = M4[3, 0] = -l / 2.0
+    M4[0, 4] = M4[4, 0] = l / 2.0
+    M4[1, 3] = M4[3, 1] = l / 2.0
+    M4[1, 4] = M4[4, 1] = -l / 2.0
+    M4[2, 3] = M4[3, 2] = l * g / 2.0
+    M4[2, 4] = M4[4, 2] = -l * g / 2.0
+    M4[3, 3] = M4[4, 4] = -1.0
+    M4[3, 4] = M4[4, 3] = 1.0
+
+    M5 = np.zeros((6, 6))
+    M5[0, 4] = M5[4, 0] = l / 2.0
+    M5[0, 5] = M5[5, 0] = -l / 2.0
+    M5[1, 4] = M5[4, 1] = -l / 2.0
+    M5[1, 5] = M5[5, 1] = l / 2.0
+    M5[2, 4] = M5[4, 2] = -l * g / 2.0
+    M5[2, 5] = M5[5, 2] = l * g / 2.0
+    M5[3, 4] = M5[4, 3] = l * g / 2.0
+    M5[3, 5] = M5[5, 3] = -l * g / 2.0
+    M5[4, 4] = M5[5, 5] = -1.0
+    M5[4, 5] = M5[5, 4] = 1.0
+
+    M6 = np.zeros((6, 6))
+    M6[3, 3] = l * g - 1.0
+    M6[3, 5] = M6[5, 3] = 1.0 - l * g / 2.0
+    M6[5, 5] = -1.0
+
+    M7 = np.zeros((6, 6))
+    M7[0, 0] = M7[1, 1] = 1.0
+    M7[0, 1] = M7[1, 0] = -1.0
+
+    names = ("x|x_mid", "x|y", "x|y_mid", "x_mid|y", "x_mid|y_mid", "y|y_mid")
+    return GramProblem(
+        name="eg-expansiveness",
+        basis=_EXP_BASIS,
+        objective=M0,
+        inequalities=tuple((nm, M, 0.0) for nm, M in zip(names, (M1, M2, M3, M4, M5, M6))),
+        equalities=(("unit-separation", M7, 1.0),),
+        metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2},
+        interior=_expansiveness_interior(ell, gamma1),
+    )
+
+
+def zero_sign_differences(hand: np.ndarray, table: np.ndarray) -> int:
+    """Assert that the hand-coded and table-built arrays are equal in every
+    value and that their bits differ only where the hand-coded cell holds
+    +0.0 and the table's -0.0; return the number of such cells."""
+    assert np.array_equal(hand, table)
+    differ = hand.view(np.int64) != table.view(np.int64)
+    assert (hand[differ] == 0.0).all() and not np.signbit(hand[differ]).any() \
+        and np.signbit(table[differ]).all()
+    return int(differ.sum())
+
+
+def lower_bound_search(prob: GramProblem, restarts: int = 32, seed: int = 0,
+                       ascent_steps: int = 5000, rounds: int = 5) -> FeasiblePoint:
+    """Maximize the objective over feasible Gram matrices via G = V^T V.
+
+    Batched gradient ascent with augmented-Lagrangian penalties, one V per
+    restart, V of rank 6, and a penalty of 10 that grows tenfold per round;
+    starts are drawn at four times the equality's natural scale, which keeps
+    the low-rank iterates clear of the degenerate rank-one critical point at
+    the equality's own Gram matrix.  Every candidate is repaired (exact
+    rescaling onto the homogeneous equality, then a minimal mix toward the
+    stored interior point) and re-verified; the best verified objective is a
+    certified lower bound on the problem value.  The constraint matrices are
+    read once, as the adjoint of each unit vector, so the search reaches
+    them only through :meth:`GramProblem.adjoint`.  Deterministic for a
+    fixed seed; raises :class:`NoConvergence` when no restart verifies.
+    """
+    if restarts < 1:
+        raise BadParameters("restarts must be at least 1")
+    V = np.random.default_rng(seed).standard_normal((restarts, 6, prob.n))
+
+    m, q = len(prob.rhs), len(prob.inequalities)
+    A = np.array([prob.adjoint(e) for e in np.eye(m)])
+    flat = A.reshape(m, -1)
+
+    def apply(G):
+        """Tr(M_k G) for every constraint k and each G of a (b, n, n) stack: (b, m)."""
+        return (flat @ G.reshape(len(G), -1).T).T
+
+    def multipliers(lam, G, mu):
+        """lam - mu (Tr(M_k G) - rhs_k) per restart, clipped at 0 on the
+        inequalities; ``lam`` holds the equalities' multipliers negated."""
+        w = lam - mu * (apply(G) - prob.rhs)
+        w[:, :q] = np.maximum(0.0, w[:, :q])
+        return w
+
+    G = np.einsum("bri,brj->bij", V, V)
+    if prob.equalities:
+        t0 = apply(G)[:, q]
+        target = prob.rhs[q] if prob.rhs[q] > 0 else 1.0
+        V *= (4.0 * np.sqrt(target / np.maximum(np.abs(t0), 1e-12)))[:, None, None]
+
+    lam = np.zeros((restarts, m))
+    for rnd in range(rounds):
+        mu = 10.0 * 10.0**rnd
+        for it in range(ascent_steps):
+            G = np.einsum("bri,brj->bij", V, V)
+            comb = prob.objective + np.tensordot(multipliers(lam, G, mu), A, axes=1)
+            grad = 2.0 * np.matmul(V, comb)
+            gn = np.sqrt(np.einsum("bri,bri->b", grad, grad))
+            vn = np.sqrt(np.einsum("bri,bri->b", V, V))
+            step = 0.1 * vn / (gn + 1e-30) / (1.0 + it / 50.0)
+            V = V + step[:, None, None] * grad
+        G = np.einsum("bri,brj->bij", V, V)
+        lam = multipliers(lam, G, mu)
+
+    best: FeasiblePoint | None = None
+    feasible = 0
+    for b in range(restarts):
+        point, path = _repair_and_verify(prob, G[b])
+        if point is None:
+            continue
+        feasible += 1
+        if best is None or point.objective > best.objective:
+            best, best_path = point, path
+    if best is None:
+        raise NoConvergence(
+            f"no restart produced a feasible point within tolerance {_SOLVE_TOL}")
+    best.solver = {"method": "search", "iterations": rounds * ascent_steps,
+                   "restarts": restarts, "feasible_restarts": feasible,
+                   "repair": best_path}
+    return best

@@ -11,6 +11,11 @@ import json
 
 import numpy as np
 import pytest
+from pep_reference import (
+    build_expansiveness_matrices,
+    lower_bound_search,
+    zero_sign_differences,
+)
 
 from vicert import certify, harness, numerics, pep
 from vicert.certify import (
@@ -239,25 +244,23 @@ class TestA4MethodBounds:
 class TestA5Pep:
     def test_a5_matrix_assembly_cross_check(self):
         rng = np.random.default_rng(2024)
-        worst = 0.0
+        signs = 0
         for _ in range(50):
             ell, g1, g2 = rng.uniform(0.05, 4.0, size=3)
-            hand = pep.build_expansiveness_matrices(ell, g1, g2)
-            sym = pep.expansiveness_from_interpolation(ell, g1, g2)
-            gap = np.abs(hand.objective - sym.objective).max()
-            # six inequalities, then the equality
-            for mh, ms in zip(hand.constraints, sym.constraints, strict=True):
-                gap = max(gap, float(np.abs(mh - ms).max()))
-            worst = max(worst, gap)
-            assert gap <= 1e-14
+            hand = build_expansiveness_matrices(ell, g1, g2)
+            sym = pep.build_expansiveness_pep(ell, g1, g2)
+            # the objective; six inequalities, then the equality
+            signs += zero_sign_differences(hand.objective, sym.objective)
+            signs += zero_sign_differences(hand.constraints, sym.constraints)
         _line("A5a matrix-assembly", True,
-              f"50 random triples, max entrywise gap {worst:.2e} <= 1e-14")
+              f"50 random triples, hand-coded and table-built matrices equal; "
+              f"their bits differ only in {signs} zero signs")
 
     def test_a5_embedding_objective(self):
         worst = 0.0
         for ell, g1 in CE_GRID:
             for g2 in (g1 / 2.0, g1):
-                prob = pep.build_expansiveness_matrices(ell, g1, g2)
+                prob = pep.build_expansiveness_pep(ell, g1, g2)
                 inst = build_counterexample(ell, g1)
                 point = pep.embed_points(prob, pep.counterexample_vectors(inst))
                 assert point.inequality_values.min() >= -1e-12
@@ -271,8 +274,8 @@ class TestA5Pep:
     def test_a5_lower_bound_search_defaults(self):
         values = {}
         for g in (0.25, 0.5, 1.0):
-            prob = pep.build_expansiveness_matrices(1.0, g, g)
-            point = pep.lower_bound_search(prob, seed=0)
+            prob = pep.build_expansiveness_pep(1.0, g, g)
+            point = lower_bound_search(prob, seed=0)
             assert point.feasible(1e-9)
             values[g] = point.objective
             assert point.objective > 1.0 + 1e-6
@@ -462,7 +465,7 @@ class TestA9Properties:
               f"100 steps, two operators, max deviation {worst:.2e} <= 1e-10")
 
     def test_a9_sdpa_round_trip(self, tmp_path):
-        prob = pep.build_expansiveness_matrices(np.e / 2.0, 0.123456789, 0.77)
+        prob = pep.build_expansiveness_pep(np.e / 2.0, 0.123456789, 0.77)
         path = tmp_path / "round.dat-s"
         pep.export_sdpa(prob, path)
         parsed = pep.parse_sdpa(path)
@@ -472,11 +475,9 @@ class TestA9Properties:
         _line("A9d sdpa-round-trip", exact, "re-parsed matrices are bit-identical")
 
     def test_a9_seed_determinism(self):
-        prob = pep.build_expansiveness_matrices(1.0, 0.5, 0.5)
-        a = pep.lower_bound_search(prob, restarts=4, ascent_steps=300, rounds=2,
-                                   seed=5)
-        b = pep.lower_bound_search(prob, restarts=4, ascent_steps=300, rounds=2,
-                                   seed=5)
+        prob = pep.build_expansiveness_pep(1.0, 0.5, 0.5)
+        a = lower_bound_search(prob, restarts=4, ascent_steps=300, rounds=2, seed=5)
+        b = lower_bound_search(prob, restarts=4, ascent_steps=300, rounds=2, seed=5)
         same = np.array_equal(a.G, b.G) and a.objective == b.objective
         s1 = sampled_property_check(rotation(), "monotone", trials=50, seed=3)
         s2 = sampled_property_check(rotation(), "monotone", trials=50, seed=3)

@@ -8,16 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from pep_reference import build_expansiveness_matrices, lower_bound_search
 from test_golden import GOLDEN
 
 from vicert import cli
 from vicert.cli import main
 from vicert.pep import (
     build_delta_pep,
-    build_expansiveness_matrices,
+    build_expansiveness_pep,
     build_norm_pep,
     export_sdpa,
-    lower_bound_search,
     parse_sdpa,
     solve,
 )
@@ -455,7 +455,7 @@ class TestPep:
         payload = json.loads(out.read_text())
         assert payload["lower_bound"] > 1.0 + 1e-6
         assert payload["solver"]["method"] == "interior-point"
-        search = lower_bound_search(build_expansiveness_matrices(1.0, 1.0, 1.0),
+        search = lower_bound_search(build_expansiveness_pep(1.0, 1.0, 1.0),
                                     restarts=6, ascent_steps=800, rounds=3)
         assert payload["lower_bound"] >= search.objective - 1e-9
 

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from pep_reference import build_expansiveness_matrices
+
 from vicert import certify, cli, harness, pep
 from vicert.operators import Affine, LogisticGrad, load_operator, rotation
 from vicert.solvers import METHODS, SolverConfig, run
@@ -53,10 +55,11 @@ def _js(obj) -> bytes:
 
 
 def _problems():
-    yield "hand-1-.5-.5", pep.build_expansiveness_matrices(1.0, 0.5, 0.5)
-    yield "hand-1.3-.7-.45", pep.build_expansiveness_matrices(1.3, 0.7, 0.45)
-    yield "sym-1-.5-.5", pep.expansiveness_from_interpolation(1.0, 0.5, 0.5)
-    yield "sym-1.3-.7-.45", pep.expansiveness_from_interpolation(1.3, 0.7, 0.45)
+    # hand-*: the hand-coded reference; sym-*: the library's table-built problem
+    yield "hand-1-.5-.5", build_expansiveness_matrices(1.0, 0.5, 0.5)
+    yield "hand-1.3-.7-.45", build_expansiveness_matrices(1.3, 0.7, 0.45)
+    yield "sym-1-.5-.5", pep.build_expansiveness_pep(1.0, 0.5, 0.5)
+    yield "sym-1.3-.7-.45", pep.build_expansiveness_pep(1.3, 0.7, 0.45)
     for cls in ("monotone-lipschitz", "cocoercive"):
         for K in (3, 15):
             yield f"norm-{cls}-K{K}", pep.build_norm_pep(1.1, 0.45, 0.6, K, cls)

@@ -1,8 +1,14 @@
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
+from pep_reference import (
+    build_expansiveness_matrices,
+    lower_bound_search,
+    zero_sign_differences,
+)
 from test_golden import _problems
 
 from vicert import classes, cli, pep
@@ -12,7 +18,6 @@ from vicert.errors import (
     DimensionMismatch,
     LabelMismatch,
     NoConvergence,
-    NoFeasiblePointFound,
     NotPSD,
 )
 from vicert.operators import rotation
@@ -20,15 +25,13 @@ from vicert.pep import (
     GramProblem,
     basis_exprs,
     build_delta_pep,
-    build_expansiveness_matrices,
+    build_expansiveness_pep,
     build_norm_pep,
     counterexample_vectors,
     embed_points,
-    expansiveness_from_interpolation,
     export_sdpa,
     gram_to_points,
     inner_matrix,
-    lower_bound_search,
     parse_sdpa,
     solve,
     sq_matrix,
@@ -71,7 +74,7 @@ class TestGramExpr:
 
 class TestExpansivenessMatrices:
     def test_printed_entries(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         M0 = prob.objective
         M1 = prob.constraints[0]
         M7 = prob.constraints[len(prob.inequalities)]
@@ -81,28 +84,49 @@ class TestExpansivenessMatrices:
         assert M0[0, 4] == -0.5 and M0[0, 5] == 0.5
 
     def test_gamma2_zero_limit(self):
-        tiny = build_expansiveness_matrices(1.0, 0.5, 1e-300)
+        tiny = build_expansiveness_pep(1.0, 0.5, 1e-300)
         M7 = tiny.constraints[len(tiny.inequalities)]
         assert np.abs(tiny.objective - M7).max() <= 1e-299
 
     def test_hand_coded_matches_symbolic_on_random_triples(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            ell, g1, g2 = rng.uniform(0.1, 5.0, size=3)
+        triples = np.concatenate([rng.uniform(0.1, 5.0, size=(50, 3)),
+                                  10.0 ** rng.uniform(-8.0, 8.0, size=(50, 3))])
+        for ell, g1, g2 in triples:
             hand = build_expansiveness_matrices(ell, g1, g2)
-            sym = expansiveness_from_interpolation(ell, g1, g2)
-            assert np.abs(hand.objective - sym.objective).max() <= 1e-14
-            q = len(hand.inequalities)
-            for mh, ms in zip(hand.constraints[:q], sym.constraints[:q]):
-                assert np.abs(mh - ms).max() <= 1e-14
-            assert np.abs(hand.constraints[q] - sym.constraints[q]).max() == 0.0
+            sym = build_expansiveness_pep(ell, g1, g2)
+            assert (hand.names, hand.inequalities) == (sym.names, sym.inequalities)
+            zero_sign_differences(hand.objective, sym.objective)
+            zero_sign_differences(hand.constraints, sym.constraints)
 
     def test_interior_point_strictly_feasible(self):
         for ell, g1 in ((1.0, 0.25), (2.0, 0.5), (0.5, 2.0)):
-            prob = build_expansiveness_matrices(ell, g1, g1)
+            prob = build_expansiveness_pep(ell, g1, g1)
             point = verify_point(prob, prob.interior)
             assert point.inequality_values.min() > 0.0
             assert abs(point.equality_residuals[0]) <= 1e-15
+
+
+_NOT_FINITE_AND_POSITIVE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                            "zero": 0.0, "negative": -1.0}
+
+
+class TestParameterChecks:
+    """ell (L), gamma1 and gamma2 must be finite and positive: NaN and inf
+    are rejected before any arithmetic, so no RuntimeWarning is raised."""
+
+    @pytest.mark.parametrize("bad", _NOT_FINITE_AND_POSITIVE)
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["ell", "gamma1", "gamma2"])
+    @pytest.mark.parametrize("build", [build_expansiveness_pep,
+                                       lambda *p: build_norm_pep(*p, 2)],
+                             ids=["expansiveness", "norm"])
+    def test_rejected(self, build, at, bad):
+        params = [1.0, 0.5, 0.5]
+        params[at] = _NOT_FINITE_AND_POSITIVE[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameters, match="must be finite and positive"):
+                build(*params)
 
 
 class TestNormPep:
@@ -159,7 +183,7 @@ class TestNormPep:
 class TestEmbedding:
     def test_counterexample_embedding(self):
         for ell, g1, g2 in ((1.0, 0.5, 0.5), (2.0, 0.25, 0.125), (5.0, 0.2, 0.05)):
-            prob = build_expansiveness_matrices(ell, g1, g2)
+            prob = build_expansiveness_pep(ell, g1, g2)
             inst = build_counterexample(ell, g1)
             point = embed_points(prob, counterexample_vectors(inst))
             assert point.inequality_values.min() >= -1e-12
@@ -168,33 +192,33 @@ class TestEmbedding:
             assert point.objective == pytest.approx(expected, abs=1e-12)
 
     def test_zero_vectors_violate_equality(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         zeros = {lab: np.zeros(2) for lab in prob.basis}
         point = embed_points(prob, zeros)
         assert abs(point.equality_residuals[0] + 1.0) == 0.0
         assert not point.feasible()
 
     def test_label_mismatch(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         with pytest.raises(LabelMismatch):
             embed_points(prob, {"x": np.zeros(2)})
 
     def test_vectors_of_unequal_length(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         vecs = {lab: np.zeros(2) for lab in prob.basis}
         vecs["y"] = np.zeros(3)
         with pytest.raises(DimensionMismatch):
             embed_points(prob, vecs)
 
     def test_gram_matrix_of_another_size(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         with pytest.raises(DimensionMismatch):
             verify_point(prob, np.eye(7))
         with pytest.raises(DimensionMismatch):
             verify_point(prob, np.ones((6, 5)))
 
     def test_concrete_cocoercive_map_is_feasible(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         point = verify_point(prob, prob.interior)
         assert point.feasible(1e-12)
         assert point.objective <= 1.0
@@ -228,7 +252,7 @@ class TestGramToPoints:
 
 class TestSdpa:
     def test_header_structure(self, tmp_path):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         path = tmp_path / "prob.dat-s"
         export_sdpa(prob, path)
         lines = path.read_text().splitlines()
@@ -238,7 +262,7 @@ class TestSdpa:
         assert lines[4].split() == ["0"] * 6 + ["1"]
 
     def test_round_trip_bit_exact(self, tmp_path):
-        prob = build_expansiveness_matrices(np.pi / 3.0, 0.37, 0.11)
+        prob = build_expansiveness_pep(np.pi / 3.0, 0.37, 0.11)
         path = tmp_path / "prob.dat-s"
         export_sdpa(prob, path)
         parsed = parse_sdpa(path)
@@ -402,7 +426,7 @@ class TestSdpaAgainstReference:
 
     @pytest.mark.parametrize("build", [
         lambda: _extreme_problem(),
-        lambda: build_expansiveness_matrices(np.pi / 3.0, 0.37, 0.11),
+        lambda: build_expansiveness_pep(np.pi / 3.0, 0.37, 0.11),
         lambda: build_norm_pep(1.0, 0.5, 0.5, 10),
         lambda: build_delta_pep(1.0, 0.5, 0.7, measure="f-eg"),
     ], ids=["extreme", "expansiveness", "norm-K10", "delta-f-eg"])
@@ -491,26 +515,26 @@ class TestParseSdpaErrors:
 
 class TestLowerBoundSearch:
     def test_finds_expansive_point_quickly(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         point = lower_bound_search(prob, restarts=8, ascent_steps=1200, rounds=3,
                                    seed=1)
         assert point.feasible(1e-9)
         assert point.objective > 1.0 + 1e-6
 
     def test_seed_determinism(self):
-        prob = build_expansiveness_matrices(1.0, 1.0, 1.0)
+        prob = build_expansiveness_pep(1.0, 1.0, 1.0)
         a = lower_bound_search(prob, restarts=4, ascent_steps=400, rounds=2, seed=9)
         b = lower_bound_search(prob, restarts=4, ascent_steps=400, rounds=2, seed=9)
         assert np.array_equal(a.G, b.G)
         assert a.objective == b.objective
 
     def test_infeasible_problem_raises(self):
-        with pytest.raises(NoFeasiblePointFound):
+        with pytest.raises(NoConvergence):
             lower_bound_search(_infeasible_problem(), restarts=2, ascent_steps=100,
                                rounds=2, seed=0)
 
     def test_bad_parameters(self):
-        prob = build_expansiveness_matrices(1.0, 0.5, 0.5)
+        prob = build_expansiveness_pep(1.0, 0.5, 0.5)
         with pytest.raises(BadParameters):
             lower_bound_search(prob, restarts=0)
 
@@ -575,13 +599,12 @@ class TestStackedConstraints:
         Gs = rng.standard_normal((3, n, n))
         Gs = Gs @ Gs.transpose(0, 2, 1)
         ys = rng.standard_normal((3, m))
-        # a stack gives what each of its matrices gives
-        assert prob.apply(Gs).shape == (3, m)
-        for G, y, row, comb in zip(Gs, ys, prob.apply(Gs), prob.adjoint(ys)):
-            assert np.allclose(row, [np.sum(M * G) for M in A], rtol=1e-13, atol=1e-13)
-            assert np.allclose(row, prob.apply(G), rtol=1e-13, atol=1e-13)
-            assert np.allclose(comb, np.einsum("k,kij->ij", y, A), rtol=1e-13, atol=1e-13)
-            assert np.allclose(comb, prob.adjoint(y), rtol=1e-13, atol=1e-13)
+        for G, y in zip(Gs, ys):
+            assert prob.apply(G).shape == (m,) and prob.adjoint(y).shape == (n, n)
+            assert np.allclose(prob.apply(G), [np.sum(M * G) for M in A],
+                               rtol=1e-13, atol=1e-13)
+            assert np.allclose(prob.adjoint(y), np.einsum("k,kij->ij", y, A),
+                               rtol=1e-13, atol=1e-13)
         W = np.linalg.inv(Gs[1])
         want = [[np.trace(Mk @ Gs[0] @ Ml @ W) for Ml in A] for Mk in A]
         assert np.allclose(prob.schur(Gs[0], W), want, rtol=1e-12, atol=1e-12)
@@ -657,9 +680,9 @@ def _toy_problem(mats) -> GramProblem:
 # upper bound; the norm PEP values at K = 2, 3, 5 are known to six digits, and
 # K = 5 has an upper bound from an exactly checked rounded dual.
 _PINNED = [
-    ("expansiveness-1/2", lambda: build_expansiveness_matrices(1.0, 0.5, 0.5), 40 / 39, 40 / 39),
-    ("expansiveness-1", lambda: build_expansiveness_matrices(1.0, 1.0, 1.0), 4 / 3, 4 / 3),
-    ("expansiveness-1/4", lambda: build_expansiveness_matrices(1.0, 0.25, 0.25),
+    ("expansiveness-1/2", lambda: build_expansiveness_pep(1.0, 0.5, 0.5), 40 / 39, 40 / 39),
+    ("expansiveness-1", lambda: build_expansiveness_pep(1.0, 1.0, 1.0), 4 / 3, 4 / 3),
+    ("expansiveness-1/4", lambda: build_expansiveness_pep(1.0, 0.25, 0.25),
      400 / 399, 400 / 399),
     ("norm-K1", lambda: build_norm_pep(1.0, 0.5, 0.5, K=1), 13 / 16, 13 / 16),
     ("norm-K2", lambda: build_norm_pep(1.0, 0.5, 0.5, K=2), 0.674098, None),
@@ -683,8 +706,8 @@ class TestSolve:
         assert again.objective == point.objective and again.feasible(1e-9)
 
     @pytest.mark.parametrize("build", [
-        lambda: build_expansiveness_matrices(1.0, 0.5, 0.5),
-        lambda: build_expansiveness_matrices(1.0, 1.0, 1.0),
+        lambda: build_expansiveness_pep(1.0, 0.5, 0.5),
+        lambda: build_expansiveness_pep(1.0, 1.0, 1.0),
         lambda: build_norm_pep(1.0, 0.5, 0.5, K=1),
         lambda: build_norm_pep(1.0, 0.5, 0.5, K=2),
     ], ids=["expansiveness-1/2", "expansiveness-1", "norm-K1", "norm-K2"])
@@ -705,7 +728,7 @@ class TestSolve:
         assert point.objective > 0.43
 
     def test_solver_record(self):
-        point = solve(build_expansiveness_matrices(1.0, 0.5, 0.5))
+        point = solve(build_expansiveness_pep(1.0, 0.5, 0.5))
         rec = point.solver
         assert rec["method"] == "interior-point"
         assert rec["stop"] in ("converged", "schur-cholesky")
