@@ -178,12 +178,9 @@ def build_counterexample(ell: float, gamma1: float, scale: float = 1.0) -> Count
     cocoercive slacks of ``point_system()``, five are exactly zero and the
     (x, y_mid) pair carries slack ``scale**2 * ell**2 / 2``, for every gamma1.
     """
-    if ell <= 0.0 or gamma1 <= 0.0:
-        raise BadParameters("ell and gamma1 must be positive")
+    numerics.require_positive("ell, gamma1, scale", ell, gamma1, scale)
     if gamma1 * ell > 1.0 + 1e-12:
         raise BadParameters(f"gamma1*ell = {gamma1 * ell:.6g} exceeds 1")
-    if scale <= 0.0:
-        raise BadParameters("scale must be positive")
     g, l, a = gamma1, ell, scale
     x = a * np.array([-0.5, 0.0])
     y = -x
@@ -202,8 +199,7 @@ def verify_counterexample(inst: CounterexampleInstance, gamma2: float) -> Certif
     scale^2 * (1 + g1^2 g2^2 ell^4 / 4) to within 1e-12 relative; verdict is
     ``violated`` (non-expansiveness disproved) when E exceeds ||x - y||^2.
     """
-    if gamma2 <= 0.0:
-        raise BadParameters("gamma2 must be positive")
+    numerics.require_positive("gamma2", gamma2)
     q = inst.gamma1 * gamma2 * (inst.ell * inst.ell)
     predicted = inst.scale * inst.scale * (1.0 + q * q / 4.0)
     if not predicted < np.inf:
@@ -258,7 +254,7 @@ def cocoercivity_pencil(a, ell: float) -> np.ndarray:
 
 def _pencil_scale(A: np.ndarray, ell: float) -> float:
     """``ell*max|H| + max|A^T A|``, the size of the pencil's two terms; the
-    pencil tests measure their tolerances against it."""
+    pencil tests scale their tolerances by it."""
     return ell * float(np.abs(0.5 * (A + A.T)).max()) + float(np.abs(A.T @ A).max())
 
 
@@ -272,8 +268,7 @@ def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> Certif
     When violated, the most-negative eigenvector u gives the violating pair
     (u, 0): its pairwise slack equals the eigenvalue.
     """
-    if ell <= 0.0:
-        raise BadParameters("ell must be positive")
+    numerics.require_positive("ell", ell)
     A = _square(a)
     w, V = numerics.sym_eig(cocoercivity_pencil(A, ell))
     if tol is None:
@@ -297,8 +292,7 @@ def spectral_disk_check(a, ell: float) -> CertificateReport:
     only decisive for normal matrices; the pencil test is authoritative
     otherwise.
     """
-    if ell <= 0.0:
-        raise BadParameters("ell must be positive")
+    numerics.require_positive("ell", ell)
     vals = numerics.eigenvalues(_square(a))
     center = ell / 2.0
     rows = []
@@ -408,8 +402,7 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     """
     if which not in ("og", "eftp"):
         raise BadParameters("which must be 'og' or 'eftp'")
-    if ell <= 0.0 or gamma <= 0.0:
-        raise BadParameters("ell and gamma must be positive")
+    numerics.require_positive("ell, gamma", ell, gamma)
     if ell * gamma < 1e-150:
         raise BadParameters(
             f"ell*gamma = {ell * gamma!r} is below 1e-150; the floor 1 + 4/(ell*gamma)^2 overflows")
@@ -430,7 +423,7 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     # relative: the floor grows as 1/(ell*gamma)^2 and the ratio's rounding with it
     if ratio < formula_floor * (1.0 - 1e-9):
         raise RuntimeError(
-            f"measured ratio {ratio!r} fell below the structural floor {formula_floor!r}")
+            f"witness ratio {ratio!r} fell below the structural floor {formula_floor!r}")
     verdict = VIOLATED if ratio > 1.0 + 1e-12 else INCONCLUSIVE
     return CertificateReport(
         verdict,
@@ -484,11 +477,11 @@ def linear_star_equiv_check(a, ell: float, trials: int = 200,
 # ---------------------------------------------------------------------------
 
 def logistic_constants(a: float, delta: float) -> dict:
-    """Closed-form bounds L <= a^2/4 + delta, Lambda <= |a|^3/4, cross-checked
-    against |F'| and |F''| on 2001 grid points of [-20/|a|, 20/|a|]."""
+    """The closed-form bounds L <= a^2/4 + delta and Lambda <= |a|^3/4 that
+    ``LogisticGrad(a, delta)`` declares, cross-checked against |F'| and |F''|
+    on 2001 grid points of [-20/|a|, 20/|a|]."""
     op = LogisticGrad(a, delta)
-    L_bound = a * a / 4.0 + delta
-    lam_bound = abs(a) ** 3 / 4.0
+    L_bound, lam_bound = op.constants.lipschitz, op.constants.jac_lipschitz
     grid = np.linspace(-20.0 / abs(a), 20.0 / abs(a), 2001)
     d1 = max(abs(op.jacobian(np.array([t]))[0, 0]) for t in grid)
     d2 = max(abs(op.second_derivative(t)) for t in grid)

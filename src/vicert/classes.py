@@ -11,6 +11,7 @@ the pencil of a linear map.  A new class is one more entry in ``CLASSES``.
 import math
 from dataclasses import dataclass
 
+from . import numerics
 from .errors import BadParameters
 
 
@@ -53,12 +54,14 @@ CLASSES = {
 
 def rows(op_class: str, parameter=None) -> tuple[Row, ...]:
     """The rows of ``op_class``; :class:`BadParameters` for an unknown class
-    or a missing or non-positive parameter that the class needs."""
+    or a missing, non-finite or non-positive parameter that the class needs."""
     if op_class not in CLASSES:
         raise BadParameters(f"unknown operator class {op_class!r}")
     needs_param, make = CLASSES[op_class]
-    if needs_param and (parameter is None or parameter <= 0):
-        raise BadParameters(f"class {op_class!r} needs a positive parameter")
+    if needs_param:
+        if parameter is None:
+            raise BadParameters(f"class {op_class!r} needs a positive parameter")
+        numerics.require_positive(f"the parameter of class {op_class!r}", parameter)
     return make(parameter)
 
 

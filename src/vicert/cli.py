@@ -214,7 +214,7 @@ def _pep_problem_flags(sp) -> None:
     sp.add_argument("--gamma2", type=_finite_float, required=True)
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--operator-class", default="monotone-lipschitz",
-                    choices=["monotone-lipschitz", "cocoercive"])
+                    choices=pep.OPERATOR_CLASSES)
 
 
 def _build_problem(args) -> pep.GramProblem:

@@ -431,9 +431,10 @@ def standard_suite(seed: int = 20240406) -> list[SuiteEntry]:
                               L=numerics.spectral_norm(B), ell=None,
                               jac_lipschitz=0.0))
     logistic = LogisticGrad(1.0, 0.01)
+    c = logistic.constants
     entries.append(SuiteEntry("logistic", logistic, np.array([2.0]),
-                              logistic.root(), L=0.26, ell=0.26,
-                              jac_lipschitz=0.25))
+                              logistic.root(), L=c.lipschitz, ell=c.cocoercivity,
+                              jac_lipschitz=c.jac_lipschitz))
     return entries
 
 

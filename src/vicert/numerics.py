@@ -10,9 +10,18 @@ terms of the pivots.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonFinite, NotSymmetric, SingularMatrix
+from .errors import (
+    BadParameters,
+    DimensionMismatch,
+    NoConvergence,
+    NonFinite,
+    NotSymmetric,
+    SingularMatrix,
+)
 
 
 def as_vector(x) -> np.ndarray:
@@ -24,6 +33,13 @@ def as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NonFinite("vector has non-finite entries (inf, nan or a float64 overflow)")
     return v
+
+
+def require_positive(names: str, *values) -> None:
+    """:class:`BadParameters` unless every value is finite and positive;
+    written so that NaN fails."""
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise BadParameters(f"{names} must be finite and positive")
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:

@@ -143,8 +143,7 @@ class Affine(Operator):
 def rotation(scale: float = 1.0) -> Affine:
     """The canonical 2-d monotone non-cocoercive map x -> (scale) * (x2, -x1)."""
     s = float(scale)
-    if s <= 0.0:
-        raise BadParameters("scale must be positive")
+    numerics.require_positive("scale", s)
     A = np.array([[0.0, s], [-s, 0.0]])
     return Affine(A, kind="rotation", constants=Constants(lipschitz=s), root=np.zeros(2))
 
@@ -275,8 +274,7 @@ class ExtrapolatedComposite(Operator):
     kind = "eg-composite"
 
     def __init__(self, inner: Operator, gamma: float):
-        if gamma <= 0.0:
-            raise BadParameters("gamma must be positive")
+        numerics.require_positive("gamma", gamma)
         self.inner = inner
         self.gamma = float(gamma)
         self.dim = inner.dim
@@ -302,8 +300,7 @@ def eg_operator(op: Operator, gamma: float) -> Operator:
     For affine F = Ax + b the result is affine with matrix A(I - gamma*A)
     and offset b - gamma*A b.
     """
-    if gamma <= 0.0:
-        raise BadParameters("gamma must be positive")
+    numerics.require_positive("gamma", gamma)
     if isinstance(op, Affine):
         A, b = op.matrix, op.offset
         eye = np.eye(op.dim)
@@ -317,8 +314,7 @@ def og_operator(op: Operator, gamma: float) -> Affine:
     Blocks [[2A, -A], [-I/gamma, I/gamma]] with offset (b, 0); only defined
     for affine operators.
     """
-    if gamma <= 0.0:
-        raise BadParameters("gamma must be positive")
+    numerics.require_positive("gamma", gamma)
     if not isinstance(op, Affine):
         raise NotAffine("optimistic-gradient matrix form needs an affine operator")
     A, b = op.matrix, op.offset
@@ -335,8 +331,7 @@ def eftp_operator(op: Operator, gamma: float) -> Affine:
 
     z -> (F(x - gamma*F(y)), (y - x)/gamma + F(y)); affine inputs only.
     """
-    if gamma <= 0.0:
-        raise BadParameters("gamma must be positive")
+    numerics.require_positive("gamma", gamma)
     if not isinstance(op, Affine):
         raise NotAffine("extrapolation-from-the-past matrix form needs an affine operator")
     A, b = op.matrix, op.offset
@@ -356,8 +351,7 @@ class ImplicitComposite(Operator):
     tol = 1e-12
 
     def __init__(self, inner: Operator, gamma: float):
-        if gamma <= 0.0:
-            raise BadParameters("gamma must be positive")
+        numerics.require_positive("gamma", gamma)
         L = inner.constants.lipschitz
         if L is not None and gamma * L >= 1.0:
             raise BadParameters(f"gamma*L = {gamma * L:.3g} >= 1 breaks the inner contraction")
@@ -399,8 +393,7 @@ def pp_operator(op: Operator, gamma: float) -> Operator:
     Affine inputs are resolved exactly by a linear solve; nonlinear inputs
     use a fixed-point iteration with residual tolerance 1e-12.
     """
-    if gamma <= 0.0:
-        raise BadParameters("gamma must be positive")
+    numerics.require_positive("gamma", gamma)
     if isinstance(op, Affine):
         A, b = op.matrix, op.offset
         eye = np.eye(op.dim)

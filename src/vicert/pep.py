@@ -11,7 +11,6 @@ so it is a certified lower bound.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,53 +28,8 @@ from .serial import fmt17
 
 
 # ---------------------------------------------------------------------------
-# Formal linear combinations over a named basis
+# Bilinear forms over a named basis
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GramExpr:
-    """A formal linear combination of basis vectors; inner products of two
-    expressions are bilinear forms over the Gram matrix of the basis."""
-
-    basis: tuple[str, ...]
-    coeffs: np.ndarray
-
-    def _like(self, coeffs) -> "GramExpr":
-        return GramExpr(self.basis, coeffs)
-
-    def __add__(self, other: "GramExpr") -> "GramExpr":
-        self._check(other)
-        return self._like(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "GramExpr") -> "GramExpr":
-        self._check(other)
-        return self._like(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "GramExpr":
-        return self._like(-self.coeffs)
-
-    def __mul__(self, scalar: float) -> "GramExpr":
-        return self._like(float(scalar) * self.coeffs)
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "GramExpr") -> None:
-        if self.basis != other.basis:
-            raise LabelMismatch("expressions live over different bases")
-
-
-def basis_exprs(labels) -> dict[str, GramExpr]:
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise BadParameters("basis labels must be unique")
-    eye = np.eye(len(labels))
-    return {lab: GramExpr(labels, eye[i]) for i, lab in enumerate(labels)}
-
-
-def zero_expr(labels) -> GramExpr:
-    labels = tuple(labels)
-    return GramExpr(labels, np.zeros(len(labels)))
-
 
 def _sym_cell(u, v):
     """The (r, c) cell of the symmetric form of u v^T, from ``u = (u_r, u_c)``
@@ -88,14 +42,14 @@ def _rows_cols(a):
     return a[..., :, None], a[..., None, :]
 
 
-def inner_matrix(u: GramExpr, v: GramExpr) -> np.ndarray:
-    """Symmetric M with <u, v> = Tr(M G) for the basis Gram matrix G."""
-    u._check(v)
-    return _sym_cell(_rows_cols(u.coeffs), _rows_cols(v.coeffs))
+def inner_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric M with <u, v> = Tr(M G) for the basis Gram matrix G, where
+    u and v hold basis coefficients."""
+    return _sym_cell(_rows_cols(u), _rows_cols(v))
 
 
-def sq_matrix(u: GramExpr) -> np.ndarray:
-    return np.outer(u.coeffs, u.coeffs)
+def sq_matrix(u: np.ndarray) -> np.ndarray:
+    return np.outer(u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +76,11 @@ class PairForms:
 
     @classmethod
     def over(cls, points, rows, name: str) -> "PairForms":
-        """The rows on every pair i < j of ``(label, x, F(x))`` points with
-        :class:`GramExpr` x and F(x), in :func:`classes.pairs` order;
+        """The rows on every pair i < j of ``(label, x, F(x))`` points, x and
+        F(x) given as basis coefficient rows, in :func:`classes.pairs` order;
         constraint names are ``name.format(tag=row.tag, i=label_i, j=label_j)``."""
-        X = np.array([x.coeffs for _, x, _ in points])
-        F = np.array([fx.coeffs for _, _, fx in points])
+        X = np.array([x for _, x, _ in points])
+        F = np.array([fx for _, _, fx in points])
         i, j = np.triu_indices(len(points), k=1)
         names = tuple(name.format(tag=row.tag, i=points[a][0], j=points[b][0])
                       for a, b in zip(i.tolist(), j.tolist()) for row in rows)
@@ -332,13 +286,6 @@ def verify_point(prob: GramProblem, G) -> FeasiblePoint:
 _EXP_BASIS = ("x", "y", "xF1", "yF1", "xF2", "yF2")
 
 
-def _require_positive(names: str, *values) -> None:
-    """:class:`BadParameters` unless every value is finite and positive;
-    written so that NaN fails."""
-    if not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise BadParameters(f"{names} must be finite and positive")
-
-
 def build_expansiveness_pep(ell: float, gamma1: float, gamma2: float) -> GramProblem:
     """Worst-case squared expansion of the two-stepsize extrapolated update
     on ell-cocoercive operators, at unit separation of the two start points.
@@ -348,9 +295,8 @@ def build_expansiveness_pep(ell: float, gamma1: float, gamma2: float) -> GramPro
     cocoercivity inequalities over the pairs of (x, x_mid, y, y_mid), named
     ``i|j`` and kept factored, and the equality ``unit-separation``.
     """
-    _require_positive("ell, gamma1, gamma2", ell, gamma1, gamma2)
-    e = basis_exprs(_EXP_BASIS)
-    x, y, xf1, yf1, xf2, yf2 = (e[k] for k in _EXP_BASIS)
+    numerics.require_positive("ell, gamma1, gamma2", ell, gamma1, gamma2)
+    x, y, xf1, yf1, xf2, yf2 = np.eye(len(_EXP_BASIS))
     points = [
         ("x", x, xf1),
         ("x_mid", x - gamma1 * xf1, xf2),
@@ -391,8 +337,8 @@ def counterexample_vectors(inst) -> dict[str, np.ndarray]:
 # Norm-decay worst-case problems for the two-stepsize update
 # ---------------------------------------------------------------------------
 
-# the PEP spelling of each class in the table
-_PEP_CLASSES = {"monotone-lipschitz": "monotone+lipschitz", "cocoercive": "cocoercive"}
+# the operator classes of build_norm_pep, each with its name in the class table
+OPERATOR_CLASSES = {"monotone-lipschitz": "monotone+lipschitz", "cocoercive": "cocoercive"}
 
 
 def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
@@ -411,36 +357,38 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
     """
     if K < 1:
         raise BadParameters("K must be at least 1")
-    _require_positive("L, gamma1, gamma2", L, gamma1, gamma2)
-    if operator_class not in _PEP_CLASSES:
+    numerics.require_positive("L, gamma1, gamma2", L, gamma1, gamma2)
+    if operator_class not in OPERATOR_CLASSES:
         raise BadParameters(f"unknown operator class {operator_class!r}")
     labels = ["dx0"] + [f"Fx{k}" for k in range(K + 1)] + [f"Fxt{k}" for k in range(K + 1)]
-    e = basis_exprs(labels)
-    zero = zero_expr(labels)
+    # basis coefficient rows: dx0, then F(x^k) and F(xt^k) for k = 0..K
+    eye = np.eye(len(labels))
+    dx0, Fx, Fxt = eye[0], eye[1:K + 2], eye[K + 2:]
 
-    pos_x = []  # x^k - xstar as expressions
-    cur = e["dx0"]
+    pos_x = []  # x^k - xstar
+    cur = dx0
     for k in range(K + 1):
         pos_x.append(cur)
-        cur = cur - gamma2 * e[f"Fxt{k}"]
+        cur = cur - gamma2 * Fxt[k]
+    zero = np.zeros(len(labels))
     points = [("xstar", zero, zero)]
     for k in range(K + 1):
-        points.append((f"x{k}", pos_x[k], e[f"Fx{k}"]))
+        points.append((f"x{k}", pos_x[k], Fx[k]))
     for k in range(K + 1):
-        points.append((f"xt{k}", pos_x[k] - gamma1 * e[f"Fx{k}"], e[f"Fxt{k}"]))
-    pairs = PairForms.over(points, classes.rows(_PEP_CLASSES[operator_class], L),
+        points.append((f"xt{k}", pos_x[k] - gamma1 * Fx[k], Fxt[k]))
+    pairs = PairForms.over(points, classes.rows(OPERATOR_CLASSES[operator_class], L),
                            "{tag}:{i}|{j}")
 
     if objective == "last-norm":
-        obj = sq_matrix(e[f"Fx{K}"])
+        obj = sq_matrix(Fx[K])
     elif objective == "delta-f":
-        obj = sq_matrix(e["Fx1"]) - sq_matrix(e["Fx0"])
+        obj = sq_matrix(Fx[1]) - sq_matrix(Fx[0])
     elif objective == "delta-composite":
-        obj = sq_matrix(e["Fxt1"]) - sq_matrix(e["Fxt0"])
+        obj = sq_matrix(Fxt[1]) - sq_matrix(Fxt[0])
     else:
         raise BadParameters(f"unknown objective {objective!r}")
 
-    dist = sq_matrix(e["dx0"])
+    dist = sq_matrix(dx0)
     if distance_as_equality:
         ineqs, eqs = (), (("unit-start", dist, 1.0),)
     else:
@@ -461,13 +409,12 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
 
 
 def build_delta_pep(L: float, gamma1: float, gamma2: float,
-                    operator_class: str = "monotone-lipschitz",
-                    measure: str = "f") -> GramProblem:
-    """One-step norm-change problem: worst case of ||F(x^1)||^2 - ||F(x^0)||^2
-    (measure 'f') or of the composite-update norms (measure 'f-eg')."""
-    objective = "delta-f" if measure == "f" else "delta-composite"
+                    operator_class: str = "monotone-lipschitz") -> GramProblem:
+    """One-step norm-change problem: worst case of ||F(x^1)||^2 - ||F(x^0)||^2.
+    The composite-update norms' change is ``build_norm_pep(..., K=1,
+    objective="delta-composite")``."""
     return build_norm_pep(L, gamma1, gamma2, K=1, operator_class=operator_class,
-                          objective=objective)
+                          objective="delta-f")
 
 
 def _norm_pep_interior(L, gamma1, gamma2, K, labels):

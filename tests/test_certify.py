@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from vicert import certify, numerics
+from vicert import certify, classes, numerics
 from vicert.certify import (
     PointSystem,
     affine_cocoercivity_exact,
@@ -445,3 +447,38 @@ class TestImplicitStepCocoercivity:
                 rhs = (np.sum((x - y) ** 2)
                        - gamma**2 * np.sum((base(x_hat) - base(y_hat)) ** 2))
                 assert lhs <= rhs + 1e-10
+
+
+# every certificate entry point, given the value v for one positive parameter
+_POSITIVE_PARAMETERS = {
+    "rows-cocoercive": lambda v: classes.rows("cocoercive", v),
+    "rows-lipschitz": lambda v: classes.rows("lipschitz", v),
+    "rows-monotone+lipschitz": lambda v: classes.rows("monotone+lipschitz", v),
+    "interpolation": lambda v: check_interpolation(PointSystem.build(
+        [("p", [0.3, -1.2], [1.1, 0.4]), ("q", [-0.7, 0.5], [-0.2, 0.9])], "cocoercive", v)),
+    "sampled": lambda v: sampled_property_check(rotation(), "cocoercive", trials=5,
+                                                parameter=v),
+    "spectral-disk": lambda v: spectral_disk_check(ROT, v),
+    "cocoercive-exact": lambda v: affine_cocoercivity_exact(ROT, v),
+    "star-equiv": lambda v: linear_star_equiv_check(ROT, v, trials=5),
+    "counterexample-ell": lambda v: build_counterexample(v, 0.5),
+    "counterexample-gamma1": lambda v: build_counterexample(1.0, v),
+    "counterexample-scale": lambda v: build_counterexample(1.0, 0.5, v),
+    "verify-gamma2": lambda v: verify_counterexample(build_counterexample(1.0, 0.5), v),
+    "og-witness-ell": lambda v: og_noncocoercivity_witness(ROT, v, 0.5),
+    "og-witness-gamma": lambda v: og_noncocoercivity_witness(ROT, 1.0, v),
+    "eftp-witness-gamma": lambda v: og_noncocoercivity_witness(ROT, 1.0, v, "eftp"),
+}
+
+
+class TestParameterChecks:
+    """A class parameter, ell, gamma or scale must be finite and positive:
+    NaN and inf are rejected before any arithmetic, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("call", _POSITIVE_PARAMETERS.values(), ids=_POSITIVE_PARAMETERS)
+    def test_rejected(self, call, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameters, match="must be finite and positive"):
+                call(bad)

@@ -14,7 +14,6 @@ from test_golden import GOLDEN
 from vicert import cli
 from vicert.cli import main
 from vicert.pep import (
-    build_delta_pep,
     build_expansiveness_pep,
     build_norm_pep,
     export_sdpa,
@@ -579,7 +578,7 @@ class TestPepBoundGrid:
     # extrapolated-point measure of the delta problem
     @pytest.mark.parametrize("build", [
         lambda: build_norm_pep(1.0, 0.5, 0.5, K=3, distance_as_equality=False),
-        *[(lambda g=g: build_delta_pep(1.0, g, g, measure="f-eg"))
+        *[(lambda g=g: build_norm_pep(1.0, g, g, K=1, objective="delta-composite"))
           for g in (0.5, 0.7071, 1.0, 1.1, 1.5)],
     ], ids=["ball-K3", *[f"f-eg-{g}" for g in (0.5, 0.7071, 1.0, 1.1, 1.5)]])
     def test_variants_verified_and_deterministic(self, build, tmp_path):

@@ -65,8 +65,8 @@ def _problems():
             yield f"norm-{cls}-K{K}", pep.build_norm_pep(1.1, 0.45, 0.6, K, cls)
     yield "norm-ball-K3", pep.build_norm_pep(1.1, 0.45, 0.6, 3,
                                              distance_as_equality=False)
-    for measure in ("f", "f-eg"):
-        yield f"delta-{measure}", pep.build_delta_pep(1.0, 0.5, 0.7, measure=measure)
+    yield "delta-f", pep.build_delta_pep(1.0, 0.5, 0.7)
+    yield "delta-f-eg", pep.build_norm_pep(1.0, 0.5, 0.7, K=1, objective="delta-composite")
 
 
 def _traces():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vicert import numerics
-from vicert.errors import DimensionMismatch, NotSymmetric, SingularMatrix
+from vicert.errors import BadParameters, DimensionMismatch, NotSymmetric, SingularMatrix
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -229,6 +229,12 @@ class TestHelpers:
 
         J = numerics.finite_diff_jacobian(grad, np.zeros(1))
         assert abs(J[0, 0] - 0.26) < 1e-6
+
+    def test_require_positive(self):
+        numerics.require_positive("a, b", 5e-324, 1.7e308)
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            with pytest.raises(BadParameters, match="a, b must be finite and positive"):
+                numerics.require_positive("a, b", 1.0, bad)
 
     def test_vector_validation(self):
         with pytest.raises(ValueError):

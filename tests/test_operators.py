@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,26 @@ class TestParameters:
         for name in ("L", "ell"):
             with pytest.raises(BadParameters, match=f"constant {name} = 0.0"):
                 operators.Constants.from_json({name: 0.0})
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("build", [
+        rotation,
+        lambda v: eg_operator(rotation(), v),
+        lambda v: eg_operator(LogisticGrad(), v),
+        lambda v: og_operator(rotation(), v),
+        lambda v: eftp_operator(rotation(), v),
+        lambda v: pp_operator(rotation(), v),
+        lambda v: pp_operator(LogisticGrad(), v),
+        lambda v: ExtrapolatedComposite(LogisticGrad(), v),
+        lambda v: ImplicitComposite(LogisticGrad(), v),
+    ], ids=["rotation", "eg-affine", "eg", "og", "eftp", "pp-affine", "pp",
+            "extrapolated-composite", "implicit-composite"])
+    def test_scale_and_gamma_must_be_finite_and_positive(self, build, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameters, match="must be finite and positive"):
+                build(bad)
 
 
 class TestJacobian:

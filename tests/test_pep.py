@@ -23,7 +23,6 @@ from vicert.errors import (
 from vicert.operators import rotation
 from vicert.pep import (
     GramProblem,
-    basis_exprs,
     build_delta_pep,
     build_expansiveness_pep,
     build_norm_pep,
@@ -36,7 +35,6 @@ from vicert.pep import (
     solve,
     sq_matrix,
     verify_point,
-    zero_expr,
 )
 from vicert.serial import fmt17
 from vicert.solvers import SolverConfig, run
@@ -52,24 +50,12 @@ def _eg_run_vectors(op, x0, x_star, gamma1, gamma2, K):
     return trace, vecs
 
 
-class TestGramExpr:
+class TestInnerMatrix:
     def test_inner_and_square(self):
-        e = basis_exprs(("a", "b"))
-        M = inner_matrix(e["a"], e["b"])
+        a, b = np.eye(2)
+        M = inner_matrix(a, b)
         assert np.allclose(M, [[0.0, 0.5], [0.5, 0.0]], atol=0.0)
-        assert np.allclose(sq_matrix(e["a"] - e["b"]), [[1.0, -1.0], [-1.0, 1.0]],
-                           atol=0.0)
-
-    def test_algebra(self):
-        e = basis_exprs(("a", "b", "c"))
-        expr = 2.0 * e["a"] - e["b"] + 0.5 * e["c"]
-        assert np.allclose(expr.coeffs, [2.0, -1.0, 0.5], atol=0.0)
-
-    def test_mixed_basis_rejected(self):
-        e1 = basis_exprs(("a", "b"))
-        e2 = basis_exprs(("a", "c"))
-        with pytest.raises(LabelMismatch):
-            _ = e1["a"] + e2["a"]
+        assert np.allclose(sq_matrix(a - b), [[1.0, -1.0], [-1.0, 1.0]], atol=0.0)
 
 
 class TestExpansivenessMatrices:
@@ -158,7 +144,7 @@ class TestNormPep:
 
     def test_delta_objective(self):
         prob = build_delta_pep(1.0, 0.5, 0.5)
-        e = basis_exprs(prob.basis)
+        e = dict(zip(prob.basis, np.eye(prob.n)))
         expected = sq_matrix(e["Fx1"]) - sq_matrix(e["Fx0"])
         assert np.abs(prob.objective - expected).max() == 0.0
         # no unverified certificate is published with the problem
@@ -174,8 +160,8 @@ class TestNormPep:
         assert point.objective <= 1e-12
 
     def test_cocoercive_variant(self):
-        prob = build_delta_pep(1.0, 0.5, 0.25, operator_class="cocoercive",
-                               measure="f-eg")
+        prob = build_norm_pep(1.0, 0.5, 0.25, K=1, operator_class="cocoercive",
+                              objective="delta-composite")
         assert all(name.startswith("coco:") for name in prob.inequalities)
         assert len(prob.inequalities) == 10
 
@@ -276,10 +262,10 @@ class TestSdpa:
         assert np.array_equal(parsed["rhs"], [0.0] * 6 + [1.0])
 
     def test_no_inequalities_single_block(self, tmp_path):
-        e = basis_exprs(("a", "b"))
+        a, b = np.eye(2)
         prob = GramProblem(
-            name="toy", basis=("a", "b"), objective=sq_matrix(e["a"]),
-            inequalities=(), equalities=(("one", sq_matrix(e["a"] - e["b"]), 1.0),),
+            name="toy", basis=("a", "b"), objective=sq_matrix(a),
+            inequalities=(), equalities=(("one", sq_matrix(a - b), 1.0),),
         )
         path = tmp_path / "toy.dat-s"
         export_sdpa(prob, path)
@@ -428,7 +414,7 @@ class TestSdpaAgainstReference:
         lambda: _extreme_problem(),
         lambda: build_expansiveness_pep(np.pi / 3.0, 0.37, 0.11),
         lambda: build_norm_pep(1.0, 0.5, 0.5, 10),
-        lambda: build_delta_pep(1.0, 0.5, 0.7, measure="f-eg"),
+        lambda: build_norm_pep(1.0, 0.5, 0.7, K=1, objective="delta-composite"),
     ], ids=["extreme", "expansiveness", "norm-K10", "delta-f-eg"])
     def test_parse_matches_reference(self, build, tmp_path):
         path = tmp_path / "prob.dat-s"
@@ -549,10 +535,10 @@ class TestLowerBoundSearch:
 
 
 def _infeasible_problem():
-    e = basis_exprs(("a", "b"))
-    M = sq_matrix(e["a"] - e["b"])
+    a, b = np.eye(2)
+    M = sq_matrix(a - b)
     return GramProblem(
-        name="infeasible", basis=("a", "b"), objective=sq_matrix(e["a"]),
+        name="infeasible", basis=("a", "b"), objective=sq_matrix(a),
         inequalities=(("neg", -M, 0.0),), equalities=(("one", M, 1.0),),
     )
 
@@ -723,7 +709,7 @@ class TestSolve:
         assert point.objective == pytest.approx(gamma**2 * (gamma**2 - 1.0), abs=1e-6)
 
     def test_delta_composite_grows(self):
-        point = solve(build_delta_pep(1.0, 0.5, 0.5, measure="f-eg"))
+        point = solve(build_norm_pep(1.0, 0.5, 0.5, K=1, objective="delta-composite"))
         assert point.feasible(1e-9)
         assert point.objective > 0.43
 
@@ -757,8 +743,8 @@ class TestSolve:
 def _reference_norm_pep(L, gamma1, gamma2, K, operator_class="monotone-lipschitz",
                         objective="last-norm", distance_as_equality=True) -> GramProblem:
     labels = ["dx0"] + [f"Fx{k}" for k in range(K + 1)] + [f"Fxt{k}" for k in range(K + 1)]
-    e = basis_exprs(labels)
-    zero = zero_expr(labels)
+    e = dict(zip(labels, np.eye(len(labels))))
+    zero = np.zeros(len(labels))
 
     pos_x = []
     cur = e["dx0"]
@@ -771,7 +757,7 @@ def _reference_norm_pep(L, gamma1, gamma2, K, operator_class="monotone-lipschitz
     for k in range(K + 1):
         points.append((f"xt{k}", pos_x[k] - gamma1 * e[f"Fx{k}"], e[f"Fxt{k}"]))
 
-    rows = classes.rows(pep._PEP_CLASSES[operator_class], L)
+    rows = classes.rows(pep.OPERATOR_CLASSES[operator_class], L)
     ineqs = [(f"{row.tag}:{li}|{lj}", row.slack(dx, dF, inner_matrix), 0.0)
              for li, lj, dx, dF in classes.pairs(points) for row in rows]
 
