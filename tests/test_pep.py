@@ -50,7 +50,7 @@ def _eg_run_vectors(op, x0, x_star, gamma1, gamma2, K):
     return trace, vecs
 
 
-class TestInnerMatrix:
+class TestGramExpr:
     def test_inner_and_square(self):
         a, b = np.eye(2)
         M = inner_matrix(a, b)
