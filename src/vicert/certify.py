@@ -366,13 +366,15 @@ def eg_affine_cocoercivity_check(a, gamma: float, L: float) -> CertificateReport
     linear map is (2/gamma)-cocoercive, by both the spectral-disk criterion
     and the exact pencil test on A(I - gamma*A)."""
     A = _square(a)
-    if L <= 0.0 or not 0.0 < gamma <= 1.0 / L + 1e-12:
+    numerics.require_positive("L", L)
+    # on the dimensionless gamma*L, so the test means the same at every scale of A
+    if not (0.0 < gamma and gamma * L <= 1.0 + 1e-12):
         raise PreconditionViolated("need 0 < gamma <= 1/L")
     sym_min = float(numerics.sym_eigs(0.5 * (A + A.T))[0])
     if sym_min < -1e-10:
         raise PreconditionViolated(f"matrix is not monotone (min sym eig {sym_min:.3e})")
     norm = numerics.spectral_norm(A)
-    if norm > L * (1.0 + 1e-9) + 1e-9:
+    if norm > L * (1.0 + 1e-9):
         raise PreconditionViolated(f"operator norm {norm:.6g} exceeds declared L={L}")
     B = A @ (np.eye(A.shape[0]) - gamma * A)
     ell = 2.0 / gamma

@@ -106,6 +106,14 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _require_step(gamma: float, product: float, cap: float, need: str) -> None:
+    """PreconditionViolated unless gamma > 0 and the dimensionless stepsize
+    ``product`` is at most ``cap`` within a relative 1e-12, which means the
+    same at every scale of the constants."""
+    if not (0.0 < gamma and product <= cap * (1.0 + 1e-12)):
+        raise PreconditionViolated(f"need {need}")
+
+
 def _running_average(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values) / np.arange(1, values.size + 1)
 
@@ -118,8 +126,8 @@ def check_gd_bounds(op: Operator, ell: float, gamma: float, iters: int, x0,
                     x_star=None) -> tuple[BoundCheck, BoundCheck]:
     """Averaged and last-iterate residual bounds for plain gradient steps on a
     cocoercive operator: both are ell*||x0-x*||^2 / (gamma*(K+1))."""
-    if ell <= 0.0 or not 0.0 < gamma <= 1.0 / ell + 1e-12:
-        raise PreconditionViolated("need 0 < gamma <= 1/ell")
+    numerics.require_positive("ell", ell)
+    _require_step(gamma, gamma * ell, 1.0, "0 < gamma <= 1/ell")
     trace, ks, d0 = _run_from(op, "gd", iters, x0, x_star, gamma=gamma)
     bound = ell * d0 / (gamma * (ks + 1.0))
     params = {"ell": ell, "gamma": gamma, "iters": iters}
@@ -133,8 +141,8 @@ def check_pp_bound(op: Operator, ell: float, gamma: float, iters: int, x0,
     """Residual bound for explicit steps on the implicit-step composite with
     inner stepsize 2/ell: averaged (and last) value of ||F_pp(x^k)||^2 stays
     below ell*||x0-x*||^2 / (gamma*(K+1))."""
-    if ell <= 0.0 or not 0.0 < gamma <= 1.0 / ell + 1e-12:
-        raise PreconditionViolated("need 0 < gamma <= 1/ell")
+    numerics.require_positive("ell", ell)
+    _require_step(gamma, gamma * ell, 1.0, "0 < gamma <= 1/ell")
     trace, ks, d0 = _run_from(pp_operator(op, 2.0 / ell), "gd", iters, x0, x_star,
                               gamma=gamma)
     bound = ell * d0 / (gamma * (ks + 1.0))
@@ -146,10 +154,9 @@ def check_eg_random_bound(op: Operator, L: float, gamma1: float, gamma2: float,
                           iters: int, x0, x_star=None) -> BoundCheck:
     """Averaged residual of the extrapolated update under the two-stepsize
     scheme: bound 2*||x0-x*||^2 / (gamma1*gamma2*(K+1))."""
-    if L <= 0.0 or not 0.0 < gamma1 <= 1.0 / L + 1e-12:
-        raise PreconditionViolated("need 0 < gamma1 <= 1/L")
-    if not 0.0 < gamma2 <= gamma1 / 2.0 + 1e-12:
-        raise PreconditionViolated("need 0 < gamma2 <= gamma1/2")
+    numerics.require_positive("L", L)
+    _require_step(gamma1, gamma1 * L, 1.0, "0 < gamma1 <= 1/L")
+    _require_step(gamma2, gamma2 / gamma1, 0.5, "0 < gamma2 <= gamma1/2")
     denom = _positive("gamma1*gamma2", gamma1 * gamma2)
     trace, ks, d0 = _run_from(eg_operator(op, gamma1), "gd", iters, x0, x_star,
                               gamma=gamma2)
@@ -167,9 +174,9 @@ def check_eg_last_bounds(op: Operator, L: float, gamma: float, iters: int, x0,
     Guaranteed regime is gamma <= 1/(sqrt(2)*L); for gamma in
     (1/(sqrt(2)L), 1/L) the margins are reported but not asserted.
     """
-    if L <= 0.0 or not 0.0 < gamma <= 1.0 / L + 1e-12:
-        raise PreconditionViolated("need 0 < gamma <= 1/L")
-    guaranteed = gamma <= 1.0 / (_SQRT2 * L) + 1e-12
+    numerics.require_positive("L", L)
+    _require_step(gamma, gamma * L, 1.0, "0 < gamma <= 1/L")
+    guaranteed = gamma * L <= (1.0 + 1e-12) / _SQRT2
     slack = 1.0 - L * L * (gamma * gamma)
     denom = _positive("gamma^2*(1 - L^2*gamma^2)", gamma * gamma * slack)
     gap_denom = _positive("gamma*sqrt(1 - L^2*gamma^2)", gamma * np.sqrt(slack))
@@ -188,7 +195,8 @@ def check_eftp_bound(op: Operator, L: float, gamma: float, iters: int, x0,
                      x_star=None) -> BoundCheck:
     """Averaged residual over the auxiliary sequence of the past-extrapolation
     method: bound ||x0-x*||^2 / (gamma^2*(1-10*gamma^2*L^2)*(K+1))."""
-    if L <= 0.0 or not 0.0 < gamma < 1.0 / (_SQRT10 * L):
+    numerics.require_positive("L", L)
+    if not (0.0 < gamma and gamma * L < 1.0 / _SQRT10):
         raise PreconditionViolated("need 0 < gamma < 1/(sqrt(10)*L)")
     denom = _positive("gamma^2*(1 - 10*gamma^2*L^2)",
                       gamma * gamma * (1.0 - 10.0 * (gamma * gamma) * (L * L)))
@@ -202,6 +210,7 @@ def check_eftp_bound(op: Operator, L: float, gamma: float, iters: int, x0,
 def _hgm_cap(op: Operator, L: float, jac_lipschitz: float, x0) -> tuple[float, float]:
     """The cap L^2 + Lambda*||F(x0)|| (the energy-descent method's stepsize
     limit is 2/cap) and ||F(x0)||."""
+    numerics.require_positive("L", L)
     f0 = float(np.sqrt(np.sum(np.asarray(op(x0)) ** 2)))
     return _positive("L^2 + Lambda*||F(x0)||", L * L + jac_lipschitz * f0), f0
 
@@ -250,8 +259,7 @@ def _plan_hgm_bounds(op: Operator, L: float, jac_lipschitz: float, gamma: float,
         raise PreconditionViolated("the monotonicity check needs iters >= 1")
     x0 = numerics.as_vector(x0)
     cap, f0 = capped if capped is not None else _hgm_cap(op, L, jac_lipschitz, x0)
-    if not 0.0 < gamma <= 2.0 / cap + 1e-12:
-        raise PreconditionViolated("need 0 < gamma <= 2/(L^2 + Lambda*||F(x0)||)")
+    _require_step(gamma, gamma * cap, 2.0, "0 < gamma <= 2/(L^2 + Lambda*||F(x0)||)")
     denom = _positive("gamma*(2 - gamma*cap)", gamma * (2.0 - gamma * cap))
     params = {"L": L, "Lambda": jac_lipschitz, "gamma": gamma, "iters": iters}
 

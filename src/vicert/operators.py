@@ -39,14 +39,14 @@ class Constants:
     cocoercivity: float | None = None
 
     def __post_init__(self):
-        # written so that NaN fails each test
-        for name, value, least in (("L", self.lipschitz, "positive"),
-                                   ("Lambda", self.jac_lipschitz, "nonnegative"),
-                                   ("ell", self.cocoercivity, "positive")):
-            if value is not None and not (math.isfinite(value) and (
-                    value > 0.0 if least == "positive" else value >= 0.0)):
-                raise BadParameters(f"declared constant {name} = {value!r} "
-                                    f"must be finite and {least}")
+        for name, value in (("L", self.lipschitz), ("ell", self.cocoercivity)):
+            if value is not None:
+                numerics.require_positive(f"declared constant {name} = {value!r}", value)
+        # written so that NaN fails
+        lam = self.jac_lipschitz
+        if lam is not None and not (math.isfinite(lam) and lam >= 0.0):
+            raise BadParameters(f"declared constant Lambda = {lam!r} "
+                                "must be finite and nonnegative")
 
     def to_json(self) -> dict:
         out = {}

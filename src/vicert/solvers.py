@@ -23,9 +23,9 @@ _PROVEN = 1e149  # a bound ||x||_2 <= _PROVEN proves x finite and inside the lim
 # rows a trace allocates up front; a longer run doubles its arrays as it goes,
 # so a huge iteration count that diverges early allocates little
 _FIRST_ROWS = 4096
-# the extra trace columns of each method; the "x_*" columns hold vectors
-_EXTRAS = {"eg": ("mid_sq", "x_mid"), "eg2": ("mid_sq", "x_mid"),
-           "eftp": ("tilde_sq", "x_tilde"), "hgm": ("grad_h_sq", "energy")}
+# the extra trace columns of each method
+_EXTRAS = {"eg": ("mid_sq",), "eg2": ("mid_sq",), "eftp": ("tilde_sq",),
+           "hgm": ("grad_h_sq", "energy")}
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,28 @@ class SolverConfig:
         takes = ("gamma1", "gamma2") if self.method == "eg2" else ("gamma",)
         for name in ("gamma", "gamma1", "gamma2"):
             value = getattr(self, name)
-            if name not in takes:
-                if value is not None:
-                    raise BadParameters(f"{self.method} takes no {name}")
-            elif value is None or not value > 0.0:
-                raise BadParameters(f"{self.method} needs a positive {name}")
+            if name in takes:
+                # a missing stepsize is NaN here, which fails the check
+                numerics.require_positive(f"{self.method} {name}",
+                                          math.nan if value is None else value)
+            elif value is not None:
+                raise BadParameters(f"{self.method} takes no {name}")
         object.__setattr__(self, "x0", numerics.as_vector(self.x0).copy())
 
 
 @dataclass
 class Trace:
-    """Per-iteration record of a solver run.
+    """Per-iteration record of a solver run, one scalar column entry per row.
 
-    ``xs[k]`` is the state at iteration k, ``fx_sq[k] = ||F(x^k)||^2``,
-    ``dist_sq[k] = ||x^k - x*||^2`` when a solution was supplied.  Extras
-    hold method-specific columns (and the auxiliary-iterate rows for the
-    two-sequence methods).  ``f_evals`` counts the evaluations of F the run
-    made; the pp resolvent and the hgm Jacobian are separate oracles and do
-    not count.
+    ``fx_sq[k] = ||F(x^k)||^2`` and ``dist_sq[k] = ||x^k - x*||^2`` when a
+    solution was supplied.  Extras hold the method-specific columns.  No
+    point is kept: run evaluates F at each one, so an operator that records
+    its arguments sees them all.  ``f_evals`` counts the evaluations of F
+    the run made; the pp resolvent and the hgm Jacobian are separate oracles
+    and do not count.
     """
 
     method: str
-    xs: np.ndarray
     fx_sq: np.ndarray
     dist_sq: np.ndarray | None
     extras: dict[str, np.ndarray]
@@ -80,11 +80,8 @@ class Trace:
     def __len__(self) -> int:
         return self.fx_sq.shape[0]
 
-    def scalar_extras(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in sorted(self.extras.items()) if v.ndim == 1}
-
     def to_csv(self) -> str:
-        cols = self.scalar_extras()
+        cols = dict(sorted(self.extras.items()))
         header = "k,fx_sq,dist_sq" + "".join("," + name for name in cols) + "\n"
         # "%.17g" writes what serial.fmt17 writes, nan, inf and -0 included; a
         # trace without distances writes the nan of its dist_sq column literally
@@ -102,13 +99,6 @@ class Trace:
 # Run loop
 # ---------------------------------------------------------------------------
 
-def _grown(a: np.ndarray, rows: int, size: int) -> np.ndarray:
-    """``a`` with room for ``size`` rows, its first ``rows`` rows kept."""
-    out = np.empty((size,) + a.shape[1:])
-    out[:rows] = a[:rows]
-    return out
-
-
 def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     """Run ``cfg.iters`` steps of the configured method and record a trace.
 
@@ -124,7 +114,9 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     point finite, while it is at most 1e149; rows whose bound passes it
     check the point exactly instead.  Rows and F evaluations are those of a
     check of every point.  Each F value is computed once: og reuses F(x_prev), eftp reuses
-    F(x_tilde), hgm reuses J(x)^T F(x).
+    F at its tilde point, hgm reuses J(x)^T F(x).  F is ``op._apply``, called
+    on x^k for every row, on the eg mid point for every row and on the eftp
+    tilde point for every step, in that order.
     """
     x = cfg.x0.copy()
     if x.size != op.dim:
@@ -148,26 +140,25 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     n = cfg.iters + 1
     # always one row more than the iterations fill, for the NaN row of an overflow
     size = min(n, _FIRST_ROWS) + 1
-    xs = np.empty((size, x.size))
     fx_sq = np.empty(size)
     dist_sq = None if star is None else np.empty(size)
-    extras = {name: np.empty((size, x.size) if name.startswith("x") else size)
-              for name in _EXTRAS.get(method, ())}
+    extras = {name: np.empty(size) for name in _EXTRAS.get(method, ())}
 
     pp_comp = None   # pp resolvent, built at the first step
     f_prev = None    # og: F(x_prev)
-    x_tilde = x      # eftp state and its F value
-    f_tilde = None
+    f_tilde = None   # eftp: F at the tilde point
     f_evals = 0
-    rows = 0         # rows whose x, fx_sq and dist_sq are written
+    rows = 0         # rows whose fx_sq and dist_sq are written
     full = 0         # rows whose extras are written too
     diverged = False
     for k in range(n):
         if k + 1 == size:
             size = min(2 * size, n + 1)
-            xs, fx_sq = _grown(xs, k, size), _grown(fx_sq, k, size)
-            dist_sq = None if star is None else _grown(dist_sq, k, size)
-            extras = {name: _grown(col, k, size) for name, col in extras.items()}
+            # np.resize fills the new rows with repeats of the old ones; every
+            # row is written before the trace reads it
+            fx_sq = np.resize(fx_sq, size)
+            dist_sq = None if star is None else np.resize(dist_sq, size)
+            extras = {name: np.resize(col, size) for name, col in extras.items()}
         try:
             if not bound <= _PROVEN:
                 # max|x| is NaN or inf exactly when x is not finite; an x_max
@@ -178,7 +169,6 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 bound = math.sqrt(x.size) * x_max * slack
             fx = F(x)
             f_evals += 1
-            xs[k] = x
             fx_sq[k] = fsq = fx.dot(fx)
             root = math.sqrt(fsq) + tiny
             if star is not None:
@@ -192,12 +182,10 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 fmid = F(mid)
                 f_evals += 1
                 extras["mid_sq"][k] = step_sq = fmid.dot(fmid)
-                extras["x_mid"][k] = mid
             elif method == "eftp":
                 if k == 0:
-                    f_tilde, step_sq, t_root = fx, fsq, root  # x_tilde starts at x0
+                    f_tilde, step_sq, t_root = fx, fsq, root  # the tilde point starts at x0
                 extras["tilde_sq"][k] = step_sq
-                extras["x_tilde"][k] = x_tilde
             elif method == "hgm":
                 # @, not .dot: at d = 1, .dot is the bare product j*f, which is
                 # -0.0 where the dot 0 + j*f of @ gives +0.0, and x - g*gh keeps the sign
@@ -226,12 +214,13 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 if k == 0:
                     f_prev, p_root = fx, root  # x_prev starts at x0
                 x, f_prev = x - 2.0 * g * fx + g * f_prev, fx
-                bound, p_root = (bound + g * (2.0 * root + p_root)) * slack, root
+                # the step's own 2*g, which is inf for g >= 2^1023 and then makes the bound inf
+                bound, p_root = (bound + 2.0 * g * (root + 0.5 * p_root)) * slack, root
             elif method == "eftp":
-                x_tilde = x - g * f_tilde
+                tilde = x - g * f_tilde
                 if not bound + g * t_root <= _PROVEN:
-                    numerics.as_vector(x_tilde)
-                f_tilde = F(x_tilde)
+                    numerics.as_vector(tilde)
+                f_tilde = F(tilde)
                 f_evals += 1
                 step_sq = f_tilde.dot(f_tilde)
                 t_root = math.sqrt(step_sq) + tiny
@@ -243,9 +232,9 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
         except NonFinite:
             # F met an overflowed point, so the state it leads to is undefined:
             # finish the current row, if any, and add one more, all NaN
-            for col in (xs, fx_sq, dist_sq):
-                if col is not None:
-                    col[rows] = np.nan
+            fx_sq[rows] = np.nan
+            if dist_sq is not None:
+                dist_sq[rows] = np.nan
             for col in extras.values():
                 col[full:rows + 1] = np.nan
             rows += 1
@@ -264,7 +253,6 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
 
     return Trace(
         method=method,
-        xs=trim(xs),
         fx_sq=trim(fx_sq),
         dist_sq=trim(dist_sq),
         extras={name: trim(col) for name, col in extras.items()},

@@ -16,6 +16,7 @@ from pep_reference import (
     lower_bound_search,
     zero_sign_differences,
 )
+from recording import run_points
 
 from vicert import certify, harness, numerics, pep
 from vicert.certify import (
@@ -456,9 +457,10 @@ class TestA9Properties:
         for op in (rotation(), Affine(rng.standard_normal((3, 3)) + 3 * np.eye(3),
                                       rng.standard_normal(3))):
             x0 = rng.standard_normal(op.dim)
-            og = run(op, SolverConfig("og", gamma=0.1, iters=100, x0=x0))
-            ef = run(op, SolverConfig("eftp", gamma=0.1, iters=100, x0=x0))
-            gap = float(np.abs(og.xs - ef.extras["x_tilde"]).max())
+            _, og_xs, _ = run_points(op, SolverConfig("og", gamma=0.1, iters=100, x0=x0))
+            _, _, tildes = run_points(op, SolverConfig("eftp", gamma=0.1, iters=100, x0=x0))
+            assert og_xs.shape == tildes.shape == (101, op.dim)
+            gap = float(np.abs(og_xs - tildes).max())
             worst = max(worst, gap)
             assert gap <= 1e-10
         _line("A9c sequence-equivalence", True,

@@ -320,6 +320,19 @@ class TestEgAffine:
         with pytest.raises(PreconditionViolated):
             eg_affine_cocoercivity_check(3.0 * np.eye(2), 0.3, 1.0)
 
+    def test_preconditions_are_scale_free(self):
+        # gamma*L = 1e7, gamma*||A|| = 100: an absolute slack of 1e-12 on gamma
+        # let this through to a violated verdict outside the theorem's regime
+        with pytest.raises(PreconditionViolated):
+            eg_affine_cocoercivity_check(1e15 * ROT, 1e-13, 1e20)
+        # ||A|| = 100 L with L = 1e-12: an absolute slack of 1e-9 on the norm
+        # let this through to a violated verdict at gamma*||A|| = 10
+        with pytest.raises(PreconditionViolated):
+            eg_affine_cocoercivity_check(1e-10 * ROT, 1e11, 1e-12)
+        # the regime gamma*L = 1/2 holds at every scale
+        for scale in (1e-100, 1e-20, 1.0, 1e20, 1e100):
+            assert eg_affine_cocoercivity_check(scale * ROT, 0.5 / scale, scale).holds
+
 
 class TestOgWitness:
     def test_rotation_og_unit(self):
@@ -468,6 +481,8 @@ _POSITIVE_PARAMETERS = {
     "og-witness-ell": lambda v: og_noncocoercivity_witness(ROT, v, 0.5),
     "og-witness-gamma": lambda v: og_noncocoercivity_witness(ROT, 1.0, v),
     "eftp-witness-gamma": lambda v: og_noncocoercivity_witness(ROT, 1.0, v, "eftp"),
+    # an infinite L once certified any gamma <= 1e-12
+    "eg-affine-L": lambda v: eg_affine_cocoercivity_check(ROT, 1e-13, v),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vicert import harness, numerics
-from vicert.errors import PreconditionViolated
+from vicert.errors import BadParameters, PreconditionViolated
 from vicert.harness import (
     check_eftp_bound,
     check_eg_last_bounds,
@@ -115,6 +115,14 @@ class TestEgLast:
         assert norm.passed is None and gap.passed is None
         assert not norm.guaranteed
 
+    def test_guaranteed_regime_is_scale_free(self):
+        # gamma*L = 0.9 is past 1/sqrt(2) at every scale of L
+        scale = 1e20
+        norm, gap = check_eg_last_bounds(Affine(scale * rotation().matrix), scale,
+                                         0.9 / scale, 20, np.array([1.0, 0.0]))
+        assert not norm.guaranteed and not gap.guaranteed
+        assert norm.passed is None and gap.passed is None
+
 
 class TestEftp:
     def test_rotation(self):
@@ -175,6 +183,52 @@ class TestHgm:
         check = check_hgm_affine_contraction(Affine(A, np.array([1.0, 0.0])), 20,
                                              np.array([2.0, 3.0]))
         assert check.passed
+
+
+# every stepsize precondition, given the scale s of its constant and the
+# dimensionless stepsize product p, which the precondition caps at 1
+_STEPSIZE_PRECONDITIONS = {
+    "gd": lambda s, p: check_gd_bounds(scaled_identity(1.0, 2), s, p / s, 5, np.ones(2)),
+    "pp": lambda s, p: check_pp_bound(scaled_identity(1.0, 2), s, p / s, 5, np.ones(2)),
+    "eg-random-gamma1": lambda s, p: check_eg_random_bound(rotation(), s, p / s, 0.25 / s,
+                                                           5, np.ones(2)),
+    "eg-random-gamma2": lambda s, p: check_eg_random_bound(rotation(), 1.0, 1.0 / s,
+                                                           0.5 * p / s, 5, np.ones(2)),
+    "eg-last": lambda s, p: check_eg_last_bounds(rotation(), s, p / s, 5, np.ones(2)),
+    "eftp": lambda s, p: check_eftp_bound(rotation(), s, p / (np.sqrt(10.0) * s), 5,
+                                          np.ones(2)),
+    "hgm": lambda s, p: check_hgm_bounds(rotation(), s, 0.0, 2.0 * p / (s * s), 5,
+                                         np.ones(2)),
+}
+
+
+class TestStepsizePreconditions:
+    @pytest.mark.parametrize("product", [1.5, 1e7])
+    @pytest.mark.parametrize("scale", [1e-100, 1e-20, 1.0, 1e20, 1e100])
+    @pytest.mark.parametrize("check", _STEPSIZE_PRECONDITIONS.values(),
+                             ids=_STEPSIZE_PRECONDITIONS)
+    def test_scale_free(self, check, scale, product):
+        """A stepsize past its regime is refused at every scale of the
+        constants; an absolute slack of 1e-12 on gamma let every gamma below
+        it through once L or ell passed 1e12."""
+        with pytest.raises(PreconditionViolated):
+            check(scale, product)
+
+    def test_gd_bound_past_its_regime(self):
+        # gamma*ell = 1e7 once ran, to a failed guaranteed bound
+        with pytest.raises(PreconditionViolated):
+            check_gd_bounds(scaled_identity(1e14, 2), 1e20, 1e-13, 5, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("check", [
+        check_gd_bounds, check_pp_bound, check_eg_last_bounds, check_eftp_bound,
+        lambda op, c, g, iters, x0: check_eg_random_bound(op, c, g, 0.5 * g, iters, x0),
+        # only L^2 enters hgm's cap, so L = -1 once ran as L = 1
+        lambda op, c, g, iters, x0: check_hgm_bounds(op, c, 0.0, g, iters, x0),
+    ], ids=["gd", "pp", "eg-last", "eftp", "eg-random", "hgm"])
+    def test_constant_must_be_finite_and_positive(self, check, bad):
+        with pytest.raises(BadParameters, match="must be finite and positive"):
+            check(rotation(), bad, 0.1, 5, np.ones(2))
 
 
 def _reference_run_from(op, method, iters, x0, x_star, **gammas):

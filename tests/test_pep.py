@@ -9,6 +9,7 @@ from pep_reference import (
     lower_bound_search,
     zero_sign_differences,
 )
+from recording import run_points
 from test_golden import _problems
 
 from vicert import classes, cli, pep
@@ -37,16 +38,18 @@ from vicert.pep import (
     verify_point,
 )
 from vicert.serial import fmt17
-from vicert.solvers import SolverConfig, run
+from vicert.solvers import SolverConfig
 
 
 def _eg_run_vectors(op, x0, x_star, gamma1, gamma2, K):
-    trace = run(op, SolverConfig("eg2", gamma1=gamma1, gamma2=gamma2,
-                                 iters=K, x0=x0), x_star=x_star)
+    """The trace of an eg2 run and the PEP vectors of its points, which the
+    run hands to the operator: x^k and the mid point of every row."""
+    trace, xs, mids = run_points(op, SolverConfig("eg2", gamma1=gamma1, gamma2=gamma2,
+                                                  iters=K, x0=x0), x_star=x_star)
     vecs = {"dx0": x0 - x_star}
     for k in range(K + 1):
-        vecs[f"Fx{k}"] = op(trace.xs[k])
-        vecs[f"Fxt{k}"] = op(trace.extras["x_mid"][k])
+        vecs[f"Fx{k}"] = op(xs[k])
+        vecs[f"Fxt{k}"] = op(mids[k])
     return trace, vecs
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from recording import recording, run_points
 
 from vicert import numerics, solvers
 from vicert.errors import BadParameters, NoConvergence, NonFinite
@@ -43,8 +45,8 @@ def _random_monotone_affine(rng, d, shift=0.25):
 
 def _one_step(op, method, x, **steps):
     """The first step of ``method`` from x: row 1 of a one-iteration run."""
-    trace = run(op, SolverConfig(method, iters=1, x0=x, **steps))
-    return trace.xs[1]
+    _, xs, _ = run_points(op, SolverConfig(method, iters=1, x0=x, **steps))
+    return xs[1]
 
 
 class TestSteps:
@@ -104,8 +106,8 @@ class TestSteps:
     @staticmethod
     def _eftp_step(op, x, gamma):
         """(x^1, x_tilde^1) of eftp from x^0 = x_tilde^0 = x."""
-        trace = run(op, SolverConfig("eftp", gamma=gamma, iters=1, x0=x))
-        return trace.xs[1], trace.extras["x_tilde"][1]
+        _, xs, tildes = run_points(op, SolverConfig("eftp", gamma=gamma, iters=1, x0=x))
+        return xs[1], tildes[1]
 
     def test_eftp_rotation_one_step(self):
         x = np.array([1.0, 0.0])
@@ -194,14 +196,14 @@ class TestRun:
                      else {"gamma": gamma})
             cfg = SolverConfig(method, iters=20, x0=np.full(op.dim, scale), **steps)
             with np.errstate(over="ignore", invalid="ignore"):
-                trace = run(op, cfg, x_star=np.zeros(op.dim))
-            columns = [trace.xs, trace.dist_sq, *trace.extras.values()]
+                trace, xs, _ = run_points(op, cfg, x_star=np.zeros(op.dim))
+            columns = [trace.dist_sq, *trace.extras.values()]
             assert all(col.shape[0] == len(trace) for col in columns)
             if method != "pp":
                 assert trace.diverged
             if trace.diverged:
                 assert (not np.isfinite(trace.fx_sq[-1])
-                        or np.abs(trace.xs[-1]).max() > solvers._DIVERGENCE_LIMIT)
+                        or np.abs(xs[-1]).max() > solvers._DIVERGENCE_LIMIT)
 
         prop()
 
@@ -217,13 +219,28 @@ class TestRun:
         assert all(col.shape[0] == 2 for col in trace.extras.values())
         assert trace.to_csv().splitlines()[-1] == "1,nan,nan,nan"
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_column_holds_one_scalar_per_row(self, method):
+        """A trace keeps no vectors: each array it holds is 1-D, with one entry
+        a row, on a tame run and on one that ends on a NaN row."""
+        for g, x0 in ((0.1, np.array([1.0, 0.0])), (1e308, np.array([1e10, 1e10]))):
+            steps = {"gamma1": g, "gamma2": g} if method == "eg2" else {"gamma": g}
+            cfg = SolverConfig(method, iters=30, x0=x0, **steps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = run(rotation(), cfg, x_star=np.zeros(2))
+            fields = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
+            arrays = [a for a in fields if isinstance(a, np.ndarray)]
+            arrays += trace.extras.values()
+            assert len(arrays) == 2 + len(solvers._EXTRAS.get(method, ()))
+            assert all(a.shape == (len(trace),) for a in arrays)
+
     def test_huge_iteration_count_diverging_early(self):
         # the rows are allocated as the run fills them, not all up front
         cfg = SolverConfig("gd", gamma=1e160, iters=10**12, x0=np.array([1.0, 1.0]))
         with np.errstate(over="ignore"):
-            trace = run(scaled_identity(1.0, 2), cfg)
+            trace, xs, _ = run_points(scaled_identity(1.0, 2), cfg)
         assert trace.diverged and len(trace) == 2
-        assert trace.xs.shape == (2, 2)
+        assert xs.shape == (2, 2)
 
     def test_og_eftp_sequences_match(self):
         rng = np.random.default_rng(4)
@@ -231,27 +248,30 @@ class TestRun:
                    bilinear_game(rng.standard_normal((2, 2)))):
             x0 = rng.standard_normal(op.dim)
             gamma = 0.1
-            og = run(op, SolverConfig("og", gamma=gamma, iters=100, x0=x0))
-            ef = run(op, SolverConfig("eftp", gamma=gamma, iters=100, x0=x0))
-            tilde = ef.extras["x_tilde"]
-            assert np.abs(og.xs - tilde).max() <= 1e-10
+            _, og_xs, _ = run_points(op, SolverConfig("og", gamma=gamma, iters=100, x0=x0))
+            _, _, tilde = run_points(op, SolverConfig("eftp", gamma=gamma, iters=100, x0=x0))
+            assert og_xs.shape == tilde.shape == (101, op.dim)
+            assert np.abs(og_xs - tilde).max() <= 1e-10
 
     def test_eg2_trace_matches_gd_on_composite(self):
         rng = np.random.default_rng(5)
         base = _random_monotone_affine(rng, 2)
         x0 = rng.standard_normal(2)
-        t1 = run(base, SolverConfig("eg2", gamma1=0.3, gamma2=0.1, iters=40, x0=x0))
-        t2 = run(eg_operator(base, 0.3), SolverConfig("gd", gamma=0.1, iters=40, x0=x0))
-        assert np.abs(t1.xs - t2.xs).max() <= 1e-12
+        _, xs1, _ = run_points(base, SolverConfig("eg2", gamma1=0.3, gamma2=0.1, iters=40,
+                                                  x0=x0))
+        _, xs2, _ = run_points(eg_operator(base, 0.3),
+                               SolverConfig("gd", gamma=0.1, iters=40, x0=x0))
+        assert xs1.shape == xs2.shape == (41, 2)
+        assert np.abs(xs1 - xs2).max() <= 1e-12
 
     def test_pp_run_matches_step(self):
         op = rotation()
         x0 = np.array([1.0, 1.0])
-        trace = run(op, SolverConfig("pp", gamma=0.5, iters=3, x0=x0))
+        _, xs, _ = run_points(op, SolverConfig("pp", gamma=0.5, iters=3, x0=x0))
         x = x0
         for k in range(3):
             x = x - 0.5 * pp_operator(op, 0.5)(x)
-            assert np.allclose(trace.xs[k + 1], x, atol=1e-13)
+            assert np.allclose(xs[k + 1], x, atol=1e-13)
 
     def test_bad_config(self):
         with pytest.raises(BadParameters):
@@ -260,6 +280,17 @@ class TestRun:
             SolverConfig("gd", gamma=0.0, iters=1, x0=np.zeros(1))
         with pytest.raises(BadParameters):
             SolverConfig("eg2", gamma1=0.1, iters=1, x0=np.zeros(1))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 0.0])
+    def test_stepsizes_must_be_finite_and_positive(self, method, bad):
+        # an infinite stepsize once ran, to fx_sq [2, nan]
+        x0 = np.ones(2)
+        cases = ([{"gamma1": bad, "gamma2": 0.1}, {"gamma1": 0.1, "gamma2": bad}]
+                 if method == "eg2" else [{"gamma": bad}])
+        for steps in cases:
+            with pytest.raises(BadParameters, match="must be finite and positive"):
+                SolverConfig(method, iters=1, x0=x0, **steps)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_takes_only_the_stepsizes_of_its_method(self, method):
@@ -418,9 +449,8 @@ class TestCsv:
                 return np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
                                 dtype=float)
 
-            extras = {name: np.zeros((n, 2)) if name.startswith("x") else column()
-                      for name in solvers._EXTRAS.get(method, ())}
-            trace = Trace(method=method, xs=np.zeros((n, 2)), fx_sq=column(),
+            extras = {name: column() for name in solvers._EXTRAS.get(method, ())}
+            trace = Trace(method=method, fx_sq=column(),
                           dist_sq=column() if with_star else None, extras=extras)
             assert trace.to_csv() == _reference_csv(trace)
 
@@ -434,7 +464,7 @@ class TestCsv:
 # every product are spelled as they were before the hot path was respelled
 # (``@`` products, ``.sum()`` residuals, numpy-scalar logistic arithmetic), so
 # run() is compared with code it does not share.  run() must reproduce it
-# bit for bit.
+# bit for bit, and evaluate F at the points it lists, in the same order.
 # ---------------------------------------------------------------------------
 
 def _reference_sigmoid(t):
@@ -480,6 +510,8 @@ def _reference_jacobian(op, x):
 
 
 def _reference_run(op, cfg, x_star=None):
+    """The trace, and each point F is evaluated at, in order, a point F
+    meets again (og's x_prev, eftp's tilde point) listed once."""
     x = cfg.x0.copy()
     star = None if x_star is None else np.asarray(x_star, dtype=float)
     method = cfg.method
@@ -489,14 +521,14 @@ def _reference_run(op, cfg, x_star=None):
     pp_comp = pp_operator(op, g) if method == "pp" else None
     x_prev = x.copy()
     x_tilde = x.copy()
-    xs, fx_sq, dist_sq = [], [], []
+    points, fx_sq, dist_sq = [], [], []
     extras = {name: [] for name in solvers._EXTRAS.get(method, ())}
     diverged = False
     F = _reference_apply
     for k in range(cfg.iters + 1):
         try:
             fx = F(op, x)
-            xs.append(x.copy())
+            points.append(x.copy())
             fx_sq.append(float(fx @ fx))
             if star is not None:
                 d = x - star
@@ -504,12 +536,11 @@ def _reference_run(op, cfg, x_star=None):
             if method in ("eg", "eg2"):
                 mid = x - g1 * fx
                 fmid = F(op, mid)
+                points.append(mid)
                 extras["mid_sq"].append(float(fmid @ fmid))
-                extras["x_mid"].append(mid)
             elif method == "eftp":
                 ft = F(op, x_tilde)
                 extras["tilde_sq"].append(float(ft @ ft))
-                extras["x_tilde"].append(x_tilde.copy())
             elif method == "hgm":
                 gh = _reference_jacobian(op, x).T @ fx
                 extras["grad_h_sq"].append(float(gh @ gh))
@@ -533,19 +564,20 @@ def _reference_run(op, cfg, x_star=None):
             elif method == "eftp":
                 x_tilde = x - g * F(op, x_tilde)
                 x = x - g * F(op, x_tilde)
+                points.append(x_tilde)
             elif method == "hgm":
                 x = x - g * (_reference_jacobian(op, x).T @ fx)
         except NonFinite:
-            length = len(xs) + 1
-            for name, col in {"xs": xs, "fx_sq": fx_sq, "dist_sq": dist_sq, **extras}.items():
-                fill = np.full(x.shape, np.nan) if name.startswith("x") else np.nan
-                col.extend([fill] * (length - len(col)))
+            length = len(fx_sq) + 1
+            for col in (fx_sq, dist_sq, *extras.values()):
+                col.extend([np.nan] * (length - len(col)))
             diverged = True
             break
-    return Trace(method=method, xs=np.array(xs), fx_sq=np.array(fx_sq),
-                 dist_sq=np.array(dist_sq) if star is not None else None,
-                 extras={name: np.array(rows) for name, rows in extras.items() if rows},
-                 diverged=diverged)
+    trace = Trace(method=method, fx_sq=np.array(fx_sq),
+                  dist_sq=np.array(dist_sq) if star is not None else None,
+                  extras={name: np.array(rows) for name, rows in extras.items() if rows},
+                  diverged=diverged)
+    return trace, points
 
 
 def _same_bits(a, b) -> bool:
@@ -555,7 +587,7 @@ def _same_bits(a, b) -> bool:
 
 
 def _reference_csv(trace):
-    cols = trace.scalar_extras()
+    cols = dict(sorted(trace.extras.items()))
     lines = ["k,fx_sq,dist_sq" + "".join("," + name for name in cols)]
     for k in range(len(trace)):
         dist = trace.dist_sq[k] if trace.dist_sq is not None else float("nan")
@@ -713,24 +745,29 @@ class TestBitIdentity:
     def _assert_same(op, cfg):
         method = cfg.method
         star = np.zeros(op.dim) if op.dim > 1 else None
+        rec = recording(op)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                want = _reference_run(op, cfg, star)
+                want, want_points = _reference_run(op, cfg, star)
             except BadParameters:
                 # the nonlinear implicit step refuses gamma*L >= 1 in both
                 with pytest.raises(BadParameters):
-                    run(op, cfg, star)
+                    run(rec, cfg, star)
                 return
             except NonFinite:
                 # the reference built the pp resolvent before its loop and
                 # raised there; run builds it at the first step and stops
                 assert method == "pp"
-                got = run(op, cfg, star)
+                got = run(rec, cfg, star)
                 assert got.diverged and len(got) == 2 and np.isnan(got.fx_sq[1])
+                assert len(rec.points) == 1 and _same_bits(rec.points[0], cfg.x0)
                 return
-            got = run(op, cfg, star)
-        assert got.xs.shape == want.xs.shape
-        assert _same_bits(got.xs, want.xs)
+            got = run(rec, cfg, star)
+        # every point F is evaluated at, bit for bit and in order
+        assert len(rec.points) == len(want_points) == got.f_evals
+        for p, q in zip(rec.points, want_points):
+            assert _same_bits(p, q)
+        assert got.fx_sq.shape == want.fx_sq.shape
         assert _same_bits(got.fx_sq, want.fx_sq)
         if star is None:
             assert got.dist_sq is None and want.dist_sq is None
@@ -796,8 +833,9 @@ class TestBitIdentity:
         steps = {"gamma1": gamma, "gamma2": gamma} if method == "eg2" else {"gamma": gamma}
         cfg = SolverConfig(method, iters=200, x0=np.array([1.0, 0.0]), **steps)
         self._assert_same(op, cfg)
-        trace = run(op, cfg)
-        x_max = np.abs(trace.xs).max(axis=1)
+        trace, xs, _ = run_points(op, cfg)
+        assert len(xs) == len(trace)
+        x_max = np.abs(xs).max(axis=1)
         assert trace.diverged and np.isfinite(trace.fx_sq).all()
         assert x_max[-1] > solvers._DIVERGENCE_LIMIT >= x_max[-2]
 
@@ -806,9 +844,9 @@ class TestBitIdentity:
         # rows: each time the bound falls back to a scan and starts again from it
         cfg = SolverConfig("gd", gamma=2.0, iters=100, x0=np.full(2, 1e148))
         self._assert_same(scaled_identity(1.0, 2), cfg)
-        trace = run(scaled_identity(1.0, 2), cfg)
-        assert not trace.diverged and len(trace) == 101
-        assert np.abs(trace.xs).max() == 1e148
+        trace, xs, _ = run_points(scaled_identity(1.0, 2), cfg)
+        assert not trace.diverged and len(trace) == len(xs) == 101
+        assert np.abs(xs).max() == 1e148
 
 
 class _CountingAffine(Affine):
@@ -863,12 +901,13 @@ class TestPpResolventOverflow:
         op = load_operator(FIXTURES / "diag12.json")
         cfg = SolverConfig("pp", gamma=1e308, iters=3, x0=np.array([1.0, 1.0]))
         with np.errstate(over="ignore"):
-            trace = run(op, cfg, x_star=np.zeros(2))
+            trace, xs, _ = run_points(op, cfg, x_star=np.zeros(2))
         assert trace.diverged
-        assert len(trace) == 2 and trace.xs.shape == (2, 2)
+        assert len(trace) == 2 and trace.dist_sq.shape == (2,)
         assert trace.fx_sq[0] == 5.0 and trace.dist_sq[0] == 2.0
-        assert np.isnan(trace.xs[1]).all() and np.isnan(trace.fx_sq[1])
-        assert np.isnan(trace.dist_sq[1])
+        # F never meets a point past x^0; the second row is all NaN
+        assert np.array_equal(xs, [[1.0, 1.0]])
+        assert np.isnan(trace.fx_sq[1]) and np.isnan(trace.dist_sq[1])
         assert trace.to_csv().splitlines() == ["k,fx_sq,dist_sq", "0,5,2", "1,nan,nan"]
 
     def test_zero_iterations_never_build_the_resolvent(self):
