@@ -209,8 +209,10 @@ def check_eftp_bound(op: Operator, L: float, gamma: float, iters: int, x0,
 
 def _hgm_cap(op: Operator, L: float, jac_lipschitz: float, x0) -> tuple[float, float]:
     """The cap L^2 + Lambda*||F(x0)|| (the energy-descent method's stepsize
-    limit is 2/cap) and ||F(x0)||."""
+    limit is 2/cap) and ||F(x0)||.  A negative Lambda would lower the cap
+    and so raise the limit past the theorem's."""
     numerics.require_positive("L", L)
+    numerics.require_nonnegative("Lambda", jac_lipschitz)
     f0 = float(np.sqrt(np.sum(np.asarray(op(x0)) ** 2)))
     return _positive("L^2 + Lambda*||F(x0)||", L * L + jac_lipschitz * f0), f0
 
@@ -331,6 +333,16 @@ def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
 _STEP_FRACS = (0.25, 0.5, 1.0)
 
 
+def _step_norms(op: Affine, comp: Affine, g2: np.ndarray, x0: np.ndarray):
+    """For each start x0[i] and its step x1 = x0[i] - g2[i]*comp(x0[i]): the
+    squared norms ``(c0, c1, p0, p1)`` of comp and op at x0 and x1, with the
+    bits of one ``np.add.reduce(v * v)`` on each ``_apply`` value."""
+    cx0 = comp._apply_rows(x0)
+    x1 = x0 - g2[:, None] * cx0
+    return tuple(np.add.reduce(v * v, axis=1)
+                 for v in (cx0, comp._apply_rows(x1), op._apply_rows(x0), op._apply_rows(x1)))
+
+
 def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts: int = 8) -> dict:
     """Search cocoercive affine instances for one-step norm increases.
 
@@ -360,29 +372,19 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts
         for f1 in _STEP_FRACS:
             g1 = f1 / ell
             comp = eg_operator(op, g1)
-            for f2 in _STEP_FRACS:
-                g2 = f2 * g1
-                # one draw fills the rows in C order, the stream of one draw
-                # per row; the search's own finite points: no input check per call
-                for x0 in rng.standard_normal((num_starts, op.dim)):
-                    searched += 1
-                    cx0 = comp._apply(x0)
-                    x1 = x0 - g2 * cx0
-                    c0 = float(np.add.reduce(cx0 * cx0))
-                    cx1 = comp._apply(x1)
-                    c1 = float(np.add.reduce(cx1 * cx1))
-                    if c1 > c0 + 1e-12:
-                        composite_witnesses.append(
-                            {"op": name, "ell": ell, "gamma1": g1, "gamma2": g2,
-                             "x0": x0.tolist(), "increase": c1 - c0})
-                    if g2 < g1:
-                        px0, px1 = op._apply(x0), op._apply(x1)
-                        p0 = float(np.add.reduce(px0 * px0))
-                        p1 = float(np.add.reduce(px1 * px1))
-                        if p1 > p0 + 1e-12:
-                            plain_witnesses.append(
-                                {"op": name, "ell": ell, "gamma1": g1, "gamma2": g2,
-                                 "x0": x0.tolist(), "increase": p1 - p0})
+            # one row per (gamma2 cell, start); one draw fills the rows in C
+            # order, the stream of one draw per start, cell after cell
+            g2 = np.repeat([f2 * g1 for f2 in _STEP_FRACS], num_starts)
+            x0 = rng.standard_normal((g2.size, op.dim))
+            searched += g2.size
+            c0, c1, p0, p1 = _step_norms(op, comp, g2, x0)
+            # the plain residual is searched where gamma2 < gamma1 only
+            for found, v0, v1, where in ((composite_witnesses, c0, c1, True),
+                                         (plain_witnesses, p0, p1, g2 < g1)):
+                for i in np.flatnonzero(where & (v1 > v0 + 1e-12)):
+                    found.append({"op": name, "ell": ell, "gamma1": g1,
+                                  "gamma2": float(g2[i]), "x0": x0[i].tolist(),
+                                  "increase": float(v1[i] - v0[i])})
     return {
         "seed": seed,
         "searched": searched,

@@ -42,6 +42,13 @@ def require_positive(names: str, *values) -> None:
         raise BadParameters(f"{names} must be finite and positive")
 
 
+def require_nonnegative(names: str, *values) -> None:
+    """:class:`BadParameters` unless every value is finite and nonnegative;
+    written so that NaN fails."""
+    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise BadParameters(f"{names} must be finite and nonnegative")
+
+
 def as_matrix(a, square: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
@@ -51,6 +58,34 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix has non-finite entries (inf, nan or a float64 overflow)")
     return m
+
+
+# ---------------------------------------------------------------------------
+# Stacked products with per-row bits
+# ---------------------------------------------------------------------------
+
+def matvecs(A, X) -> np.ndarray:
+    """Row i is ``A @ X[i]``, bit for bit, for the whole stack in one call.
+
+    Stacked ``np.matmul`` is not gemm: for each stack item it calls the BLAS
+    gemv (the dot at d = 1) that ``A @ x`` calls on the same operands.  The
+    operands are taken C-contiguous, since an F-ordered ``A`` would send
+    ``@`` to the other gemv kernel; a non-contiguous ``A`` or ``X`` gives
+    the bits of its contiguous copy.
+    """
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def row_dots(U, V) -> np.ndarray:
+    """Entry i is ``U[i] @ V[i]``, bit for bit, for the whole stack in one
+    ``np.matmul`` call, which calls the BLAS dot that ``u @ v`` calls on
+    each pair of C-contiguous rows.  That dot is not ``np.add.reduce(u * v)``,
+    whose last bit often differs."""
+    U = np.ascontiguousarray(U, dtype=np.float64)
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    return np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,9 @@ class Constants:
         for name, value in (("L", self.lipschitz), ("ell", self.cocoercivity)):
             if value is not None:
                 numerics.require_positive(f"declared constant {name} = {value!r}", value)
-        # written so that NaN fails
         lam = self.jac_lipschitz
-        if lam is not None and not (math.isfinite(lam) and lam >= 0.0):
-            raise BadParameters(f"declared constant Lambda = {lam!r} "
-                                "must be finite and nonnegative")
+        if lam is not None:
+            numerics.require_nonnegative(f"declared constant Lambda = {lam!r}", lam)
 
     def to_json(self) -> dict:
         out = {}
@@ -127,6 +125,11 @@ class Affine(Operator):
         # the shift is added even when it is zero (see __init__)
         return self.matrix.dot(x) + self._shift
 
+    def _apply_rows(self, X):
+        """Row i is ``_apply(X[i])``, bit for bit: one stacked product (see
+        :func:`numerics.matvecs`) plus the same shift."""
+        return numerics.matvecs(self.matrix, X) + self._shift
+
     def _jacobian(self, x):
         return self.matrix
 
@@ -187,8 +190,7 @@ class LogisticGrad(Operator):
         a, delta = float(a), float(delta)
         if not (math.isfinite(a) and a != 0.0):
             raise BadParameters(f"slope a = {a!r} must be finite and nonzero")
-        if not (math.isfinite(delta) and delta >= 0.0):
-            raise BadParameters(f"regularizer delta = {delta!r} must be finite and nonnegative")
+        numerics.require_nonnegative(f"regularizer delta = {delta!r}", delta)
         try:
             # a Python float power raises where a product would return inf;
             # with Lambda finite, L = a^2/4 + delta is finite too
@@ -294,6 +296,23 @@ class ExtrapolatedComposite(Operator):
         return self.inner.root()
 
 
+class _UpdateAffine(Affine):
+    """An affine update operator whose zeros are its base operator's: the
+    first ``root()`` call takes ``base.root()``, bit for bit, and only when
+    that is None solves for its own, as an Affine without a stored root does."""
+
+    def __init__(self, base: Affine, matrix, offset):
+        super().__init__(matrix, offset)
+        self._base = base
+
+    def root(self):
+        if not self._root_computed:
+            root = self._base.root()
+            if root is not None:
+                self._root, self._root_computed = root, True
+        return super().root()
+
+
 def eg_operator(op: Operator, gamma: float) -> Operator:
     """Extragradient update operator x -> F(x - gamma*F(x)).
 
@@ -304,7 +323,7 @@ def eg_operator(op: Operator, gamma: float) -> Operator:
     if isinstance(op, Affine):
         A, b = op.matrix, op.offset
         eye = np.eye(op.dim)
-        return Affine(A @ (eye - gamma * A), b - gamma * (A @ b), root=op.root())
+        return _UpdateAffine(op, A @ (eye - gamma * A), b - gamma * (A @ b))
     return ExtrapolatedComposite(op, gamma)
 
 
@@ -399,7 +418,7 @@ def pp_operator(op: Operator, gamma: float) -> Operator:
         eye = np.eye(op.dim)
         inv = numerics.lu_solve(eye + gamma * A, eye)
         M = A @ inv
-        return Affine(M, b - gamma * (M @ b), root=op.root())
+        return _UpdateAffine(op, M, b - gamma * (M @ b))
     return ImplicitComposite(op, gamma)
 
 
@@ -424,7 +443,7 @@ def hamiltonian_operator(op: Operator) -> Operator:
     """Steepest-descent operator of the residual energy 0.5*||F(x)||^2."""
     if isinstance(op, Affine):
         A, b = op.matrix, op.offset
-        return Affine(A.T @ A, A.T @ b, root=op.root())
+        return _UpdateAffine(op, A.T @ A, A.T @ b)
     return HamiltonianComposite(op)
 
 

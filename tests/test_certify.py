@@ -1,5 +1,6 @@
 import warnings
 
+import draw_reference
 import numpy as np
 import pytest
 
@@ -375,6 +376,78 @@ class TestStarEquiv:
     def test_diag_both_accept(self):
         report = linear_star_equiv_check(np.diag([1.0, 2.0]), 2.0)
         assert report.holds and report.details["sampled_holds"]
+
+
+# matrices where the stacked slacks meet the per-trial ones at their edges:
+# n = 1, ties at zero, and rows whose products overflow, so that their
+# slack is NaN (inf - inf) or -inf
+_STAR_EDGE_CASES = {
+    "n1-violated": ([[2.0]], 1.0),
+    "n1-holds": ([[0.5]], 4.0),
+    "zero-ties": (np.zeros((3, 3)), 1.0),
+    "nan-slacks": (9e153 * np.eye(2), 9e153),
+    "every-slack-nan": (9e153 * np.eye(50), 9e153),
+    "minus-inf-slacks": (9e153 * np.eye(2), 1e150),
+}
+
+
+def _star_cases():
+    yield from _STAR_EDGE_CASES.values()
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        yield rng.standard_normal((n, n)) + rng.uniform(0.0, 3.0) * np.eye(n), \
+            float(rng.uniform(0.1, 20.0))
+
+
+class TestStarEquivAgainstPerTrial:
+    """The stacked draws, slacks and report against draw_reference's
+    one-trial-at-a-time form, bit for bit."""
+
+    def test_every_slack(self):
+        for A, ell in _star_cases():
+            for trials, seed in ((1, 0), (37, 5), (200, 12)):
+                X, slacks = certify._star_slacks(np.asarray(A, dtype=np.float64), ell,
+                                                 trials, seed)
+                xs, want = draw_reference.star_equiv_slacks(A, ell, trials, seed)
+                assert X.tobytes() == np.array(xs).tobytes()
+                assert slacks.tobytes() == np.array(want).tobytes()
+
+    def test_every_report(self):
+        for A, ell in _star_cases():
+            for trials, seed in ((1, 0), (37, 5), (200, 12)):
+                got = linear_star_equiv_check(A, ell, trials, seed).to_json()
+                want = draw_reference.linear_star_equiv_check(A, ell, trials, seed).to_json()
+                assert repr(got) == repr(want)
+
+    def test_overflowing_rows_give_nan_and_minus_inf(self):
+        _, nans = certify._star_slacks(*_STAR_EDGE_CASES["nan-slacks"], 40, 5)
+        assert np.isnan(nans).any() and np.isfinite(nans).any()
+        rep = linear_star_equiv_check(*_STAR_EDGE_CASES["nan-slacks"], 40, 5)
+        assert np.isfinite(rep.details["sampled_worst_slack"])
+        _, every = certify._star_slacks(*_STAR_EDGE_CASES["every-slack-nan"], 40, 5)
+        assert np.isnan(every).all()
+        rep = linear_star_equiv_check(*_STAR_EDGE_CASES["every-slack-nan"], 40, 5)
+        assert rep.details["sampled_worst_slack"] == np.inf and rep.witness is None
+        rep = linear_star_equiv_check(*_STAR_EDGE_CASES["minus-inf-slacks"], 40, 5)
+        assert rep.details["sampled_worst_slack"] == -np.inf
+
+    @pytest.mark.parametrize("slacks", [
+        [np.nan, -1.0, -2.0, -2.0, np.nan, -2.0],
+        [np.nan, np.nan, np.nan],
+        [np.inf, np.nan, np.inf],
+        [-0.0, 0.0, -1e-13, -1e-13],
+        [np.nan, -np.inf, -np.inf, 3.0],
+    ])
+    def test_first_strict_minimum_and_never_nan(self, slacks, monkeypatch):
+        X = np.arange(2.0 * len(slacks)).reshape(-1, 2)
+        monkeypatch.setattr(certify, "_star_slacks",
+                            lambda A, ell, trials, seed: (X, np.array(slacks)))
+        monkeypatch.setattr(draw_reference, "star_equiv_slacks",
+                            lambda A, ell, trials, seed: (list(X), list(slacks)))
+        got = linear_star_equiv_check(np.eye(2), 1.0, len(slacks)).to_json()
+        want = draw_reference.linear_star_equiv_check(np.eye(2), 1.0, len(slacks)).to_json()
+        assert repr(got) == repr(want)
 
 
 class TestLogisticConstants:

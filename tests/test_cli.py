@@ -286,6 +286,9 @@ class TestUsageErrors:
          "--scale", "1e300"],
         ["counterexample", "--ell", "1e-300", "--gamma1", "1e-200", "--gamma2", "0.5"],
         ["certify", "--check", "star-equiv", "--A", EYE2, "--ell", "1", "--trials", "0"],
+        # a negative Lambda would raise hgm's stepsize limit past the theorem's
+        ["check", "--theorem", "hgm", "--op", "rotation", "--L", "1", "--Lambda", "-0.5",
+         "--gamma", "3", "--iters", "5"],
     ], ids=lambda argv: " ".join(argv))
     def test_exits_2_with_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import draw_reference
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from vicert.harness import (
     report_to_json,
     standard_suite,
 )
-from vicert.operators import Affine, LogisticGrad, rotation, scaled_identity
+from vicert.operators import Affine, LogisticGrad, eg_operator, rotation, scaled_identity
 from vicert.solvers import SolverConfig, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -231,6 +232,14 @@ class TestStepsizePreconditions:
             check(rotation(), bad, 0.1, 5, np.ones(2))
 
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -0.5])
+    def test_lambda_must_be_finite_and_nonnegative(self, bad):
+        # Lambda = -0.5 lowered the cap L^2 + Lambda*||F(x0)|| and so ran
+        # gamma = 3 past 2/L^2, to two failed guaranteed bounds
+        with pytest.raises(BadParameters, match="Lambda must be finite and nonnegative"):
+            check_hgm_bounds(rotation(), 1.0, bad, 3.0, 5, np.array([1.0, 0.0]))
+
+
 def _reference_run_from(op, method, iters, x0, x_star, **gammas):
     """The checks' run before they stopped recording distances: the run is
     given the solution point."""
@@ -355,20 +364,21 @@ class TestViolationSearch:
 
         def spy(op, gamma):
             comp = real(op, gamma)
-            apply = comp._apply
+            apply_rows = comp._apply_rows
 
-            def recording(x):
-                seen.append(x.copy())
-                return apply(x)
+            def recording(xs):
+                seen.append(xs.copy())
+                return apply_rows(xs)
 
-            comp._apply = recording
+            comp._apply_rows = recording
             return comp
 
         monkeypatch.setattr(harness, "eg_operator", spy)
         num_ops, num_starts = 6, 5
         report = check_eg_norm_violation_regimes(seed=3, num_ops=num_ops,
                                                  num_starts=num_starts)
-        starts = seen[0::2]   # per start: F at x0, then at x1
+        # per composite: F at the stack of starts, then at their steps
+        starts = [x for stack in seen[0::2] for x in stack]
         rng = np.random.default_rng(3)
         dims = []
         for i in range(num_ops):
@@ -383,6 +393,58 @@ class TestViolationSearch:
         want = [rng.standard_normal(d) for d in dims for _ in range(cells * num_starts)]
         assert len(starts) == len(want) == report["searched"]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(starts, want))
+
+    @staticmethod
+    def _search_cells():
+        """Operators of the search's two kinds, each with its three
+        composites, and a crafted cell (the identity at gamma2 = 5, twice
+        past 1/ell) where both residuals rise."""
+        rng = np.random.default_rng(29)
+        for d in (1, 2, 3, 4, 7):
+            M = rng.standard_normal((d, d))
+            S = M @ M.T / d + 0.2 * np.eye(d)
+            ell = float(np.linalg.eigvalsh(S).max())
+            for f1 in harness._STEP_FRACS:
+                g2 = np.repeat([f2 * f1 / ell for f2 in harness._STEP_FRACS], 8)
+                yield (Affine(S), eg_operator(Affine(S), f1 / ell), g2,
+                       rng.standard_normal((g2.size, d)), False)
+        a = 1.3
+        boundary = Affine(np.array([[a, a], [-a, a]]))
+        g2 = np.full(6, 0.1)
+        yield boundary, eg_operator(boundary, 0.5 / a), g2, rng.standard_normal((6, 2)), False
+        ident = scaled_identity(1.0, 3)
+        g2 = np.full(5, 5.0)
+        yield ident, eg_operator(ident, 0.25), g2, rng.standard_normal((5, 3)), True
+
+    def test_step_norms_match_the_per_start_reference(self):
+        """c0, c1, p0 and p1 of every start, bit for bit, sign bit included."""
+        crafted = 0
+        for op, comp, g2, x0, rises in self._search_cells():
+            got = harness._step_norms(op, comp, g2, x0)
+            want = draw_reference.step_norms(op, comp, g2, x0)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            if rises:
+                c0, c1, p0, p1 = got
+                assert np.all(c1 > c0 + 1e-12) and np.all(p1 > p0 + 1e-12)
+                crafted += 1
+        assert crafted == 1
+
+    @pytest.mark.parametrize("seed", [0, 7, 20240406])
+    def test_same_json_as_the_per_start_reference(self, seed):
+        got = json.dumps(check_eg_norm_violation_regimes(seed=seed), sort_keys=True)
+        assert got == json.dumps(draw_reference.violation_search(seed=seed), sort_keys=True)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_witnesses_match_the_per_start_reference(self, seed, monkeypatch):
+        """No seed from 0 to 299 gives the search a witness at its own
+        stepsizes; a stepsize 3/ell gives both kinds, in the reference's
+        order and bits."""
+        monkeypatch.setattr(harness, "_STEP_FRACS", (0.25, 0.5, 1.0, 3.0))
+        got = check_eg_norm_violation_regimes(seed=seed, num_ops=6, num_starts=4)
+        assert got["composite_norm_increases"] and got["plain_norm_increases"]
+        want = draw_reference.violation_search(seed=seed, num_ops=6, num_starts=4)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_matched_stepsizes_find_nothing(self):
         report = check_eg_norm_violation_regimes(seed=0, num_ops=6, num_starts=4)

@@ -236,8 +236,126 @@ class TestHelpers:
             with pytest.raises(BadParameters, match="a, b must be finite and positive"):
                 numerics.require_positive("a, b", 1.0, bad)
 
+    def test_require_nonnegative(self):
+        numerics.require_nonnegative("a, b", 0.0, -0.0, 1.7e308)
+        for bad in (np.nan, np.inf, -np.inf, -0.5, -5e-324):
+            with pytest.raises(BadParameters, match="a, b must be finite and nonnegative"):
+                numerics.require_nonnegative("a, b", 1.0, bad)
+
     def test_vector_validation(self):
         with pytest.raises(ValueError):
             numerics.as_vector([np.inf, 1.0])
         with pytest.raises(DimensionMismatch):
             numerics.as_matrix([1.0, 2.0])
+
+
+def _per_row_matvecs(A, X):
+    return [np.ascontiguousarray(A) @ np.ascontiguousarray(x) for x in X]
+
+
+def _per_row_dots(U, V):
+    return [np.ascontiguousarray(u) @ np.ascontiguousarray(v) for u, v in zip(U, V)]
+
+
+def _same_bits(got, want):
+    """Each row of ``got`` has the bytes of ``want``'s row, the sign bit of a
+    zero and the payload of a NaN included."""
+    assert len(got) == len(want)
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
+class TestStackedProducts:
+    """matvecs and row_dots against their per-row forms, bit for bit."""
+
+    @staticmethod
+    def _stacks():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        magnitude = st.floats(1e-300, 1e300)
+        entry = (st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+                 | magnitude | magnitude.map(lambda v: -v))
+        shape = st.tuples(st.integers(1, 9), st.integers(1, 7))
+        return hypothesis, st, entry, shape
+
+    def test_matvecs_property(self):
+        """Any d from 1, any entries from 1e-300 to 1e300 with signed zeros,
+        rows that overflow to inf or NaN among them."""
+        hypothesis, st, entry, shape = self._stacks()
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(dims=shape, data=st.data())
+        def prop(dims, data):
+            d, n = dims
+            A = np.array(data.draw(st.lists(entry, min_size=d * d, max_size=d * d))).reshape(d, d)
+            X = np.array(data.draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _same_bits(numerics.matvecs(A, X), _per_row_matvecs(A, X))
+
+        prop()
+
+    def test_row_dots_property(self):
+        hypothesis, st, entry, shape = self._stacks()
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(dims=shape, data=st.data())
+        def prop(dims, data):
+            d, n = dims
+            U, V = (np.array(data.draw(st.lists(entry, min_size=n * d, max_size=n * d)))
+                    .reshape(n, d) for _ in range(2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _same_bits(numerics.row_dots(U, V), _per_row_dots(U, V))
+
+        prop()
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            d, n = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+            A = rng.standard_normal((d, d))
+            X, V = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+            assert _same_bits(numerics.matvecs(A, X), [A @ x for x in X])
+            assert _same_bits(numerics.row_dots(X, V), [x @ v for x, v in zip(X, V)])
+
+    def test_d1_and_signed_zeros(self):
+        # at d = 1 the per-row product is BLAS's dot, 0 + a*x, so a zero
+        # product is +0.0 where the bare a*x is -0.0
+        A = np.array([[-0.0]])
+        X = np.array([[0.0], [-0.0], [3.0], [-2.0]])
+        got = numerics.matvecs(A, X)
+        assert _same_bits(got, [A @ x for x in X])
+        assert not np.signbit(got[:, 0]).any()
+        assert np.signbit((A[0, 0] * X[:, 0])).any()
+        U = np.array([[-0.0, 0.0], [-0.0, -0.0], [1e-300, 1e-300]])
+        assert _same_bits(numerics.row_dots(U, -U), [u @ -u for u in U])
+        assert _same_bits(numerics.row_dots(X, X), [x @ x for x in X])
+
+    def test_overflowing_rows(self):
+        # rows whose products overflow to inf, and whose dots with a zero
+        # entry (inf * 0) are NaN
+        A = np.array([[1e300, 1e300], [1e300, -1e300]])
+        X = np.array([[1e10, 1e10], [1.0, -1.0], [1e10, -1e10], [1e10, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = numerics.matvecs(A, X)
+            squares, mixed = numerics.row_dots(got, got), numerics.row_dots(got, X)
+            assert _same_bits(got, [A @ x for x in X])
+            assert _same_bits(squares, [g @ g for g in got])
+            assert _same_bits(mixed, [g @ x for g, x in zip(got, X)])
+        assert np.isinf(got).any() and np.isinf(squares).any() and np.isnan(mixed).any()
+
+    def test_non_contiguous_inputs(self):
+        """Strided, transposed and F-ordered operands give the bits of their
+        C-contiguous copies: an F-ordered matrix's ``@`` calls the other gemv
+        kernel, whose bits differ."""
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 5, 17):
+            big = rng.standard_normal((3 * d, 2 * d))
+            A = big[::3, ::2]
+            X = rng.standard_normal((2 * d + 1, 2 * d + 1))[:, ::2][:, :d]
+            V = np.asfortranarray(rng.standard_normal((X.shape[0], d)))
+            for a in (A, A.T, np.asfortranarray(A)):
+                want = numerics.matvecs(np.ascontiguousarray(a), np.ascontiguousarray(X))
+                assert _same_bits(numerics.matvecs(a, X), want)
+                assert _same_bits(want, _per_row_matvecs(a, X))
+            assert _same_bits(numerics.row_dots(X, V), _per_row_dots(X, V))
+            assert _same_bits(numerics.row_dots(X, V),
+                              numerics.row_dots(np.ascontiguousarray(X), np.ascontiguousarray(V)))

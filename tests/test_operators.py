@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vicert import numerics, operators
+from vicert import harness, numerics, operators
 from vicert.errors import (
     BadParameters,
     DimensionMismatch,
@@ -461,6 +461,68 @@ class TestHamiltonian:
 
     def test_value(self):
         assert hamiltonian_value(rotation(), np.array([3.0, 4.0])) == 12.5
+
+
+_UPDATE_OPERATORS = {
+    "eg": lambda op: eg_operator(op, 0.2),
+    "pp": lambda op: pp_operator(op, 0.2),
+    "hamiltonian": hamiltonian_operator,
+}
+
+
+class TestLazyCompositeRoot:
+    """The affine update operators take the base operator's root on their
+    first root() call, not while they build."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        real = numerics.lu_solve
+        monkeypatch.setattr(numerics, "lu_solve",
+                            lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("make", _UPDATE_OPERATORS.values(), ids=_UPDATE_OPERATORS)
+    def test_build_solves_only_what_it_needs(self, make, monkeypatch):
+        rng = np.random.default_rng(5)
+        base = Affine(rng.standard_normal((3, 3)) + 3.0 * np.eye(3), rng.standard_normal(3))
+        calls = self._counting(monkeypatch)
+        comp = make(base)
+        built = len(calls)   # pp's resolvent; nothing for eg and hamiltonian
+        assert built == (1 if make is _UPDATE_OPERATORS["pp"] else 0)
+        assert base._root_computed is False
+        got = comp.root()
+        assert len(calls) == built + 1
+        assert got.tobytes() == base.root().tobytes()
+        assert comp.root().tobytes() == got.tobytes() and len(calls) == built + 1
+
+    @pytest.mark.parametrize("make", _UPDATE_OPERATORS.values(), ids=_UPDATE_OPERATORS)
+    @pytest.mark.parametrize("base", [
+        rotation(), scaled_identity(2.0, 3),
+        Affine([[1.0, 2.0], [-1.5, 0.5]], offset=[0.25, -1.0]),
+        Affine([[1.0, 1.0], [1.0, 1.0]]),               # singular, root 0
+        Affine([[1.0, 1.0], [1.0, 1.0]], offset=[1.0, 0.0]),   # no root
+    ], ids=["stored", "stored-identity", "solved", "singular-zero", "none"])
+    def test_same_root_as_the_eager_build(self, make, base):
+        """The root the composite built with ``root=op.root()`` had: the
+        base's bits, or its own solve where the base has none."""
+        comp = make(base)
+        want = base.root()
+        eager = Affine(comp.matrix, comp.offset, root=want)
+        got = comp.root()
+        if eager.root() is None:
+            assert got is None
+        else:
+            assert got.tobytes() == eager.root().tobytes()
+            assert comp.root() is not comp.root()   # a copy each call
+
+    def test_report_solves_eight_resolvents(self, monkeypatch):
+        """At seed 20240406 a report's only LU solves are the pp resolvents of
+        its 8 affine entries; the search's composites and the pp roots are
+        never asked for their root."""
+        calls = self._counting(monkeypatch)
+        harness.run_report(seed=20240406, iters=3)
+        assert len(calls) == 8
 
 
 class TestAffineClosure:
