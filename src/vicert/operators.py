@@ -297,19 +297,21 @@ class ExtrapolatedComposite(Operator):
 
 
 class _UpdateAffine(Affine):
-    """An affine update operator whose zeros are its base operator's: the
+    """An affine update operator whose zeros are its base operator's, repeated
+    ``copies`` times (a block operator's state holds the point twice): the
     first ``root()`` call takes ``base.root()``, bit for bit, and only when
     that is None solves for its own, as an Affine without a stored root does."""
 
-    def __init__(self, base: Affine, matrix, offset):
+    def __init__(self, base: Affine, matrix, offset, copies: int = 1):
         super().__init__(matrix, offset)
         self._base = base
+        self._copies = copies
 
     def root(self):
         if not self._root_computed:
             root = self._base.root()
             if root is not None:
-                self._root, self._root_computed = root, True
+                self._root, self._root_computed = np.tile(root, self._copies), True
         return super().root()
 
 
@@ -340,9 +342,7 @@ def og_operator(op: Operator, gamma: float) -> Affine:
     eye = np.eye(op.dim)
     big = np.block([[2.0 * A, -A], [-eye / gamma, eye / gamma]])
     offset = np.concatenate([b, np.zeros(op.dim)])
-    xstar = op.root()
-    root = None if xstar is None else np.concatenate([xstar, xstar])
-    return Affine(big, offset, root=root)
+    return _UpdateAffine(op, big, offset, copies=2)
 
 
 def eftp_operator(op: Operator, gamma: float) -> Affine:
@@ -357,9 +357,7 @@ def eftp_operator(op: Operator, gamma: float) -> Affine:
     eye = np.eye(op.dim)
     big = np.block([[A, -gamma * (A @ A)], [-eye / gamma, eye / gamma + A]])
     offset = np.concatenate([b - gamma * (A @ b), b])
-    xstar = op.root()
-    root = None if xstar is None else np.concatenate([xstar, xstar])
-    return Affine(big, offset, root=root)
+    return _UpdateAffine(op, big, offset, copies=2)
 
 
 class ImplicitComposite(Operator):

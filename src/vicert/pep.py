@@ -489,13 +489,15 @@ def solve(prob: GramProblem) -> FeasiblePoint:
     predictor-corrector step along the HKM direction from the Schur system
     Tr(M_k G M_l S^-1) + [k = l < q] s_k / z_k.  It stops once
     <G, S> + s.z falls to 1e-8 (1 + |objective|), or as soon as the Schur
-    system is not numerically positive definite (its Cholesky fails).  Every
-    iterate then goes through the repair-and-verify step and the best
-    verified one is returned (near the end the primal residual can grow, and
-    an interior mix costs more objective than the last steps gain), so the
-    result is a certified lower bound whatever the solver's accuracy; its
-    ``solver`` record says how it was reached.  Raises
-    :class:`NoConvergence` when no iterate verifies.
+    system is not numerically positive definite (its Cholesky fails), or
+    when G or S has no Cholesky factor for the step lengths.  Every iterate
+    is then repaired, and the repaired candidates are verified in descending
+    order of objective, later iterates first among equals, until one passes:
+    that one, the best verified iterate, is returned (near the end the
+    primal residual can grow, and an interior mix costs more objective than
+    the last steps gain), so the result is a certified lower bound whatever
+    the solver's accuracy; its ``solver`` record says how it was reached.
+    Raises :class:`NoConvergence` when no iterate verifies.
     """
     n, q = prob.n, len(prob.inequalities)
     C = -prob.objective              # the standard form minimizes Tr(C G)
@@ -511,13 +513,18 @@ def solve(prob: GramProblem) -> FeasiblePoint:
         out[:q] -= h
         return out
 
-    def max_step(X, dX, x, dx):
-        """Longest step keeping X + a dX and x + a dx positive (inf if any)."""
-        Li = np.linalg.inv(np.linalg.cholesky(X))
-        T = Li @ dX @ Li.T
-        lo = min(float(np.linalg.eigvalsh(0.5 * (T + T.T))[0]),
-                 float((dx / x).min(initial=0.0)))
-        return -1.0 / lo if lo < 0.0 else np.inf
+    def max_steps(Ri, dG, ds, dS, dz):
+        """Longest primal and dual steps keeping G + a dG, s + a ds and
+        S + a dS, z + a dz positive (inf if any); ``Ri`` stacks the inverse
+        Cholesky factors of G and S.  The stacked calls run per matrix the
+        LAPACK routine that one call on it runs, so each keeps its bits."""
+        T = Ri @ np.stack([dG, dS]) @ Ri.transpose(0, 2, 1)
+        least = np.linalg.eigvalsh(0.5 * (T + T.transpose(0, 2, 1)))[:, 0].tolist()
+        steps = []
+        for w, dx, x in zip(least, (ds, dz), (s, z)):
+            lo = min(w, float((dx / x).min(initial=0.0)))
+            steps.append(-1.0 / lo if lo < 0.0 else np.inf)
+        return steps
 
     with np.errstate(all="ignore"):
         for it in range(_SOLVE_MAX_ITERS + 1):
@@ -555,43 +562,59 @@ def solve(prob: GramProblem) -> FeasiblePoint:
                 return 0.5 * (dG + dG.T), h - s * dz / z, dy, dS, dz
 
             try:
+                # G and S are factored once, for the predictor and the corrector
+                Ri = np.linalg.inv(np.linalg.cholesky(np.stack([G, S])))
                 mu = gap / N
                 dG, ds, dy, dS, dz = direction(-G @ S, -s * z)
-                ap = min(1.0, max_step(G, dG, s, ds))
-                ad = min(1.0, max_step(S, dS, z, dz))
+                ap, ad = (min(1.0, a) for a in max_steps(Ri, dG, ds, dS, dz))
                 mu_aff = float(np.sum((G + ap * dG) * (S + ad * dS))
                                + (s + ap * ds) @ (z + ad * dz)) / N
                 sigma = min(1.0, mu_aff / mu) ** 3
                 dG, ds, dy, dS, dz = direction(
                     sigma * mu * np.eye(n) - G @ S - dG @ dS,
                     sigma * mu - s * z - ds * dz)
-                ap = min(1.0, _STEP_FRACTION * max_step(G, dG, s, ds))
-                ad = min(1.0, _STEP_FRACTION * max_step(S, dS, z, dz))
+                ap, ad = (min(1.0, _STEP_FRACTION * a)
+                          for a in max_steps(Ri, dG, ds, dS, dz))
             except np.linalg.LinAlgError:
                 stop = "step-length"
                 break
             G, s = G + ap * dG, s + ap * ds
             S, y, z = S + ad * dS, y + ad * dy, z + ad * dz
 
-    best: FeasiblePoint | None = None
-    for k, (G_k, residual, relmu) in enumerate(iterates):
-        point, path = _repair_and_verify(prob, G_k)
-        if point is not None and (best is None or point.objective >= best.objective):
-            best = point
-            best.solver = {"method": "interior-point", "iterations": len(iterates) - 1,
-                           "stop": stop, "iterate": k, "relative_mu": relmu,
-                           "primal_residual": residual, "repair": path}
-    if best is None:
-        raise NoConvergence(f"no interior-point iterate of {prob.name} verifies "
-                            f"within tolerance {_SOLVE_TOL} (stopped: {stop})")
-    return best
+    candidates = []                  # (objective, iterate, repaired G, path)
+    for k, (G_k, _, _) in enumerate(iterates):
+        G_k, path = _repair(prob, G_k)
+        if G_k is not None:
+            candidates.append((prob.objective_value(G_k), k, G_k, path))
+    # best first, ties to the later iterate: the first that verifies is the
+    # best verified one
+    for _, k, G_k, path in sorted(candidates, key=lambda c: c[:2], reverse=True):
+        point = verify_point(prob, G_k)
+        if point.feasible(_SOLVE_TOL):
+            _, residual, relmu = iterates[k]
+            point.solver = {"method": "interior-point", "iterations": len(iterates) - 1,
+                            "stop": stop, "iterate": k, "relative_mu": relmu,
+                            "primal_residual": residual, "repair": path}
+            return point
+    raise NoConvergence(f"no interior-point iterate of {prob.name} verifies "
+                        f"within tolerance {_SOLVE_TOL} (stopped: {stop})")
 
 
 def _repair_and_verify(prob: GramProblem, G: np.ndarray) -> tuple[FeasiblePoint | None, str]:
     """Repair a candidate and verify it; returns the verified point, or None
-    when it fails, with the repair path taken: 'none', 'rescale' (exact
-    rescaling onto the homogeneous equality) or 'interior-mix' (a minimal mix
-    toward the stored interior point, after any rescaling)."""
+    when it fails, with the repair path taken (see :func:`_repair`)."""
+    G, path = _repair(prob, G)
+    if G is None:
+        return None, path
+    point = verify_point(prob, G)
+    return (point if point.feasible(_SOLVE_TOL) else None), path
+
+
+def _repair(prob: GramProblem, G: np.ndarray) -> tuple[np.ndarray | None, str]:
+    """The repaired candidate, or None when it cannot be repaired, with the
+    repair path taken: 'none', 'rescale' (exact rescaling onto the
+    homogeneous equality) or 'interior-mix' (a minimal mix toward the stored
+    interior point, after any rescaling)."""
     G = 0.5 * (G + G.T)
     path = "none"
     q = len(prob.inequalities)
@@ -621,8 +644,7 @@ def _repair_and_verify(prob: GramProblem, G: np.ndarray) -> tuple[FeasiblePoint 
                     theta = min(1.0, 2.0 * theta)
                 else:
                     return None, path
-    point = verify_point(prob, G)
-    return (point if point.feasible(_SOLVE_TOL) else None), path
+    return G, path
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +692,7 @@ def export_sdpa(prob: GramProblem, path) -> None:
 def _fmt17_each(values: np.ndarray, end: str = "") -> np.ndarray:
     """``fmt17(v) + end`` for every float64 value, as an object array; each
     distinct bit pattern is formatted once."""
-    # sorted with the stable sort that parse_sdpa's lexsort also runs: the
+    # sorted with the stable sort that parse_sdpa's argsort also runs: the
     # default quicksort of np.unique pages in 0.5 MB more numpy code
     order = np.argsort(values.view(np.int64), kind="stable")
     bits = values.view(np.int64)[order]
@@ -742,12 +764,14 @@ def parse_sdpa(path) -> dict:
         raise BadParameters(f"SDPA entry '{row}' names no cell: matrices run 0..{m}, "
                             f"blocks 1..{nblocks}, indices within the block")
     # each entry's (matrix, block) group and the flat offsets of its cell in
-    # the upper and lower triangle, sorted by group and cell; float64 holds
-    # these integers exactly
-    group = mk * nblocks + blk - 1
+    # the upper and lower triangle, sorted by group and cell with one stable
+    # sort of the key group * span + upper; float64 holds these integers
+    # exactly
+    group = (mk * nblocks + blk - 1).astype(np.int64)
     lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    upper, lower = lo * dim + hi, hi * dim + lo
-    order = np.lexsort((upper, group))
+    upper, lower = (lo * dim + hi).astype(np.int64), (hi * dim + lo).astype(np.int64)
+    span = int(upper.max(initial=0)) + 1
+    order = np.argsort(group * span + upper, kind="stable")
     group, upper, lower, val = group[order], upper[order], lower[order], val[order]
     same = group[1:] == group[:-1]
     twice = np.flatnonzero(same & (upper[1:] == upper[:-1]))
@@ -755,7 +779,7 @@ def parse_sdpa(path) -> dict:
         k, bl = divmod(int(group[twice[0]]), nblocks)
         r, c = divmod(int(upper[twice[0]]), abs(sizes[bl]))
         raise BadParameters(f"SDPA entry '{k} {bl + 1} {r + 1} {c + 1}' is listed twice")
-    cells = np.stack([upper, lower], axis=1).ravel().astype(np.int64)
+    cells = np.stack([upper, lower], axis=1).ravel()
     vals = np.repeat(val, 2)
     starts = np.flatnonzero(np.concatenate([[group.size > 0], ~same]))
     cuts = (2 * starts).tolist() + [cells.size]

@@ -90,10 +90,6 @@ class Trace:
         columns = [c.tolist() for c in (self.fx_sq, self.dist_sq, *cols.values()) if c is not None]
         return header + "".join(row % values for values in zip(range(len(self)), *columns))
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 # ---------------------------------------------------------------------------
 # Run loop
@@ -259,15 +255,3 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
         diverged=diverged,
         f_evals=f_evals,
     )
-
-
-def average_sq_norm(trace: Trace) -> float:
-    """(1/(K+1)) * sum_k ||F(x^k)||^2; the two-sequence method averages its
-    auxiliary iterates instead."""
-    if len(trace) == 0:
-        raise BadParameters("empty trace")
-    if trace.method == "eftp":
-        vals = trace.extras["tilde_sq"]
-    else:
-        vals = trace.fx_sq
-    return float(vals.sum() / vals.shape[0])

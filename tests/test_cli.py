@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -34,6 +36,35 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestModuleEntry:
+    """``python -m vicert`` and ``python -m vicert.cli`` run the command as
+    the console script does, exit code and stderr included."""
+
+    @staticmethod
+    def _run(module, *argv, tmp_path):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("module", ["vicert", "vicert.cli"])
+    def test_usage_error_exits_2_with_one_error_line(self, module, tmp_path):
+        done = self._run(module, "check", "--theorem", "gd", "--op", "rotation",
+                         "--gamma", "0.1", "--iters", "3", tmp_path=tmp_path)
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    @pytest.mark.parametrize("module", ["vicert", "vicert.cli"])
+    def test_run_exits_0_and_writes_the_trace(self, module, tmp_path):
+        done = self._run(module, "run", "--op", "rotation", "--method", "eg", "--gamma", "0.5",
+                         "--iters", "3", "--x0", "1,0", tmp_path=tmp_path)
+        assert done.returncode == 0 and done.stderr == ""
+        lines = done.stdout.splitlines()
+        assert lines[0] == "k,fx_sq,dist_sq,mid_sq" and len(lines) == 5
 
 
 class TestCachedParser:

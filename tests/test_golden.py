@@ -10,9 +10,11 @@ cases, the ``report`` JSON and the solver trace CSVs (recorded before the
 run loop's products were respelled), the ``check`` JSONs and the
 violation search (recorded before the bound checks stopped recording
 distances they do not read; the hgm ones before the report's two hgm checks
-shared a run) also take BLAS dot products of short vectors, so their
-digests hold where those round alike (x86-64 builds of numpy's bundled
-OpenBLAS, whose kernels use FMA).  Regenerate the digests with
+shared a run) also take BLAS dot products of short vectors, and the
+``pep-bound`` JSONs (recorded before the solve factored each iterate once and
+verified its candidates best-first) BLAS products and LAPACK factorisations
+of small matrices, so their digests hold where those round alike (x86-64
+builds of numpy's bundled OpenBLAS, whose kernels use FMA).  Regenerate the digests with
 ``python tests/test_golden.py`` only for an intended change of output.
 """
 
@@ -101,6 +103,20 @@ _CHECK_ARGV = {
 }
 
 
+# pep-bound's JSON: the solver record and the returned point, at problems
+# whose best verified iterate is the last (most), one before it (norm K3),
+# and ones stopped by a failed Schur factorisation (norm K2 at gamma 1, delta)
+_PEP_BOUND_ARGV = {
+    "expansiveness-1-.5-.5": ["expansiveness", "--ell", "1", "--gamma1", "0.5",
+                              "--gamma2", "0.5"],
+    "expansiveness-1-1-1": ["expansiveness", "--ell", "1", "--gamma1", "1", "--gamma2", "1"],
+    **{f"norm-K{K}-.5": ["norm", "--L", "1", "--gamma1", "0.5", "--gamma2", "0.5",
+                         "--K", str(K)] for K in (1, 2, 3)},
+    "norm-K2-1": ["norm", "--L", "1", "--gamma1", "1", "--gamma2", "1", "--K", "2"],
+    "delta-1.2": ["delta", "--L", "1", "--gamma1", "1.2", "--gamma2", "1.2"],
+}
+
+
 def outputs(tmp_path) -> dict[str, bytes]:
     out = {}
     # the CSV the console-script CI step writes, through the same entry point
@@ -116,6 +132,10 @@ def outputs(tmp_path) -> dict[str, bytes]:
         path = tmp_path / f"check-{key}.json"
         assert cli.main(["check", "--theorem", *argv, "--out", str(path)]) == 0
         out[f"check:{key}"] = path.read_bytes()
+    for key, argv in _PEP_BOUND_ARGV.items():
+        path = tmp_path / f"pep-bound-{key}.json"
+        assert cli.main(["pep-bound", "--problem", *argv, "--out", str(path)]) == 0
+        out[f"pep-bound:{key}"] = path.read_bytes()
     out["violation-search:7"] = json.dumps(
         harness.check_eg_norm_violation_regimes(seed=7), sort_keys=True).encode()
     for a, delta in ((1.0, 0.01), (-2.5, 3.0)):
@@ -213,6 +233,13 @@ GOLDEN = {
     'check:eftp-rotation': 'f8d88f50fcbf938d3a33f0e6c97598209c9d103e0954a1fc3ddbfaa29b39b7df',
     'check:hgm-diag12': '1363965213b9ae836c23c18ab8f90ace7db163c229df05ad90806774d7558e78',
     'check:hgm-affine-diag12': 'd91a2f70252639f3e304886de20a6e6cd601ad3069cb2391d931a691b4b87817',
+    'pep-bound:expansiveness-1-.5-.5': 'a3a2ed0a847f8763fbe6460e22deedac4083b6f7673ce5e2c379bb9636d4c363',
+    'pep-bound:expansiveness-1-1-1': '1d4bf8f5865b73f6e7c04e98ff310475378b15a425603b8eaa2590215f83fbb2',
+    'pep-bound:norm-K1-.5': '35b689e0038fbee3729b5742de265ce5396fd3366cb14d06f96741109d6498f8',
+    'pep-bound:norm-K2-.5': '411245628986359f2f7f608cb436428a0838c5552ff189314f2bab913f2a4986',
+    'pep-bound:norm-K3-.5': 'b39ff56019b77a5a55237b719706631f341477523800432f06b03e1f36cac933',
+    'pep-bound:norm-K2-1': 'e5f5c3ec3f687ad94eab1883f9267a8c42e25748b8e8599c82a166221aad8d7b',
+    'pep-bound:delta-1.2': '4c14132b5d47e84d5c75f71a84cb6383d4672629a66bf8c4cdbb6239dff460e8',
     'violation-search:7': 'a8939eb8e090cd8d076ce6782690682fc711b477db4c9c9be9373ebc19d60531',
     'logistic-root:1.0-0.01': '469281dcf43633cace3646f3e6fe805257d816a3ee7ee8cde76b63ea0685a641',
     'logistic-root:-2.5-3.0': 'c85078c9bccf5245e71fa91a71391e5e26f1f9e5e1178c367b01243248c71341',

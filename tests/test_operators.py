@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vicert import harness, numerics, operators
+from vicert import certify, harness, numerics, operators
 from vicert.errors import (
     BadParameters,
     DimensionMismatch,
@@ -467,7 +467,15 @@ _UPDATE_OPERATORS = {
     "eg": lambda op: eg_operator(op, 0.2),
     "pp": lambda op: pp_operator(op, 0.2),
     "hamiltonian": hamiltonian_operator,
+    "og": lambda op: og_operator(op, 0.2),
+    "eftp": lambda op: eftp_operator(op, 0.2),
 }
+
+
+def _lifted(comp, root):
+    """The composite's root as the eager build stored it: the base's root,
+    once per block of the composite's state."""
+    return None if root is None else np.concatenate([root] * (comp.dim // root.size))
 
 
 class TestLazyCompositeRoot:
@@ -493,7 +501,7 @@ class TestLazyCompositeRoot:
         assert base._root_computed is False
         got = comp.root()
         assert len(calls) == built + 1
-        assert got.tobytes() == base.root().tobytes()
+        assert got.tobytes() == _lifted(comp, base.root()).tobytes()
         assert comp.root().tobytes() == got.tobytes() and len(calls) == built + 1
 
     @pytest.mark.parametrize("make", _UPDATE_OPERATORS.values(), ids=_UPDATE_OPERATORS)
@@ -507,14 +515,21 @@ class TestLazyCompositeRoot:
         """The root the composite built with ``root=op.root()`` had: the
         base's bits, or its own solve where the base has none."""
         comp = make(base)
-        want = base.root()
-        eager = Affine(comp.matrix, comp.offset, root=want)
+        eager = Affine(comp.matrix, comp.offset, root=_lifted(comp, base.root()))
         got = comp.root()
         if eager.root() is None:
             assert got is None
         else:
             assert got.tobytes() == eager.root().tobytes()
             assert comp.root() is not comp.root()   # a copy each call
+
+    @pytest.mark.parametrize("which", ["og", "eftp"])
+    def test_witness_solves_nothing(self, which, monkeypatch):
+        """The og and eftp witnesses build their block operator and never
+        ask it for its root."""
+        calls = self._counting(monkeypatch)
+        rep = certify.og_noncocoercivity_witness([[0.0, 1.0], [-1.0, 0.0]], 1.0, 0.5, which)
+        assert rep.verdict == "violated" and calls == []
 
     def test_report_solves_eight_resolvents(self, monkeypatch):
         """At seed 20240406 a report's only LU solves are the pp resolvents of

@@ -479,6 +479,27 @@ class TestParseSdpaErrors:
         with pytest.raises(BadParameters):
             parse_sdpa(path)
 
+    @pytest.mark.parametrize("first,second,named", [
+        (30, 200, "8 1 1 2"),
+        # matrix 0's cell (4, 4) before matrix 1's cell (1, 2), whose offset is smaller
+        (0, 1, "0 1 4 4"),
+    ])
+    def test_cell_twice_names_the_first_in_matrix_and_cell_order(self, first, second, named,
+                                                                  tmp_path):
+        """With two cells listed twice, one from the other triangle, in a
+        shuffled file, the error names the one whose (matrix, block, cell)
+        comes first, wherever the lines stand."""
+        path = tmp_path / "norm.dat-s"
+        export_sdpa(build_norm_pep(1.0, 0.5, 0.5, 2), path)
+        lines = path.read_text().splitlines()
+        head, entries = lines[:5], lines[5:]
+        k, b, i, j, v = entries[second].split()
+        entries += [entries[first], " ".join([k, b, j, i, v])]
+        random.Random(7).shuffle(entries)
+        path.write_text("\n".join(head + entries) + "\n")
+        with pytest.raises(BadParameters, match=f"^SDPA entry '{named}' is listed twice$"):
+            parse_sdpa(path)
+
     @pytest.mark.parametrize("text", [
         "",
         '"toy"\n1\n2\n',
@@ -726,6 +747,44 @@ class TestSolve:
         assert rec["repair"] in ("none", "rescale", "interior-mix")
         assert set(rec) == {"method", "iterations", "stop", "iterate", "relative_mu",
                             "primal_residual", "repair"}
+
+    @pytest.mark.parametrize("build", [c[1] for c in _PINNED], ids=[c[0] for c in _PINNED])
+    def test_verifies_at_most_two_candidates(self, build, monkeypatch):
+        """The repaired iterates are verified best first, so a solve stops at
+        the first that passes instead of verifying every iterate."""
+        calls = []
+        real = pep.verify_point
+        monkeypatch.setattr(pep, "verify_point",
+                            lambda *args: calls.append(args) or real(*args))
+        point = solve(build())
+        assert 1 <= len(calls) <= 2
+        assert point.solver["iterations"] >= 8
+
+    def test_ties_go_to_the_later_iterate(self, monkeypatch):
+        """Candidates of equal objective are verified later iterate first, as
+        the scan that kept the best point under ``>=`` kept the later one."""
+        prob = build_norm_pep(1.0, 0.5, 0.5, K=2)
+        same = solve(prob).G
+        monkeypatch.setattr(pep, "_repair", lambda prob, G: (same, "none"))
+        point = solve(prob)
+        assert point.solver["iterate"] == point.solver["iterations"] > 0
+        assert np.array_equal(point.G, same)
+
+    @pytest.mark.parametrize("build", [c[1] for c in _PINNED], ids=[c[0] for c in _PINNED])
+    def test_seven_linalg_calls_per_iteration(self, build, monkeypatch):
+        """A step makes 7 numpy.linalg calls: inv(S), the Schur system's
+        Cholesky factor and its inverse, one stacked Cholesky and one stacked
+        inverse of G and S, and one stacked eigvalsh per step length."""
+        calls = []
+        for name in ("cholesky", "inv", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        point = solve(build())
+        assert point.solver["stop"] == "converged"
+        steps = point.solver["iterations"]
+        assert sorted(calls) == sorted(["cholesky"] * 2 * steps + ["inv"] * 3 * steps
+                                       + ["eigvalsh"] * 2 * steps)
 
     def test_deterministic(self):
         prob = build_norm_pep(1.0, 0.5, 0.5, K=2)

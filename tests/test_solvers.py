@@ -25,7 +25,6 @@ from vicert.serial import fmt17
 from vicert.solvers import (
     SolverConfig,
     Trace,
-    average_sq_norm,
     run,
 )
 
@@ -167,6 +166,12 @@ class TestRun:
         for k in range(61):
             assert abs(trace.fx_sq[k] - 0.75**k) <= 1e-10 * (1.0 + 0.75**k)
             assert abs(trace.dist_sq[k] - 0.75**k) <= 1e-10
+
+    def test_gd_identity_hits_zero_after_one_step(self):
+        for K in (1, 4, 9):
+            trace = run(scaled_identity(1.0, 1),
+                        SolverConfig("gd", gamma=1.0, iters=K, x0=np.array([1.0])))
+            assert trace.fx_sq.tolist() == [1.0] + [0.0] * K
 
     def test_gd_rotation_diverges_monotonically(self):
         trace = run(rotation(), SolverConfig("gd", gamma=0.5, iters=50,
@@ -330,36 +335,6 @@ class TestRun:
         assert counts[0] == counts[1]
 
 
-class TestAverage:
-    def test_single_row(self):
-        trace = run(rotation(), SolverConfig("gd", gamma=0.1, iters=0,
-                                             x0=np.array([2.0, 0.0])))
-        assert average_sq_norm(trace) == 4.0
-
-    def test_gd_identity_hits_zero_after_one_step(self):
-        op = scaled_identity(1.0, 1)
-        for K in (1, 4, 9):
-            trace = run(op, SolverConfig("gd", gamma=1.0, iters=K, x0=np.array([1.0])))
-            assert abs(average_sq_norm(trace) - 1.0 / (K + 1)) <= 1e-15
-
-    def test_eg_rotation_geometric_average(self):
-        gamma = 1.0 / np.sqrt(2.0)
-        K = 30
-        trace = run(rotation(), SolverConfig("eg", gamma=gamma, iters=K,
-                                             x0=np.array([1.0, 0.0])))
-        expected = sum(0.75**k for k in range(K + 1)) / (K + 1)
-        assert abs(average_sq_norm(trace) - expected) <= 1e-12
-
-    def test_eftp_uses_auxiliary_sequence(self):
-        rng = np.random.default_rng(6)
-        op = _random_monotone_affine(rng, 2)
-        trace = run(op, SolverConfig("eftp", gamma=0.1, iters=10,
-                                     x0=rng.standard_normal(2)))
-        assert average_sq_norm(trace) == pytest.approx(
-            trace.extras["tilde_sq"].mean(), abs=0.0
-        )
-
-
 class TestPerStepInequalities:
     def test_eg_norm_never_increases(self):
         rng = np.random.default_rng(7)
@@ -413,13 +388,11 @@ class TestPerStepInequalities:
 
 
 class TestCsv:
-    def test_round_trip_values(self, tmp_path):
+    def test_round_trip_values(self):
         trace = run(rotation(), SolverConfig("eg", gamma=0.5, iters=3,
                                              x0=np.array([1.0, 0.0])),
                     x_star=np.zeros(2))
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        lines = path.read_text().strip().splitlines()
+        lines = trace.to_csv().strip().splitlines()
         assert lines[0] == "k,fx_sq,dist_sq,mid_sq"
         assert len(lines) == 5
         parsed = [float(v) for v in lines[1].split(",")]
