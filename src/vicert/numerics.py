@@ -207,17 +207,3 @@ def sym_pseudo_solve(s, y) -> np.ndarray:
     coeff = V.T @ y
     inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     return V @ (inv * coeff)
-
-
-def finite_diff_jacobian(f, x) -> np.ndarray:
-    """Central-difference Jacobian: column j is ``(f(x+h e_j) - f(x-h e_j)) / (2h)``."""
-    x = as_vector(x)
-    h = 1e-6 * (1.0 + float(np.abs(x).max(initial=0.0)))
-    cols = []
-    for j in range(x.size):
-        step = np.zeros(x.size)
-        step[j] = h
-        hi = np.asarray(f(x + step), dtype=np.float64)
-        lo = np.asarray(f(x - step), dtype=np.float64)
-        cols.append((hi - lo) / (2.0 * h))
-    return np.array(cols).T

@@ -78,6 +78,10 @@ class Operator:
         """F(x) for a finite float64 vector x of dimension ``dim``, unchecked."""
         raise NotImplementedError
 
+    def _apply_rows(self, X: np.ndarray) -> np.ndarray:
+        """Row i is ``_apply(X[i])`` for a stack of such vectors, unchecked."""
+        return np.array([self._apply(x) for x in X])
+
     def jacobian(self, x) -> np.ndarray:
         return self._jacobian(self._checked(x))
 
@@ -378,9 +382,6 @@ class ImplicitComposite(Operator):
         self.constants = Constants()
         self._theta = 1.0 if L is None or gamma * L <= 0.9 else 1.0 / (1.0 + gamma * L)
 
-    def inner_point(self, x) -> np.ndarray:
-        return self._solve(self._checked(x))[0]
-
     def _solve(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The fixed point y and F(y), the value its last iteration computed."""
         y = x.copy()
@@ -443,12 +444,6 @@ def hamiltonian_operator(op: Operator) -> Operator:
         A, b = op.matrix, op.offset
         return _UpdateAffine(op, A.T @ A, A.T @ b)
     return HamiltonianComposite(op)
-
-
-def hamiltonian_value(op: Operator, x) -> float:
-    """0.5*||F(x)||^2 at x."""
-    fx = op(x)
-    return 0.5 * float(fx @ fx)
 
 
 # ---------------------------------------------------------------------------

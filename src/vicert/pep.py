@@ -10,7 +10,6 @@ so it is a certified lower bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -323,14 +322,6 @@ def _expansiveness_interior(ell: float, gamma1: float) -> np.ndarray:
     vecs = [x, y, c * x, c * y, c * (1.0 - gamma1 * c) * x, c * (1.0 - gamma1 * c) * y]
     U = np.array(vecs)
     return U @ U.T
-
-
-def counterexample_vectors(inst) -> dict[str, np.ndarray]:
-    """Label the six explicit vectors of an expansive instance by the basis."""
-    return {
-        "x": inst.x, "y": inst.y, "xF1": inst.x_f1, "yF1": inst.y_f1,
-        "xF2": inst.x_f2, "yF2": inst.y_f2,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +695,20 @@ def _fmt17_each(values: np.ndarray, end: str = "") -> np.ndarray:
 
 
 def _next_line(fh) -> str | None:
-    """The next non-blank line of ``fh``, stripped; None at the end."""
-    for ln in fh:
+    """The next non-blank line of ``fh``, stripped; None at the end.  It reads
+    with ``readline``, so ``fh.tell()`` stays usable."""
+    while ln := fh.readline():
         if ln.strip():
             return ln.strip()
     return None
+
+
+# the most bytes of whole blocks in one of parse_sdpa's zeroed stacks.  One
+# stack of all 1058 slack blocks of the K=15 norm PEP (9.4 GB) can fail to
+# allocate under heuristic overcommit although the pages its fill touches
+# fit; 256 MB is above glibc's largest dynamic mmap threshold (32 MB), so a
+# full stack is a fresh zero mapping in any process
+_STACK_BYTES = 1 << 28
 
 
 def parse_sdpa(path) -> dict:
@@ -716,12 +716,17 @@ def parse_sdpa(path) -> dict:
     block sizes, right-hand sides, and dense per-block matrices keyed by
     matrix number.
 
-    Entries may come in any order and from either triangle; blank lines are
-    skipped, and the first line names the problem when it starts with a
-    quote or ``*``.  A malformed file (a missing or non-numeric field, an
+    ``path`` names a seekable file.  Entries may come in any order and from
+    either triangle; blank lines are skipped, and the first line names the
+    problem when it starts with a quote or ``*``.  A malformed file (a missing or non-numeric field, an
     entry line without five fields, a matrix, block or index out of range,
     an off-diagonal entry in a diagonal block, or a cell listed twice)
     raises :class:`BadParameters`.
+
+    Block b of every matrix is a C-contiguous view into a zeroed stack of
+    consecutive matrices' b blocks, each stack at most ``_STACK_BYTES`` of
+    whole blocks (at least one), filled with one ``put``.  A block kept
+    after the others are dropped keeps its whole stack's mapping alive.
     """
     try:
         with open(path) as fh:
@@ -742,12 +747,24 @@ def parse_sdpa(path) -> dict:
                                     f"{nblocks} blocks of sizes {sizes}")
             if rhs.size != m:
                 raise BadParameters(f"{rhs.size} right-hand sides for {m} constraints")
-            # the blocks take the heap space an earlier parse freed, before
-            # the entry arrays can split it
-            blocks = {k: [np.zeros((abs(s), abs(s))) for s in sizes] for k in range(m + 1)}
-            first = _next_line(fh)
-            entries = np.empty((0, 5)) if first is None else \
-                np.loadtxt(itertools.chain([first], fh), ndmin=2, comments=None)
+            # per block, the matrices lo..lo+per-1 share a stack; the stacks
+            # take the heap space an earlier parse freed, before the entry
+            # arrays can split it
+            dims = [abs(s) for s in sizes]
+            per = [max(1, _STACK_BYTES // max(8 * d * d, 1)) for d in dims]
+            stacks = [[np.zeros((min(p, m + 1 - lo), d, d)) for lo in range(0, m + 1, p)]
+                      for d, p in zip(dims, per)]
+            # matrix k's blocks are the k-th views of each block's stacks
+            views = [[v for stack in row for v in stack] for row in stacks]
+            blocks = {k: list(bs) for k, bs in enumerate(zip(*views))}
+            # loadtxt reads a file in blocks, and skips the blank lines
+            # before the first entry line; on no entry line at all it warns
+            body = fh.tell()
+            if _next_line(fh) is None:
+                entries = np.empty((0, 5))
+            else:
+                fh.seek(body)
+                entries = np.loadtxt(fh, ndmin=2, comments=None)
     except ValueError as exc:
         raise BadParameters(f"malformed SDPA file {path}: {exc}") from None
     if entries.shape[1] != 5:
@@ -779,15 +796,17 @@ def parse_sdpa(path) -> dict:
         k, bl = divmod(int(group[twice[0]]), nblocks)
         r, c = divmod(int(upper[twice[0]]), abs(sizes[bl]))
         raise BadParameters(f"SDPA entry '{k} {bl + 1} {r + 1} {c + 1}' is listed twice")
-    cells = np.stack([upper, lower], axis=1).ravel()
-    vals = np.repeat(val, 2)
-    starts = np.flatnonzero(np.concatenate([[group.size > 0], ~same]))
-    cuts = (2 * starts).tolist() + [cells.size]
-    heads = [divmod(int(g), nblocks) for g in group[starts].tolist()]
+    mat, block = np.divmod(group, nblocks)
     # the fill touches a page of every slack block: free the entry arrays first
-    del entries, mk, blk, i, j, val, ok, bad, size, dim, lo, hi, order, group, upper, \
-        lower, same, starts
-    # one put per (matrix, block) of its cells in both triangles
-    for a, b, (k, bl) in zip(cuts, cuts[1:], heads):
-        blocks[k][bl].put(cells[a:b], vals[a:b])
+    del entries, mk, blk, i, j, ok, bad, size, dim, lo, hi, order, group, same
+    # one put per stack of its cells in both triangles, at flat offset
+    # (k - lo)*d*d + cell; a block's entries, in sorted order, run by matrix
+    for b, (d, p) in enumerate(zip(dims, per)):
+        sel = block == b
+        k = mat[sel]
+        at = (((k % p) * (d * d))[:, None] + np.stack([upper[sel], lower[sel]], axis=1)).ravel()
+        vals = np.repeat(val[sel], 2)
+        cuts = [2 * c for c in np.searchsorted(k, range(0, m + 1, p)).tolist()] + [at.size]
+        for stack, a, z in zip(stacks[b], cuts, cuts[1:]):
+            stack.put(at[a:z], vals[a:z])
     return {"name": name, "m": m, "block_sizes": sizes, "rhs": rhs, "blocks": blocks}

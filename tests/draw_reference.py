@@ -4,14 +4,23 @@
 :mod:`vicert.harness` evaluated one start at a time, through ``_apply`` and
 one ``np.add.reduce`` per start.  ``star_equiv_slacks`` and
 ``linear_star_equiv_check`` are the star-equivalence sampling of
-:mod:`vicert.certify`, one trial at a time through ``classes.dot`` and Python
-floats.  The library's stacked forms must give their bits.
+:mod:`vicert.certify`, and ``sampled_property_check`` its sampled class
+check, one trial at a time through ``classes.dot`` and Python floats.  The
+library's stacked forms must give their bits.
 """
 
 import numpy as np
 
 from vicert import classes, harness
-from vicert.certify import HOLDS, VIOLATED, CertificateReport, affine_cocoercivity_exact
+from vicert.certify import (
+    _INTERP_TOL,
+    _STAR_CLASSES,
+    HOLDS,
+    INCONCLUSIVE,
+    VIOLATED,
+    CertificateReport,
+    affine_cocoercivity_exact,
+)
 from vicert.operators import Affine, eg_operator
 
 
@@ -118,3 +127,34 @@ def linear_star_equiv_check(a, ell, trials=200, seed=0):
             "counterevidence": counterevidence,
         },
     )
+
+
+def sampled_property_check(op, op_class, trials=200, seed=0, parameter=None):
+    """:func:`certify.sampled_property_check`, one trial at a time through the
+    checked ``op(x)``; numpy's overflow in the differences does not warn."""
+    star = op_class in _STAR_CLASSES
+    rows = classes.rows(_STAR_CLASSES.get(op_class, op_class), parameter)
+    x_star = op.root() if star else None
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    witness = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
+            x = rng.standard_normal(op.dim)
+            if star:
+                y, fy = x_star, np.zeros(op.dim)
+            else:
+                y = rng.standard_normal(op.dim)
+                fy = op(y)
+            fx = op(x)
+            dx, df = x - y, fx - fy
+            for row in rows:
+                s = row.slack(dx, df, classes.dot)
+                if s < worst:
+                    worst = s
+                    witness = {"x": x.tolist(), "y": y.tolist(), "slack": s}
+    if worst < -_INTERP_TOL:
+        return CertificateReport(VIOLATED, worst, witness,
+                                 details={"trials": trials, "seed": seed})
+    return CertificateReport(INCONCLUSIVE, worst, None,
+                             details={"trials": trials, "seed": seed})

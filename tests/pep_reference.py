@@ -2,7 +2,8 @@
 
 ``build_expansiveness_matrices`` writes the six-point expansiveness problem
 with hand-coded matrices, the cross-check of :func:`pep.build_expansiveness_pep`,
-which builds it from the class table.  ``lower_bound_search`` is a
+which builds it from the class table, and ``counterexample_vectors`` labels
+the explicit expansive instance's vectors by its basis.  ``lower_bound_search`` is a
 solver-free lower bound by low-rank gradient ascent, a check on
 :func:`pep.solve` that shares nothing with the interior-point method but the
 repair-and-verify step.
@@ -107,6 +108,14 @@ def build_expansiveness_matrices(ell: float, gamma1: float, gamma2: float) -> Gr
         metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2},
         interior=_expansiveness_interior(ell, gamma1),
     )
+
+
+def counterexample_vectors(inst) -> dict[str, np.ndarray]:
+    """Label the six explicit vectors of an expansive instance by the basis."""
+    return {
+        "x": inst.x, "y": inst.y, "xF1": inst.x_f1, "yF1": inst.y_f1,
+        "xF2": inst.x_f2, "yF2": inst.y_f2,
+    }
 
 
 def zero_sign_differences(hand: np.ndarray, table: np.ndarray) -> int:

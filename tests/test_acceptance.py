@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from pep_reference import (
     build_expansiveness_matrices,
+    counterexample_vectors,
     lower_bound_search,
     zero_sign_differences,
 )
@@ -263,7 +264,7 @@ class TestA5Pep:
             for g2 in (g1 / 2.0, g1):
                 prob = pep.build_expansiveness_pep(ell, g1, g2)
                 inst = build_counterexample(ell, g1)
-                point = pep.embed_points(prob, pep.counterexample_vectors(inst))
+                point = pep.embed_points(prob, counterexample_vectors(inst))
                 assert point.inequality_values.min() >= -1e-12
                 assert abs(point.equality_residuals[0]) <= 1e-12
                 expected = 1.0 + (g1 * g2 * ell * ell) ** 2 / 4.0

@@ -25,6 +25,8 @@ from vicert.errors import BadParameters, DimensionMismatch, NoViolatingPair, Pre
 from vicert.operators import (
     Affine,
     LogisticGrad,
+    eg_operator,
+    hamiltonian_operator,
     pp_operator,
     rotation,
     scaled_identity,
@@ -512,6 +514,55 @@ class TestSampled:
         report = sampled_property_check(scaled_identity(1.0, 2), "star-cocoercive",
                                         trials=50, seed=7, parameter=1.0)
         assert report.verdict == "inconclusive"
+
+
+def _sampled_cases():
+    """(operator, class, parameter): affine maps with n from 1 to 6, one
+    whose slacks overflow to NaN and -inf, and the nonlinear composites."""
+    rng = np.random.default_rng(43)
+    ops = [rotation(), scaled_identity(1.0, 2), Affine([[2.0]], [0.5]),
+           Affine(9e153 * np.eye(2)), LogisticGrad(1.0, 0.01),
+           pp_operator(LogisticGrad(1.0, 0.01), 2.0), eg_operator(LogisticGrad(2.0, 0.1), 0.3),
+           hamiltonian_operator(LogisticGrad(1.0, 0.01))]
+    for _ in range(6):
+        n = int(rng.integers(1, 7))
+        ops.append(Affine(rng.standard_normal((n, n)) + rng.uniform(0.0, 2.0) * np.eye(n),
+                          rng.standard_normal(n)))
+    for op in ops:
+        for cls, parameter in (("monotone", None), ("cocoercive", 0.7), ("lipschitz", 1.3),
+                               ("monotone+lipschitz", 1.3), ("star-monotone", None),
+                               ("star-cocoercive", 0.7)):
+            yield op, cls, parameter
+    # every slack inf - inf
+    yield Affine(9e153 * np.eye(50)), "cocoercive", 9e153
+
+
+class TestSampledAgainstPerTrial:
+    """The stacked draws, slacks and report against draw_reference's
+    one-trial-at-a-time form, bit for bit."""
+
+    def test_every_report(self):
+        seen = set()
+        for op, cls, parameter in _sampled_cases():
+            for trials, seed in ((1, 0), (37, 5), (200, 12)):
+                got = sampled_property_check(op, cls, trials, seed, parameter)
+                want = draw_reference.sampled_property_check(op, cls, trials, seed, parameter)
+                assert repr(got.to_json()) == repr(want.to_json()), (op.kind, cls, trials)
+                seen.add(got.verdict)
+                seen.add(got.worst_slack if np.isinf(got.worst_slack) else "finite")
+        # both verdicts, and worst slacks of inf (every slack NaN) and -inf
+        assert seen == {"violated", "inconclusive", "finite", np.inf, -np.inf}
+
+    def test_evaluates_each_point_once_without_its_check(self, monkeypatch):
+        op = LogisticGrad(1.0, 0.01)
+        calls = []
+        monkeypatch.setattr(LogisticGrad, "__call__",
+                            lambda self, x: pytest.fail("checked op(x) called"))
+        apply = LogisticGrad._apply
+        monkeypatch.setattr(LogisticGrad, "_apply",
+                            lambda self, x: calls.append(x) or apply(self, x))
+        sampled_property_check(op, "monotone", trials=25, seed=3)
+        assert len(calls) == 50
 
 
 class TestImplicitStepCocoercivity:

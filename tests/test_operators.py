@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numerics_reference import finite_diff_jacobian
 
 from vicert import certify, harness, numerics, operators
 from vicert.errors import (
@@ -23,7 +24,6 @@ from vicert.operators import (
     eftp_operator,
     eg_operator,
     hamiltonian_operator,
-    hamiltonian_value,
     og_operator,
     pp_operator,
     rotation,
@@ -252,7 +252,7 @@ class TestJacobian:
                    Affine(rng.standard_normal((3, 3)), rng.standard_normal(3))):
             x = rng.standard_normal(op.dim)
             J = op.jacobian(x)
-            Jfd = numerics.finite_diff_jacobian(op, x)
+            Jfd = finite_diff_jacobian(op, x)
             assert np.abs(J - Jfd).max() < 1e-6
 
     def test_custom_table_has_no_jacobian(self):
@@ -297,7 +297,7 @@ class TestEgOperator:
         base = LogisticGrad(1.0, 0.01)
         comp = eg_operator(base, 0.5)
         x = np.array([0.4])
-        Jfd = numerics.finite_diff_jacobian(comp, x)
+        Jfd = finite_diff_jacobian(comp, x)
         assert np.abs(comp.jacobian(x) - Jfd).max() < 1e-6
 
     def test_bad_gamma(self):
@@ -388,7 +388,7 @@ class TestPpOperator:
         rng = np.random.default_rng(6)
         for _ in range(10):
             x = rng.standard_normal(1) * 3.0
-            y = comp.inner_point(x)
+            y = comp._solve(x)[0]
             assert np.linalg.norm(y - x + gamma * base(y)) <= 1e-11
 
     @staticmethod
@@ -410,7 +410,7 @@ class TestPpOperator:
         comp = pp_operator(base, 2.0)
         seen, apply = self._counting(monkeypatch, base)
         x = np.array([2.0])
-        y = comp.inner_point(x)
+        y = comp._solve(x)[0]
         inner = len(seen)
         seen.clear()
         out = comp._apply(x)
@@ -427,7 +427,7 @@ class TestPpOperator:
         for again in (False, True):
             if again:
                 monkeypatch.setattr(ImplicitComposite, "_apply",
-                                    lambda self, x: self.inner._apply(self.inner_point(x)))
+                                    lambda self, x: self.inner._apply(self._solve(x)[0]))
             base = LogisticGrad(1.0, 0.01)
             seen, _ = self._counting(monkeypatch, base)
             csvs.append(run(base, cfg).to_csv())
@@ -458,9 +458,6 @@ class TestHamiltonian:
     def test_logistic_at_zero(self):
         op = hamiltonian_operator(LogisticGrad(1.0, 0.01))
         assert abs(op(np.zeros(1))[0] - 0.13) < 1e-15
-
-    def test_value(self):
-        assert hamiltonian_value(rotation(), np.array([3.0, 4.0])) == 12.5
 
 
 _UPDATE_OPERATORS = {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from pep_reference import (
     build_expansiveness_matrices,
+    counterexample_vectors,
     lower_bound_search,
     zero_sign_differences,
 )
@@ -27,7 +28,6 @@ from vicert.pep import (
     build_delta_pep,
     build_expansiveness_pep,
     build_norm_pep,
-    counterexample_vectors,
     embed_points,
     export_sdpa,
     gram_to_points,
@@ -388,6 +388,9 @@ def _norm_problems():
         yield f"bench-K{K}", lambda K=K: build_norm_pep(1.0, 0.5, 0.5, K)
 
 
+_TOY_HEAD = '"toy"\n1\n2\n2 -2\n1\n'
+
+
 class TestSdpaAgainstReference:
     def _both(self, prob, tmp_path):
         _reference_export(prob, tmp_path / "want.dat-s")
@@ -449,8 +452,48 @@ class TestSdpaAgainstReference:
         assert np.signbit(got["blocks"][0][0][0, 0])
         assert got["blocks"][0][0][0, 2] == got["blocks"][0][0][2, 0] == 0.1
 
+    # a K=3 slack block (72 x 72) takes 41472 bytes and a Gram block (9 x 9)
+    # 648: one block per stack, five slack blocks per stack with a partial
+    # last one, and the default cap
+    @pytest.mark.parametrize("cap,slack_stacks", [(1, 74), (5 * 41472 + 7, 15), (1 << 28, 1)])
+    def test_slack_blocks_span_stacks(self, cap, slack_stacks, tmp_path, monkeypatch):
+        path = tmp_path / "norm3.dat-s"
+        export_sdpa(build_norm_pep(1.1, 0.45, 0.6, 3), path)
+        monkeypatch.setattr(pep, "_STACK_BYTES", cap)
+        got = parse_sdpa(path)
+        _assert_same_parse(got, _reference_parse(path))
+        blocks = got["blocks"]
+        assert got["block_sizes"] == [9, -72] and len(blocks) == 74
+        assert all(b.flags.c_contiguous for bs in blocks.values() for b in bs)
+        bases = [{id(bs[b].base) for bs in blocks.values()} for b in (0, 1)]
+        assert [len(s) for s in bases] == [1 if cap > 1 else 74, slack_stacks]
 
-_TOY_HEAD = '"toy"\n1\n2\n2 -2\n1\n'
+    def test_write_to_one_block_leaves_the_others(self, tmp_path):
+        path = tmp_path / "norm2.dat-s"
+        export_sdpa(build_norm_pep(1.0, 0.5, 0.5, 2), path)
+        got = parse_sdpa(path)["blocks"]
+        before = {k: [b.copy() for b in bs] for k, bs in got.items()}
+        got[3][1][...] = 7.0
+        got[4][0][...] = 7.0
+        for k, bs in got.items():
+            for b, (now, was) in enumerate(zip(bs, before[k])):
+                if (k, b) in ((3, 1), (4, 0)):
+                    assert (now == 7.0).all()
+                else:
+                    assert _same_array(now, was), (k, b)
+
+    @pytest.mark.parametrize("text", [
+        _TOY_HEAD,
+        _TOY_HEAD + "\n  \n\n",
+        _TOY_HEAD + "\n  \n\n1 1 1 2 -3.5\n\n1 2 2 2 -1\n",
+    ], ids=["header-only", "header-and-blank-lines", "blank-lines-before-entries"])
+    def test_blank_body_lines_warn_nothing(self, text, tmp_path):
+        path = tmp_path / "toy.dat-s"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parse_sdpa(path)
+        _assert_same_parse(got, _reference_parse(path))
 
 
 class TestParseSdpaErrors:
