@@ -90,7 +90,7 @@ def _run_from(op: Operator, method: str, iters: int, x0, x_star, **gammas):
     """Run ``method`` from x0; return the trace, its iteration indices k and
     d0 = ||x0 - x*||^2.  The run records no distances: the given or stored
     solution point enters the bound through d0 alone."""
-    star = numerics.as_vector(x_star) if x_star is not None else op.root()
+    star = op._checked(x_star, "x_star") if x_star is not None else op.root()
     if star is None:
         raise PreconditionViolated("this check needs a known solution point")
     x0 = numerics.as_vector(x0)

@@ -46,16 +46,6 @@ class Constants:
         if lam is not None:
             numerics.require_nonnegative(f"declared constant Lambda = {lam!r}", lam)
 
-    def to_json(self) -> dict:
-        out = {}
-        if self.lipschitz is not None:
-            out["L"] = self.lipschitz
-        if self.jac_lipschitz is not None:
-            out["Lambda"] = self.jac_lipschitz
-        if self.cocoercivity is not None:
-            out["ell"] = self.cocoercivity
-        return out
-
     @staticmethod
     def from_json(d: dict | None) -> "Constants":
         d = d or {}
@@ -94,10 +84,10 @@ class Operator:
         """A point x* with F(x*) = 0, when one is known; None otherwise."""
         return None
 
-    def _checked(self, x) -> np.ndarray:
+    def _checked(self, x, name: str = "point") -> np.ndarray:
         v = numerics.as_vector(x)
         if v.size != self.dim:
-            raise DimensionMismatch(f"operator dim {self.dim}, point dim {v.size}")
+            raise DimensionMismatch(f"operator dim {self.dim}, {name} dim {v.size}")
         return v
 
 
@@ -114,10 +104,12 @@ class Affine(Operator):
         b.setflags(write=False)
         self.matrix = A
         self.offset = b
-        # what _apply adds: the offset with each -0.0 made +0.0.  At d = 1,
-        # A.dot(x) is the bare product a*x, which is -0.0 where the dot
-        # 0 + a*x of ``A @ x`` gives +0.0; adding +0.0 restores that bit
-        self._shift = b + 0.0
+        # what _apply adds: the offset with each -0.0 made +0.0, or None for a
+        # zero offset at d >= 2, where numpy's gemv sums from +0.0 and never
+        # returns -0.0, so adding +0.0 would change no bit.  At d = 1, A.dot(x)
+        # is the bare product a*x, which is -0.0 where the dot 0 + a*x of
+        # ``A @ x`` gives +0.0; adding +0.0 restores that bit
+        self._shift = None if A.shape[0] >= 2 and not b.any() else b + 0.0
         self.kind = kind
         self.dim = A.shape[0]
         self.constants = constants or Constants()
@@ -126,13 +118,15 @@ class Affine(Operator):
 
     def _apply(self, x):
         # ndarray.dot calls the gemv kernel that @ calls, with less dispatch;
-        # the shift is added even when it is zero (see __init__)
-        return self.matrix.dot(x) + self._shift
+        # a shift of +0.0 is added only at d = 1 (see __init__)
+        y = self.matrix.dot(x)
+        return y if self._shift is None else y + self._shift
 
     def _apply_rows(self, X):
         """Row i is ``_apply(X[i])``, bit for bit: one stacked product (see
-        :func:`numerics.matvecs`) plus the same shift."""
-        return numerics.matvecs(self.matrix, X) + self._shift
+        :func:`numerics.matvecs`) plus the same shift, if any."""
+        Y = numerics.matvecs(self.matrix, X)
+        return Y if self._shift is None else Y + self._shift
 
     def _jacobian(self, x):
         return self.matrix
@@ -395,7 +389,7 @@ class ImplicitComposite(Operator):
                 # a non-finite y makes the residual non-finite: only then is
                 # the full check of the point fed to F worth its cost
                 numerics.as_vector(y)
-            y = y - self._theta * d
+            y = y - d if self._theta == 1.0 else y - self._theta * d
         raise NoConvergence("implicit-step fixed point did not reach tolerance")
 
     def _apply(self, x):
@@ -447,28 +441,10 @@ def hamiltonian_operator(op: Operator) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (bit-exact float64 round trip via repr-based encoding)
+# JSON loading (float64 entries read bit for bit from their repr)
 # ---------------------------------------------------------------------------
 
 _AFFINE_KINDS = {"affine", "rotation", "scaled-identity", "bilinear-game"}
-
-
-def operator_to_json(op: Operator) -> dict:
-    out: dict = {"kind": op.kind}
-    if isinstance(op, Affine):
-        out["A"] = op.matrix.tolist()
-        out["b"] = op.offset.tolist()
-    elif isinstance(op, LogisticGrad):
-        out["a"] = op.a
-        out["delta"] = op.delta
-    elif isinstance(op, CustomTable):
-        out["points"] = [[x.tolist(), fx.tolist()] for x, fx in op.points]
-    else:
-        raise BadParameters(f"operator kind {op.kind!r} is not serializable")
-    constants = op.constants.to_json()
-    if constants:
-        out["constants"] = constants
-    return out
 
 
 def operator_from_json(d: dict) -> Operator:
@@ -487,12 +463,6 @@ def operator_from_json(d: dict) -> Operator:
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise BadParameters(f"malformed operator description: {exc!r}") from None
     raise BadParameters(f"unknown operator kind {kind!r}")
-
-
-def save_operator(op: Operator, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(operator_to_json(op), fh, indent=2)
-        fh.write("\n")
 
 
 def load_operator(path) -> Operator:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -695,8 +696,7 @@ def _fmt17_each(values: np.ndarray, end: str = "") -> np.ndarray:
 
 
 def _next_line(fh) -> str | None:
-    """The next non-blank line of ``fh``, stripped; None at the end.  It reads
-    with ``readline``, so ``fh.tell()`` stays usable."""
+    """The next non-blank line of ``fh``, stripped; None at the end."""
     while ln := fh.readline():
         if ln.strip():
             return ln.strip()
@@ -716,7 +716,7 @@ def parse_sdpa(path) -> dict:
     block sizes, right-hand sides, and dense per-block matrices keyed by
     matrix number.
 
-    ``path`` names a seekable file.  Entries may come in any order and from
+    ``path`` names a file, a FIFO included.  Entries may come in any order and from
     either triangle; blank lines are skipped, and the first line names the
     problem when it starts with a quote or ``*``.  A malformed file (a missing or non-numeric field, an
     entry line without five fields, a matrix, block or index out of range,
@@ -757,14 +757,13 @@ def parse_sdpa(path) -> dict:
             # matrix k's blocks are the k-th views of each block's stacks
             views = [[v for stack in row for v in stack] for row in stacks]
             blocks = {k: list(bs) for k, bs in enumerate(zip(*views))}
-            # loadtxt reads a file in blocks, and skips the blank lines
-            # before the first entry line; on no entry line at all it warns
-            body = fh.tell()
-            if _next_line(fh) is None:
+            # loadtxt takes the first entry line chained before the rest of
+            # the file, which it reads in blocks; on no entry line at all it warns
+            first = _next_line(fh)
+            if first is None:
                 entries = np.empty((0, 5))
             else:
-                fh.seek(body)
-                entries = np.loadtxt(fh, ndmin=2, comments=None)
+                entries = np.loadtxt(chain([first], fh), ndmin=2, comments=None)
     except ValueError as exc:
         raise BadParameters(f"malformed SDPA file {path}: {exc}") from None
     if entries.shape[1] != 5:

@@ -103,21 +103,22 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     point, the state it leads to is undefined and the trace ends on a row of
     NaNs.
 
-    Inputs are checked here, once; the loop calls the unchecked
+    Inputs are checked here, once: an ``x_star`` not of the operator's
+    dimension raises :class:`DimensionMismatch`.  The loop calls the unchecked
     ``op._apply`` and ``op._jacobian``.  A running upper bound on ||x||_2,
     built from the squared norms of the steps, proves the iterate finite and
     inside the divergence limit, and the eg mid point and the eftp tilde
     point finite, while it is at most 1e149; rows whose bound passes it
     check the point exactly instead.  Rows and F evaluations are those of a
     check of every point.  Each F value is computed once: og reuses F(x_prev), eftp reuses
-    F at its tilde point, hgm reuses J(x)^T F(x).  F is ``op._apply``, called
+    g*F at its tilde point, hgm reuses J(x)^T F(x).  F is ``op._apply``, called
     on x^k for every row, on the eg mid point for every row and on the eftp
     tilde point for every step, in that order.
     """
     x = cfg.x0.copy()
     if x.size != op.dim:
         raise BadParameters(f"x0 has dim {x.size}, operator has dim {op.dim}")
-    star = None if x_star is None else numerics.as_vector(x_star)
+    star = None if x_star is None else op._checked(x_star, "x_star")
 
     method = cfg.method
     g = cfg.gamma
@@ -142,7 +143,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
 
     pp_comp = None   # pp resolvent, built at the first step
     f_prev = None    # og: F(x_prev)
-    f_tilde = None   # eftp: F at the tilde point
+    gf = None        # eftp: g times F at the tilde point
     f_evals = 0
     rows = 0         # rows whose fx_sq and dist_sq are written
     full = 0         # rows whose extras are written too
@@ -180,7 +181,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 extras["mid_sq"][k] = step_sq = fmid.dot(fmid)
             elif method == "eftp":
                 if k == 0:
-                    f_tilde, step_sq, t_root = fx, fsq, root  # the tilde point starts at x0
+                    step_sq, t_root = fsq, root  # the tilde point starts at x0
                 extras["tilde_sq"][k] = step_sq
             elif method == "hgm":
                 # @, not .dot: at d = 1, .dot is the bare product j*f, which is
@@ -213,14 +214,16 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 # the step's own 2*g, which is inf for g >= 2^1023 and then makes the bound inf
                 bound, p_root = (bound + 2.0 * g * (root + 0.5 * p_root)) * slack, root
             elif method == "eftp":
-                tilde = x - g * f_tilde
+                # one product g*F(tilde) moves x and makes the next tilde point
+                tilde = x - (g * fx if k == 0 else gf)
                 if not bound + g * t_root <= _PROVEN:
                     numerics.as_vector(tilde)
                 f_tilde = F(tilde)
                 f_evals += 1
                 step_sq = f_tilde.dot(f_tilde)
                 t_root = math.sqrt(step_sq) + tiny
-                x = x - g * f_tilde
+                gf = g * f_tilde
+                x = x - gf
                 bound = (bound + g * t_root) * slack
             elif method == "hgm":
                 x = x - g * gh

@@ -327,6 +327,21 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--op", "rotation", "--method", "gd", "--gamma", "0.1", "--iters", "2",
+         "--x0", "1,0", "--xstar", star] for star in ("1,2,3", "5")
+    ] + [
+        ["check", "--theorem", "gd", "--op", "identity3", "--ell", "1", "--gamma", "0.5",
+         "--iters", "2", "--x0", "1,0,0", "--xstar", star] for star in ("1,2,3,4", "1,2", "5")
+    ], ids=lambda argv: f"{argv[0]} --xstar {argv[-1]}")
+    def test_mismatched_xstar(self, argv, capsys):
+        # a one-element star used to broadcast: the gd check passed against a bound 66 times too big
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: operator dim ")
+
     @pytest.mark.parametrize("body", [
         '{"kind": "affine"}',
         '{"kind": "affine", "A": [[1, 0], [0',

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vicert import harness, numerics
-from vicert.errors import BadParameters, PreconditionViolated
+from vicert.errors import BadParameters, DimensionMismatch, PreconditionViolated
 from vicert.harness import (
     check_eftp_bound,
     check_eg_last_bounds,
@@ -264,6 +264,22 @@ _RUN_FROM_CHECKS = {
                                        e.x0, e.x_star),
 }
 _SUITE = {e.name: e for e in standard_suite()}
+
+
+class TestSolutionPointDimension:
+    """A given solution point of another dimension raises before any run; a
+    one-element point would otherwise broadcast into d0."""
+
+    @pytest.mark.parametrize("star", [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0], [5.0]],
+                             ids=["too-long", "too-short", "single-element"])
+    def test_gd(self, star):
+        with pytest.raises(DimensionMismatch, match="operator dim 3, x_star dim"):
+            check_gd_bounds(scaled_identity(1.0, 3), 1.0, 0.5, 2, [1.0, 0.0, 0.0], x_star=star)
+
+    @pytest.mark.parametrize("star", [[1.0, 2.0, 3.0], [5.0]], ids=["too-long", "single-element"])
+    def test_eg_last(self, star):
+        with pytest.raises(DimensionMismatch, match="operator dim 2, x_star dim"):
+            check_eg_last_bounds(rotation(), 1.0, 0.5, 2, [1.0, 0.0], x_star=star)
 
 
 class TestRunFromRecordsNoDistances:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from numerics_reference import finite_diff_jacobian
+from operator_json import operator_to_json, save_operator
 
 from vicert import certify, harness, numerics, operators
 from vicert.errors import (
@@ -52,6 +53,53 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             rotation()(np.zeros(3))
+
+
+def _zero_sum_cases(d, rng):
+    """(A, x) pairs of dimension d whose products A[i, j] * x[j] are all -0.0,
+    zeros of random sign, or small integers that cancel exactly in each row
+    (every partial sum is exact, so in any order of summation)."""
+    G = rng.integers(-8, 9, (d, d)).astype(float)
+    signed = np.where(rng.random(d) < 0.5, -0.0, 0.0)
+    # columns 2i and 2i+1 are equal and x holds t, -t there; an odd d ends
+    # on a -0.0 product
+    paired = G.copy()
+    paired[:, 1::2] = G[:, 0:d - 1:2]
+    t = rng.integers(1, 9, d).astype(float)
+    t[1::2] = -t[0:d - 1:2]
+    if d % 2:
+        paired[:, -1], t[-1] = np.abs(G[:, -1]), -0.0
+    return [(np.abs(G) + 1.0, np.full(d, -0.0)), (-np.abs(G) - 1.0, np.zeros(d)),
+            (np.full((d, d), -0.0), np.abs(t)), (G, signed), (paired, t)]
+
+
+class TestZeroOffsetSign:
+    """At d >= 2 a zero-offset Affine adds no shift: numpy's gemv sums from
+    +0.0, so A x holds no -0.0 and adding +0.0 would change no bit.  A BLAS
+    build that fails this test returns -0.0 from gemv, and ``Affine`` needs
+    the add of ``b + 0.0`` back for every offset."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_no_negative_zero_from_gemv(self, order):
+        rng = np.random.default_rng(23)
+        for d in range(2, 65):
+            for A, x in _zero_sum_cases(d, rng):
+                A = np.asarray(A, order=order)
+                op = Affine(A)
+                op.matrix = A   # Affine stores a C-ordered copy
+                y = A.dot(x)
+                Y = numerics.matvecs(A, np.stack([x, -x, x]))
+                assert (y == 0.0).all() and not np.signbit(y).any(), (d, order)
+                assert (Y == 0.0).all() and not np.signbit(Y).any(), (d, order)
+                assert op._shift is None
+                assert op._apply(x).tobytes() == y.tobytes()
+                assert op._apply_rows(np.stack([x, -x, x])).tobytes() == Y.tobytes()
+                assert (A @ x).tobytes() == y.tobytes()
+
+    def test_d1_and_nonzero_offsets_keep_the_add(self):
+        assert Affine([[1.0]])._shift.tobytes() == np.zeros(1).tobytes()
+        assert Affine(np.eye(2), [-0.0, 1.0])._shift.tobytes() == np.array([0.0, 1.0]).tobytes()
+        assert Affine(np.eye(2), [-0.0, -0.0])._shift is None
 
 
 def _every_operator_kind():
@@ -588,7 +636,7 @@ class TestJson:
     ])
     def test_round_trip_bit_exact(self, tmp_path, op):
         path = tmp_path / "op.json"
-        operators.save_operator(op, path)
+        save_operator(op, path)
         back = operators.load_operator(path)
         assert back.kind == op.kind
         if isinstance(op, Affine):
@@ -605,7 +653,7 @@ class TestJson:
         vals = [np.nextafter(1.0, 2.0), 1e-308, -0.1 + 0.2]
         op = Affine(np.diag(vals), np.array(vals))
         path = tmp_path / "op.json"
-        operators.save_operator(op, path)
+        save_operator(op, path)
         back = operators.load_operator(path)
         assert np.array_equal(back.matrix, op.matrix)
         assert np.array_equal(back.offset, op.offset)
@@ -630,4 +678,4 @@ class TestJson:
     def test_composite_not_serializable(self):
         comp = eg_operator(LogisticGrad(), 0.5)
         with pytest.raises(BadParameters):
-            operators.operator_to_json(comp)
+            operator_to_json(comp)

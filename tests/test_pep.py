@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import threading
 import warnings
 
 import numpy as np
@@ -494,6 +496,31 @@ class TestSdpaAgainstReference:
             warnings.simplefilter("error")
             got = parse_sdpa(path)
         _assert_same_parse(got, _reference_parse(path))
+
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    @pytest.mark.parametrize("text", [
+        None,
+        _TOY_HEAD,
+        _TOY_HEAD + "\n  \n\n",
+        _TOY_HEAD + "\n  \n\n1 1 1 2 -3.5\n\n1 2 2 2 -1\n",
+    ], ids=["norm-K3", "header-only", "header-and-blank-lines", "blank-lines-before-entries"])
+    def test_fifo_parses_as_the_regular_file(self, text, tmp_path):
+        """A named pipe cannot seek: parse_sdpa reads it in one pass, to the
+        result the same bytes give as a regular file."""
+        path, fifo = tmp_path / "prob.dat-s", tmp_path / "prob.fifo"
+        if text is None:
+            export_sdpa(build_norm_pep(1.1, 0.45, 0.6, 3), path)
+        else:
+            path.write_text(text)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        got = parse_sdpa(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        _assert_same_parse(got, parse_sdpa(path))
 
 
 class TestParseSdpaErrors:

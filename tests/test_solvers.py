@@ -7,7 +7,7 @@ import pytest
 from recording import recording, run_points
 
 from vicert import numerics, solvers
-from vicert.errors import BadParameters, NoConvergence, NonFinite
+from vicert.errors import BadParameters, DimensionMismatch, NoConvergence, NonFinite
 from vicert.operators import (
     Affine,
     Constants,
@@ -157,6 +157,17 @@ class TestRun:
                                              x0=np.array([1.0, 0.0])))
         assert len(trace) == 1
         assert trace.fx_sq[0] == 1.0
+
+    @pytest.mark.parametrize("op,star", [
+        (rotation(), [1.0, 2.0, 3.0]),
+        (scaled_identity(1.0, 3), [1.0, 2.0]),
+        (rotation(), [5.0]),
+    ], ids=["too-long", "too-short", "single-element"])
+    def test_x_star_of_another_dimension_raises(self, op, star):
+        # a one-element star would broadcast into every distance
+        cfg = SolverConfig("gd", gamma=0.1, iters=2, x0=np.ones(op.dim))
+        with pytest.raises(DimensionMismatch, match=f"operator dim {op.dim}, x_star dim"):
+            run(op, cfg, x_star=star)
 
     def test_eg_rotation_contraction(self):
         gamma = 1.0 / np.sqrt(2.0)
