@@ -19,7 +19,7 @@ from .errors import (
     NoViolatingPair,
     PreconditionViolated,
 )
-from .operators import Affine, LogisticGrad, Operator, eftp_operator, og_operator
+from .operators import Affine, Operator, eftp_operator, og_operator
 from .serial import jsonable
 
 HOLDS = "holds"
@@ -285,7 +285,9 @@ def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> Certif
 
 
 def spectral_disk_check(a, ell: float) -> CertificateReport:
-    """Disk criterion: every eigenvalue must lie in |lambda - ell/2| <= ell/2 + 1e-9.
+    """Disk criterion: every eigenvalue must lie in |lambda - ell/2| <= ell/2
+    + 1e-9*max|A|, a tolerance relative to A, so that (cA, c*ell) gets the
+    verdict of (A, ell) for every c > 0.
 
     Equivalent to Re(1/lambda) >= 1/ell for nonzero eigenvalues; lambda = 0
     sits on the boundary and counts as inside.  A positive certificate is
@@ -293,7 +295,8 @@ def spectral_disk_check(a, ell: float) -> CertificateReport:
     otherwise.
     """
     numerics.require_positive("ell", ell)
-    vals = numerics.eigenvalues(_square(a))
+    A = _square(a)
+    vals = numerics.eigenvalues(A)
     center = ell / 2.0
     rows = []
     worst = np.inf
@@ -304,7 +307,7 @@ def spectral_disk_check(a, ell: float) -> CertificateReport:
         if slack < worst:
             worst = float(slack)
             worst_val = lam
-    verdict = HOLDS if worst >= -1e-9 else VIOLATED
+    verdict = HOLDS if worst >= -1e-9 * float(np.abs(A).max()) else VIOLATED
     witness = None
     if verdict == VIOLATED:
         witness = {"eigenvalue": {"re": worst_val.real, "im": worst_val.imag},
@@ -436,17 +439,6 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     )
 
 
-def _star_slacks(A: np.ndarray, ell: float, trials: int, seed: int):
-    """The seeded draws x and the cocoercive row's slack at each pair (x, 0).
-    One draw fills the rows in C order, the stream of one draw per trial;
-    each row's products have the bits of ``A @ x`` and ``u @ v`` (see
-    :func:`numerics.matvecs`), and an overflowing row's slack is inf or NaN."""
-    row, = classes.rows("cocoercive", ell)
-    X = np.random.default_rng(seed).standard_normal((trials, A.shape[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return X, row.slack(X, numerics.matvecs(A, X), numerics.row_dots)
-
-
 def linear_star_equiv_check(a, ell: float, trials: int = 200,
                             seed: int = 0) -> CertificateReport:
     """Compare sampled star-cocoercivity around 0 with the exact cocoercivity
@@ -454,89 +446,25 @@ def linear_star_equiv_check(a, ell: float, trials: int = 200,
 
     For linear maps the two properties are equivalent, so sampling that
     accepts while the exact test rejects is counterevidence (statistical
-    only; reported, never expected).
+    only; reported, never expected).  The draws and slacks are those of
+    :func:`sampled_property_check` for star-cocoercivity around the root 0.
     """
-    if trials < 1:
-        raise BadParameters("trials must be at least 1")
     A = _square(a)
     exact = affine_cocoercivity_exact(A, ell)
-    X, slacks = _star_slacks(A, ell, trials, seed)
-    # the first strict minimum, never a NaN; inf when every slack is NaN or inf
-    slacks[np.isnan(slacks)] = np.inf
-    i = int(np.argmin(slacks))
-    worst, worst_x = float(slacks[i]), X[i]
+    X, _, slacks = _sampled_slacks(Affine(A, root=np.zeros(A.shape[0])),
+                                   classes.rows("cocoercive", ell), True, trials, seed)
+    i, worst = _first_minimum(slacks)
     sampled_holds = worst >= -1e-12
     counterevidence = sampled_holds and not exact.holds
     return CertificateReport(
         VIOLATED if counterevidence else HOLDS,
         min(worst, exact.worst_slack),
-        witness=None if sampled_holds else {"x": worst_x.tolist(), "slack": worst},
+        witness=None if sampled_holds else {"x": X[i].tolist(), "slack": worst},
         details={
             "exact_holds": exact.holds,
             "sampled_holds": sampled_holds,
             "sampled_worst_slack": worst,
             "counterevidence": counterevidence,
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scalar logistic-gradient constants and energy non-convexity
-# ---------------------------------------------------------------------------
-
-def logistic_constants(a: float, delta: float) -> dict:
-    """The closed-form bounds L <= a^2/4 + delta and Lambda <= |a|^3/4 that
-    ``LogisticGrad(a, delta)`` declares, cross-checked against |F'| and |F''|
-    on 2001 grid points of [-20/|a|, 20/|a|]."""
-    op = LogisticGrad(a, delta)
-    L_bound, lam_bound = op.constants.lipschitz, op.constants.jac_lipschitz
-    grid = np.linspace(-20.0 / abs(a), 20.0 / abs(a), 2001)
-    d1 = max(abs(op.jacobian(np.array([t]))[0, 0]) for t in grid)
-    d2 = max(abs(op.second_derivative(t)) for t in grid)
-    if d1 > L_bound + 1e-9 or d2 > lam_bound + 1e-9:
-        raise RuntimeError("sampled derivative exceeded its closed-form bound")
-    return {
-        "L_bound": L_bound,
-        "Lambda_bound": lam_bound,
-        "sampled_max_jacobian": d1,
-        "sampled_max_second_derivative": d2,
-    }
-
-
-def _residual_energy_curvature(x: float) -> float:
-    """Closed form for 2*H''(x) with H(x) = 0.5*F(x)^2, F the default
-    logistic gradient (a=1, delta=1/100)."""
-    ex = np.exp(x)
-    t1 = 2.0 * ex**2 * (2.0 - ex) / (1.0 + ex) ** 4
-    t2 = ex * (x + 2.0 + ex * (2.0 - x)) / (50.0 * (1.0 + ex) ** 3)
-    t3 = 1.0 / 5000.0
-    return float(t1 + t2 + t3)
-
-
-def hamiltonian_nonconvexity_check() -> CertificateReport:
-    """Show that H = 0.5*||F||^2 of the default logistic gradient is non-convex:
-    2*H'' at x = 3 is negative, and a central second difference (step 1e-4) agrees."""
-    x_probe, h = 3.0, 1e-4
-    op = LogisticGrad(1.0, 0.01)
-
-    def energy(t: float) -> float:
-        fx = op(np.array([t]))[0]
-        return 0.5 * fx * fx
-
-    closed = _residual_energy_curvature(x_probe)
-    fd = 2.0 * (energy(x_probe + h) - 2.0 * energy(x_probe) + energy(x_probe - h)) / h**2
-    rel = abs(closed - fd) / abs(closed)
-    at_zero = _residual_energy_curvature(0.0)
-    ok = closed < 0.0 and fd < 0.0 and rel <= 1e-6
-    return CertificateReport(
-        VIOLATED if ok else INCONCLUSIVE,  # violated = convexity disproved
-        worst_slack=closed,
-        details={
-            "closed_form": closed,
-            "finite_difference": fd,
-            "relative_gap": rel,
-            "probe": x_probe,
-            "curvature_at_zero": at_zero,
         },
     )
 
@@ -549,6 +477,43 @@ def hamiltonian_nonconvexity_check() -> CertificateReport:
 _STAR_CLASSES = {"star-monotone": "monotone", "star-cocoercive": "cocoercive"}
 
 
+def _sampled_slacks(op: Operator, rows, star: bool, trials: int, seed: int):
+    """The seeded draws X and Y and the (trials, len(rows)) stack of the
+    rows' slacks on the pairs (X[t], Y[t]).  For a star class Y[t] is
+    ``op.root()`` and F(Y[t]) is 0; otherwise Y[t] is drawn beside X[t].
+    One draw in C order is the stream of one draw of x (then y) per trial;
+    each row's products have the bits of ``u @ v`` (see
+    :func:`numerics.row_dots`), and an overflowing row's slack is inf or NaN."""
+    if trials < 1:
+        raise BadParameters("trials must be at least 1")
+    if star:
+        x_star = op.root()
+        if x_star is None:
+            raise PreconditionViolated("star property needs an operator with a known root")
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if star:
+            X = rng.standard_normal((trials, op.dim))
+            # F(x*) is +0.0, and a - 0.0 is a, bit for bit: dF is F(X) itself
+            Y, dF = np.broadcast_to(x_star, X.shape), op._apply_rows(X)
+        else:
+            X, Y = rng.standard_normal((trials, 2, op.dim)).transpose(1, 0, 2)
+            FY = op._apply_rows(Y)
+            dF = op._apply_rows(X) - FY
+        dX = X - Y
+        slacks = np.stack([row.slack(dX, dF, numerics.row_dots) for row in rows], axis=1)
+    return X, Y, slacks
+
+
+def _first_minimum(slacks: np.ndarray) -> tuple[int, float]:
+    """The trial of the first strict minimum of a (trials, rows) slack stack,
+    in C order, and its slack; NaN counts as +inf, so the minimum is never a
+    NaN, and it is inf when every slack is NaN or inf."""
+    slacks = np.where(np.isnan(slacks), np.inf, slacks)
+    i = int(np.argmin(slacks))
+    return i // slacks.shape[1], float(slacks.flat[i])
+
+
 def sampled_property_check(op: Operator, op_class: str, trials: int = 200,
                            seed: int = 0, parameter: float | None = None) -> CertificateReport:
     """Sample seeded Gaussian pairs and evaluate the class inequality.
@@ -556,32 +521,9 @@ def sampled_property_check(op: Operator, op_class: str, trials: int = 200,
     Sampling can refute but never prove: the verdict is ``violated`` with a
     witness, or ``inconclusive`` when every sampled slack is nonnegative.
     """
-    star = op_class in _STAR_CLASSES
     rows = classes.rows(_STAR_CLASSES.get(op_class, op_class), parameter)
-    if trials < 1:
-        raise BadParameters("trials must be at least 1")
-    x_star = None
-    if star:
-        x_star = op.root()
-        if x_star is None:
-            raise PreconditionViolated("star property needs an operator with a known root")
-    # one draw in C order is the stream of one draw of x (then y) per trial;
-    # each row's products have the bits of ``u @ v`` (see numerics.row_dots)
-    rng = np.random.default_rng(seed)
-    if star:
-        X = rng.standard_normal((trials, op.dim))
-        Y, FY = np.broadcast_to(x_star, X.shape), np.zeros(op.dim)
-    else:
-        X, Y = rng.standard_normal((trials, 2, op.dim)).transpose(1, 0, 2)
-        FY = op._apply_rows(Y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dX, dF = X - Y, op._apply_rows(X) - FY
-        slacks = np.stack([row.slack(dX, dF, numerics.row_dots) for row in rows], axis=1)
-    # the first strict minimum over (trial, row), never a NaN; inf when every
-    # slack is NaN or inf
-    slacks[np.isnan(slacks)] = np.inf
-    t, r = divmod(int(np.argmin(slacks)), len(rows))
-    worst = float(slacks[t, r])
+    X, Y, slacks = _sampled_slacks(op, rows, op_class in _STAR_CLASSES, trials, seed)
+    t, worst = _first_minimum(slacks)
     if worst < -_INTERP_TOL:
         witness = {"x": X[t].tolist(), "y": Y[t].tolist(), "slack": worst}
         return CertificateReport(VIOLATED, worst, witness,

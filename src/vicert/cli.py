@@ -322,6 +322,10 @@ def main(argv=None) -> int:
     except VicertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's request for an array larger than the machine can map
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

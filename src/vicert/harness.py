@@ -17,6 +17,7 @@ from .operators import (
     Operator,
     bilinear_game,
     eg_operator,
+    hamiltonian_operator,
     pp_operator,
     rotation,
     scaled_identity,
@@ -293,8 +294,7 @@ def _plan_hgm_affine_contraction(op: Affine, iters: int, x0) -> _Planned:
     if iters < 1:
         raise PreconditionViolated("the contraction check needs iters >= 1")
     x0 = numerics.as_vector(x0)
-    A = op.matrix
-    svals = numerics.singular_values(A)
+    svals = numerics.singular_values(op.matrix)
     nonzero = svals[svals > 1e-12 * max(svals.max(initial=0.0), 1.0)]
     if nonzero.size == 0:
         raise BadParameters("zero matrix has no contraction factor")
@@ -304,10 +304,10 @@ def _plan_hgm_affine_contraction(op: Affine, iters: int, x0) -> _Planned:
     rho = (1.0 - kappa) / (1.0 + kappa)
     gamma = 1.0 / smax2
     # projection of the start onto the least-squares solution set; the
-    # null-space component of the iterates never moves
-    S = A.T @ A
-    grad0 = S @ x0 + A.T @ op.offset
-    x_star = x0 - numerics.sym_pseudo_solve(S, grad0)
+    # null-space component of the iterates never moves.  The energy's
+    # gradient is affine: x -> A^T A x + A^T b
+    grad = hamiltonian_operator(op)
+    x_star = x0 - numerics.sym_pseudo_solve(grad.matrix, grad._apply(x0))
 
     def finish(trace: Trace) -> tuple[BoundCheck]:
         return (BoundCheck("hgm-affine-contraction",

@@ -141,15 +141,18 @@ def eigenvalues(a) -> np.ndarray:
     """Full complex spectrum of a square real matrix, from LAPACK ``geev``.
 
     ``geev`` returns the complex eigenvalues of a real matrix as exact
-    conjugate pairs.  Values with ``|imag| <= 1e-9 * (1 + ||A||_F)`` are
-    snapped to the real axis; the result is sorted by (real, imaginary) part.
+    conjugate pairs.  Values with ``|imag| <= 1e-9 * ||A||_F`` are snapped
+    to the real axis, a threshold relative to A, so that cA has the spectrum
+    of A times c; ``||A||_F`` is ``s * ||A / s||_F`` with ``s = max|A|``,
+    which does not overflow.  The result is sorted by (real, imaginary) part.
     """
     A = as_matrix(a, square=True)
     try:
         vals = np.linalg.eigvals(A).astype(np.complex128)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalues: {exc}") from exc
-    tol = 1e-9 * (1.0 + float(np.sqrt((A * A).sum())))
+    s = float(np.abs(A).max(initial=0.0))
+    tol = 1e-9 * s * float(np.linalg.norm(A / s)) if s else 0.0
     vals.imag[np.abs(vals.imag) <= tol] = 0.0
     return vals[np.lexsort((vals.imag, vals.real))]
 

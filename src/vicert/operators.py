@@ -209,10 +209,6 @@ class LogisticGrad(Operator):
         s = _sigmoid(self.a * x.item())
         return np.array([[self.a * self.a * s * (1.0 - s) + self.delta]])
 
-    def second_derivative(self, x0: float) -> float:
-        s = _sigmoid(self.a * float(x0))
-        return self.a ** 3 * s * (1.0 - s) * (1.0 - 2.0 * s)
-
     def root(self):
         if self.delta == 0.0:
             return None

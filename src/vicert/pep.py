@@ -42,12 +42,6 @@ def _rows_cols(a):
     return a[..., :, None], a[..., None, :]
 
 
-def inner_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetric M with <u, v> = Tr(M G) for the basis Gram matrix G, where
-    u and v hold basis coefficients."""
-    return _sym_cell(_rows_cols(u), _rows_cols(v))
-
-
 def sq_matrix(u: np.ndarray) -> np.ndarray:
     return np.outer(u, u)
 
@@ -64,10 +58,10 @@ _RUN_CELLS = 8192
 class PairForms:
     """Constraints in factored form: the class-table rows on the differences
     of pairs of points.  Constraint ``p * len(rows) + t``, named
-    ``names[p * len(rows) + t]``, is the matrix of
-    ``rows[t].slack(dx[p], dF[p], inner_matrix)``, where ``dx[p]`` and
-    ``dF[p]`` hold the basis coefficients of x_i - x_j and F_i - F_j for the
-    p-th pair (i, j)."""
+    ``names[p * len(rows) + t]``, is the symmetric M with Tr(M G) =
+    ``rows[t].slack(dx[p], dF[p], <., .>)`` for the basis Gram matrix G,
+    where ``dx[p]`` and ``dF[p]`` hold the basis coefficients of x_i - x_j
+    and F_i - F_j for the p-th pair (i, j)."""
 
     dx: np.ndarray
     dF: np.ndarray
@@ -590,16 +584,6 @@ def solve(prob: GramProblem) -> FeasiblePoint:
             return point
     raise NoConvergence(f"no interior-point iterate of {prob.name} verifies "
                         f"within tolerance {_SOLVE_TOL} (stopped: {stop})")
-
-
-def _repair_and_verify(prob: GramProblem, G: np.ndarray) -> tuple[FeasiblePoint | None, str]:
-    """Repair a candidate and verify it; returns the verified point, or None
-    when it fails, with the repair path taken (see :func:`_repair`)."""
-    G, path = _repair(prob, G)
-    if G is None:
-        return None, path
-    point = verify_point(prob, G)
-    return (point if point.feasible(_SOLVE_TOL) else None), path
 
 
 def _repair(prob: GramProblem, G: np.ndarray) -> tuple[np.ndarray | None, str]:

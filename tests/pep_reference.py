@@ -2,11 +2,12 @@
 
 ``build_expansiveness_matrices`` writes the six-point expansiveness problem
 with hand-coded matrices, the cross-check of :func:`pep.build_expansiveness_pep`,
-which builds it from the class table, and ``counterexample_vectors`` labels
+which builds it from the class table, ``inner_matrix`` is the dense matrix
+of one inner product, and ``counterexample_vectors`` labels
 the explicit expansive instance's vectors by its basis.  ``lower_bound_search`` is a
 solver-free lower bound by low-rank gradient ascent, a check on
 :func:`pep.solve` that shares nothing with the interior-point method but the
-repair-and-verify step.
+repair step and :func:`pep.verify_point`.
 """
 
 import numpy as np
@@ -18,8 +19,18 @@ from vicert.pep import (
     FeasiblePoint,
     GramProblem,
     _expansiveness_interior,
-    _repair_and_verify,
+    _repair,
+    _rows_cols,
+    _sym_cell,
+    verify_point,
 )
+
+
+def inner_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric M with <u, v> = Tr(M G) for the basis Gram matrix G, where
+    u and v hold basis coefficients: the dense form of one factored pair
+    cell of :class:`pep.PairForms`."""
+    return _sym_cell(_rows_cols(u), _rows_cols(v))
 
 
 def build_expansiveness_matrices(ell: float, gamma1: float, gamma2: float) -> GramProblem:
@@ -187,8 +198,9 @@ def lower_bound_search(prob: GramProblem, restarts: int = 32, seed: int = 0,
     best: FeasiblePoint | None = None
     feasible = 0
     for b in range(restarts):
-        point, path = _repair_and_verify(prob, G[b])
-        if point is None:
+        G_b, path = _repair(prob, G[b])
+        point = None if G_b is None else verify_point(prob, G_b)
+        if point is None or not point.feasible(_SOLVE_TOL):
             continue
         feasible += 1
         if best is None or point.objective > best.objective:

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from logistic_reference import hamiltonian_nonconvexity_check
 from pep_reference import (
     build_expansiveness_matrices,
     counterexample_vectors,
@@ -25,7 +26,6 @@ from vicert.certify import (
     build_counterexample,
     check_interpolation,
     eg_affine_cocoercivity_check,
-    hamiltonian_nonconvexity_check,
     min_cocoercivity_ell,
     og_noncocoercivity_witness,
     sampled_property_check,

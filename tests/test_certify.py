@@ -3,6 +3,12 @@ import warnings
 import draw_reference
 import numpy as np
 import pytest
+from logistic_reference import (
+    hamiltonian_nonconvexity_check,
+    logistic_constants,
+    residual_energy_curvature,
+    second_derivative,
+)
 
 from vicert import certify, classes, numerics
 from vicert.certify import (
@@ -12,9 +18,7 @@ from vicert.certify import (
     check_interpolation,
     cocoercivity_pencil,
     eg_affine_cocoercivity_check,
-    hamiltonian_nonconvexity_check,
     linear_star_equiv_check,
-    logistic_constants,
     min_cocoercivity_ell,
     og_noncocoercivity_witness,
     sampled_property_check,
@@ -227,6 +231,16 @@ class TestSpectralDisk:
     def test_zero_matrix_holds(self):
         assert spectral_disk_check(np.zeros((3, 3)), 0.7).holds
 
+    @pytest.mark.parametrize("c", [1e-150, 1e-12, 1.0, 1e150, 1e155, 1e300])
+    def test_scale_free(self, c):
+        # eigenvalues c(1 +- i) lie outside the disk of diameter 1.5c at every
+        # scale, and are reported as such, not snapped to the real axis
+        A = c * np.array([[1.0, 1.0], [-1.0, 1.0]])
+        report = spectral_disk_check(A, 1.5 * c)
+        assert report.verdict == "violated"
+        vals = report.details["eigenvalues"]
+        assert [v / c for v in vals] == pytest.approx([1 - 1j, 1 + 1j], rel=1e-12)
+
     def test_agrees_with_exact_on_normal_matrices(self):
         rng = np.random.default_rng(1)
         compared = 0
@@ -402,6 +416,13 @@ def _star_cases():
             float(rng.uniform(0.1, 20.0))
 
 
+def _star_slacks(A, ell, trials, seed):
+    """The draws and slacks of ``linear_star_equiv_check(A, ell, trials, seed)``."""
+    A = np.asarray(A, dtype=np.float64)
+    return certify._sampled_slacks(Affine(A, root=np.zeros(A.shape[0])),
+                                   classes.rows("cocoercive", ell), True, trials, seed)
+
+
 class TestStarEquivAgainstPerTrial:
     """The stacked draws, slacks and report against draw_reference's
     one-trial-at-a-time form, bit for bit."""
@@ -409,11 +430,10 @@ class TestStarEquivAgainstPerTrial:
     def test_every_slack(self):
         for A, ell in _star_cases():
             for trials, seed in ((1, 0), (37, 5), (200, 12)):
-                X, slacks = certify._star_slacks(np.asarray(A, dtype=np.float64), ell,
-                                                 trials, seed)
+                X, _, slacks = _star_slacks(A, ell, trials, seed)
                 xs, want = draw_reference.star_equiv_slacks(A, ell, trials, seed)
                 assert X.tobytes() == np.array(xs).tobytes()
-                assert slacks.tobytes() == np.array(want).tobytes()
+                assert slacks.tobytes() == np.array(want)[:, None].tobytes()
 
     def test_every_report(self):
         for A, ell in _star_cases():
@@ -423,11 +443,11 @@ class TestStarEquivAgainstPerTrial:
                 assert repr(got) == repr(want)
 
     def test_overflowing_rows_give_nan_and_minus_inf(self):
-        _, nans = certify._star_slacks(*_STAR_EDGE_CASES["nan-slacks"], 40, 5)
+        _, _, nans = _star_slacks(*_STAR_EDGE_CASES["nan-slacks"], 40, 5)
         assert np.isnan(nans).any() and np.isfinite(nans).any()
         rep = linear_star_equiv_check(*_STAR_EDGE_CASES["nan-slacks"], 40, 5)
         assert np.isfinite(rep.details["sampled_worst_slack"])
-        _, every = certify._star_slacks(*_STAR_EDGE_CASES["every-slack-nan"], 40, 5)
+        _, _, every = _star_slacks(*_STAR_EDGE_CASES["every-slack-nan"], 40, 5)
         assert np.isnan(every).all()
         rep = linear_star_equiv_check(*_STAR_EDGE_CASES["every-slack-nan"], 40, 5)
         assert rep.details["sampled_worst_slack"] == np.inf and rep.witness is None
@@ -443,8 +463,9 @@ class TestStarEquivAgainstPerTrial:
     ])
     def test_first_strict_minimum_and_never_nan(self, slacks, monkeypatch):
         X = np.arange(2.0 * len(slacks)).reshape(-1, 2)
-        monkeypatch.setattr(certify, "_star_slacks",
-                            lambda A, ell, trials, seed: (X, np.array(slacks)))
+        monkeypatch.setattr(certify, "_sampled_slacks",
+                            lambda op, rows, star, trials, seed:
+                            (X, np.zeros_like(X), np.array(slacks)[:, None]))
         monkeypatch.setattr(draw_reference, "star_equiv_slacks",
                             lambda A, ell, trials, seed: (list(X), list(slacks)))
         got = linear_star_equiv_check(np.eye(2), 1.0, len(slacks)).to_json()
@@ -482,9 +503,9 @@ class TestEnergyNonconvexity:
         for x in (-2.0, 0.0, 1.5, 3.0, 6.0):
             f = op(np.array([x]))[0]
             d1 = op.jacobian(np.array([x]))[0, 0]
-            d2 = op.second_derivative(x)
+            d2 = second_derivative(op, x)
             product_rule = 2.0 * d1 * d1 + 2.0 * f * d2
-            closed = certify._residual_energy_curvature(x)
+            closed = residual_energy_curvature(x)
             assert closed == pytest.approx(product_rule, rel=1e-12)
 
 

@@ -327,6 +327,17 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+    def test_allocation_beyond_the_address_space(self, capsys):
+        # 1e15 trials of two coordinates ask for 16 PB, beyond a 47-bit
+        # address space, so the request fails at once on every machine
+        argv = ["certify", "--check", "star-equiv", "--A", EYE2, "--ell", "1",
+                "--trials", "1000000000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: out of memory: ")
+
     @pytest.mark.parametrize("argv", [
         ["run", "--op", "rotation", "--method", "gd", "--gamma", "0.1", "--iters", "2",
          "--x0", "1,0", "--xstar", star] for star in ("1,2,3", "5")

@@ -179,6 +179,20 @@ class TestHgm:
         assert check.passed
         assert check.observed[0] <= 1e-25
 
+    @pytest.mark.parametrize("op, x0", [
+        (e.op, e.x0) for seed in (7, 11, 101, 913) for e in standard_suite(seed)
+        if isinstance(e.op, Affine)
+    ] + [
+        (Affine([[2.0, 1.0], [0.0, 0.5]], [1.0, -3.0]), np.array([0.5, -1.0])),
+        (Affine([[3.0]], [-0.0]), np.array([-2.0])),
+    ])
+    def test_contraction_solution_point(self, op, x0):
+        # the projection of x0 onto the least-squares solutions, written out
+        A, b = op.matrix, op.offset
+        want = x0 - numerics.sym_pseudo_solve(A.T @ A, A.T @ A @ x0 + A.T @ b)
+        got = harness._plan_hgm_affine_contraction(op, 5, x0).x_star
+        assert got.tobytes() == want.tobytes()
+
     def test_rank_deficient_projection_solution(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
         check = check_hgm_affine_contraction(Affine(A, np.array([1.0, 0.0])), 20,

@@ -9,6 +9,7 @@ import pytest
 from pep_reference import (
     build_expansiveness_matrices,
     counterexample_vectors,
+    inner_matrix,
     lower_bound_search,
     zero_sign_differences,
 )
@@ -33,7 +34,6 @@ from vicert.pep import (
     embed_points,
     export_sdpa,
     gram_to_points,
-    inner_matrix,
     parse_sdpa,
     solve,
     sq_matrix,
