@@ -302,7 +302,12 @@ def spectral_disk_check(a, ell: float) -> CertificateReport:
     worst = np.inf
     worst_val = None
     for lam in vals:
-        slack = center - abs(lam - center)
+        # ell/2 - |lam - ell/2| = (ell Re(lam) - |lam|^2) / D, D = ell/2 + |lam - ell/2|:
+        # the difference cancels when ell >> |lam|, the quotient does not, and
+        # with D >= max(ell/2, |lam|) neither ell/D nor |lam|/D exceeds 2
+        denom = center + abs(lam - center)
+        mod = abs(lam)
+        slack = (ell / denom) * lam.real - (mod / denom) * mod
         rows.append(ConditionRow(("spectrum", f"{lam:.6g}"), "disk", float(slack)))
         if slack < worst:
             worst = float(slack)

@@ -24,6 +24,9 @@ from .errors import (
 )
 
 
+_NON_FINITE_VECTOR = "vector has non-finite entries (inf, nan or a float64 overflow)"
+
+
 def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0:
@@ -31,8 +34,16 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise NonFinite("vector has non-finite entries (inf, nan or a float64 overflow)")
+        raise NonFinite(_NON_FINITE_VECTOR)
     return v
+
+
+def as_finite(x: float) -> float:
+    """x, a 1-D point held as a Python float, if it is finite; otherwise the
+    :class:`NonFinite` that :func:`as_vector` raises for ``[x]``."""
+    if not math.isfinite(x):
+        raise NonFinite(_NON_FINITE_VECTOR)
+    return x
 
 
 def require_positive(names: str, *values) -> None:

@@ -4,6 +4,9 @@ An operator is a map F: R^d -> R^d evaluated with ``op(x)`` and
 differentiated with ``op.jacobian(x)``, both of which check that x is a
 finite vector of the operator's dimension.  Hot loops that already hold
 such a vector call the unchecked ``op._apply(x)`` and ``op._jacobian(x)``.
+A 1-D operator with ``float_form`` also takes its point as a Python float:
+``op._apply_float(x)`` and ``op._jacobian_float(x)`` give, bit for bit, the
+one entry of ``_apply`` and ``_jacobian`` without numpy's per-call dispatch.
 Affine operators carry their matrix and offset explicitly so that
 composition stays in closed form; nonlinear composites evaluate lazily.
 """
@@ -60,6 +63,8 @@ class Operator:
     kind = "abstract"
     dim: int = 0
     constants: Constants = Constants()
+    # whether this 1-D operator has the float form _apply_float
+    float_form: bool = False
 
     def __call__(self, x) -> np.ndarray:
         return self._apply(self._checked(x))
@@ -79,6 +84,16 @@ class Operator:
         """The Jacobian of F at a finite float64 vector x of dimension ``dim``,
         unchecked."""
         raise NoAnalyticJacobian(f"{self.kind} operator has no analytic Jacobian")
+
+    def _apply_float(self, x: float) -> float:
+        """The one entry of ``_apply([x])`` for a finite Python float x,
+        unchecked; only an operator with ``float_form`` has it."""
+        raise NotImplementedError
+
+    def _jacobian_float(self, x: float) -> float:
+        """The one entry of ``_jacobian([x])`` for a finite Python float x,
+        unchecked."""
+        return self._jacobian(np.array([x])).item()
 
     def root(self) -> np.ndarray | None:
         """A point x* with F(x*) = 0, when one is known; None otherwise."""
@@ -183,6 +198,7 @@ class LogisticGrad(Operator):
 
     kind = "logistic-grad"
     dim = 1
+    float_form = True
 
     def __init__(self, a: float = 1.0, delta: float = 0.01):
         a, delta = float(a), float(delta)
@@ -201,13 +217,18 @@ class LogisticGrad(Operator):
         self.constants = Constants(lipschitz=L, jac_lipschitz=lam, cocoercivity=L)
         self._root = None
 
+    def _apply_float(self, x):
+        return self.a * _sigmoid(self.a * x) + self.delta * x
+
+    def _jacobian_float(self, x):
+        s = _sigmoid(self.a * x)
+        return self.a * self.a * s * (1.0 - s) + self.delta
+
     def _apply(self, x):
-        x0 = x.item()
-        return np.array([self.a * _sigmoid(self.a * x0) + self.delta * x0])
+        return np.array([self._apply_float(x.item())])
 
     def _jacobian(self, x):
-        s = _sigmoid(self.a * x.item())
-        return np.array([[self.a * self.a * s * (1.0 - s) + self.delta]])
+        return np.array([[self._jacobian_float(x.item())]])
 
     def root(self):
         if self.delta == 0.0:
@@ -223,7 +244,7 @@ class LogisticGrad(Operator):
             # that is, when lo and hi are adjacent floats
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
-                if self._apply(np.array([mid]))[0] > 0.0:
+                if self._apply_float(mid) > 0.0:
                     hi = mid
                 else:
                     lo = mid
@@ -274,16 +295,24 @@ class ExtrapolatedComposite(Operator):
         self.inner = inner
         self.gamma = float(gamma)
         self.dim = inner.dim
+        self.float_form = inner.float_form
         self.constants = Constants()
 
-    def _apply(self, x):
-        mid = x - self.gamma * self.inner._apply(x)
+    def _mid(self, x, F, check):
         # the extrapolated point is new: check it as a public call would
-        return self.inner._apply(numerics.as_vector(mid))
+        return check(x - self.gamma * F(x))
+
+    def _apply(self, x):
+        F = self.inner._apply
+        return F(self._mid(x, F, numerics.as_vector))
+
+    def _apply_float(self, x):
+        F = self.inner._apply_float
+        return F(self._mid(x, F, numerics.as_finite))
 
     def _jacobian(self, x):
         Ji = self.inner._jacobian(x)
-        mid = numerics.as_vector(x - self.gamma * self.inner._apply(x))
+        mid = self._mid(x, self.inner._apply, numerics.as_vector)
         return self.inner._jacobian(mid) @ (np.eye(self.dim) - self.gamma * Ji)
 
     def root(self):
@@ -369,27 +398,39 @@ class ImplicitComposite(Operator):
         self.inner = inner
         self.gamma = float(gamma)
         self.dim = inner.dim
+        self.float_form = inner.float_form
         self.constants = Constants()
         self._theta = 1.0 if L is None or gamma * L <= 0.9 else 1.0 / (1.0 + gamma * L)
 
-    def _solve(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The fixed point y and F(y), the value its last iteration computed."""
-        y = x.copy()
+    def _fixed_point(self, x, F, sum_sq, check):
+        """The fixed point y and F(y), the value its last iteration computed,
+        in the form of x: F, the sum of squares and the point check are the
+        array ones or the float ones.  y is rebound, never written to."""
+        y = x
         for _ in range(self.max_iters):
-            fy = self.inner._apply(y)
+            fy = F(y)
             d = y - (x - self.gamma * fy)
-            residual = math.sqrt(np.add.reduce(d * d))
+            residual = math.sqrt(sum_sq(d))
             if residual <= self.tol:
                 return y, fy
             if not math.isfinite(residual):
                 # a non-finite y makes the residual non-finite: only then is
                 # the full check of the point fed to F worth its cost
-                numerics.as_vector(y)
+                check(y)
             y = y - d if self._theta == 1.0 else y - self._theta * d
         raise NoConvergence("implicit-step fixed point did not reach tolerance")
 
+    def _solve(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The fixed point y and F(y) for a vector x."""
+        return self._fixed_point(x, self.inner._apply, lambda d: np.add.reduce(d * d),
+                                 numerics.as_vector)
+
     def _apply(self, x):
         return self._solve(x)[1]
+
+    def _apply_float(self, x):
+        return self._fixed_point(x, self.inner._apply_float, lambda d: d * d,
+                                 numerics.as_finite)[1]
 
     def root(self):
         return self.inner.root()

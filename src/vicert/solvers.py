@@ -9,6 +9,7 @@ known solution, and method-specific extras.  The update operators of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,20 @@ class Trace:
 # Run loop
 # ---------------------------------------------------------------------------
 
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.abs(x).max(initial=0.0))
+
+
+def _jt_f_array(J: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # @, not .dot: at d = 1, .dot is the bare product j*f, which is -0.0
+    # where the dot 0 + j*f of @ gives +0.0, and x - g*gh keeps the sign
+    return J.T @ f
+
+
+def _jt_f_float(j: float, f: float) -> float:
+    return 0.0 + j * f
+
+
 def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     """Run ``cfg.iters`` steps of the configured method and record a trace.
 
@@ -114,25 +129,40 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     g*F at its tilde point, hgm reuses J(x)^T F(x).  F is ``op._apply``, called
     on x^k for every row, on the eg mid point for every row and on the eftp
     tilde point for every step, in that order.
+
+    A 1-D operator with ``float_form`` is stepped on Python floats instead:
+    F is ``op._apply_float``, called at the same points, and every product,
+    squared norm and check gives the bits of its array spelling.
     """
     x = cfg.x0.copy()
-    if x.size != op.dim:
-        raise BadParameters(f"x0 has dim {x.size}, operator has dim {op.dim}")
+    dim = op.dim
+    if x.size != dim:
+        raise BadParameters(f"x0 has dim {x.size}, operator has dim {dim}")
     star = None if x_star is None else op._checked(x_star, "x_star")
+    if dim == 1 and op.float_form:
+        # float arithmetic rounds as float64 arithmetic on a 1-element array
+        # does, without numpy's dispatch on every operation: .dot at d = 1 is
+        # the bare product, and the dot of @ adds it to +0.0
+        x, star = x.item(), None if star is None else star.item()
+        apply, check, max_abs, dot = "_apply_float", numerics.as_finite, abs, operator.mul
+        jac, jt_f = op._jacobian_float, _jt_f_float
+    else:
+        apply, check, max_abs, dot = "_apply", numerics.as_vector, _max_abs, np.ndarray.dot
+        jac, jt_f = op._jacobian, _jt_f_array
+    F = getattr(op, apply)
 
     method = cfg.method
     g = cfg.gamma
     # eg runs as eg2 with both stepsizes gamma
     g1, g2 = (cfg.gamma1, cfg.gamma2) if method == "eg2" else (g, g)
-    F = op._apply
     # bound >= ||x||_2.  A step x - c*g*v moves x by at most c*g*||v||, and ||v||
     # <= (1 - u)^-(d/2 + 2) * (sqrt(v @ v) + tiny), u = 2^-53: the dot rounds at most
     # d times, the root and the sum once each, tiny covers squares lost to underflow.
     # The step and the update round at most 7 times more: slack = 1 + (2d + 32)u
     # covers all; the tenfold margin of _PROVEN covers absolute errors near 2^-1074
     bound, x_max = math.inf, 0.0
-    slack = 1.0 + (x.size + 16) * 2.0**-52
-    tiny = math.sqrt(x.size) * 2.0**-537
+    slack = 1.0 + (dim + 16) * 2.0**-52
+    tiny = math.sqrt(dim) * 2.0**-537
 
     n = cfg.iters + 1
     # always one row more than the iterations fill, for the NaN row of an overflow
@@ -141,7 +171,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     dist_sq = None if star is None else np.empty(size)
     extras = {name: np.empty(size) for name in _EXTRAS.get(method, ())}
 
-    pp_comp = None   # pp resolvent, built at the first step
+    pp_step = None   # pp: F of the resolvent, built at the first step
     f_prev = None    # og: F(x_prev)
     gf = None        # eftp: g times F at the tilde point
     f_evals = 0
@@ -160,34 +190,32 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             if not bound <= _PROVEN:
                 # max|x| is NaN or inf exactly when x is not finite; an x_max
                 # left from an earlier row is within the limit, or it stopped the run
-                x_max = float(np.abs(x).max(initial=0.0))
+                x_max = max_abs(x)
                 if not math.isfinite(x_max):
                     raise NonFinite("iterate overflowed")
-                bound = math.sqrt(x.size) * x_max * slack
+                bound = math.sqrt(dim) * x_max * slack
             fx = F(x)
             f_evals += 1
-            fx_sq[k] = fsq = fx.dot(fx)
+            fx_sq[k] = fsq = dot(fx, fx)
             root = math.sqrt(fsq) + tiny
             if star is not None:
                 d = x - star
-                dist_sq[k] = d.dot(d)
+                dist_sq[k] = dot(d, d)
             rows = k + 1
             if method in ("eg", "eg2"):
                 mid = x - g1 * fx
                 if not bound + g1 * root <= _PROVEN:
-                    numerics.as_vector(mid)
+                    check(mid)
                 fmid = F(mid)
                 f_evals += 1
-                extras["mid_sq"][k] = step_sq = fmid.dot(fmid)
+                extras["mid_sq"][k] = step_sq = dot(fmid, fmid)
             elif method == "eftp":
                 if k == 0:
                     step_sq, t_root = fsq, root  # the tilde point starts at x0
                 extras["tilde_sq"][k] = step_sq
             elif method == "hgm":
-                # @, not .dot: at d = 1, .dot is the bare product j*f, which is
-                # -0.0 where the dot 0 + j*f of @ gives +0.0, and x - g*gh keeps the sign
-                gh = op._jacobian(x).T @ fx
-                extras["grad_h_sq"][k] = step_sq = gh.dot(gh)
+                gh = jt_f(jac(x), fx)
+                extras["grad_h_sq"][k] = step_sq = dot(gh, gh)
             full = k + 1
             if not math.isfinite(fsq) or x_max > _DIVERGENCE_LIMIT:
                 diverged = True
@@ -199,11 +227,11 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 x = x - g * fx
                 bound = (bound + g * root) * slack
             elif method == "pp":
-                if pp_comp is None:
-                    pp_comp = pp_operator(op, g)
-                step = pp_comp._apply(x)
+                if pp_step is None:
+                    pp_step = getattr(pp_operator(op, g), apply)
+                step = pp_step(x)
                 x = x - g * step
-                bound = (bound + g * (math.sqrt(step.dot(step)) + tiny)) * slack
+                bound = (bound + g * (math.sqrt(dot(step, step)) + tiny)) * slack
             elif method in ("eg", "eg2"):
                 x = x - g2 * fmid
                 bound = (bound + g2 * (math.sqrt(step_sq) + tiny)) * slack
@@ -217,10 +245,10 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 # one product g*F(tilde) moves x and makes the next tilde point
                 tilde = x - (g * fx if k == 0 else gf)
                 if not bound + g * t_root <= _PROVEN:
-                    numerics.as_vector(tilde)
+                    check(tilde)
                 f_tilde = F(tilde)
                 f_evals += 1
-                step_sq = f_tilde.dot(f_tilde)
+                step_sq = dot(f_tilde, f_tilde)
                 t_root = math.sqrt(step_sq) + tiny
                 gf = g * f_tilde
                 x = x - gf

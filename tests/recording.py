@@ -1,7 +1,8 @@
 """The points a run evaluates F at, read through the operator.
 
 ``run`` keeps no iterates.  It hands every point it evaluates F at to the
-unchecked ``op._apply``: the iterate x^k of every row, the eg/eg2 mid point
+unchecked ``op._apply``, or to ``op._apply_float`` for a 1-D operator with a
+float form: the iterate x^k of every row, the eg/eg2 mid point
 x^k - gamma1 F(x^k) of every row and the eftp tilde point of every step.
 """
 
@@ -14,8 +15,9 @@ from vicert.solvers import run
 
 
 def recording(op):
-    """A shallow copy of ``op`` whose ``_apply`` appends to ``.points`` a copy
-    of each point that ``run`` itself evaluates F at.
+    """A shallow copy of ``op`` whose ``_apply`` and ``_apply_float`` append
+    to ``.points`` a copy of each point that ``run`` itself evaluates F at, a
+    float as a 1-element float64 array of the same bits.
 
     The copy keeps the class of ``op``, so pp still takes the closed-form
     resolvent of an :class:`Affine`; the F evaluations inside a nonlinear pp
@@ -23,14 +25,16 @@ def recording(op):
     """
     rec = copy.copy(op)
     rec.points = []
-    apply = op._apply
 
-    def _apply(x):
-        if sys._getframe(1).f_code is run.__code__:
-            rec.points.append(x.copy())
-        return apply(x)
+    def recorded(apply, as_array):
+        def wrapper(x):
+            if sys._getframe(1).f_code is run.__code__:
+                rec.points.append(as_array(x))
+            return apply(x)
+        return wrapper
 
-    rec._apply = _apply
+    rec._apply = recorded(op._apply, np.copy)
+    rec._apply_float = recorded(op._apply_float, lambda x: np.array([x]))
     return rec
 
 

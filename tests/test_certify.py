@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import draw_reference
@@ -224,6 +225,13 @@ class TestSpectralDisk:
     def test_rotation_rejected(self):
         for ell in (0.5, 1.0, 100.0):
             assert spectral_disk_check(ROT, ell).verdict == "violated"
+        # eigenvalues +-i: the slack ell/2 - |i - ell/2| is -2/(ell + sqrt(ell^2 + 4)),
+        # whose digits the difference itself loses to cancellation as ell grows
+        for ell in (1e4, 1e6, 1e8):
+            report = spectral_disk_check(ROT, ell)
+            assert report.verdict == "violated"
+            assert report.worst_slack == pytest.approx(-2.0 / (ell + math.sqrt(ell * ell + 4.0)),
+                                                       rel=1e-12, abs=0.0)
 
     def test_diag_boundary_holds(self):
         assert spectral_disk_check(np.diag([1.0, 2.0]), 2.0).holds

@@ -14,7 +14,9 @@ shared a run) also take BLAS dot products of short vectors, and the
 ``pep-bound`` JSONs (recorded before the solve factored each iterate once and
 verified its candidates best-first) BLAS products and LAPACK factorisations
 of small matrices, so their digests hold where those round alike (x86-64
-builds of numpy's bundled OpenBLAS, whose kernels use FMA).  Regenerate the digests with
+builds of numpy's bundled OpenBLAS, whose kernels use FMA).  The two
+logistic ``run`` CSVs at the benchmark's length were recorded before run
+stepped 1-D operators on Python floats.  Regenerate the digests with
 ``python tests/test_golden.py`` only for an intended change of output.
 """
 
@@ -124,6 +126,13 @@ def outputs(tmp_path) -> dict[str, bytes]:
     cli.main(["run", "--op", "rotation", "--method", "eg", "--gamma", "0.5",
               "--iters", "10000", "--x0", "1,0", "--out", str(eg_csv)])
     out["cli:run-rotation-eg-10000"] = eg_csv.read_bytes()
+    # the benchmark's logistic runs: pp (its resolvent on floats too) and eg2
+    for method, steps in (("pp", ["--gamma", "0.01"]),
+                          ("eg2", ["--gamma1", "0.01", "--gamma2", "0.005"])):
+        csv = tmp_path / f"logistic-{method}.csv"
+        assert cli.main(["run", "--op", "logistic", "--method", method, *steps,
+                         "--iters", "10000", "--x0", "2", "--out", str(csv)]) == 0
+        out[f"cli:run-logistic-{method}-10000"] = csv.read_bytes()
     out["report:20240406-300"] = harness.report_to_json(
         harness.run_report(seed=20240406, iters=300)).encode()
     for key, blob in _traces():
@@ -204,6 +213,8 @@ GOLDEN = {
     'star-equiv:shear': 'ffbcd56562dea4a9b2a8e3f4245707ff04b8464f56932e4f10d02bdf9b9b9627',
     'pencil:shear': '110f07453be02a7641e3225e43e7695c8cd8c0ea0adf530d9f2c9567eea25e2d',
     'cli:run-rotation-eg-10000': '6310e2ea03cb829a7e5f3ce3c218eba9fee2ed3ec4996864c807c9b64e357d1c',
+    'cli:run-logistic-pp-10000': '5121b5350707077e9f6e14649f8e199bd155eaaab8f9862b0aba8559c8066146',
+    'cli:run-logistic-eg2-10000': 'a0aa90d6912b54df8f0d4d9dd1dc049559f3542904e8a456e111d5cdcd98a895',
     'report:20240406-300': '254b11129b4f8e8d6fadeee0986ab056a65f2462e59935ea5c35d73257664acf',
     'csv:rotation-gd': 'b1929bdb0c04a190f1260220f590b8d85b5d91facc6b6d1b82d530830a3b03eb',
     'csv:rotation-pp': 'c5f87ecc9d6871f835a41262baeeb1713e68cf2a0ce4962cc6e8babfea0b4d72',

@@ -10,6 +10,7 @@ from vicert.errors import (
     BadParameters,
     DimensionMismatch,
     NoAnalyticJacobian,
+    NoConvergence,
     NonFinite,
     NotAffine,
     OffTable,
@@ -402,6 +403,66 @@ class TestOgEftpOperators:
             eftp_operator(LogisticGrad(), 1.0)
 
 
+def _float_or_array_outcome(fn, x):
+    """The bytes of fn(x) as float64, or the type and message of the error it raises."""
+    try:
+        # the array form's products warn where they overflow; the float form's do not
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(fn(x), dtype=np.float64).tobytes()
+    except (NonFinite, NoConvergence) as exc:
+        return type(exc), str(exc)
+
+
+class TestFloatForm:
+    """The float form of a 1-D operator is its array form on a Python float:
+    ``_apply_float(x)`` and ``_jacobian_float(x)`` give the bits of the one
+    entry of ``_apply([x])`` and ``_jacobian([x])``, or raise what they raise."""
+
+    def test_which_operators_have_one(self):
+        logistic = LogisticGrad(1.0, 0.01)
+        assert logistic.float_form
+        assert eg_operator(logistic, 0.5).float_form and pp_operator(logistic, 2.0).float_form
+        assert not Affine([[2.0]]).float_form and not rotation().float_form
+        assert not pp_operator(Affine([[2.0]]), 0.5).float_form
+        assert not HamiltonianComposite(logistic).float_form
+
+    def test_float_form_is_the_array_form_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # 1e300 makes a*x overflow at |a| = 37 and the eg mid point overflow at
+        # large gamma; far from the root the implicit step stops on max_iters
+        point = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324])
+        seen = set()
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(x0=point, a=st.sampled_from([1.0, -2.5, 1e-3, 37.0]),
+                          delta=st.sampled_from([0.01, 0.0, 3.0]),
+                          gamma=st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
+                          frac=st.floats(0.01, 0.99))
+        def prop(x0, a, delta, gamma, frac):
+            base = LogisticGrad(a, delta)
+            eg = ExtrapolatedComposite(base, gamma)
+            pp = ImplicitComposite(base, frac / base.constants.lipschitz)
+            pp.max_iters = 200
+            x = np.array([x0])
+            pairs = [(op._apply_float, op._apply) for op in (base, eg, pp)]
+            pairs += [(op._jacobian_float, op._jacobian) for op in (base, eg)]
+            for as_float, as_array in pairs:
+                got = _float_or_array_outcome(as_float, x0)
+                assert got == _float_or_array_outcome(as_array, x)
+                seen.add(got[0] if isinstance(got, tuple) else bytes)
+
+        prop()
+        assert seen == {bytes, NonFinite, NoConvergence}
+
+    def test_overflowing_product(self):
+        # a*x = inf: sigma(inf) = 1 and F = a + delta*x, in both forms
+        op = LogisticGrad(37.0, 3.0)
+        assert op._apply_float(1e300) == 37.0 + 3e300
+        assert np.array([op._apply_float(1e300)]).tobytes() == op._apply(np.array([1e300])).tobytes()
+        assert op._jacobian_float(-1e300) == 3.0
+
+
 class TestPpOperator:
     def test_identity_halves(self):
         op = pp_operator(scaled_identity(1.0, 2), 1.0)
@@ -441,14 +502,20 @@ class TestPpOperator:
 
     @staticmethod
     def _counting(monkeypatch, op):
+        # each evaluation of F, on an array or, as run takes it at d = 1, on a float
         seen = []
-        apply = op._apply
+        apply, apply_float = op._apply, op._apply_float
 
         def counting(x):
             seen.append(x.copy())
             return apply(x)
 
+        def counting_float(x):
+            seen.append(np.array([x]))
+            return apply_float(x)
+
         monkeypatch.setattr(op, "_apply", counting)
+        monkeypatch.setattr(op, "_apply_float", counting_float)
         return seen, apply
 
     def test_value_is_the_last_inner_evaluation(self, monkeypatch):
@@ -474,8 +541,12 @@ class TestPpOperator:
         counts, csvs = [], []
         for again in (False, True):
             if again:
-                monkeypatch.setattr(ImplicitComposite, "_apply",
-                                    lambda self, x: self.inner._apply(self._solve(x)[0]))
+                # both forms: F evaluated once more at the fixed point
+                fixed_point = ImplicitComposite._fixed_point
+                monkeypatch.setattr(
+                    ImplicitComposite, "_fixed_point",
+                    lambda self, x, F, *form: (lambda y: (y, F(y)))(
+                        fixed_point(self, x, F, *form)[0]))
             base = LogisticGrad(1.0, 0.01)
             seen, _ = self._counting(monkeypatch, base)
             csvs.append(run(base, cfg).to_csv())

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from pathlib import Path
@@ -7,7 +8,13 @@ import pytest
 from recording import recording, run_points
 
 from vicert import numerics, solvers
-from vicert.errors import BadParameters, DimensionMismatch, NoConvergence, NonFinite
+from vicert.errors import (
+    BadParameters,
+    DimensionMismatch,
+    NoConvergence,
+    NonFinite,
+    VicertError,
+)
 from vicert.operators import (
     Affine,
     Constants,
@@ -831,6 +838,84 @@ class TestBitIdentity:
         trace, xs, _ = run_points(scaled_identity(1.0, 2), cfg)
         assert not trace.diverged and len(trace) == len(xs) == 101
         assert np.abs(xs).max() == 1e148
+
+
+def _on_arrays(op):
+    """A copy of ``op`` without its float form, which run steps on arrays."""
+    arrays = copy.copy(op)
+    arrays.float_form = False
+    return arrays
+
+
+# 1-D operators with a float form, and the Lipschitz constant the stepsizes use
+_FLOAT_OPS = [
+    ("logistic", LogisticGrad(1.0, 0.01), 0.26),
+    ("logistic-steep", LogisticGrad(-2.5, 3.0), 4.5625),
+    ("eg-logistic", eg_operator(LogisticGrad(1.0, 0.01), 0.5), 0.26),
+    ("pp-logistic", pp_operator(LogisticGrad(1.0, 0.01), 2.0), 0.26),
+]
+
+
+class TestFloatPath:
+    """run() on a 1-D operator's float form against run() on its array form:
+    the same trace bits, the same points F is evaluated at, in order, and the
+    same error where the run raises one."""
+
+    @pytest.mark.parametrize("scale", ["normal", 1e160, 1e308])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", _FLOAT_OPS, ids=[c[0] for c in _FLOAT_OPS])
+    def test_floats_match_arrays(self, case, method, scale):
+        _, op, L = case
+        assert op.float_form
+        if scale == "normal":
+            g = _NORMAL_STEP[method] / (L * L if method == "hgm" else L)
+            x0 = np.array([2.0])
+        else:
+            g, x0 = scale, np.array([200.0 if scale == 1e308 else 2.0])
+        steps = {"gamma1": g, "gamma2": 0.5 * g} if method == "eg2" else {"gamma": g}
+        self._assert_same(op, SolverConfig(method, iters=200, x0=x0, **steps), op.root())
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "pp"])
+    def test_signed_zero_products(self, method):
+        # F(x) = -0.0 * x and F' = -1 from x0 = -0.0: every product is a
+        # signed zero, and hgm's J^T F is +0.0 where the bare product j*f is -0.0
+        class NegZero(LogisticGrad):
+            def _apply_float(self, x):
+                return -0.0 * x
+
+            def _jacobian_float(self, x):
+                return -1.0
+
+        steps = {"gamma1": 0.5, "gamma2": 0.25} if method == "eg2" else {"gamma": 0.5}
+        cfg = SolverConfig(method, iters=3, x0=np.array([-0.0]), **steps)
+        self._assert_same(NegZero(1.0, 0.0), cfg, np.array([0.0]))
+
+    @staticmethod
+    def _assert_same(op, cfg, star):
+        outcomes = []
+        for form in (op, _on_arrays(op)):
+            rec = recording(form)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    outcomes.append((run(rec, cfg, star), rec.points))
+            except VicertError as exc:
+                # the implicit step's gamma*L guard, a composite without a Jacobian
+                outcomes.append((type(exc), str(exc)))
+        (got, got_points), (want, want_points) = outcomes
+        if not isinstance(want, Trace):
+            assert (got, got_points) == (want, want_points)
+            return
+        assert len(got_points) == len(want_points) == got.f_evals == want.f_evals
+        for p, q in zip(got_points, want_points):
+            assert _same_bits(p, q)
+        assert _same_bits(got.fx_sq, want.fx_sq)
+        assert (got.dist_sq is None and want.dist_sq is None) or _same_bits(got.dist_sq,
+                                                                            want.dist_sq)
+        assert got.extras.keys() == want.extras.keys()
+        for name in want.extras:
+            assert _same_bits(got.extras[name], want.extras[name])
+        assert got.diverged == want.diverged
+        assert got.to_csv() == want.to_csv()
 
 
 class _CountingAffine(Affine):
