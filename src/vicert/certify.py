@@ -7,6 +7,7 @@ show where the composed update operators stop being (star-)cocoercive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,25 +259,44 @@ def _pencil_scale(A: np.ndarray, ell: float) -> float:
     return ell * float(np.abs(0.5 * (A + A.T)).max()) + float(np.abs(A.T @ A).max())
 
 
+def _unit_scale(A: np.ndarray, ell: float) -> tuple[np.ndarray, float, int]:
+    """A and ell divided by 2^e, with e the exponent of max(max|A|, ell), so
+    that the larger lies in [1/2, 1), and e.  Unless an entry falls below the
+    normal range the division is exact, and the pencil and every slack come
+    out divided by exactly 4^e."""
+    e = math.frexp(max(float(np.abs(A).max()), ell))[1]
+    return np.ldexp(A, -e), math.ldexp(ell, -e), e
+
+
+def _times_4_pow(value: float, e: int) -> float:
+    """``value * 4^e``, which beyond float range reads inf or -inf."""
+    try:
+        return math.ldexp(value, 2 * e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def affine_cocoercivity_exact(a, ell: float, tol: float | None = None) -> CertificateReport:
     """Exact cocoercivity test for a linear map via the PSD pencil.
 
     The pencil ``ell*H - A^T A`` (H the symmetric part of A) holds when its
     least eigenvalue is at least ``-tol``.  The default ``tol`` is
     ``1e-10 * (ell*max|H| + max|A^T A|)``, relative to the pencil's own
-    scale, so that (cA, c*ell) gets the verdict of (A, ell) for every c > 0.
-    When violated, the most-negative eigenvector u gives the violating pair
-    (u, 0): its pairwise slack equals the eigenvalue.
+    scale.  The test runs on A and ell divided by a power of two (see
+    :func:`_unit_scale`), with ``tol`` divided by its square, so no pencil
+    entry overflows and (cA, c*ell) gets the verdict of (A, ell) to the last
+    bit when c is a power of two; the slacks are reported in the input's
+    units.  When violated, the most-negative eigenvector u gives the
+    violating pair (u, 0): its pairwise slack equals the eigenvalue.
     """
     numerics.require_positive("ell", ell)
-    A = _square(a)
-    w, V = numerics.sym_eig(cocoercivity_pencil(A, ell))
-    if tol is None:
-        tol = 1e-10 * _pencil_scale(A, ell)
-    worst = float(w[0])
+    As, ells, e = _unit_scale(_square(a), ell)
+    w, V = numerics.sym_eig(cocoercivity_pencil(As, ells))
+    tol = 1e-10 * _pencil_scale(As, ells) if tol is None else _times_4_pow(tol, -e)
+    worst = _times_4_pow(w[0], e)
     witness = None
     verdict = HOLDS
-    if worst < -tol:
+    if w[0] < -tol:
         verdict = VIOLATED
         u = V[:, 0]
         witness = {"x": u.tolist(), "y": np.zeros_like(u).tolist(), "slack": worst}
@@ -452,14 +472,18 @@ def linear_star_equiv_check(a, ell: float, trials: int = 200,
     For linear maps the two properties are equivalent, so sampling that
     accepts while the exact test rejects is counterevidence (statistical
     only; reported, never expected).  The draws and slacks are those of
-    :func:`sampled_property_check` for star-cocoercivity around the root 0.
+    :func:`sampled_property_check` for star-cocoercivity around the root 0,
+    on A and ell scaled as the exact test scales them: the sampled slacks
+    are compared with -1e-12 in those units and reported in the input's.
     """
     A = _square(a)
     exact = affine_cocoercivity_exact(A, ell)
-    X, _, slacks = _sampled_slacks(Affine(A, root=np.zeros(A.shape[0])),
-                                   classes.rows("cocoercive", ell), True, trials, seed)
-    i, worst = _first_minimum(slacks)
-    sampled_holds = worst >= -1e-12
+    As, ells, e = _unit_scale(A, ell)
+    X, _, slacks = _sampled_slacks(Affine(As, root=np.zeros(A.shape[0])),
+                                   classes.rows("cocoercive", ells), True, trials, seed)
+    i, scaled = _first_minimum(slacks)
+    sampled_holds = scaled >= -1e-12
+    worst = _times_4_pow(scaled, e)
     counterevidence = sampled_holds and not exact.holds
     return CertificateReport(
         VIOLATED if counterevidence else HOLDS,

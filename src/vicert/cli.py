@@ -193,9 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "Gram point it returns against every constraint")
     pbnd = sub.add_parser("pep-bound", help=about, description=about)
     _pep_problem_flags(pbnd)
-    # the former low-rank search's tuning flags: accepted so that existing
-    # command lines still run, and ignored, since the solve has no tuning
-    for flag in ("--rank", "--restarts", "--steps", "--rounds", "--seed"):
+    # the former low-rank search's tuning flags that the benchmark still
+    # passes: accepted so that its command lines run, and ignored, since the
+    # solve has no tuning
+    for flag in ("--restarts", "--steps", "--seed"):
         pbnd.add_argument(flag, type=int, help=argparse.SUPPRESS)
     pbnd.add_argument("--out")
 

@@ -331,6 +331,8 @@ def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
 
 # the search's stepsizes: gamma1 = f/ell and gamma2 = f*gamma1 for f in these
 _STEP_FRACS = (0.25, 0.5, 1.0)
+# the search's operators, and its starts per stepsize cell
+_SEARCH_OPS, _SEARCH_STARTS = 12, 8
 
 
 def _step_norms(op: Affine, comp: Affine, g2: np.ndarray, x0: np.ndarray):
@@ -343,7 +345,7 @@ def _step_norms(op: Affine, comp: Affine, g2: np.ndarray, x0: np.ndarray):
                  for v in (cx0, comp._apply_rows(x1), op._apply_rows(x0), op._apply_rows(x1)))
 
 
-def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts: int = 8) -> dict:
+def check_eg_norm_violation_regimes(seed: int = 0) -> dict:
     """Search cocoercive affine instances for one-step norm increases.
 
     Looks for (a) increases of the composite-update residual with matched
@@ -353,7 +355,7 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts
     """
     rng = np.random.default_rng(seed)
     ops: list[tuple[str, Affine, float]] = []
-    for i in range(num_ops):
+    for i in range(_SEARCH_OPS):
         if i % 3 == 0:
             # boundary-cocoercive rotation-scaling block
             ell = float(rng.uniform(0.5, 4.0))
@@ -374,7 +376,7 @@ def check_eg_norm_violation_regimes(seed: int = 0, num_ops: int = 12, num_starts
             comp = eg_operator(op, g1)
             # one row per (gamma2 cell, start); one draw fills the rows in C
             # order, the stream of one draw per start, cell after cell
-            g2 = np.repeat([f2 * g1 for f2 in _STEP_FRACS], num_starts)
+            g2 = np.repeat([f2 * g1 for f2 in _STEP_FRACS], _SEARCH_STARTS)
             x0 = rng.standard_normal((g2.size, op.dim))
             searched += g2.size
             c0, c1, p0, p1 = _step_norms(op, comp, g2, x0)

@@ -310,11 +310,6 @@ class ExtrapolatedComposite(Operator):
         F = self.inner._apply_float
         return F(self._mid(x, F, numerics.as_finite))
 
-    def _jacobian(self, x):
-        Ji = self.inner._jacobian(x)
-        mid = self._mid(x, self.inner._apply, numerics.as_vector)
-        return self.inner._jacobian(mid) @ (np.eye(self.dim) - self.gamma * Ji)
-
     def root(self):
         return self.inner.root()
 
@@ -452,29 +447,13 @@ def pp_operator(op: Operator, gamma: float) -> Operator:
     return ImplicitComposite(op, gamma)
 
 
-class HamiltonianComposite(Operator):
-    """x -> J_F(x)^T F(x), the gradient of 0.5*||F(x)||^2."""
-
-    kind = "hamiltonian-composite"
-
-    def __init__(self, inner: Operator):
-        self.inner = inner
-        self.dim = inner.dim
-        self.constants = Constants()
-
-    def _apply(self, x):
-        return self.inner._jacobian(x).T @ self.inner._apply(x)
-
-    def root(self):
-        return self.inner.root()
-
-
-def hamiltonian_operator(op: Operator) -> Operator:
-    """Steepest-descent operator of the residual energy 0.5*||F(x)||^2."""
-    if isinstance(op, Affine):
-        A, b = op.matrix, op.offset
-        return _UpdateAffine(op, A.T @ A, A.T @ b)
-    return HamiltonianComposite(op)
+def hamiltonian_operator(op: Operator) -> Affine:
+    """Steepest-descent operator of the residual energy 0.5*||F(x)||^2 of an
+    affine F = Ax + b: x -> A^T A x + A^T b; affine inputs only."""
+    if not isinstance(op, Affine):
+        raise NotAffine("the residual energy's gradient in matrix form needs an affine operator")
+    A, b = op.matrix, op.offset
+    return _UpdateAffine(op, A.T @ A, A.T @ b)
 
 
 # ---------------------------------------------------------------------------

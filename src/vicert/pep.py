@@ -328,19 +328,32 @@ OPERATOR_CLASSES = {"monotone-lipschitz": "monotone+lipschitz", "cocoercive": "c
 
 
 def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
-                   operator_class: str = "monotone-lipschitz",
-                   objective: str = "last-norm",
-                   distance_as_equality: bool = True) -> GramProblem:
+                   operator_class: str = "monotone-lipschitz") -> GramProblem:
     """Worst-case ||F(x^K)||^2 after K two-stepsize extrapolated steps.
 
     Gram basis {x0 - xstar} + {F(x^k)} + {F(xt^k)} with xt^k the extrapolated
     point of step k; pairwise interpolation constraints over all points
-    including the solution; ||x0 - xstar||^2 = 1 (the scale-extremal form;
-    set ``distance_as_equality=False`` for the <= 1 relaxation).  The
-    interpolation constraints are kept factored, as the coefficient rows of
-    every pair's (dx, dF) with the class rows (:class:`PairForms`), so the
-    export never builds their dense matrices.
+    including the solution; ||x0 - xstar||^2 = 1 (the scale-extremal form).
+    The interpolation constraints are kept factored, as the coefficient rows
+    of every pair's (dx, dF) with the class rows (:class:`PairForms`), so
+    the export never builds their dense matrices.
     """
+    return _unit_start_pep(L, gamma1, gamma2, K, operator_class, f"eg-norm-pep-K{K}",
+                           "last-norm", lambda Fx: sq_matrix(Fx[K]))
+
+
+def build_delta_pep(L: float, gamma1: float, gamma2: float,
+                    operator_class: str = "monotone-lipschitz") -> GramProblem:
+    """One-step norm-change problem: worst case of ||F(x^1)||^2 - ||F(x^0)||^2,
+    over the basis and constraints of ``build_norm_pep(..., K=1)``."""
+    return _unit_start_pep(L, gamma1, gamma2, 1, operator_class, "eg-delta-f", "delta-f",
+                           lambda Fx: sq_matrix(Fx[1]) - sq_matrix(Fx[0]))
+
+
+def _unit_start_pep(L, gamma1, gamma2, K, operator_class, name, objective, measure):
+    """The K-step problem with the unit-start equality, named ``name``, whose
+    objective is ``measure(Fx)`` for the basis coefficient rows Fx[k] of
+    F(x^k); ``objective`` names it in the metadata."""
     if K < 1:
         raise BadParameters("K must be at least 1")
     numerics.require_positive("L, gamma1, gamma2", L, gamma1, gamma2)
@@ -362,45 +375,20 @@ def build_norm_pep(L: float, gamma1: float, gamma2: float, K: int,
         points.append((f"x{k}", pos_x[k], Fx[k]))
     for k in range(K + 1):
         points.append((f"xt{k}", pos_x[k] - gamma1 * Fx[k], Fxt[k]))
+    # the class rows reject an L whose square overflows, before the interior
+    # point computes with it
     pairs = PairForms.over(points, classes.rows(OPERATOR_CLASSES[operator_class], L),
                            "{tag}:{i}|{j}")
-
-    if objective == "last-norm":
-        obj = sq_matrix(Fx[K])
-    elif objective == "delta-f":
-        obj = sq_matrix(Fx[1]) - sq_matrix(Fx[0])
-    elif objective == "delta-composite":
-        obj = sq_matrix(Fxt[1]) - sq_matrix(Fxt[0])
-    else:
-        raise BadParameters(f"unknown objective {objective!r}")
-
-    dist = sq_matrix(dx0)
-    if distance_as_equality:
-        ineqs, eqs = (), (("unit-start", dist, 1.0),)
-    else:
-        ineqs, eqs = (("start-in-ball", -dist, -1.0),), ()
-
     return GramProblem(
-        name=f"eg-norm-pep-K{K}" if objective == "last-norm" else f"eg-{objective}",
+        name=name,
         basis=tuple(labels),
-        objective=obj,
-        inequalities=ineqs,
-        equalities=eqs,
+        objective=measure(Fx),
+        equalities=(("unit-start", sq_matrix(dx0), 1.0),),
         metadata={"L": L, "gamma1": gamma1, "gamma2": gamma2, "K": K,
                   "operator_class": operator_class, "objective": objective},
-        interior=_norm_pep_interior(L, gamma1, gamma2, K, labels)
-        if distance_as_equality else None,
+        interior=_norm_pep_interior(L, gamma1, gamma2, K, labels),
         pairs=pairs,
     )
-
-
-def build_delta_pep(L: float, gamma1: float, gamma2: float,
-                    operator_class: str = "monotone-lipschitz") -> GramProblem:
-    """One-step norm-change problem: worst case of ||F(x^1)||^2 - ||F(x^0)||^2.
-    The composite-update norms' change is ``build_norm_pep(..., K=1,
-    objective="delta-composite")``."""
-    return build_norm_pep(L, gamma1, gamma2, K=1, operator_class=operator_class,
-                          objective="delta-f")
 
 
 def _norm_pep_interior(L, gamma1, gamma2, K, labels):

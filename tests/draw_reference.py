@@ -9,6 +9,8 @@ check, one trial at a time through ``classes.dot`` and Python floats.  The
 library's stacked forms must give their bits.
 """
 
+import math
+
 import numpy as np
 
 from vicert import classes, harness
@@ -36,12 +38,13 @@ def step_norms(op, comp, g2, x0):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def violation_search(seed=0, num_ops=12, num_starts=8):
+def violation_search(seed):
     """:func:`harness.check_eg_norm_violation_regimes`, one start at a time,
-    on the stepsize fractions ``harness._STEP_FRACS`` holds at the call."""
+    on the stepsize fractions ``harness._STEP_FRACS`` holds at the call and
+    the search's sizes ``harness._SEARCH_OPS`` and ``_SEARCH_STARTS``."""
     rng = np.random.default_rng(seed)
     ops = []
-    for i in range(num_ops):
+    for i in range(harness._SEARCH_OPS):
         if i % 3 == 0:
             ell = float(rng.uniform(0.5, 4.0))
             a = ell / 2.0
@@ -60,7 +63,7 @@ def violation_search(seed=0, num_ops=12, num_starts=8):
             comp = eg_operator(op, g1)
             for f2 in harness._STEP_FRACS:
                 g2 = f2 * g1
-                for _ in range(num_starts):
+                for _ in range(harness._SEARCH_STARTS):
                     x0 = rng.standard_normal(op.dim)
                     searched += 1
                     cx0 = comp._apply(x0)
@@ -105,16 +108,21 @@ def star_equiv_slacks(A, ell, trials, seed):
 
 
 def linear_star_equiv_check(a, ell, trials=200, seed=0):
-    """:func:`certify.linear_star_equiv_check`, one trial at a time."""
+    """:func:`certify.linear_star_equiv_check`, one trial at a time: the
+    slacks of A and ell divided by 2^e, e the exponent of max(max|A|, ell),
+    compared with -1e-12 there, and the worst reported times 4^e."""
     A = np.asarray(a, dtype=np.float64)
     exact = affine_cocoercivity_exact(A, ell)
+    e = math.frexp(max(float(np.abs(A).max()), ell))[1]
     worst = np.inf
     worst_x = None
-    for x, slack in zip(*star_equiv_slacks(A, ell, trials, seed)):
+    for x, slack in zip(*star_equiv_slacks(np.ldexp(A, -e), math.ldexp(ell, -e), trials, seed)):
         if slack < worst:
             worst = slack
             worst_x = x
     sampled_holds = worst >= -1e-12
+    with np.errstate(over="ignore"):
+        worst = float(np.ldexp(worst, 2 * e))
     counterevidence = sampled_holds and not exact.holds
     return CertificateReport(
         VIOLATED if counterevidence else HOLDS,

@@ -4,7 +4,10 @@
 with hand-coded matrices, the cross-check of :func:`pep.build_expansiveness_pep`,
 which builds it from the class table, ``inner_matrix`` is the dense matrix
 of one inner product, and ``counterexample_vectors`` labels
-the explicit expansive instance's vectors by its basis.  ``lower_bound_search`` is a
+the explicit expansive instance's vectors by its basis.  ``ball_norm_pep``
+and ``delta_composite_pep`` are the two variants of the norm PEP that the
+CLI does not build: the start on the unit ball, and the one-step change of
+the extrapolated-point norms.  ``lower_bound_search`` is a
 solver-free lower bound by low-rank gradient ascent, a check on
 :func:`pep.solve` that shares nothing with the interior-point method but the
 repair step and :func:`pep.verify_point`.
@@ -22,6 +25,9 @@ from vicert.pep import (
     _repair,
     _rows_cols,
     _sym_cell,
+    build_delta_pep,
+    build_norm_pep,
+    sq_matrix,
     verify_point,
 )
 
@@ -119,6 +125,30 @@ def build_expansiveness_matrices(ell: float, gamma1: float, gamma2: float) -> Gr
         metadata={"ell": ell, "gamma1": gamma1, "gamma2": gamma2},
         interior=_expansiveness_interior(ell, gamma1),
     )
+
+
+def ball_norm_pep(L, gamma1, gamma2, K, operator_class="monotone-lipschitz") -> GramProblem:
+    """:func:`pep.build_norm_pep` with ||x0 - xstar||^2 <= 1, the inequality
+    ``start-in-ball`` after the pairs', in place of the unit-start equality;
+    its pairs are the builder's, and it has no stored interior point."""
+    unit = build_norm_pep(L, gamma1, gamma2, K, operator_class)
+    dx0 = np.eye(unit.n)[unit.basis.index("dx0")]
+    return GramProblem(name=unit.name, basis=unit.basis, objective=unit.objective,
+                       inequalities=(("start-in-ball", -sq_matrix(dx0), -1.0),),
+                       metadata=unit.metadata, pairs=unit.pairs)
+
+
+def delta_composite_pep(L, gamma1, gamma2, operator_class="monotone-lipschitz") -> GramProblem:
+    """Worst case of ||F(xt^1)||^2 - ||F(xt^0)||^2, the change of the
+    extrapolated-point norms, over :func:`pep.build_delta_pep`'s basis,
+    constraints and interior point."""
+    delta = build_delta_pep(L, gamma1, gamma2, operator_class)
+    e = dict(zip(delta.basis, np.eye(delta.n)))
+    return GramProblem(name="eg-delta-composite", basis=delta.basis,
+                       objective=sq_matrix(e["Fxt1"]) - sq_matrix(e["Fxt0"]),
+                       equalities=(("unit-start", sq_matrix(e["dx0"]), 1.0),),
+                       metadata={**delta.metadata, "objective": "delta-composite"},
+                       interior=delta.interior, pairs=delta.pairs)
 
 
 def counterexample_vectors(inst) -> dict[str, np.ndarray]:

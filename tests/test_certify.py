@@ -31,7 +31,6 @@ from vicert.operators import (
     Affine,
     LogisticGrad,
     eg_operator,
-    hamiltonian_operator,
     pp_operator,
     rotation,
     scaled_identity,
@@ -182,19 +181,39 @@ class TestAffineExact:
 
     def test_verdict_is_scale_invariant(self):
         # (cA, c*ell) is ell-cocoercive exactly when (A, ell) is: the pencil
-        # scales by c^2, and so must the tolerance
+        # scales by c^2, and so must the tolerance.  For a power of two c the
+        # test runs on the same scaled pencil, so its report is the same but
+        # for the slacks' factor c^2, bit for bit
         rng = np.random.default_rng(17)
         seen = set()
         for i in range(12):
             A = rng.standard_normal((4, 4)) + (i % 2) * 3.0 * np.eye(4)
             ref = min_cocoercivity_ell(A)
             for ell in ((1.0,) if ref is None else (0.5 * ref, 1.5 * ref)):
-                verdict = affine_cocoercivity_exact(A, ell).verdict
-                seen.add(verdict)
-                for c in (1e-6, 1.0, 1e6):
-                    assert affine_cocoercivity_exact(c * A, c * ell).verdict == verdict, \
-                        (i, ell, c)
+                report = affine_cocoercivity_exact(A, ell)
+                seen.add(report.verdict)
+                for c in (1e-6, 1.0, 1e6, 2.0**-500, 2.0**500):
+                    scaled = affine_cocoercivity_exact(c * A, c * ell)
+                    assert scaled.verdict == report.verdict, (i, ell, c)
+                    if math.frexp(c)[0] == 0.5:
+                        assert scaled.worst_slack == c * c * report.worst_slack, (i, ell, c)
+                        assert scaled.witness == (report.witness and {
+                            **report.witness, "slack": c * c * report.witness["slack"]})
         assert seen == {"holds", "violated"}
+
+    def test_pencil_beyond_float_range(self):
+        # ell*H - A^T A = -0.5e310*I: on A and ell divided by a power of two
+        # no product overflows, and the slack reads -inf in the input's units
+        A, ell = [[1e155, 1e155], [-1e155, 1e155]], 1.5e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = affine_cocoercivity_exact(A, ell)
+            star = linear_star_equiv_check(A, ell)
+        assert report.verdict == "violated" and report.worst_slack == -np.inf
+        assert report.witness["slack"] == -np.inf
+        # the sampled part rejects too: no counterevidence
+        assert star.holds and not star.details["sampled_holds"]
+        assert star.details["sampled_worst_slack"] == -np.inf
 
     def test_witness_slack_matches_pencil(self):
         report = affine_cocoercivity_exact(ROT, 1.0)
@@ -453,14 +472,19 @@ class TestStarEquivAgainstPerTrial:
     def test_overflowing_rows_give_nan_and_minus_inf(self):
         _, _, nans = _star_slacks(*_STAR_EDGE_CASES["nan-slacks"], 40, 5)
         assert np.isnan(nans).any() and np.isfinite(nans).any()
-        rep = linear_star_equiv_check(*_STAR_EDGE_CASES["nan-slacks"], 40, 5)
-        assert np.isfinite(rep.details["sampled_worst_slack"])
         _, _, every = _star_slacks(*_STAR_EDGE_CASES["every-slack-nan"], 40, 5)
         assert np.isnan(every).all()
-        rep = linear_star_equiv_check(*_STAR_EDGE_CASES["every-slack-nan"], 40, 5)
-        assert rep.details["sampled_worst_slack"] == np.inf and rep.witness is None
+        # the check samples A and ell divided by a power of two, where no row
+        # overflows: every sampled slack is finite, and the sampled part
+        # holds, as the exact part does
+        for case in ("nan-slacks", "every-slack-nan"):
+            rep = linear_star_equiv_check(*_STAR_EDGE_CASES[case], 40, 5)
+            assert np.isfinite(rep.details["sampled_worst_slack"]), case
+            assert rep.details["sampled_holds"] and rep.details["exact_holds"], case
+        # a slack beyond float range in the input's units reads -inf
         rep = linear_star_equiv_check(*_STAR_EDGE_CASES["minus-inf-slacks"], 40, 5)
         assert rep.details["sampled_worst_slack"] == -np.inf
+        assert not rep.details["sampled_holds"] and not rep.details["exact_holds"]
 
     @pytest.mark.parametrize("slacks", [
         [np.nan, -1.0, -2.0, -2.0, np.nan, -2.0],
@@ -551,8 +575,7 @@ def _sampled_cases():
     rng = np.random.default_rng(43)
     ops = [rotation(), scaled_identity(1.0, 2), Affine([[2.0]], [0.5]),
            Affine(9e153 * np.eye(2)), LogisticGrad(1.0, 0.01),
-           pp_operator(LogisticGrad(1.0, 0.01), 2.0), eg_operator(LogisticGrad(2.0, 0.1), 0.3),
-           hamiltonian_operator(LogisticGrad(1.0, 0.01))]
+           pp_operator(LogisticGrad(1.0, 0.01), 2.0), eg_operator(LogisticGrad(2.0, 0.1), 0.3)]
     for _ in range(6):
         n = int(rng.integers(1, 7))
         ops.append(Affine(rng.standard_normal((n, n)) + rng.uniform(0.0, 2.0) * np.eye(n),

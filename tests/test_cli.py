@@ -10,14 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from pep_reference import build_expansiveness_matrices, lower_bound_search
+from pep_reference import (
+    ball_norm_pep,
+    build_expansiveness_matrices,
+    delta_composite_pep,
+    lower_bound_search,
+)
 from test_golden import GOLDEN
 
 from vicert import cli
 from vicert.cli import main
 from vicert.pep import (
     build_expansiveness_pep,
-    build_norm_pep,
     export_sdpa,
     parse_sdpa,
     solve,
@@ -258,6 +262,24 @@ class TestCertify:
         code = main(["certify", "--check", "cocoercive-exact", "--ell", "1.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("A, ell", [("[[1e200,0],[0,1e200]]", "1"),
+                                        ("[[1e155,1e155],[-1e155,1e155]]", "1.5e155")])
+    @pytest.mark.parametrize("check", ["cocoercive-exact", "star-equiv"])
+    def test_pencil_beyond_float_range(self, check, A, ell, capsys):
+        # the pencil ell*H - A^T A is -1e400*I and -0.5e310*I: the checks run
+        # on A and ell scaled by a power of two, and report its slack as -inf
+        code = main(["certify", "--check", check, "--A", A, "--ell", ell])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["worst_slack"] == -np.inf
+        if check == "cocoercive-exact":
+            assert out["verdict"] == "violated" and out["witness"]["slack"] == -np.inf
+        else:
+            # both parts reject, so there is no counterevidence
+            assert out["verdict"] == "holds"
+            assert out["details"]["sampled_holds"] is False
+            assert out["details"]["counterevidence"] is False
+
 
 EYE2 = "[[1,0],[0,1]]"
 
@@ -287,10 +309,6 @@ class TestUsageErrors:
         ["run", "--op", "rotation", "--method", "eg", "--gamma", "0.5",
          "--gamma1", "0.3", "--iters", "3", "--x0", "1,0"],
         ["certify", "--check", "cocoercive-exact", "--A", EYE2, "--ell", "nan"],
-        ["certify", "--check", "cocoercive-exact", "--A", "[[1e200,0],[0,1e200]]",
-         "--ell", "1"],
-        ["certify", "--check", "star-equiv", "--A", "[[1e200,0],[0,1e200]]",
-         "--ell", "1"],
         ["certify", "--check", "eg-affine", "--A", "[[1e200,0],[0,1e200]]",
          "--gamma", "1e-201", "--L", "1e201"],
         ["certify", "--check", "og-witness", "--A", "[[0,1],[-1,0]]",
@@ -503,12 +521,12 @@ class TestPep:
         assert code == 0
 
     def test_bound_search_small(self, tmp_path):
-        # the former search flags are still accepted (and ignored); the
-        # solve is not below the low-rank search those flags tuned
+        # the former search flags the benchmark passes are still accepted
+        # (and ignored); the solve is not below the low-rank search they tuned
         out = tmp_path / "bound.json"
         code = main(["pep-bound", "--problem", "expansiveness", "--ell", "1",
                      "--gamma1", "1.0", "--gamma2", "1.0",
-                     "--restarts", "6", "--steps", "800", "--rounds", "3",
+                     "--restarts", "6", "--steps", "800", "--seed", "0",
                      "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
@@ -517,6 +535,12 @@ class TestPep:
         search = lower_bound_search(build_expansiveness_pep(1.0, 1.0, 1.0),
                                     restarts=6, ascent_steps=800, rounds=3)
         assert payload["lower_bound"] >= search.objective - 1e-9
+
+    @pytest.mark.parametrize("flag", ["--rank", "--rounds"])
+    def test_dropped_search_flags_are_usage_errors(self, flag, capsys):
+        assert main(["pep-bound", "--problem", "expansiveness", "--ell", "1",
+                     "--gamma1", "0.5", "--gamma2", "0.5", flag, "3"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # (ell, gamma1, gamma2): the three pinned stepsizes at ell = 1, two unequal
@@ -637,9 +661,8 @@ class TestPepBoundGrid:
     # variants the CLI does not build: the start on the ball, and the
     # extrapolated-point measure of the delta problem
     @pytest.mark.parametrize("build", [
-        lambda: build_norm_pep(1.0, 0.5, 0.5, K=3, distance_as_equality=False),
-        *[(lambda g=g: build_norm_pep(1.0, g, g, K=1, objective="delta-composite"))
-          for g in (0.5, 0.7071, 1.0, 1.1, 1.5)],
+        lambda: ball_norm_pep(1.0, 0.5, 0.5, K=3),
+        *[(lambda g=g: delta_composite_pep(1.0, g, g)) for g in (0.5, 0.7071, 1.0, 1.1, 1.5)],
     ], ids=["ball-K3", *[f"f-eg-{g}" for g in (0.5, 0.7071, 1.0, 1.1, 1.5)]])
     def test_variants_verified_and_deterministic(self, build, tmp_path):
         prob = build()

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pep_reference import build_expansiveness_matrices
+from pep_reference import ball_norm_pep, build_expansiveness_matrices, delta_composite_pep
 
 from vicert import certify, cli, harness, pep
 from vicert.operators import Affine, LogisticGrad, load_operator, rotation
@@ -67,10 +67,9 @@ def _problems():
     for cls in ("monotone-lipschitz", "cocoercive"):
         for K in (3, 15):
             yield f"norm-{cls}-K{K}", pep.build_norm_pep(1.1, 0.45, 0.6, K, cls)
-    yield "norm-ball-K3", pep.build_norm_pep(1.1, 0.45, 0.6, 3,
-                                             distance_as_equality=False)
+    yield "norm-ball-K3", ball_norm_pep(1.1, 0.45, 0.6, 3)
     yield "delta-f", pep.build_delta_pep(1.0, 0.5, 0.7)
-    yield "delta-f-eg", pep.build_norm_pep(1.0, 0.5, 0.7, K=1, objective="delta-composite")
+    yield "delta-f-eg", delta_composite_pep(1.0, 0.5, 0.7)
 
 
 def _traces():

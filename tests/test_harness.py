@@ -387,7 +387,7 @@ class TestReportSharesHgmRuns:
 
 class TestViolationSearch:
     def test_starts_are_the_stream_of_one_draw_per_start(self, monkeypatch):
-        """The starts of each cell, drawn as one (num_starts, d) array, are the
+        """The starts of each cell, drawn as one (starts, d) array, are the
         draws one standard_normal(d) per start gives."""
         seen = []
         real = harness.eg_operator
@@ -404,14 +404,12 @@ class TestViolationSearch:
             return comp
 
         monkeypatch.setattr(harness, "eg_operator", spy)
-        num_ops, num_starts = 6, 5
-        report = check_eg_norm_violation_regimes(seed=3, num_ops=num_ops,
-                                                 num_starts=num_starts)
+        report = check_eg_norm_violation_regimes(seed=3)
         # per composite: F at the stack of starts, then at their steps
         starts = [x for stack in seen[0::2] for x in stack]
         rng = np.random.default_rng(3)
         dims = []
-        for i in range(num_ops):
+        for i in range(harness._SEARCH_OPS):
             if i % 3 == 0:
                 rng.uniform(0.5, 4.0)
                 dims.append(2)
@@ -420,7 +418,8 @@ class TestViolationSearch:
                 rng.standard_normal((d, d))
                 dims.append(d)
         cells = len(harness._STEP_FRACS) ** 2
-        want = [rng.standard_normal(d) for d in dims for _ in range(cells * num_starts)]
+        want = [rng.standard_normal(d) for d in dims
+                for _ in range(cells * harness._SEARCH_STARTS)]
         assert len(starts) == len(want) == report["searched"]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(starts, want))
 
@@ -471,13 +470,13 @@ class TestViolationSearch:
         stepsizes; a stepsize 3/ell gives both kinds, in the reference's
         order and bits."""
         monkeypatch.setattr(harness, "_STEP_FRACS", (0.25, 0.5, 1.0, 3.0))
-        got = check_eg_norm_violation_regimes(seed=seed, num_ops=6, num_starts=4)
+        got = check_eg_norm_violation_regimes(seed=seed)
         assert got["composite_norm_increases"] and got["plain_norm_increases"]
-        want = draw_reference.violation_search(seed=seed, num_ops=6, num_starts=4)
+        want = draw_reference.violation_search(seed=seed)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_matched_stepsizes_find_nothing(self):
-        report = check_eg_norm_violation_regimes(seed=0, num_ops=6, num_starts=4)
+        report = check_eg_norm_violation_regimes(seed=0)
         assert report["composite_norm_increases"] == []
         assert report["plain_norm_increases"] == []
         assert report["searched"] > 0
@@ -485,7 +484,7 @@ class TestViolationSearch:
     def test_witness_schema_round_trips(self):
         # the report schema carries witnesses when a search ever finds one;
         # exercise the reporting path with a synthetic entry
-        report = check_eg_norm_violation_regimes(seed=1, num_ops=2, num_starts=2)
+        report = check_eg_norm_violation_regimes(seed=1)
         report["plain_norm_increases"].append(
             {"op": "synthetic", "ell": 1.0, "gamma1": 0.5, "gamma2": 0.25,
              "x0": [1.0, 0.0], "increase": 1e-3})

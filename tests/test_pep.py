@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 from pep_reference import (
+    ball_norm_pep,
     build_expansiveness_matrices,
     counterexample_vectors,
+    delta_composite_pep,
     inner_matrix,
     lower_bound_search,
     zero_sign_differences,
@@ -142,8 +144,8 @@ class TestNormPep:
         assert point.feasible(1e-9)
         assert point.objective == pytest.approx(trace.fx_sq[3], abs=1e-12)
 
-    def test_ball_constraint_flag(self):
-        prob = build_norm_pep(1.0, 0.5, 0.5, K=1, distance_as_equality=False)
+    def test_ball_variant(self):
+        prob = ball_norm_pep(1.0, 0.5, 0.5, K=1)
         assert len(prob.equalities) == 0
         assert any(rhs == -1.0 for rhs in prob.rhs[:len(prob.inequalities)])
 
@@ -165,8 +167,7 @@ class TestNormPep:
         assert point.objective <= 1e-12
 
     def test_cocoercive_variant(self):
-        prob = build_norm_pep(1.0, 0.5, 0.25, K=1, operator_class="cocoercive",
-                              objective="delta-composite")
+        prob = delta_composite_pep(1.0, 0.5, 0.25, operator_class="cocoercive")
         assert all(name.startswith("coco:") for name in prob.inequalities)
         assert len(prob.inequalities) == 10
 
@@ -422,7 +423,7 @@ class TestSdpaAgainstReference:
         lambda: _extreme_problem(),
         lambda: build_expansiveness_pep(np.pi / 3.0, 0.37, 0.11),
         lambda: build_norm_pep(1.0, 0.5, 0.5, 10),
-        lambda: build_norm_pep(1.0, 0.5, 0.7, K=1, objective="delta-composite"),
+        lambda: delta_composite_pep(1.0, 0.5, 0.7),
     ], ids=["extreme", "expansiveness", "norm-K10", "delta-f-eg"])
     def test_parse_matches_reference(self, build, tmp_path):
         path = tmp_path / "prob.dat-s"
@@ -647,7 +648,7 @@ class TestStackedConstraints:
         assert all(np.array_equal(prob.constraints[k], mats[k + 1]) for k in range(4))
         assert np.array_equal(prob.rhs, [0.0, 0.0, 0.0, 1.0])
         assert prob.constraints is prob.constraints
-        factored = build_norm_pep(1.0, 0.5, 0.5, K=2, distance_as_equality=False)
+        factored = ball_norm_pep(1.0, 0.5, 0.5, K=2)
         assert factored.constraints.shape == (len(factored.names), factored.n, factored.n)
         assert factored.rhs[-1] == -1.0 and factored.constraints[-1][0, 0] == -1.0
 
@@ -803,7 +804,7 @@ class TestSolve:
         assert point.objective == pytest.approx(gamma**2 * (gamma**2 - 1.0), abs=1e-6)
 
     def test_delta_composite_grows(self):
-        point = solve(build_norm_pep(1.0, 0.5, 0.5, K=1, objective="delta-composite"))
+        point = solve(delta_composite_pep(1.0, 0.5, 0.5))
         assert point.feasible(1e-9)
         assert point.objective > 0.43
 
@@ -924,11 +925,16 @@ def _bits(a) -> bytes:
 # whose products underflow to signed zeros, which the export must skip
 _FACTORED_PARAMS = {"golden": (1.1, 0.45, 0.6), "unit": (1.0, 0.5, 0.5),
                     "underflow": (1.0, 1e-170, 1e-170)}
+# variant -> (its factored build, the dense reference's options, the steps K
+# it is built at): the CLI's two problems and the two that pep_reference
+# assembles from the builders' pairs
 _FACTORED_VARIANTS = {
-    "last-norm": {},
-    "delta-f": {"objective": "delta-f"},
-    "delta-composite": {"objective": "delta-composite"},
-    "ball": {"distance_as_equality": False},
+    "last-norm": (build_norm_pep, {}, range(1, 21)),
+    "delta-f": (lambda L, g1, g2, K, cls: build_delta_pep(L, g1, g2, cls),
+                {"objective": "delta-f"}, [1]),
+    "delta-composite": (lambda L, g1, g2, K, cls: delta_composite_pep(L, g1, g2, cls),
+                        {"objective": "delta-composite"}, [1]),
+    "ball": (ball_norm_pep, {"distance_as_equality": False}, range(1, 21)),
 }
 
 
@@ -938,10 +944,10 @@ class TestFactoredNormPep:
     @pytest.mark.parametrize("params", _FACTORED_PARAMS)
     def test_matches_dense_reference(self, params, cls, variant, tmp_path):
         L, g1, g2 = _FACTORED_PARAMS[params]
-        for K in range(1, 21):
-            kwargs = dict(operator_class=cls, **_FACTORED_VARIANTS[variant])
-            got = build_norm_pep(L, g1, g2, K, **kwargs)
-            want = _reference_norm_pep(L, g1, g2, K, **kwargs)
+        build, options, steps = _FACTORED_VARIANTS[variant]
+        for K in steps:
+            got = build(L, g1, g2, K, cls)
+            want = _reference_norm_pep(L, g1, g2, K, cls, **options)
             assert (got.inequalities, got.equalities) == (want.inequalities, want.equalities)
             assert (got.name, got.basis, got.metadata) == (want.name, want.basis, want.metadata)
             assert _bits(got.rhs) == _bits(want.rhs)
@@ -1012,7 +1018,7 @@ class TestFactoredNormPep:
         assert len(sidecar["inequalities"]) == 1056
 
     def test_constraint_names(self):
-        prob = build_norm_pep(1.0, 0.5, 0.5, 2, distance_as_equality=False)
+        prob = ball_norm_pep(1.0, 0.5, 0.5, 2)
         # the pairs' names, then the given inequality's, read without the stack
         assert prob.inequalities == prob.pairs.names + ("start-in-ball",)
         assert prob.inequalities[0] == "mono:xstar|x0"

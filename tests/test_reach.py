@@ -6,11 +6,19 @@ an attribute, an import, or a string equal to its name, as the CLI's
 dispatch tables hold), in the benchmark (``perfbench/*.py``), in CI
 (``.github/workflows/*.yml``), or as a ``[project.scripts]`` entry point.
 A definition only tests reach belongs in the tests.
+
+One level down, every parameter with a default of a def in ``src/vicert``
+(a class's ``__init__`` goes by the class name) must be set by some call in
+``src/vicert`` or the benchmark, by keyword or by position, or by a CLI
+dispatch table, whose entry passes its flags in order.  An option only
+tests set belongs in the tests.
 """
 
 import ast
 import pathlib
 import re
+
+from vicert import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vicert"
@@ -90,3 +98,116 @@ def test_every_exception_is_still_unreached():
     assert set(EXCEPTIONS) <= defined
     names = {name for _, name, _ in _program_mentions()}
     assert not set(EXCEPTIONS) & names
+
+
+# parameters with a default that no program call sets, each with the reason
+PARAMETER_EXCEPTIONS = {
+    "rotation(scale=)": "the rotation family R_t of ROADMAP Direction 12, whose "
+                        "exact PEP value is measured along t",
+    "GramProblem(inequalities=)": "the generic SDPs with dense inequalities that "
+                                  "the solver and export tests build",
+}
+
+
+def _defaulted(tree):
+    """(key, callee, parameter, position) for every parameter with a default
+    of a def in ``tree``; a call reaches a method by its name and ``__init__``
+    by its class's, and the position counts the arguments a call passes
+    (None for a keyword-only parameter)."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = cls.name if cls and child.name == "__init__" else child.name
+                a = child.args
+                positional = a.posonlyargs + a.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                first = len(positional) - len(a.defaults)
+                for k, arg in enumerate(positional[first:], first):
+                    yield f"{callee}({arg.arg}=)", callee, arg.arg, k - bound
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield f"{callee}({arg.arg}=)", callee, arg.arg, None
+                yield from visit(child, None)
+    yield from visit(tree, None)
+
+
+def _calls(trees):
+    """callee -> [(positional count, keywords)] over every call in ``trees``;
+    a ``*args`` sets every position, a ``**kwargs`` every keyword."""
+    found: dict[str, list[tuple[float, set | None]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            found.setdefault(callee, []).append(
+                (float("inf") if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return found
+
+
+def _dispatched():
+    """(function, positional count) for every entry of the CLI's dispatch
+    tables, as ``cli`` calls it: a check as fn(op, *flags), a certificate as
+    fn(subject, *flags, *fixed), where an operator's one fixed value is its
+    --ell, and a problem as fn(*flags)."""
+    for name, flags in cli._CHECKS.values():
+        yield name, 1 + len(flags)
+    for name, flags, subject, *fixed in cli._CERTIFICATES.values():
+        yield name, 1 + len(flags) + (1 if subject == "op" else len(fixed))
+    for name, flags in cli._PROBLEMS.values():
+        yield name, len(flags)
+
+
+def _unset(library, program, dispatched):
+    """The keys of the library's defaulted parameters that no call of the
+    program sets, and no dispatch entry."""
+    calls = _calls(program)
+    for name, count in dispatched:
+        calls.setdefault(name, []).append((count, set()))
+    unset = set()
+    for tree in library:
+        for key, callee, param, position in _defaulted(tree):
+            if not any((position is not None and position < count)
+                       or keywords is None or param in keywords
+                       for count, keywords in calls.get(callee, ())):
+                unset.add(key)
+    return unset
+
+
+def _program_unset():
+    library = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    return _unset(library, library + bench, _dispatched())
+
+
+def test_every_parameter_with_a_default_is_set_by_the_program():
+    unset = _program_unset() - set(PARAMETER_EXCEPTIONS)
+    assert not unset, "set only by the tests: " + ", ".join(sorted(unset))
+
+
+def test_every_parameter_exception_is_still_unset():
+    # an exception that a program call comes to set leaves the list
+    assert set(PARAMETER_EXCEPTIONS) <= _program_unset()
+
+
+def test_the_parameter_rule_reads_every_way_to_set_one():
+    library = [ast.parse(
+        "def build(L, K=1, *, unit=True):\n    pass\n\n"
+        "class Problem:\n    def __init__(self, name, pairs=None):\n        pass\n")]
+    every = {"build(K=)", "build(unit=)", "Problem(pairs=)"}
+    assert _unset(library, [], ()) == every
+    for program, left in (("build(1.0, 2)", {"build(unit=)", "Problem(pairs=)"}),
+                          ("build(1.0, unit=False)", {"build(K=)", "Problem(pairs=)"}),
+                          ("pep.build(*args)", {"build(unit=)", "Problem(pairs=)"}),
+                          ("build(1.0, **options)", {"Problem(pairs=)"}),
+                          ("Problem('p', None)", {"build(K=)", "build(unit=)"})):
+        assert _unset(library, [ast.parse(program)], ()) == left, program
+    assert _unset(library, [], [("build", 2)]) == {"build(unit=)", "Problem(pairs=)"}
