@@ -260,11 +260,15 @@ def _pencil_scale(A: np.ndarray, ell: float) -> float:
 
 
 def _unit_scale(A: np.ndarray, ell: float) -> tuple[np.ndarray, float, int]:
-    """A and ell divided by 2^e, with e the exponent of max(max|A|, ell), so
-    that the larger lies in [1/2, 1), and e.  Unless an entry falls below the
-    normal range the division is exact, and the pencil and every slack come
-    out divided by exactly 4^e."""
-    e = math.frexp(max(float(np.abs(A).max()), ell))[1]
+    """A and ell divided by 2^e, and e.  e is the exponent of max|A|, so
+    that A's largest entry lies in [1/2, 1) and A^T A's near 1 whatever ell
+    is, raised where needed to keep ell/2^e below 2^1022.  A^T A then keeps
+    its largest entries unless ell/max|A| exceeds about 2^1558, past which
+    the unscaled pencil cannot hold both its terms either.  Both exponents
+    move by k when A and ell are multiplied by 2^k, and unless an entry falls
+    below the normal range the division is exact: the pencil and every slack
+    come out divided by exactly 4^e."""
+    e = max(math.frexp(float(np.abs(A).max()))[1], math.frexp(ell)[1] - 1022)
     return np.ldexp(A, -e), math.ldexp(ell, -e), e
 
 

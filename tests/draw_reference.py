@@ -9,8 +9,6 @@ check, one trial at a time through ``classes.dot`` and Python floats.  The
 library's stacked forms must give their bits.
 """
 
-import math
-
 import numpy as np
 
 from vicert import classes, harness
@@ -21,6 +19,7 @@ from vicert.certify import (
     INCONCLUSIVE,
     VIOLATED,
     CertificateReport,
+    _unit_scale,
     affine_cocoercivity_exact,
 )
 from vicert.operators import Affine, eg_operator
@@ -109,14 +108,14 @@ def star_equiv_slacks(A, ell, trials, seed):
 
 def linear_star_equiv_check(a, ell, trials=200, seed=0):
     """:func:`certify.linear_star_equiv_check`, one trial at a time: the
-    slacks of A and ell divided by 2^e, e the exponent of max(max|A|, ell),
-    compared with -1e-12 there, and the worst reported times 4^e."""
+    slacks of A and ell divided by the check's 2^e, compared with -1e-12
+    there, and the worst reported times 4^e."""
     A = np.asarray(a, dtype=np.float64)
     exact = affine_cocoercivity_exact(A, ell)
-    e = math.frexp(max(float(np.abs(A).max()), ell))[1]
+    As, ells, e = _unit_scale(A, ell)
     worst = np.inf
     worst_x = None
-    for x, slack in zip(*star_equiv_slacks(np.ldexp(A, -e), math.ldexp(ell, -e), trials, seed)):
+    for x, slack in zip(*star_equiv_slacks(As, ells, trials, seed)):
         if slack < worst:
             worst = slack
             worst_x = x

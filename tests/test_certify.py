@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import draw_reference
@@ -169,10 +170,17 @@ class TestAffineExact:
         assert affine_cocoercivity_exact(np.eye(2), 1.0).holds
 
     def test_rotation_rejected_for_any_ell(self):
-        for ell in (1e-6, 1.0, 1e6, 1e9):
+        # H = 0, so the pencil is -A^T A = -I at every ell: the scaled check
+        # keeps A^T A near 1 however large ell is, and the slack is exact
+        for ell in (1e-300, 1e-6, 1.0, 1e6, 1e9, 2.0**537, 1e300, 2.0**600,
+                    sys.float_info.max):
             report = affine_cocoercivity_exact(ROT, ell)
-            assert report.verdict == "violated"
-            assert report.worst_slack == pytest.approx(-1.0, abs=1e-10)
+            assert report.verdict == "violated", ell
+            assert report.worst_slack == -1.0, ell
+            # the sampled part rejects as well: no counterevidence
+            star = linear_star_equiv_check(ROT, ell, trials=20)
+            assert star.holds and not star.details["sampled_holds"], ell
+            assert not star.details["exact_holds"], ell
 
     def test_diag_boundary(self):
         report = affine_cocoercivity_exact(np.diag([1.0, 2.0]), 2.0)

@@ -102,8 +102,9 @@ def test_every_exception_is_still_unreached():
 
 # parameters with a default that no program call sets, each with the reason
 PARAMETER_EXCEPTIONS = {
-    "rotation(scale=)": "the rotation family R_t of ROADMAP Direction 12, whose "
-                        "exact PEP value is measured along t",
+    "rotation(scale=)": "no program call sets it yet; kept for the rotation family "
+                        "R_t of ROADMAP Direction 12, whose exact PEP value is "
+                        "measured along t, and dropped if that lands without it",
     "GramProblem(inequalities=)": "the generic SDPs with dense inequalities that "
                                   "the solver and export tests build",
 }
