@@ -365,9 +365,14 @@ def min_cocoercivity_ell(a) -> float | None:
     clamped to it.  The returned value is re-checked on the pencil itself: it
     must pass the exact test within ``1e-12 * (ell*max|H| + max|A^T A|)``,
     and, unless clamped, ``(1 - 1e-6) * ell`` must fail it.  A failed
-    re-check raises :class:`NoConvergence`.
+    re-check raises :class:`NoConvergence`.  All of it runs on A divided by
+    a power of two 2^e (see :func:`_unit_scale`), with the clamps and the
+    tolerances in those units, and the result is multiplied by 2^e: no
+    product overflows, and 2^k A gets 2^k times the result of A.
     """
-    A = _square(a)
+    # A/2^e has the least ell of A divided by 2^e, and e >= -992 keeps that
+    # below 2^1022 for every ell up to _MAX_ELL: the pencil tests scale no further
+    A, _, e = _unit_scale(_square(a), _MAX_ELL)
     n = A.shape[0]
     H = 0.5 * (A + A.T)
     M = A.T @ A
@@ -382,15 +387,17 @@ def min_cocoercivity_ell(a) -> float | None:
     if float(null_sq.max(initial=0.0)) > n * eps * float(np.abs(M).max()):
         return None
     ell = numerics.spectral_norm(A @ (V[:, pos] / np.sqrt(w[pos]))) ** 2
-    if ell > _MAX_ELL:
+    if ell > math.ldexp(_MAX_ELL, -e):
         return None
-    clamped = ell < _MIN_ELL
-    ell = max(ell, _MIN_ELL)
+    low = math.ldexp(_MIN_ELL, -e)
+    clamped = ell < low
+    ell = max(ell, low)
     if not affine_cocoercivity_exact(A, ell, tol=1e-12 * _pencil_scale(A, ell)).holds:
-        raise NoConvergence(f"pencil is not PSD at the closed-form ell {ell!r}")
+        raise NoConvergence(f"pencil is not PSD at the closed-form ell {math.ldexp(ell, e)!r}")
     if not clamped and affine_cocoercivity_exact(A, (1.0 - 1e-6) * ell, tol=0.0).holds:
-        raise NoConvergence(f"pencil is still PSD below the closed-form ell {ell!r}")
-    return ell
+        raise NoConvergence(
+            f"pencil is still PSD below the closed-form ell {math.ldexp(ell, e)!r}")
+    return math.ldexp(ell, e)
 
 
 def eg_affine_cocoercivity_check(a, gamma: float, L: float) -> CertificateReport:
@@ -432,7 +439,10 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     For a linear map with a pair violating (ell/2)-cocoercivity (og form)
     or ell-cocoercivity (eftp form), the lifted pair z = (x, x*), z' = (x', x*)
     expands by at least 1 + 4/(ell^2 gamma^2).  The witness direction is the
-    most-negative eigenvector of the corresponding pencil.
+    most-negative eigenvector of the corresponding pencil, formed on A and
+    its constant divided by 2^e (see :func:`_unit_scale`); its least
+    eigenvalue is reported multiplied by 4^e, in the input's units.  The
+    eftp form still overflows where gamma*A^2 does.
     """
     if which not in ("og", "eftp"):
         raise BadParameters("which must be 'og' or 'eftp'")
@@ -443,10 +453,13 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     formula_floor = 1.0 + (2.0 / (ell * gamma)) ** 2
     A = _square(a)
     c = ell / 2.0 if which == "og" else ell
-    w, V = numerics.sym_eig(cocoercivity_pencil(A, c))
+    # on A and c divided by 2^e, as affine_cocoercivity_exact tests the pencil
+    As, cs, e = _unit_scale(A, c)
+    w, V = numerics.sym_eig(cocoercivity_pencil(As, cs))
     if w[0] >= 0.0:
         raise NoViolatingPair(
             f"linear map is {c:.6g}-cocoercive; no violating pair exists")
+    worst = _times_4_pow(w[0], e)
     u = V[:, 0]
     base = Affine(A)
     comp = og_operator(base, gamma) if which == "og" else eftp_operator(base, gamma)
@@ -461,10 +474,10 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     verdict = VIOLATED if ratio > 1.0 + 1e-12 else INCONCLUSIVE
     return CertificateReport(
         verdict,
-        worst_slack=float(w[0]),
+        worst_slack=worst,
         witness={"direction": u.tolist(), "ratio": ratio},
         details={"ratio": ratio, "floor": formula_floor, "which": which,
-                 "pencil_min_eig": float(w[0]), "ell": ell, "gamma": gamma},
+                 "pencil_min_eig": worst, "ell": ell, "gamma": gamma},
     )
 
 

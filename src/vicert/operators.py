@@ -216,12 +216,24 @@ class LogisticGrad(Operator):
         self.delta = delta
         self.constants = Constants(lipschitz=L, jac_lipschitz=lam, cocoercivity=L)
         self._root = None
+        self._last_sigma = (None, None)
+
+    def _sigma(self, x):
+        # sigma(a x).  hgm takes F and F' at the same float x in turn: the
+        # second call finds that very object and reuses the first one's value.
+        # x and its value are kept as one tuple, so that another thread's call
+        # never pairs one x with another x's sigma
+        at, s = self._last_sigma
+        if at is not x:
+            s = _sigmoid(self.a * x)
+            self._last_sigma = (x, s)
+        return s
 
     def _apply_float(self, x):
-        return self.a * _sigmoid(self.a * x) + self.delta * x
+        return self.a * self._sigma(x) + self.delta * x
 
     def _jacobian_float(self, x):
-        s = _sigmoid(self.a * x)
+        s = self._sigma(x)
         return self.a * self.a * s * (1.0 - s) + self.delta
 
     def _apply(self, x):

@@ -16,14 +16,11 @@ import numpy as np
 
 from . import numerics
 from .errors import BadParameters, NonFinite
-from .operators import Operator, pp_operator
+from .operators import Affine, Operator, pp_operator
 
 METHODS = ("gd", "pp", "eg", "eg2", "og", "eftp", "hgm")
 _DIVERGENCE_LIMIT = 1e150
 _PROVEN = 1e149  # a bound ||x||_2 <= _PROVEN proves x finite and inside the limit
-# rows a trace allocates up front; a longer run doubles its arrays as it goes,
-# so a huge iteration count that diverges early allocates little
-_FIRST_ROWS = 4096
 # the extra trace columns of each method
 _EXTRAS = {"eg": ("mid_sq",), "eg2": ("mid_sq",), "eftp": ("tilde_sq",),
            "hgm": ("grad_h_sq", "energy")}
@@ -82,14 +79,20 @@ class Trace:
         return self.fx_sq.shape[0]
 
     def to_csv(self) -> str:
+        """A header and one line per row.  The body is one ``%``: the row
+        template repeated once per row, applied to all values interleaved."""
         cols = dict(sorted(self.extras.items()))
         header = "k,fx_sq,dist_sq" + "".join("," + name for name in cols) + "\n"
         # "%.17g" writes what serial.fmt17 writes, nan, inf and -0 included; a
         # trace without distances writes the nan of its dist_sq column literally
         dist = ",nan" if self.dist_sq is None else ",%.17g"
         row = "%d,%.17g" + dist + ",%.17g" * len(cols) + "\n"
-        columns = [c.tolist() for c in (self.fx_sq, self.dist_sq, *cols.values()) if c is not None]
-        return header + "".join(row % values for values in zip(range(len(self)), *columns))
+        columns = [range(len(self))]
+        columns += [c.tolist() for c in (self.fx_sq, self.dist_sq, *cols.values()) if c is not None]
+        values = [None] * (len(self) * len(columns))
+        for i, column in enumerate(columns):
+            values[i::len(columns)] = column
+        return header + row * len(self) % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +111,14 @@ def _jt_f_array(J: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def _jt_f_float(j: float, f: float) -> float:
     return 0.0 + j * f
+
+
+def _resolved(f):
+    """``f``, or, for an Affine's own ``_apply`` without a shift, the gemv
+    ``matrix.dot`` it returns: the same bits with no Python frame per call."""
+    if getattr(f, "__func__", None) is Affine._apply and f.__self__._shift is None:
+        return f.__self__.matrix.dot
+    return f
 
 
 def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
@@ -132,7 +143,11 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
 
     A 1-D operator with ``float_form`` is stepped on Python floats instead:
     F is ``op._apply_float``, called at the same points, and every product,
-    squared norm and check gives the bits of its array spelling.
+    squared norm and check gives the bits of its array spelling.  F is
+    resolved once, before the loop; for an Affine's own ``_apply`` without a
+    shift it is the gemv ``matrix.dot``.  Each column is collected in a list
+    and made an array once, after the loop, so a run that stops early holds
+    only the rows it made.
     """
     x = cfg.x0.copy()
     dim = op.dim
@@ -149,7 +164,7 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     else:
         apply, check, max_abs, dot = "_apply", numerics.as_vector, _max_abs, np.ndarray.dot
         jac, jt_f = op._jacobian, _jt_f_array
-    F = getattr(op, apply)
+    F = _resolved(getattr(op, apply))
 
     method = cfg.method
     g = cfg.gamma
@@ -161,66 +176,60 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     # The step and the update round at most 7 times more: slack = 1 + (2d + 32)u
     # covers all; the tenfold margin of _PROVEN covers absolute errors near 2^-1074
     bound, x_max = math.inf, 0.0
+    root_dim = math.sqrt(dim)
     slack = 1.0 + (dim + 16) * 2.0**-52
-    tiny = math.sqrt(dim) * 2.0**-537
+    tiny = root_dim * 2.0**-537
 
-    n = cfg.iters + 1
-    # always one row more than the iterations fill, for the NaN row of an overflow
-    size = min(n, _FIRST_ROWS) + 1
-    fx_sq = np.empty(size)
-    dist_sq = None if star is None else np.empty(size)
-    extras = {name: np.empty(size) for name in _EXTRAS.get(method, ())}
+    iters, proven, limit = cfg.iters, _PROVEN, _DIVERGENCE_LIMIT
+    sqrt, isfinite = math.sqrt, math.isfinite
+    eg = method in ("eg", "eg2")
+    # each column is a list until the loop ends; a method has at most one extra
+    # column filled row by row (hgm's energy is filled after the loop)
+    fx_col, dist_col, extra = [], [], []
+    add_fx, add_dist, add_extra = fx_col.append, dist_col.append, extra.append
 
     pp_step = None   # pp: F of the resolvent, built at the first step
     f_prev = None    # og: F(x_prev)
     gf = None        # eftp: g times F at the tilde point
     f_evals = 0
-    rows = 0         # rows whose fx_sq and dist_sq are written
-    full = 0         # rows whose extras are written too
     diverged = False
-    for k in range(n):
-        if k + 1 == size:
-            size = min(2 * size, n + 1)
-            # np.resize fills the new rows with repeats of the old ones; every
-            # row is written before the trace reads it
-            fx_sq = np.resize(fx_sq, size)
-            dist_sq = None if star is None else np.resize(dist_sq, size)
-            extras = {name: np.resize(col, size) for name, col in extras.items()}
+    for k in range(iters + 1):
         try:
-            if not bound <= _PROVEN:
+            if not bound <= proven:
                 # max|x| is NaN or inf exactly when x is not finite; an x_max
                 # left from an earlier row is within the limit, or it stopped the run
                 x_max = max_abs(x)
-                if not math.isfinite(x_max):
+                if not isfinite(x_max):
                     raise NonFinite("iterate overflowed")
-                bound = math.sqrt(dim) * x_max * slack
+                bound = root_dim * x_max * slack
             fx = F(x)
             f_evals += 1
-            fx_sq[k] = fsq = dot(fx, fx)
-            root = math.sqrt(fsq) + tiny
+            fsq = dot(fx, fx)
+            add_fx(fsq)
+            root = sqrt(fsq) + tiny
             if star is not None:
                 d = x - star
-                dist_sq[k] = dot(d, d)
-            rows = k + 1
-            if method in ("eg", "eg2"):
+                add_dist(dot(d, d))
+            if eg:
                 mid = x - g1 * fx
-                if not bound + g1 * root <= _PROVEN:
+                if not bound + g1 * root <= proven:
                     check(mid)
                 fmid = F(mid)
                 f_evals += 1
-                extras["mid_sq"][k] = step_sq = dot(fmid, fmid)
+                step_sq = dot(fmid, fmid)
+                add_extra(step_sq)
             elif method == "eftp":
                 if k == 0:
                     step_sq, t_root = fsq, root  # the tilde point starts at x0
-                extras["tilde_sq"][k] = step_sq
+                add_extra(step_sq)
             elif method == "hgm":
                 gh = jt_f(jac(x), fx)
-                extras["grad_h_sq"][k] = step_sq = dot(gh, gh)
-            full = k + 1
-            if not math.isfinite(fsq) or x_max > _DIVERGENCE_LIMIT:
+                step_sq = dot(gh, gh)
+                add_extra(step_sq)
+            if not isfinite(fsq) or x_max > limit:
                 diverged = True
                 break
-            if k == cfg.iters:
+            if k == iters:
                 break
 
             if method == "gd":
@@ -228,13 +237,13 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
                 bound = (bound + g * root) * slack
             elif method == "pp":
                 if pp_step is None:
-                    pp_step = getattr(pp_operator(op, g), apply)
+                    pp_step = _resolved(getattr(pp_operator(op, g), apply))
                 step = pp_step(x)
                 x = x - g * step
-                bound = (bound + g * (math.sqrt(dot(step, step)) + tiny)) * slack
-            elif method in ("eg", "eg2"):
+                bound = (bound + g * (sqrt(dot(step, step)) + tiny)) * slack
+            elif eg:
                 x = x - g2 * fmid
-                bound = (bound + g2 * (math.sqrt(step_sq) + tiny)) * slack
+                bound = (bound + g2 * (sqrt(step_sq) + tiny)) * slack
             elif method == "og":
                 if k == 0:
                     f_prev, p_root = fx, root  # x_prev starts at x0
@@ -244,45 +253,35 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
             elif method == "eftp":
                 # one product g*F(tilde) moves x and makes the next tilde point
                 tilde = x - (g * fx if k == 0 else gf)
-                if not bound + g * t_root <= _PROVEN:
+                if not bound + g * t_root <= proven:
                     check(tilde)
                 f_tilde = F(tilde)
                 f_evals += 1
                 step_sq = dot(f_tilde, f_tilde)
-                t_root = math.sqrt(step_sq) + tiny
+                t_root = sqrt(step_sq) + tiny
                 gf = g * f_tilde
                 x = x - gf
                 bound = (bound + g * t_root) * slack
             elif method == "hgm":
                 x = x - g * gh
-                bound = (bound + g * (math.sqrt(step_sq) + tiny)) * slack
+                bound = (bound + g * (sqrt(step_sq) + tiny)) * slack
         except NonFinite:
             # F met an overflowed point, so the state it leads to is undefined:
             # finish the current row, if any, and add one more, all NaN
-            fx_sq[rows] = np.nan
-            if dist_sq is not None:
-                dist_sq[rows] = np.nan
-            for col in extras.values():
-                col[full:rows + 1] = np.nan
-            rows += 1
+            add_fx(math.nan)
+            add_dist(math.nan)
             diverged = True
             break
+
+    rows, full = len(fx_col), len(extra)
+    fx_sq = np.array(fx_col, dtype=float)
+    dist_sq = None if star is None else np.array(dist_col, dtype=float)
+    extras = {}
+    if method in _EXTRAS:
+        extras[_EXTRAS[method][0]] = np.array(extra + [math.nan] * (rows - full), dtype=float)
     if method == "hgm":
         # 0.5 * ||F(x^k)||^2 for every full row at once, the same product as
-        # row by row; the rows past full keep the NaN of an overflow
-        extras["energy"][:full] = 0.5 * fx_sq[:full]
-
-    def trim(a):
-        if a is None:
-            return None
-        # a trace cut short lets go of the rows it did not use
-        return a[:rows] if rows >= n else a[:rows].copy()
-
-    return Trace(
-        method=method,
-        fx_sq=trim(fx_sq),
-        dist_sq=trim(dist_sq),
-        extras={name: trim(col) for name, col in extras.items()},
-        diverged=diverged,
-        f_evals=f_evals,
-    )
+        # row by row; the rows past full are NaN
+        extras["energy"] = energy = 0.5 * fx_sq
+        energy[full:] = math.nan
+    return Trace(method, fx_sq, dist_sq, extras, diverged, f_evals)

@@ -340,6 +340,20 @@ class TestMinEll:
     def test_indefinite_symmetric_part_gives_none(self):
         assert min_cocoercivity_ell(np.array([[1.0, 3.0], [0.0, -1.0]])) is None
 
+    def test_beyond_float_range_gives_none_without_overflow(self):
+        # A^T A = 2e310*I: on A divided by a power of two no product overflows,
+        # and the least ell, 2e155, is past the largest reported
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert min_cocoercivity_ell(1e155 * np.array([[1.0, 1.0], [-1.0, 1.0]])) is None
+
+    def test_power_of_two_equivariant(self):
+        A = self._monotone(5)
+        base = min_cocoercivity_ell(A)
+        for k in range(-20, 21):
+            got = min_cocoercivity_ell(2.0**k * A)
+            assert got == pytest.approx(2.0**k * base, rel=1e-14, abs=0.0), k
+
 
 class TestEgAffine:
     def test_rotation_unit_gamma(self):
@@ -402,6 +416,18 @@ class TestOgWitness:
     def test_identity_has_no_pair(self):
         with pytest.raises(NoViolatingPair):
             og_noncocoercivity_witness(np.eye(2), 2.0, 1.0, "og")
+
+    def test_og_pencil_beyond_float_range(self):
+        # ell/2 * H - A^T A = -1.25e310*I, formed on A and ell/2 divided by a
+        # power of two and reported in the input's units, as -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            big = og_noncocoercivity_witness(1e155 * np.array([[1.0, 1.0], [-1.0, 1.0]]),
+                                             1.5e155, 1e-155, "og")
+        assert big.verdict == "violated"
+        assert big.worst_slack == big.details["pencil_min_eig"] == -np.inf
+        unit = og_noncocoercivity_witness([[1.0, 1.0], [-1.0, 1.0]], 1.5, 1.0, "og")
+        assert unit.worst_slack == unit.details["pencil_min_eig"] == pytest.approx(-1.25)
 
     def test_ratio_formula_floor_on_grid(self):
         for ell in (0.5, 1.0, 4.0):

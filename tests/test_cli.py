@@ -280,6 +280,20 @@ class TestCertify:
             assert out["details"]["sampled_holds"] is False
             assert out["details"]["counterevidence"] is False
 
+    def test_og_witness_beyond_float_range(self, capsys):
+        # the og pencil at 1e155 is formed on A and ell/2 divided by a power of
+        # two; the lifted ratio is that of the unit matrix it scales
+        ratios = []
+        for A, ell, gamma in (("[[1e155,1e155],[-1e155,1e155]]", "1.5e155", "1e-155"),
+                              ("[[1,1],[-1,1]]", "1.5", "1")):
+            code = main(["certify", "--check", "og-witness", "--A", A, "--ell", ell,
+                         "--gamma", gamma, "--expect", "violated"])
+            assert code == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["verdict"] == "violated"
+            ratios.append(out["details"]["ratio"])
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
 
 EYE2 = "[[1,0],[0,1]]"
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from recording import recording, run_points
 
-from vicert import numerics, solvers
+from vicert import numerics, operators, solvers
 from vicert.errors import (
     BadParameters,
     DimensionMismatch,
@@ -698,16 +698,11 @@ class TestBitIdentity:
     with recorded digests would depend on the BLAS build and the CPU."""
 
     # at 1e160 the explicit methods overflow their iterate; at 1e308, from a
-    # start 100 times larger, already the eg mid point and the eftp tilde point.
-    # With room for 0 or 1 rows up front the arrays grow at rows 0, 1, 3, 7, ...,
-    # so an overflow also meets a freshly grown array
-    @pytest.mark.parametrize("first_rows", [None, 0, 1])
+    # start 100 times larger, already the eg mid point and the eftp tilde point
     @pytest.mark.parametrize("scale", ["normal", 1e160, 1e308])
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("case", _BIT_OPS, ids=[c[0] for c in _BIT_OPS])
-    def test_run_matches_reference_loop(self, case, method, scale, first_rows, monkeypatch):
-        if first_rows is not None:
-            monkeypatch.setattr(solvers, "_FIRST_ROWS", first_rows)
+    def test_run_matches_reference_loop(self, case, method, scale):
         _, op, L, x0 = case
         if L is None:
             L = op.constants.lipschitz
@@ -721,13 +716,10 @@ class TestBitIdentity:
 
     # pp is left out: with no step to take, run builds no resolvent, where
     # the reference loop built it (and failed) before its first row
-    @pytest.mark.parametrize("first_rows", [None, 0])
     @pytest.mark.parametrize("method", [m for m in METHODS if m != "pp"])
     @pytest.mark.parametrize("case", _BIT_OPS, ids=[c[0] for c in _BIT_OPS])
-    def test_overflow_on_the_last_row(self, case, method, first_rows, monkeypatch):
+    def test_overflow_on_the_last_row(self, case, method):
         # the eg mid point overflows on the only row: the trace has two rows
-        if first_rows is not None:
-            monkeypatch.setattr(solvers, "_FIRST_ROWS", first_rows)
         _, op, _, x0 = case
         steps = {"gamma1": 1e308, "gamma2": 1e308} if method == "eg2" else {"gamma": 1e308}
         self._assert_same(op, SolverConfig(method, iters=0, x0=100.0 * x0, **steps))
@@ -769,6 +761,12 @@ class TestBitIdentity:
             assert got.extras[name].shape == want.extras[name].shape
             assert _same_bits(got.extras[name], want.extras[name])
         assert got.diverged == want.diverged
+        # every column is its own float64 array of exactly one entry per row,
+        # a cut-short run's too
+        for col in (got.fx_sq, got.dist_sq, *got.extras.values()):
+            if col is not None:
+                assert col.dtype == np.float64 and col.shape == (len(got),)
+                assert col.flags.owndata and col.flags.c_contiguous
         assert got.to_csv() == _reference_csv(want)
 
     def test_hgm_energy_on_the_nan_row_paths(self):
@@ -889,6 +887,23 @@ class TestFloatPath:
         steps = {"gamma1": 0.5, "gamma2": 0.25} if method == "eg2" else {"gamma": 0.5}
         cfg = SolverConfig(method, iters=3, x0=np.array([-0.0]), **steps)
         self._assert_same(NegZero(1.0, 0.0), cfg, np.array([0.0]))
+
+    def test_hgm_takes_one_sigmoid_per_row(self, monkeypatch):
+        # F and F' at the same x share one sigma(a x), with the bits of the
+        # array form, which evaluates sigma afresh for each
+        op = LogisticGrad(1.0, 0.01)
+        star = op.root()
+        calls = []
+        sigmoid = operators._sigmoid
+        monkeypatch.setattr(operators, "_sigmoid", lambda t: calls.append(t) or sigmoid(t))
+        cfg = SolverConfig("hgm", gamma=2.0, iters=50, x0=np.array([2.0]))
+        got = run(op, cfg, star)
+        assert not got.diverged and len(got) == 51 and len(calls) == 51
+        want = run(_on_arrays(op), cfg, star)
+        assert len(calls) == 51 + 2 * 51
+        assert got.to_csv() == want.to_csv()
+        for name in want.extras:
+            assert _same_bits(got.extras[name], want.extras[name])
 
     @staticmethod
     def _assert_same(op, cfg, star):
