@@ -38,6 +38,29 @@ def recording(op):
     return rec
 
 
+def recording_subclass(op):
+    """As :func:`recording`, but the recording ``_apply`` and ``_apply_float``
+    are methods of a subclass of ``op``'s class that override its own, so
+    ``run`` reads F through an overriding method rather than an attribute of
+    the instance."""
+    base = type(op)
+
+    def recorded(name, as_array):
+        def method(self, x):
+            if sys._getframe(1).f_code is run.__code__:
+                self.points.append(as_array(x))
+            return getattr(base, name)(self, x)
+        return method
+
+    rec = copy.copy(op)
+    rec.__class__ = type(base.__name__, (base,), {
+        "_apply": recorded("_apply", np.copy),
+        "_apply_float": recorded("_apply_float", lambda x: np.array([x])),
+    })
+    rec.points = []
+    return rec
+
+
 def run_points(op, cfg, x_star=None):
     """``run(op, cfg, x_star)``, the iterates x^k it evaluated F at, one row
     each, and its auxiliary points: the eg/eg2 mid point of each row, the
