@@ -10,7 +10,8 @@ cases, the ``report`` JSON and the solver trace CSVs (recorded before the
 run loop's products were respelled), the ``check`` JSONs and the
 violation search (recorded before the bound checks stopped recording
 distances they do not read; the hgm ones before the report's two hgm checks
-shared a run) also take BLAS dot products of short vectors, and the
+shared a run; the logistic eg-random one before it stepped its nonlinear
+operator with eg2 in place of gd on the extrapolated composite) also take BLAS dot products of short vectors, and the
 ``pep-bound`` JSONs (recorded before the solve factored each iterate once and
 verified its candidates best-first) BLAS products and LAPACK factorisations
 of small matrices, so their digests hold where those round alike (x86-64
@@ -85,9 +86,10 @@ def _traces():
             yield f"{name}-{method}", run(op, cfg, x_star=op.root()).to_csv().encode()
 
 
-# the check JSONs of the five checks that run through harness._run_from and
-# of the two hgm checks; gd, hgm and hgm-affine are the command lines of the
-# console-script CI step (which leaves gd's --ell to the declared constants)
+# the check JSONs of the five checks that run through harness._run_from, the
+# eg-random one on an affine and on a nonlinear operator, and of the two hgm
+# checks; gd, hgm and hgm-affine are the command lines of the console-script
+# CI step (which leaves gd's --ell to the declared constants)
 _CHECK_ARGV = {
     "gd-diag12": ["gd", "--op", str(_FIXTURES / "diag12.json"), "--ell", "2",
                   "--gamma", "0.5", "--iters", "5"],
@@ -95,6 +97,8 @@ _CHECK_ARGV = {
                   "--gamma", "0.5", "--iters", "300"],
     "eg-random-rotation": ["eg-random", "--op", "rotation", "--gamma1", "1",
                            "--gamma2", "0.5", "--iters", "300"],
+    "eg-random-logistic": ["eg-random", "--op", "logistic", "--gamma1", "3",
+                           "--gamma2", "1.5", "--iters", "300"],
     "eg-last-rotation": ["eg-last", "--op", "rotation", "--gamma", "0.7", "--iters", "300"],
     "eftp-rotation": ["eftp", "--op", "rotation", "--gamma", "0.25", "--iters", "300"],
     "hgm-diag12": ["hgm", "--op", str(_FIXTURES / "diag12.json"), "--Lambda", "0",
@@ -239,6 +243,7 @@ GOLDEN = {
     'check:gd-diag12': '8974fe6745001843b9c3734cd236fffaefdf273bad5825bb307d8991ddce5809',
     'check:pp-diag12': '7a18427438cc81eaf84c8794dc9d33eda83ff319e13194181e345faf221bf46a',
     'check:eg-random-rotation': '1266296a27977c0962d6f1445c8b109d7faece02e8b1585c962ccb77eed08ae7',
+    'check:eg-random-logistic': 'f0ada36a0ba0c72925522f3ca60ad9f1e221d6bddcf055c0769101863b17bd1f',
     'check:eg-last-rotation': 'a0c79ab4944fc68b3c219f46a4015c0e162662e7c7ce70d0c07d9a9f77e8ca32',
     'check:eftp-rotation': 'f8d88f50fcbf938d3a33f0e6c97598209c9d103e0954a1fc3ddbfaa29b39b7df',
     'check:hgm-diag12': '1363965213b9ae836c23c18ab8f90ace7db163c229df05ad90806774d7558e78',
