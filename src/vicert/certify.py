@@ -442,7 +442,9 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
     most-negative eigenvector of the corresponding pencil, formed on A and
     its constant divided by 2^e (see :func:`_unit_scale`); its least
     eigenvalue is reported multiplied by 4^e, in the input's units.  The
-    eftp form still overflows where gamma*A^2 does.
+    block operator is built on A/2^e with stepsize gamma*2^e, which is the
+    one on A and gamma divided by 2^e, exactly, and finite where gamma*A^2
+    is not.
     """
     if which not in ("og", "eftp"):
         raise BadParameters("which must be 'og' or 'eftp'")
@@ -461,10 +463,14 @@ def og_noncocoercivity_witness(a, ell: float, gamma: float,
             f"linear map is {c:.6g}-cocoercive; no violating pair exists")
     worst = _times_4_pow(w[0], e)
     u = V[:, 0]
-    base = Affine(A)
-    comp = og_operator(base, gamma) if which == "og" else eftp_operator(base, gamma)
+    # scaled where gamma*2^e, its reciprocal and ell/2^e are normal floats,
+    # so that the scaling is exact; on A, gamma and ell themselves elsewhere
+    k = e if max(abs(math.frexp(gamma)[1] + e), abs(math.frexp(ell)[1] - e)) <= 1021 else 0
+    base = Affine(np.ldexp(A, -k))
+    g = math.ldexp(gamma, k)
+    comp = og_operator(base, g) if which == "og" else eftp_operator(base, g)
     z = np.concatenate([u, np.zeros(A.shape[0])])
-    z_hat = z - (2.0 / ell) * comp(z)
+    z_hat = z - (2.0 / math.ldexp(ell, -k)) * comp(z)
     # z' = (x*, x*) = 0 is fixed by the map since the composite is linear
     ratio = float(z_hat @ z_hat) / float(z @ z)
     # relative: the floor grows as 1/(ell*gamma)^2 and the ratio's rounding with it

@@ -47,11 +47,3 @@ class PreconditionViolated(VicertError):
 
 class NoViolatingPair(VicertError):
     pass
-
-
-class LabelMismatch(VicertError):
-    pass
-
-
-class NotPSD(VicertError):
-    pass

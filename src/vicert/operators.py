@@ -7,8 +7,9 @@ such a vector call the unchecked ``op._apply(x)`` and ``op._jacobian(x)``.
 A 1-D operator with ``float_form`` also takes its point as a Python float:
 ``op._apply_float(x)`` and ``op._jacobian_float(x)`` give, bit for bit, the
 one entry of ``_apply`` and ``_jacobian`` without numpy's per-call dispatch.
-Affine operators carry their matrix and offset explicitly so that
-composition stays in closed form; nonlinear composites evaluate lazily.
+Affine operators carry their matrix and offset explicitly, and the update
+operators of an affine F are affine in closed form; only the implicit step
+of a nonlinear F is a composite, evaluated lazily.
 """
 
 from __future__ import annotations
@@ -297,66 +298,16 @@ class CustomTable(Operator):
 # Composite operators
 # ---------------------------------------------------------------------------
 
-class ExtrapolatedComposite(Operator):
-    """x -> F(x - gamma*F(x)) for a nonlinear inner operator."""
-
-    kind = "eg-composite"
-
-    def __init__(self, inner: Operator, gamma: float):
-        numerics.require_positive("gamma", gamma)
-        self.inner = inner
-        self.gamma = float(gamma)
-        self.dim = inner.dim
-        self.float_form = inner.float_form
-        self.constants = Constants()
-
-    def _mid(self, x, F, check):
-        # the extrapolated point is new: check it as a public call would
-        return check(x - self.gamma * F(x))
-
-    def _apply(self, x):
-        F = self.inner._apply
-        return F(self._mid(x, F, numerics.as_vector))
-
-    def _apply_float(self, x):
-        F = self.inner._apply_float
-        return F(self._mid(x, F, numerics.as_finite))
-
-    def root(self):
-        return self.inner.root()
-
-
-class _UpdateAffine(Affine):
-    """An affine update operator whose zeros are its base operator's, repeated
-    ``copies`` times (a block operator's state holds the point twice): the
-    first ``root()`` call takes ``base.root()``, bit for bit, and only when
-    that is None solves for its own, as an Affine without a stored root does."""
-
-    def __init__(self, base: Affine, matrix, offset, copies: int = 1):
-        super().__init__(matrix, offset)
-        self._base = base
-        self._copies = copies
-
-    def root(self):
-        if not self._root_computed:
-            root = self._base.root()
-            if root is not None:
-                self._root, self._root_computed = np.tile(root, self._copies), True
-        return super().root()
-
-
-def eg_operator(op: Operator, gamma: float) -> Operator:
-    """Extragradient update operator x -> F(x - gamma*F(x)).
-
-    For affine F = Ax + b the result is affine with matrix A(I - gamma*A)
-    and offset b - gamma*A b.
-    """
+def eg_operator(op: Operator, gamma: float) -> Affine:
+    """Extragradient update operator x -> F(x - gamma*F(x)) of an affine
+    F = Ax + b: matrix A(I - gamma*A) and offset b - gamma*A b; affine
+    inputs only (``run``'s eg2 steps a nonlinear F)."""
     numerics.require_positive("gamma", gamma)
-    if isinstance(op, Affine):
-        A, b = op.matrix, op.offset
-        eye = np.eye(op.dim)
-        return _UpdateAffine(op, A @ (eye - gamma * A), b - gamma * (A @ b))
-    return ExtrapolatedComposite(op, gamma)
+    if not isinstance(op, Affine):
+        raise NotAffine("the extragradient matrix form needs an affine operator")
+    A, b = op.matrix, op.offset
+    eye = np.eye(op.dim)
+    return Affine(A @ (eye - gamma * A), b - gamma * (A @ b))
 
 
 def og_operator(op: Operator, gamma: float) -> Affine:
@@ -372,7 +323,7 @@ def og_operator(op: Operator, gamma: float) -> Affine:
     eye = np.eye(op.dim)
     big = np.block([[2.0 * A, -A], [-eye / gamma, eye / gamma]])
     offset = np.concatenate([b, np.zeros(op.dim)])
-    return _UpdateAffine(op, big, offset, copies=2)
+    return Affine(big, offset)
 
 
 def eftp_operator(op: Operator, gamma: float) -> Affine:
@@ -387,7 +338,7 @@ def eftp_operator(op: Operator, gamma: float) -> Affine:
     eye = np.eye(op.dim)
     big = np.block([[A, -gamma * (A @ A)], [-eye / gamma, eye / gamma + A]])
     offset = np.concatenate([b - gamma * (A @ b), b])
-    return _UpdateAffine(op, big, offset, copies=2)
+    return Affine(big, offset)
 
 
 class ImplicitComposite(Operator):
@@ -439,9 +390,6 @@ class ImplicitComposite(Operator):
         return self._fixed_point(x, self.inner._apply_float, lambda d: d * d,
                                  numerics.as_finite)[1]
 
-    def root(self):
-        return self.inner.root()
-
 
 def pp_operator(op: Operator, gamma: float) -> Operator:
     """Implicit-step update operator: x -> F(y) where y = x - gamma*F(y).
@@ -455,7 +403,7 @@ def pp_operator(op: Operator, gamma: float) -> Operator:
         eye = np.eye(op.dim)
         inv = numerics.lu_solve(eye + gamma * A, eye)
         M = A @ inv
-        return _UpdateAffine(op, M, b - gamma * (M @ b))
+        return Affine(M, b - gamma * (M @ b))
     return ImplicitComposite(op, gamma)
 
 
@@ -465,7 +413,7 @@ def hamiltonian_operator(op: Operator) -> Affine:
     if not isinstance(op, Affine):
         raise NotAffine("the residual energy's gradient in matrix form needs an affine operator")
     A, b = op.matrix, op.offset
-    return _UpdateAffine(op, A.T @ A, A.T @ b)
+    return Affine(A.T @ A, A.T @ b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Assembles the expansiveness and norm-decay SDPs over a basis of abstract
 vectors from the pairwise class inequalities, solves them by an
-interior-point method, exports SDPA sparse files for external solvers, and
-embeds concrete point systems as feasible Gram matrices.  Every point
-returned as a bound is repaired and re-verified against every constraint,
-so it is a certified lower bound.
+interior-point method, and exports SDPA sparse files for external solvers.
+Every point returned as a bound is repaired and re-verified against every
+constraint, so it is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -17,13 +16,7 @@ from itertools import chain
 import numpy as np
 
 from . import classes, numerics
-from .errors import (
-    BadParameters,
-    DimensionMismatch,
-    LabelMismatch,
-    NoConvergence,
-    NotPSD,
-)
+from .errors import BadParameters, DimensionMismatch, NoConvergence
 from .serial import fmt17
 
 
@@ -409,39 +402,6 @@ def _norm_pep_interior(L, gamma1, gamma2, K, labels):
             u = np.array([vec[lab] for lab in labels])
             return np.outer(u, u)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Embedding concrete vectors and recovering points from Gram matrices
-# ---------------------------------------------------------------------------
-
-def embed_points(prob: GramProblem, vectors: dict[str, np.ndarray]) -> FeasiblePoint:
-    """Gram matrix of labeled concrete vectors, with residuals against the
-    problem's constraints."""
-    if set(vectors) != set(prob.basis):
-        missing = set(prob.basis) - set(vectors)
-        extra = set(vectors) - set(prob.basis)
-        raise LabelMismatch(f"missing labels {sorted(missing)}, extra {sorted(extra)}")
-    vecs = [numerics.as_vector(vectors[lab]) for lab in prob.basis]
-    sizes = {v.size for v in vecs}
-    if len(sizes) > 1:
-        raise DimensionMismatch(f"vectors of unequal lengths {sorted(sizes)}")
-    U = np.array(vecs)
-    return verify_point(prob, U @ U.T)
-
-
-def gram_to_points(G) -> list[np.ndarray]:
-    """Factor a PSD matrix into vectors of dimension rank(G); eigenvalues up to
-    ``1e-9 * trace(G)`` are dropped, and one below -1e-9 raises :class:`NotPSD`."""
-    G = numerics.as_matrix(G, square=True)
-    w, V = numerics.sym_eig(0.5 * (G + G.T))
-    if w.size and w[0] < -1e-9:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e}")
-    clip = 1e-9 * max(float(np.trace(G)), 0.0)
-    keep = w > clip
-    scale = np.sqrt(w[keep])
-    U = V[:, keep] * scale
-    return [U[i].copy() for i in range(G.shape[0])]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 with hand-coded matrices, the cross-check of :func:`pep.build_expansiveness_pep`,
 which builds it from the class table, ``inner_matrix`` is the dense matrix
 of one inner product, and ``counterexample_vectors`` labels
-the explicit expansive instance's vectors by its basis.  ``ball_norm_pep``
+the explicit expansive instance's vectors by its basis.  ``embed_points``
+takes labeled concrete vectors to their verified Gram point, and
+``gram_to_points`` factors a Gram matrix back into vectors.  ``ball_norm_pep``
 and ``delta_composite_pep`` are the two variants of the norm PEP that the
 CLI does not build: the start on the unit ball, and the one-step change of
 the extrapolated-point norms.  ``lower_bound_search`` is a
@@ -15,7 +17,8 @@ repair step and :func:`pep.verify_point`.
 
 import numpy as np
 
-from vicert.errors import BadParameters, NoConvergence
+from vicert import numerics
+from vicert.errors import BadParameters, DimensionMismatch, NoConvergence, VicertError
 from vicert.pep import (
     _EXP_BASIS,
     _SOLVE_TOL,
@@ -242,3 +245,40 @@ def lower_bound_search(prob: GramProblem, restarts: int = 32, seed: int = 0,
                    "restarts": restarts, "feasible_restarts": feasible,
                    "repair": best_path}
     return best
+
+
+class LabelMismatch(VicertError):
+    pass
+
+
+class NotPSD(VicertError):
+    pass
+
+
+def embed_points(prob: GramProblem, vectors: dict[str, np.ndarray]) -> FeasiblePoint:
+    """Gram matrix of labeled concrete vectors, with residuals against the
+    problem's constraints."""
+    if set(vectors) != set(prob.basis):
+        missing = set(prob.basis) - set(vectors)
+        extra = set(vectors) - set(prob.basis)
+        raise LabelMismatch(f"missing labels {sorted(missing)}, extra {sorted(extra)}")
+    vecs = [numerics.as_vector(vectors[lab]) for lab in prob.basis]
+    sizes = {v.size for v in vecs}
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"vectors of unequal lengths {sorted(sizes)}")
+    U = np.array(vecs)
+    return verify_point(prob, U @ U.T)
+
+
+def gram_to_points(G) -> list[np.ndarray]:
+    """Factor a PSD matrix into vectors of dimension rank(G); eigenvalues up to
+    ``1e-9 * trace(G)`` are dropped, and one below -1e-9 raises :class:`NotPSD`."""
+    G = numerics.as_matrix(G, square=True)
+    w, V = numerics.sym_eig(0.5 * (G + G.T))
+    if w.size and w[0] < -1e-9:
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e}")
+    clip = 1e-9 * max(float(np.trace(G)), 0.0)
+    keep = w > clip
+    scale = np.sqrt(w[keep])
+    U = V[:, keep] * scale
+    return [U[i].copy() for i in range(G.shape[0])]

@@ -15,6 +15,7 @@ from logistic_reference import hamiltonian_nonconvexity_check
 from pep_reference import (
     build_expansiveness_matrices,
     counterexample_vectors,
+    embed_points,
     lower_bound_search,
     zero_sign_differences,
 )
@@ -264,7 +265,7 @@ class TestA5Pep:
             for g2 in (g1 / 2.0, g1):
                 prob = pep.build_expansiveness_pep(ell, g1, g2)
                 inst = build_counterexample(ell, g1)
-                point = pep.embed_points(prob, counterexample_vectors(inst))
+                point = embed_points(prob, counterexample_vectors(inst))
                 assert point.inequality_values.min() >= -1e-12
                 assert abs(point.equality_residuals[0]) <= 1e-12
                 expected = 1.0 + (g1 * g2 * ell * ell) ** 2 / 4.0

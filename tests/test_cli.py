@@ -294,6 +294,20 @@ class TestCertify:
             ratios.append(out["details"]["ratio"])
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
 
+    def test_eftp_witness_beyond_float_range(self, capsys):
+        # the eftp block operator at 1e155 is built on A divided by a power of
+        # two, where gamma*A^2 is finite and A^2 is not
+        ratios = []
+        for A, ell, gamma in (("[[1e155,1e155],[-1e155,1e155]]", "1.5e155", "1e-155"),
+                              ("[[1,1],[-1,1]]", "1.5", "1")):
+            code = main(["certify", "--check", "eftp-witness", "--A", A, "--ell", ell,
+                         "--gamma", gamma, "--expect", "violated"])
+            assert code == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["verdict"] == "violated"
+            ratios.append(out["details"]["ratio"])
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
 
 EYE2 = "[[1,0],[0,1]]"
 

@@ -268,6 +268,17 @@ def test_outputs_match_recorded_digests(tmp_path):
     assert not changed, f"outputs changed bytes: {changed}"
 
 
+def test_digest_script_checks_a_file(tmp_path, capsys):
+    # the console-script CI step checks the CLI's files with this script
+    import golden_digest
+
+    path = tmp_path / "root.bin"
+    path.write_bytes(LogisticGrad(1.0, 0.01).root().tobytes())
+    assert golden_digest.main("logistic-root:1.0-0.01", str(path)) == 0
+    assert golden_digest.main("logistic-root:-2.5-3.0", str(path)) == 1
+    assert "logistic-root:-2.5-3.0" in capsys.readouterr().err
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile

@@ -20,7 +20,14 @@ from vicert.harness import (
     report_to_json,
     standard_suite,
 )
-from vicert.operators import Affine, LogisticGrad, eg_operator, rotation, scaled_identity
+from vicert.operators import (
+    Affine,
+    LogisticGrad,
+    Operator,
+    eg_operator,
+    rotation,
+    scaled_identity,
+)
 from vicert.solvers import SolverConfig, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -67,7 +74,58 @@ class TestPp:
         assert check.passed
 
 
+class _Extrapolated(Operator):
+    """x -> F(x - gamma*F(x)) for a nonlinear F, in both of F's forms, with
+    the extrapolated point checked as a public call would check it: the
+    composite the eg-random check once stepped with gd."""
+
+    def __init__(self, inner, gamma):
+        self.inner, self.gamma = inner, gamma
+        self.dim, self.float_form = inner.dim, inner.float_form
+
+    def _apply(self, x):
+        F = self.inner._apply
+        return F(numerics.as_vector(x - self.gamma * F(x)))
+
+    def _apply_float(self, x):
+        F = self.inner._apply_float
+        return F(numerics.as_finite(x - self.gamma * F(x)))
+
+
+class _SkewTanh(Operator):
+    """F(x) = (x2, -x1) + tanh(x): monotone, 2-Lipschitz, root 0, array form only."""
+
+    kind = "skew-tanh"
+    dim = 2
+
+    def _apply(self, x):
+        return np.array([x[1], -x[0]]) + np.tanh(x)
+
+    def root(self):
+        return np.zeros(2)
+
+
 class TestEgRandom:
+    @pytest.mark.parametrize("frac", [0.5, 1.0])
+    @pytest.mark.parametrize("op, L, x0", [
+        (LogisticGrad(1.0, 0.01), 0.26, [2.0]),
+        (_SkewTanh(), 2.0, [1.5, -0.5]),
+    ], ids=["logistic", "skew-tanh"])
+    def test_nonlinear_rows_are_gd_on_the_composite(self, op, L, x0, frac):
+        """On a nonlinear F the check steps eg2; its rows are, bit for bit,
+        those of gd on x -> F(x - gamma1*F(x))."""
+        g1 = frac / L
+        check = check_eg_random_bound(op, L, g1, 0.5 * g1, 300, x0)
+        trace = run(_Extrapolated(op, g1),
+                    SolverConfig("gd", gamma=0.5 * g1, iters=300, x0=np.array(x0)))
+        ks = np.arange(len(trace))
+        d0 = float(np.sum((np.array(x0) - op.root()) ** 2))
+        assert len(trace) == 301 and not trace.diverged
+        assert check.ks.tobytes() == ks.tobytes()
+        assert check.observed.tobytes() == (np.cumsum(trace.fx_sq) / (ks + 1)).tobytes()
+        assert check.bound.tobytes() == (2.0 * d0 / (g1 * (0.5 * g1) * (ks + 1.0))).tobytes()
+        assert check.passed
+
     def test_rotation(self):
         check = check_eg_random_bound(rotation(), 1.0, 1.0, 0.5, 100,
                                       np.array([1.0, 0.0]))
@@ -254,10 +312,10 @@ class TestStepsizePreconditions:
             check_hgm_bounds(rotation(), 1.0, bad, 3.0, 5, np.array([1.0, 0.0]))
 
 
-def _reference_run_from(op, method, iters, x0, x_star, **gammas):
+def _reference_run_from(base, op, method, iters, x0, x_star, **gammas):
     """The checks' run before they stopped recording distances: the run is
     given the solution point."""
-    star = numerics.as_vector(x_star) if x_star is not None else op.root()
+    star = numerics.as_vector(x_star) if x_star is not None else base.root()
     if star is None:
         raise PreconditionViolated("this check needs a known solution point")
     x0 = numerics.as_vector(x0)

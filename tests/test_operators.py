@@ -18,7 +18,6 @@ from vicert.errors import (
 from vicert.operators import (
     Affine,
     CustomTable,
-    ExtrapolatedComposite,
     ImplicitComposite,
     LogisticGrad,
     bilinear_game,
@@ -108,7 +107,6 @@ def _every_operator_kind():
         rotation(),
         logistic,
         CustomTable([([0.0], [1.0])]),
-        ExtrapolatedComposite(logistic, 0.5),
         ImplicitComposite(logistic, 1.0),
     ]
 
@@ -147,12 +145,6 @@ class TestCheckedCall:
                 op.jacobian(x)
         x = np.full(op.dim, 0.3)
         assert np.array_equal(op.jacobian(x), op._jacobian(x))
-
-    def test_extrapolated_point_is_checked(self):
-        # F(x) = 1e300*x is finite at x = 1, but x - gamma*F(x) overflows
-        comp = ExtrapolatedComposite(Affine([[1e300]]), 1e10)
-        with np.errstate(over="ignore"), pytest.raises(NonFinite):
-            comp._apply(np.array([1.0]))
 
     def test_implicit_step_overflow_raises_nonfinite(self):
         # no declared Lipschitz constant, so the expanding inner iteration is
@@ -271,10 +263,9 @@ class TestParameters:
         lambda v: eftp_operator(rotation(), v),
         lambda v: pp_operator(rotation(), v),
         lambda v: pp_operator(LogisticGrad(), v),
-        lambda v: ExtrapolatedComposite(LogisticGrad(), v),
         lambda v: ImplicitComposite(LogisticGrad(), v),
     ], ids=["rotation", "eg-affine", "eg", "og", "eftp", "pp-affine", "pp",
-            "extrapolated-composite", "implicit-composite"])
+            "implicit-composite"])
     def test_scale_and_gamma_must_be_finite_and_positive(self, build, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -331,19 +322,6 @@ class TestEgOperator:
         comp = eg_operator(base, 0.2)
         assert np.abs(comp(base.root())).max() <= 1e-12
 
-    def test_nonlinear_wrapper_matches_definition(self):
-        base = LogisticGrad(1.0, 0.01)
-        comp = eg_operator(base, 0.5)
-        x = np.array([1.3])
-        expected = base(x - 0.5 * base(x))
-        assert np.allclose(comp(x), expected, atol=0.0)
-
-    def test_nonlinear_has_no_jacobian(self):
-        # run's hgm, the one caller of a Jacobian, never steps a composite
-        comp = eg_operator(LogisticGrad(1.0, 0.01), 0.5)
-        with pytest.raises(NoAnalyticJacobian):
-            comp.jacobian(np.array([0.4]))
-
     def test_bad_gamma(self):
         with pytest.raises(BadParameters):
             eg_operator(rotation(), 0.0)
@@ -392,10 +370,10 @@ class TestOgEftpOperators:
         assert np.abs(comp(z)).max() <= 1e-12
 
     def test_requires_affine(self):
-        with pytest.raises(NotAffine):
-            og_operator(LogisticGrad(), 1.0)
-        with pytest.raises(NotAffine):
-            eftp_operator(LogisticGrad(), 1.0)
+        # run steps a nonlinear F with eg2, og and eftp
+        for build in (eg_operator, og_operator, eftp_operator):
+            with pytest.raises(NotAffine):
+                build(LogisticGrad(), 1.0)
 
 
 def _float_or_array_outcome(fn, x):
@@ -416,30 +394,28 @@ class TestFloatForm:
     def test_which_operators_have_one(self):
         logistic = LogisticGrad(1.0, 0.01)
         assert logistic.float_form
-        assert eg_operator(logistic, 0.5).float_form and pp_operator(logistic, 2.0).float_form
+        assert pp_operator(logistic, 2.0).float_form
         assert not Affine([[2.0]]).float_form and not rotation().float_form
         assert not pp_operator(Affine([[2.0]]), 0.5).float_form
 
     def test_float_form_is_the_array_form_property(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        # 1e300 makes a*x overflow at |a| = 37 and the eg mid point overflow at
-        # large gamma; far from the root the implicit step stops on max_iters
+        # 1e300 makes a*x overflow at |a| = 37; far from the root the implicit
+        # step stops on max_iters
         point = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324])
         seen = set()
 
         @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
         @hypothesis.given(x0=point, a=st.sampled_from([1.0, -2.5, 1e-3, 37.0]),
                           delta=st.sampled_from([0.01, 0.0, 3.0]),
-                          gamma=st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
                           frac=st.floats(0.01, 0.99))
-        def prop(x0, a, delta, gamma, frac):
+        def prop(x0, a, delta, frac):
             base = LogisticGrad(a, delta)
-            eg = ExtrapolatedComposite(base, gamma)
             pp = ImplicitComposite(base, frac / base.constants.lipschitz)
             pp.max_iters = 200
             x = np.array([x0])
-            pairs = [(op._apply_float, op._apply) for op in (base, eg, pp)]
+            pairs = [(op._apply_float, op._apply) for op in (base, pp)]
             pairs.append((base._jacobian_float, base._jacobian))
             for as_float, as_array in pairs:
                 got = _float_or_array_outcome(as_float, x0)
@@ -447,7 +423,7 @@ class TestFloatForm:
                 seen.add(got[0] if isinstance(got, tuple) else bytes)
 
         prop()
-        assert seen == {bytes, NonFinite, NoConvergence}
+        assert seen == {bytes, NoConvergence}
 
     def test_overflowing_product(self):
         # a*x = inf: sigma(inf) = 1 and F = a + delta*x, in both forms
@@ -582,15 +558,9 @@ _UPDATE_OPERATORS = {
 }
 
 
-def _lifted(comp, root):
-    """The composite's root as the eager build stored it: the base's root,
-    once per block of the composite's state."""
-    return None if root is None else np.concatenate([root] * (comp.dim // root.size))
-
-
-class TestLazyCompositeRoot:
-    """The affine update operators take the base operator's root on their
-    first root() call, not while they build."""
+class TestBuildSolvesNoRoot:
+    """Building an update operator makes no LU solve for a root: an Affine
+    solves for its own only when asked, and no program path asks."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -606,32 +576,10 @@ class TestLazyCompositeRoot:
         base = Affine(rng.standard_normal((3, 3)) + 3.0 * np.eye(3), rng.standard_normal(3))
         calls = self._counting(monkeypatch)
         comp = make(base)
-        built = len(calls)   # pp's resolvent; nothing for eg and hamiltonian
-        assert built == (1 if make is _UPDATE_OPERATORS["pp"] else 0)
+        # pp's resolvent; nothing for the others
+        assert len(calls) == (1 if make is _UPDATE_OPERATORS["pp"] else 0)
+        assert type(comp) is Affine and comp._root_computed is False
         assert base._root_computed is False
-        got = comp.root()
-        assert len(calls) == built + 1
-        assert got.tobytes() == _lifted(comp, base.root()).tobytes()
-        assert comp.root().tobytes() == got.tobytes() and len(calls) == built + 1
-
-    @pytest.mark.parametrize("make", _UPDATE_OPERATORS.values(), ids=_UPDATE_OPERATORS)
-    @pytest.mark.parametrize("base", [
-        rotation(), scaled_identity(2.0, 3),
-        Affine([[1.0, 2.0], [-1.5, 0.5]], offset=[0.25, -1.0]),
-        Affine([[1.0, 1.0], [1.0, 1.0]]),               # singular, root 0
-        Affine([[1.0, 1.0], [1.0, 1.0]], offset=[1.0, 0.0]),   # no root
-    ], ids=["stored", "stored-identity", "solved", "singular-zero", "none"])
-    def test_same_root_as_the_eager_build(self, make, base):
-        """The root the composite built with ``root=op.root()`` had: the
-        base's bits, or its own solve where the base has none."""
-        comp = make(base)
-        eager = Affine(comp.matrix, comp.offset, root=_lifted(comp, base.root()))
-        got = comp.root()
-        if eager.root() is None:
-            assert got is None
-        else:
-            assert got.tobytes() == eager.root().tobytes()
-            assert comp.root() is not comp.root()   # a copy each call
 
     @pytest.mark.parametrize("which", ["og", "eftp"])
     def test_witness_solves_nothing(self, which, monkeypatch):
@@ -643,8 +591,8 @@ class TestLazyCompositeRoot:
 
     def test_report_solves_eight_resolvents(self, monkeypatch):
         """At seed 20240406 a report's only LU solves are the pp resolvents of
-        its 8 affine entries; the search's composites and the pp roots are
-        never asked for their root."""
+        its 8 affine entries; the checks take the base operators' stored
+        roots, and the search's composites are never asked for theirs."""
         calls = self._counting(monkeypatch)
         harness.run_report(seed=20240406, iters=3)
         assert len(calls) == 8
@@ -741,6 +689,6 @@ class TestJson:
             operators.load_operator(path)
 
     def test_composite_not_serializable(self):
-        comp = eg_operator(LogisticGrad(), 0.5)
+        comp = pp_operator(LogisticGrad(), 0.5)
         with pytest.raises(BadParameters):
             operator_to_json(comp)

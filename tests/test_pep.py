@@ -7,10 +7,14 @@ import warnings
 import numpy as np
 import pytest
 from pep_reference import (
+    LabelMismatch,
+    NotPSD,
     ball_norm_pep,
     build_expansiveness_matrices,
     counterexample_vectors,
     delta_composite_pep,
+    embed_points,
+    gram_to_points,
     inner_matrix,
     lower_bound_search,
     zero_sign_differences,
@@ -20,22 +24,14 @@ from test_golden import _problems
 
 from vicert import classes, cli, pep
 from vicert.certify import build_counterexample
-from vicert.errors import (
-    BadParameters,
-    DimensionMismatch,
-    LabelMismatch,
-    NoConvergence,
-    NotPSD,
-)
+from vicert.errors import BadParameters, DimensionMismatch, NoConvergence
 from vicert.operators import rotation
 from vicert.pep import (
     GramProblem,
     build_delta_pep,
     build_expansiveness_pep,
     build_norm_pep,
-    embed_points,
     export_sdpa,
-    gram_to_points,
     parse_sdpa,
     solve,
     sq_matrix,

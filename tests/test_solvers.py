@@ -864,7 +864,6 @@ def _on_arrays(op):
 _FLOAT_OPS = [
     ("logistic", LogisticGrad(1.0, 0.01), 0.26),
     ("logistic-steep", LogisticGrad(-2.5, 3.0), 4.5625),
-    ("eg-logistic", eg_operator(LogisticGrad(1.0, 0.01), 0.5), 0.26),
     ("pp-logistic", pp_operator(LogisticGrad(1.0, 0.01), 2.0), 0.26),
 ]
 
