@@ -280,27 +280,16 @@ class TestCertify:
             assert out["details"]["sampled_holds"] is False
             assert out["details"]["counterevidence"] is False
 
-    def test_og_witness_beyond_float_range(self, capsys):
-        # the og pencil at 1e155 is formed on A and ell/2 divided by a power of
-        # two; the lifted ratio is that of the unit matrix it scales
+    @pytest.mark.parametrize("check", ["og-witness", "eftp-witness"])
+    def test_witness_beyond_float_range(self, check, capsys):
+        # at 1e155 the pencil is formed on A and its constant divided by a
+        # power of two, and the block operator on A/2^e with stepsize
+        # gamma*2^e, where gamma*A^2 is finite and A^2 is not; the lifted
+        # ratio is that of the unit matrix it scales
         ratios = []
         for A, ell, gamma in (("[[1e155,1e155],[-1e155,1e155]]", "1.5e155", "1e-155"),
                               ("[[1,1],[-1,1]]", "1.5", "1")):
-            code = main(["certify", "--check", "og-witness", "--A", A, "--ell", ell,
-                         "--gamma", gamma, "--expect", "violated"])
-            assert code == 0
-            out = json.loads(capsys.readouterr().out)
-            assert out["verdict"] == "violated"
-            ratios.append(out["details"]["ratio"])
-        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
-
-    def test_eftp_witness_beyond_float_range(self, capsys):
-        # the eftp block operator at 1e155 is built on A divided by a power of
-        # two, where gamma*A^2 is finite and A^2 is not
-        ratios = []
-        for A, ell, gamma in (("[[1e155,1e155],[-1e155,1e155]]", "1.5e155", "1e-155"),
-                              ("[[1,1],[-1,1]]", "1.5", "1")):
-            code = main(["certify", "--check", "eftp-witness", "--A", A, "--ell", ell,
+            code = main(["certify", "--check", check, "--A", A, "--ell", ell,
                          "--gamma", gamma, "--expect", "violated"])
             assert code == 0
             out = json.loads(capsys.readouterr().out)

@@ -76,8 +76,8 @@ class TestPp:
 
 class _Extrapolated(Operator):
     """x -> F(x - gamma*F(x)) for a nonlinear F, in both of F's forms, with
-    the extrapolated point checked as a public call would check it: the
-    composite the eg-random check once stepped with gd."""
+    the extrapolated point checked as a public call would check it: gd on
+    it is the reference for the eg-random check's eg2 rows."""
 
     def __init__(self, inner, gamma):
         self.inner, self.gamma = inner, gamma
