@@ -295,7 +295,7 @@ class CustomTable(Operator):
 
 
 # ---------------------------------------------------------------------------
-# Composite operators
+# Update operators
 # ---------------------------------------------------------------------------
 
 def eg_operator(op: Operator, gamma: float) -> Affine:
