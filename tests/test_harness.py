@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -6,7 +7,12 @@ import numpy as np
 import pytest
 
 from vicert import harness, numerics
-from vicert.errors import BadParameters, DimensionMismatch, PreconditionViolated
+from vicert.errors import (
+    BadParameters,
+    DimensionMismatch,
+    PreconditionViolated,
+    VicertError,
+)
 from vicert.harness import (
     check_eftp_bound,
     check_eg_last_bounds,
@@ -125,6 +131,31 @@ class TestEgRandom:
         assert check.observed.tobytes() == (np.cumsum(trace.fx_sq) / (ks + 1)).tobytes()
         assert check.bound.tobytes() == (2.0 * d0 / (g1 * (0.5 * g1) * (ks + 1.0))).tobytes()
         assert check.passed
+
+    @pytest.mark.parametrize("x0", [2.0, -40.0, 1e150, 1e308],
+                             ids=["normal", "saturated", "1e+150", "1e+308"])
+    @pytest.mark.parametrize("frac", [0.5, 1.0])
+    @pytest.mark.parametrize("op, L", [
+        (LogisticGrad(1.0, 0.01), 0.26),
+        (LogisticGrad(-2.5, 3.0), 4.5625),
+    ], ids=["logistic", "logistic-steep"])
+    def test_nonlinear_floats_match_arrays(self, op, L, frac, x0):
+        """eg2 steps a 1-D F on Python floats: the check reads the same bits
+        from F's array form, and raises the same error where it raises one
+        (from 1e308, ||x0 - x*||^2 and so the bound pass float range)."""
+        arrays = copy.copy(op)
+        arrays.float_form = False
+        g1 = frac / L
+        outcomes = []
+        for form in (op, arrays):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    check = check_eg_random_bound(form, L, g1, 0.5 * g1, 200, [x0])
+                outcomes.append((check.ks.tobytes(), check.observed.tobytes(),
+                                 check.bound.tobytes(), check.passed))
+            except VicertError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_rotation(self):
         check = check_eg_random_bound(rotation(), 1.0, 1.0, 0.5, 100,

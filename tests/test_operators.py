@@ -260,12 +260,14 @@ class TestParameters:
         lambda v: eg_operator(rotation(), v),
         lambda v: eg_operator(LogisticGrad(), v),
         lambda v: og_operator(rotation(), v),
+        lambda v: og_operator(LogisticGrad(), v),
         lambda v: eftp_operator(rotation(), v),
+        lambda v: eftp_operator(LogisticGrad(), v),
         lambda v: pp_operator(rotation(), v),
         lambda v: pp_operator(LogisticGrad(), v),
         lambda v: ImplicitComposite(LogisticGrad(), v),
-    ], ids=["rotation", "eg-affine", "eg", "og", "eftp", "pp-affine", "pp",
-            "implicit-composite"])
+    ], ids=["rotation", "eg-affine", "eg", "og", "og-nonlinear", "eftp", "eftp-nonlinear",
+            "pp-affine", "pp", "implicit-composite"])
     def test_scale_and_gamma_must_be_finite_and_positive(self, build, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -580,6 +582,32 @@ class TestBuildSolvesNoRoot:
         assert len(calls) == (1 if make is _UPDATE_OPERATORS["pp"] else 0)
         assert type(comp) is Affine and comp._root_computed is False
         assert base._root_computed is False
+
+    @pytest.mark.parametrize("make", _UPDATE_OPERATORS.values(), ids=_UPDATE_OPERATORS)
+    @pytest.mark.parametrize("base", [
+        rotation(), scaled_identity(2.0, 3),
+        Affine([[1.0, 2.0], [-1.5, 0.5]], offset=[0.25, -1.0]),
+        Affine([[1.0, 1.0], [1.0, 1.0]]),               # singular, root 0
+        Affine([[1.0, 1.0], [1.0, 1.0]], offset=[1.0, 0.0]),   # no root
+    ], ids=["stored", "stored-identity", "solved", "singular-zero", "none"])
+    def test_own_root_is_the_base_zero(self, make, base, monkeypatch):
+        """Asked for its root, an update operator solves once for its own:
+        the base's zero, once per block of its state (the zeros they share),
+        to rounding; none where the base has none."""
+        want = base.root()
+        calls = self._counting(monkeypatch)
+        comp = make(base)
+        built = len(calls)
+        got = comp.root()
+        assert len(calls) == built + 1
+        if want is None:
+            assert got is None
+        else:
+            lifted = np.concatenate([want] * (comp.dim // want.size))
+            assert np.allclose(got, lifted, rtol=0.0, atol=1e-15)
+            assert np.abs(comp(got)).max() <= 1e-15
+            assert comp.root() is not comp.root()   # a copy each call
+        assert len(calls) == built + 1
 
     @pytest.mark.parametrize("which", ["og", "eftp"])
     def test_witness_solves_nothing(self, which, monkeypatch):
