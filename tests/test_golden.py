@@ -17,7 +17,8 @@ verified its candidates best-first) BLAS products and LAPACK factorisations
 of small matrices, so their digests hold where those round alike (x86-64
 builds of numpy's bundled OpenBLAS, whose kernels use FMA).  The two
 logistic ``run`` CSVs at the benchmark's length were recorded before run
-stepped 1-D operators on Python floats.  Regenerate the digests with
+stepped 1-D operators on Python floats, and the 1000-iteration ``report``
+and bilinear ``run`` outputs before run stepped affine operators in blocks.  Regenerate the digests with
 ``python tests/test_golden.py`` only for an intended change of output.
 """
 
@@ -138,6 +139,18 @@ def outputs(tmp_path) -> dict[str, bytes]:
         out[f"cli:run-logistic-{method}-10000"] = csv.read_bytes()
     out["report:20240406-300"] = harness.report_to_json(
         harness.run_report(seed=20240406, iters=300)).encode()
+    # runs longer than one block of solvers' block kernel, through the CLI the
+    # console-script CI step calls
+    report = tmp_path / "report-7-1000.json"
+    assert cli.main(["report", "--seed", "7", "--iters", "1000", "--out", str(report)]) == 0
+    out["report:7-1000"] = report.read_bytes()
+    L = load_operator(_FIXTURES / "bilinear4.json").constants.lipschitz
+    for method, gamma in (("og", _STEP["og"] / L), ("hgm", _STEP["hgm"] / (L * L))):
+        csv = tmp_path / f"bilinear4-{method}-1000.csv"
+        assert cli.main(["run", "--op", str(_FIXTURES / "bilinear4.json"), "--method", method,
+                         "--gamma", repr(gamma), "--iters", "1000", "--x0", "0.5,-1,0.25,2",
+                         "--xstar", "0,0,0,0", "--out", str(csv)]) == 0
+        out[f"cli:run-bilinear4-{method}-1000"] = csv.read_bytes()
     for key, blob in _traces():
         out[f"csv:{key}"] = blob
     for key, argv in _CHECK_ARGV.items():
@@ -219,6 +232,9 @@ GOLDEN = {
     'cli:run-logistic-pp-10000': '5121b5350707077e9f6e14649f8e199bd155eaaab8f9862b0aba8559c8066146',
     'cli:run-logistic-eg2-10000': 'a0aa90d6912b54df8f0d4d9dd1dc049559f3542904e8a456e111d5cdcd98a895',
     'report:20240406-300': '254b11129b4f8e8d6fadeee0986ab056a65f2462e59935ea5c35d73257664acf',
+    'report:7-1000': '97a250e3c5cc85cbbf3f4b5ddddf4d56aa9c3156274ce18acd5903a7d43bfbda',
+    'cli:run-bilinear4-og-1000': '4ab849acfcaf46813eea5df77dfc78751825f54fc10cbe0ef635b174cacf9dde',
+    'cli:run-bilinear4-hgm-1000': '9442e4c6d47c5687b3ae189e167a8af881254a72d6799a5e1f781e3acc744be4',
     'csv:rotation-gd': 'b1929bdb0c04a190f1260220f590b8d85b5d91facc6b6d1b82d530830a3b03eb',
     'csv:rotation-pp': 'c5f87ecc9d6871f835a41262baeeb1713e68cf2a0ce4962cc6e8babfea0b4d72',
     'csv:rotation-eg': '0951e4c64f11aa6fd9ee6e443de0d50239311ebd343a44a66ee6b5a752c1a13a',
