@@ -23,7 +23,7 @@ from .operators import (
     scaled_identity,
 )
 from .serial import jsonable
-from .solvers import SolverConfig, Trace, run
+from .solvers import SolverConfig, Trace, run, run_many
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT10 = float(np.sqrt(10.0))
@@ -87,19 +87,37 @@ class BoundCheck:
         }
 
 
-def _run_from(base: Operator, op: Operator, method: str, iters: int, x0, x_star,
-              **gammas):
-    """Run ``method`` on ``op`` from x0; return the trace, its iteration
-    indices k and d0 = ||x0 - x*||^2, for x* given or ``base``'s root.  ``op``
-    is ``base`` or an update operator of it, which has the base's zeros.  The
-    run records no distances: the solution point enters the bound through d0
-    alone."""
+@dataclass(frozen=True)
+class _Planned:
+    """A check split at its run: the operator and config of the run it asks
+    for, the solution point the run records distances to (None for none),
+    and the bound evaluation on the trace."""
+
+    op: Operator
+    cfg: SolverConfig
+    x_star: np.ndarray | None
+    finish: Callable[[Trace], tuple[BoundCheck, ...]]
+
+
+def _finished(plan: _Planned) -> tuple[BoundCheck, ...]:
+    """The plan's checks, from a run of its own."""
+    return plan.finish(run(plan.op, plan.cfg, x_star=plan.x_star))
+
+
+def _plan_run(base: Operator, op: Operator, method: str, iters: int, x0, x_star,
+              finish, **gammas) -> _Planned:
+    """A plan to run ``method`` on ``op`` from x0, finished by ``finish(trace,
+    ks, d0)``: the trace, its iteration indices k and d0 = ||x0 - x*||^2, for
+    x* given or ``base``'s root.  ``op`` is ``base`` or an update operator
+    of it, which has the base's zeros.  The run records no distances: the
+    solution point enters the bound through d0 alone."""
     star = base._checked(x_star, "x_star") if x_star is not None else base.root()
     if star is None:
         raise PreconditionViolated("this check needs a known solution point")
     x0 = numerics.as_vector(x0)
-    trace = run(op, SolverConfig(method, iters=iters, x0=x0, **gammas))
-    return trace, np.arange(len(trace)), float(np.sum((x0 - star) ** 2))
+    cfg = SolverConfig(method, iters=iters, x0=x0, **gammas)
+    return _Planned(op, cfg, None, lambda trace: finish(
+        trace, np.arange(len(trace)), float(np.sum((x0 - star) ** 2))))
 
 
 def _positive(name: str, value: float) -> float:
@@ -126,18 +144,42 @@ def _running_average(values: np.ndarray) -> np.ndarray:
 # Individual bound checks
 # ---------------------------------------------------------------------------
 
+def _plan_gd_bounds(op: Operator, ell: float, gamma: float, iters: int, x0,
+                    x_star) -> _Planned:
+    """check_gd_bounds up to its run."""
+    numerics.require_positive("ell", ell)
+    _require_step(gamma, gamma * ell, 1.0, "0 < gamma <= 1/ell")
+    params = {"ell": ell, "gamma": gamma, "iters": iters}
+
+    def finish(trace, ks, d0):
+        bound = ell * d0 / (gamma * (ks + 1.0))
+        avg = BoundCheck("gd-average", params, ks, _running_average(trace.fx_sq), bound)
+        last = BoundCheck("gd-last", params, ks, trace.fx_sq, bound)
+        return avg, last
+
+    return _plan_run(op, op, "gd", iters, x0, x_star, finish, gamma=gamma)
+
+
 def check_gd_bounds(op: Operator, ell: float, gamma: float, iters: int, x0,
                     x_star=None) -> tuple[BoundCheck, BoundCheck]:
     """Averaged and last-iterate residual bounds for plain gradient steps on a
     cocoercive operator: both are ell*||x0-x*||^2 / (gamma*(K+1))."""
+    return _finished(_plan_gd_bounds(op, ell, gamma, iters, x0, x_star))
+
+
+def _plan_pp_bound(op: Operator, ell: float, gamma: float, iters: int, x0,
+                   x_star) -> _Planned:
+    """check_pp_bound up to its run."""
     numerics.require_positive("ell", ell)
     _require_step(gamma, gamma * ell, 1.0, "0 < gamma <= 1/ell")
-    trace, ks, d0 = _run_from(op, op, "gd", iters, x0, x_star, gamma=gamma)
-    bound = ell * d0 / (gamma * (ks + 1.0))
-    params = {"ell": ell, "gamma": gamma, "iters": iters}
-    avg = BoundCheck("gd-average", params, ks, _running_average(trace.fx_sq), bound)
-    last = BoundCheck("gd-last", params, ks, trace.fx_sq, bound)
-    return avg, last
+
+    def finish(trace, ks, d0):
+        bound = ell * d0 / (gamma * (ks + 1.0))
+        return (BoundCheck("pp-average", {"ell": ell, "gamma": gamma, "iters": iters},
+                           ks, _running_average(trace.fx_sq), bound),)
+
+    return _plan_run(op, pp_operator(op, 2.0 / ell), "gd", iters, x0, x_star, finish,
+                     gamma=gamma)
 
 
 def check_pp_bound(op: Operator, ell: float, gamma: float, iters: int, x0,
@@ -145,37 +187,62 @@ def check_pp_bound(op: Operator, ell: float, gamma: float, iters: int, x0,
     """Residual bound for explicit steps on the implicit-step composite with
     inner stepsize 2/ell: averaged (and last) value of ||F_pp(x^k)||^2 stays
     below ell*||x0-x*||^2 / (gamma*(K+1))."""
-    numerics.require_positive("ell", ell)
-    _require_step(gamma, gamma * ell, 1.0, "0 < gamma <= 1/ell")
-    trace, ks, d0 = _run_from(op, pp_operator(op, 2.0 / ell), "gd", iters, x0, x_star,
-                              gamma=gamma)
-    bound = ell * d0 / (gamma * (ks + 1.0))
-    return BoundCheck("pp-average", {"ell": ell, "gamma": gamma, "iters": iters},
-                      ks, _running_average(trace.fx_sq), bound)
+    return _finished(_plan_pp_bound(op, ell, gamma, iters, x0, x_star))[0]
+
+
+def _plan_eg_random_bound(op: Operator, L: float, gamma1: float, gamma2: float,
+                          iters: int, x0, x_star) -> _Planned:
+    """check_eg_random_bound up to its run."""
+    numerics.require_positive("L", L)
+    _require_step(gamma1, gamma1 * L, 1.0, "0 < gamma1 <= 1/L")
+    _require_step(gamma2, gamma2 / gamma1, 0.5, "0 < gamma2 <= gamma1/2")
+    denom = _positive("gamma1*gamma2", gamma1 * gamma2)
+    params = {"L": L, "gamma1": gamma1, "gamma2": gamma2, "iters": iters}
+    affine = isinstance(op, Affine)
+
+    def finish(trace, ks, d0):
+        # gd's residuals on the composite, or eg2's at its mid points
+        observed = trace.fx_sq if affine else trace.extras["mid_sq"]
+        bound = 2.0 * d0 / (denom * (ks + 1.0))
+        return (BoundCheck("eg-random", params, ks, _running_average(observed), bound),)
+
+    if affine:
+        # gd on the closed form A(I - gamma1*A), whose bits the report pins
+        return _plan_run(op, eg_operator(op, gamma1), "gd", iters, x0, x_star, finish,
+                         gamma=gamma2)
+    # eg2's mid-point residuals ||F(x - gamma1*F(x))||^2, in the same steps
+    return _plan_run(op, op, "eg2", iters, x0, x_star, finish, gamma1=gamma1,
+                     gamma2=gamma2)
 
 
 def check_eg_random_bound(op: Operator, L: float, gamma1: float, gamma2: float,
                           iters: int, x0, x_star=None) -> BoundCheck:
     """Averaged residual of the extrapolated update under the two-stepsize
     scheme: bound 2*||x0-x*||^2 / (gamma1*gamma2*(K+1))."""
+    return _finished(_plan_eg_random_bound(op, L, gamma1, gamma2, iters, x0, x_star))[0]
+
+
+def _plan_eg_last_bounds(op: Operator, L: float, gamma: float, iters: int, x0,
+                         x_star) -> _Planned:
+    """check_eg_last_bounds up to its run."""
     numerics.require_positive("L", L)
-    _require_step(gamma1, gamma1 * L, 1.0, "0 < gamma1 <= 1/L")
-    _require_step(gamma2, gamma2 / gamma1, 0.5, "0 < gamma2 <= gamma1/2")
-    denom = _positive("gamma1*gamma2", gamma1 * gamma2)
-    if isinstance(op, Affine):
-        # gd on the closed form A(I - gamma1*A), whose bits the report pins
-        trace, ks, d0 = _run_from(op, eg_operator(op, gamma1), "gd", iters, x0, x_star,
-                                  gamma=gamma2)
-        observed = trace.fx_sq
-    else:
-        # eg2's mid-point residuals ||F(x - gamma1*F(x))||^2, in the same steps
-        trace, ks, d0 = _run_from(op, op, "eg2", iters, x0, x_star, gamma1=gamma1,
-                                  gamma2=gamma2)
-        observed = trace.extras["mid_sq"]
-    bound = 2.0 * d0 / (denom * (ks + 1.0))
-    return BoundCheck("eg-random", {"L": L, "gamma1": gamma1, "gamma2": gamma2,
-                                    "iters": iters},
-                      ks, _running_average(observed), bound)
+    _require_step(gamma, gamma * L, 1.0, "0 < gamma <= 1/L")
+    guaranteed = gamma * L <= (1.0 + 1e-12) / _SQRT2
+    slack = 1.0 - L * L * (gamma * gamma)
+    denom = _positive("gamma^2*(1 - L^2*gamma^2)", gamma * gamma * slack)
+    gap_denom = _positive("gamma*sqrt(1 - L^2*gamma^2)", gamma * np.sqrt(slack))
+    params = {"L": L, "gamma": gamma, "iters": iters}
+
+    def finish(trace, ks, d0):
+        norm_check = BoundCheck("eg-last", params, ks, trace.fx_sq,
+                                d0 / (denom * (ks + 1.0)), guaranteed=guaranteed)
+        gap_surrogate = 2.0 * np.sqrt(trace.fx_sq) * np.sqrt(d0)
+        gap_bound = 2.0 * d0 / (gap_denom * np.sqrt(ks + 1.0))
+        gap_check = BoundCheck("eg-gap", params, ks, gap_surrogate, gap_bound,
+                               guaranteed=guaranteed)
+        return norm_check, gap_check
+
+    return _plan_run(op, op, "eg", iters, x0, x_star, finish, gamma=gamma)
 
 
 def check_eg_last_bounds(op: Operator, L: float, gamma: float, iters: int, x0,
@@ -186,37 +253,31 @@ def check_eg_last_bounds(op: Operator, L: float, gamma: float, iters: int, x0,
     Guaranteed regime is gamma <= 1/(sqrt(2)*L); for gamma in
     (1/(sqrt(2)L), 1/L) the margins are reported but not asserted.
     """
+    return _finished(_plan_eg_last_bounds(op, L, gamma, iters, x0, x_star))
+
+
+def _plan_eftp_bound(op: Operator, L: float, gamma: float, iters: int, x0,
+                     x_star) -> _Planned:
+    """check_eftp_bound up to its run."""
     numerics.require_positive("L", L)
-    _require_step(gamma, gamma * L, 1.0, "0 < gamma <= 1/L")
-    guaranteed = gamma * L <= (1.0 + 1e-12) / _SQRT2
-    slack = 1.0 - L * L * (gamma * gamma)
-    denom = _positive("gamma^2*(1 - L^2*gamma^2)", gamma * gamma * slack)
-    gap_denom = _positive("gamma*sqrt(1 - L^2*gamma^2)", gamma * np.sqrt(slack))
-    trace, ks, d0 = _run_from(op, op, "eg", iters, x0, x_star, gamma=gamma)
-    params = {"L": L, "gamma": gamma, "iters": iters}
-    norm_check = BoundCheck("eg-last", params, ks, trace.fx_sq,
-                            d0 / (denom * (ks + 1.0)), guaranteed=guaranteed)
-    gap_surrogate = 2.0 * np.sqrt(trace.fx_sq) * np.sqrt(d0)
-    gap_bound = 2.0 * d0 / (gap_denom * np.sqrt(ks + 1.0))
-    gap_check = BoundCheck("eg-gap", params, ks, gap_surrogate, gap_bound,
-                           guaranteed=guaranteed)
-    return norm_check, gap_check
+    if not (0.0 < gamma and gamma * L < 1.0 / _SQRT10):
+        raise PreconditionViolated("need 0 < gamma < 1/(sqrt(10)*L)")
+    denom = _positive("gamma^2*(1 - 10*gamma^2*L^2)",
+                      gamma * gamma * (1.0 - 10.0 * (gamma * gamma) * (L * L)))
+
+    def finish(trace, ks, d0):
+        observed = _running_average(trace.extras["tilde_sq"])
+        return (BoundCheck("eftp-random", {"L": L, "gamma": gamma, "iters": iters},
+                           ks, observed, d0 / (denom * (ks + 1.0))),)
+
+    return _plan_run(op, op, "eftp", iters, x0, x_star, finish, gamma=gamma)
 
 
 def check_eftp_bound(op: Operator, L: float, gamma: float, iters: int, x0,
                      x_star=None) -> BoundCheck:
     """Averaged residual over the auxiliary sequence of the past-extrapolation
     method: bound ||x0-x*||^2 / (gamma^2*(1-10*gamma^2*L^2)*(K+1))."""
-    numerics.require_positive("L", L)
-    if not (0.0 < gamma and gamma * L < 1.0 / _SQRT10):
-        raise PreconditionViolated("need 0 < gamma < 1/(sqrt(10)*L)")
-    denom = _positive("gamma^2*(1 - 10*gamma^2*L^2)",
-                      gamma * gamma * (1.0 - 10.0 * (gamma * gamma) * (L * L)))
-    trace, ks, d0 = _run_from(op, op, "eftp", iters, x0, x_star, gamma=gamma)
-    bound = d0 / (denom * (ks + 1.0))
-    observed = _running_average(trace.extras["tilde_sq"])
-    return BoundCheck("eftp-random", {"L": L, "gamma": gamma, "iters": iters},
-                      ks, observed, bound)
+    return _finished(_plan_eftp_bound(op, L, gamma, iters, x0, x_star))[0]
 
 
 def _hgm_cap(op: Operator, L: float, jac_lipschitz: float, x0) -> tuple[float, float]:
@@ -227,42 +288,6 @@ def _hgm_cap(op: Operator, L: float, jac_lipschitz: float, x0) -> tuple[float, f
     numerics.require_nonnegative("Lambda", jac_lipschitz)
     f0 = float(np.sqrt(np.sum(np.asarray(op(x0)) ** 2)))
     return _positive("L^2 + Lambda*||F(x0)||", L * L + jac_lipschitz * f0), f0
-
-
-@dataclass(frozen=True)
-class _Planned:
-    """A check split at its run: the run it asks for, the solution point the
-    run records distances to (None for none), and the bound evaluation on
-    the trace."""
-
-    cfg: SolverConfig
-    x_star: np.ndarray | None
-    finish: Callable[[Trace], tuple[BoundCheck, ...]]
-
-    def run_key(self) -> tuple:
-        """Equal for two plans that ask for the same iterates."""
-        c = self.cfg
-        return (c.method, c.gamma, c.gamma1, c.gamma2, c.iters, c.x0.tobytes())
-
-
-def _finish_sharing_runs(op: Operator, plans: list[_Planned]) -> list[BoundCheck]:
-    """Each plan's checks, in order, from one run per distinct ``run_key``.
-    Distances never feed back into the iterates, so a shared run records
-    those of the plan that names a solution point; at most one plan of a
-    group may name one."""
-    stars: dict[tuple, np.ndarray | None] = {}
-    for plan in plans:
-        key = plan.run_key()
-        if stars.get(key) is None:
-            stars[key] = plan.x_star
-    traces = {}
-    checks: list[BoundCheck] = []
-    for plan in plans:
-        key = plan.run_key()
-        if key not in traces:
-            traces[key] = run(op, plan.cfg, x_star=stars[key])
-        checks.extend(plan.finish(traces[key]))
-    return checks
 
 
 def _plan_hgm_bounds(op: Operator, L: float, jac_lipschitz: float, gamma: float,
@@ -287,15 +312,14 @@ def _plan_hgm_bounds(op: Operator, L: float, jac_lipschitz: float, gamma: float,
                           rel_tol=0.0, abs_tol=1e-12)
         return best_check, mono
 
-    return _Planned(SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0), None, finish)
+    return _Planned(op, SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0), None, finish)
 
 
 def check_hgm_bounds(op: Operator, L: float, jac_lipschitz: float, gamma: float,
                      iters: int, x0) -> tuple[BoundCheck, BoundCheck]:
     """Best-iterate bound on the residual-energy gradient and the residual
     norm monotonicity of the energy-descent method."""
-    plan = _plan_hgm_bounds(op, L, jac_lipschitz, gamma, iters, x0)
-    return plan.finish(run(op, plan.cfg))
+    return _finished(_plan_hgm_bounds(op, L, jac_lipschitz, gamma, iters, x0))
 
 
 def _plan_hgm_affine_contraction(op: Affine, iters: int, x0) -> _Planned:
@@ -326,14 +350,13 @@ def _plan_hgm_affine_contraction(op: Affine, iters: int, x0) -> _Planned:
                            np.arange(len(trace) - 1), trace.dist_sq[1:],
                            rho * trace.dist_sq[:-1], rel_tol=1e-12, abs_tol=1e-12),)
 
-    return _Planned(SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0), x_star, finish)
+    return _Planned(op, SolverConfig("hgm", gamma=gamma, iters=iters, x0=x0), x_star, finish)
 
 
 def check_hgm_affine_contraction(op: Affine, iters: int, x0) -> BoundCheck:
     """Per-step distance contraction of the energy-descent method on an affine
     operator at stepsize 1/sigma_max^2, with factor (1-kappa)/(1+kappa)."""
-    plan = _plan_hgm_affine_contraction(op, iters, x0)
-    return plan.finish(run(op, plan.cfg, x_star=plan.x_star))[0]
+    return _finished(_plan_hgm_affine_contraction(op, iters, x0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,32 +493,33 @@ def run_report(seed: int = 20240406, iters: int = 300) -> dict:
 
     Deterministic for fixed (seed, iters); overall status is in ``all_pass``.
     """
-    checks: list[BoundCheck] = []
+    plans: list[tuple[str, _Planned]] = []
     for entry in standard_suite(seed):
         op, L = entry.op, entry.L
         x0, star = entry.x0, entry.x_star
-        fresh: list[BoundCheck] = []
+        mine: list[_Planned] = []
         if entry.ell is not None:
-            fresh.extend(check_gd_bounds(op, entry.ell, 1.0 / entry.ell, iters,
-                                         x0, star))
+            mine.append(_plan_gd_bounds(op, entry.ell, 1.0 / entry.ell, iters, x0, star))
         pp_ell = entry.ell if entry.ell is not None else max(1.0, 2.5 * L)
         if isinstance(op, Affine) or 2.0 * L / pp_ell < 1.0:
-            fresh.append(check_pp_bound(op, pp_ell, 1.0 / pp_ell, iters, x0, star))
-        fresh.append(check_eg_random_bound(op, L, 1.0 / L, 0.5 / L, iters, x0, star))
-        fresh.extend(check_eg_last_bounds(op, L, 1.0 / (_SQRT2 * L), iters, x0, star))
-        fresh.append(check_eftp_bound(op, L, 0.9 / (_SQRT10 * L), iters, x0, star))
-        # the two hgm checks run once where they ask for the same run
-        hgm: list[_Planned] = []
+            mine.append(_plan_pp_bound(op, pp_ell, 1.0 / pp_ell, iters, x0, star))
+        mine.append(_plan_eg_random_bound(op, L, 1.0 / L, 0.5 / L, iters, x0, star))
+        mine.append(_plan_eg_last_bounds(op, L, 1.0 / (_SQRT2 * L), iters, x0, star))
+        mine.append(_plan_eftp_bound(op, L, 0.9 / (_SQRT10 * L), iters, x0, star))
         if entry.jac_lipschitz is not None:
             capped = _hgm_cap(op, L, entry.jac_lipschitz, x0)
-            hgm.append(_plan_hgm_bounds(op, L, entry.jac_lipschitz, 1.0 / capped[0],
-                                        iters, x0, capped))
+            mine.append(_plan_hgm_bounds(op, L, entry.jac_lipschitz, 1.0 / capped[0],
+                                         iters, x0, capped))
         if isinstance(op, Affine):
-            hgm.append(_plan_hgm_affine_contraction(op, iters, x0))
-        fresh.extend(_finish_sharing_runs(op, hgm))
-        for check in fresh:
-            check.params["op"] = entry.name
-        checks.extend(fresh)
+            mine.append(_plan_hgm_affine_contraction(op, iters, x0))
+        plans.extend((entry.name, plan) for plan in mine)
+    # every run at once, so that runs of one method, dimension and length step in lockstep
+    traces = run_many([(plan.op, plan.cfg, plan.x_star) for _, plan in plans])
+    checks: list[BoundCheck] = []
+    for (name, plan), trace in zip(plans, traces):
+        for check in plan.finish(trace):
+            check.params["op"] = name
+            checks.append(check)
     return {
         "version": __version__,
         "seed": seed,

@@ -75,18 +75,31 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 # Stacked products with per-row bits
 # ---------------------------------------------------------------------------
 
-def matvecs(A, X) -> np.ndarray:
-    """Row i is ``A @ X[i]``, bit for bit, for the whole stack in one call.
+def matvecs(A, X, out=None, transposed=False) -> np.ndarray:
+    """Row i is ``A @ X[i]``, or ``A[i] @ X[i]`` for a stack of matrices, bit
+    for bit, for the whole stack in one call; ``transposed`` gives
+    ``A.T @ X[i]`` (``A[i].T @ X[i]``).
 
     Stacked ``np.matmul`` is not gemm: for each stack item it calls the BLAS
     gemv (the dot at d = 1) that ``A @ x`` calls on the same operands.  The
     operands are taken C-contiguous, since an F-ordered ``A`` would send
     ``@`` to the other gemv kernel; a non-contiguous ``A`` or ``X`` gives
-    the bits of its contiguous copy.
+    the bits of its contiguous copy.  The transposed form multiplies by the
+    F-ordered view ``A.T`` of that C-contiguous ``A``, as ``J.T @ f`` does; a
+    contiguous copy of ``A.T`` would give other bits.  With ``out``, which
+    receives the rows, ``A`` and ``X`` are used as given, and must already
+    be C-contiguous float64: a loop that calls this once a row skips the
+    conversions.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    return np.matmul(A, X[..., None])[..., 0]
+    if out is None:
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
+    if transposed:
+        A = A.swapaxes(-1, -2)
+    if out is None:
+        return np.matmul(A, X[..., None])[..., 0]
+    np.matmul(A, X[..., None], out=out[..., None])
+    return out
 
 
 def row_dots(U, V) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import BadParameters, NonFinite
+from .errors import BadParameters, NonFinite, VicertError
 from .operators import Affine, Operator, pp_operator
 
 METHODS = ("gd", "pp", "eg", "eg2", "og", "eftp", "hgm")
@@ -113,12 +113,28 @@ def _jt_f_float(j: float, f: float) -> float:
     return 0.0 + j * f
 
 
-def _resolved(f):
-    """``f``, or, for an Affine's own ``_apply`` without a shift, the gemv
-    ``matrix.dot`` it returns: the same bits with no Python frame per call."""
+def _gemv_matrix(f):
+    """For an Affine's own ``_apply`` without a shift, its matrix, whose gemv
+    ``matrix.dot`` gives the same bits with no Python frame per call; None
+    for any other F."""
     if getattr(f, "__func__", None) is Affine._apply and f.__self__._shift is None:
-        return f.__self__.matrix.dot
-    return f
+        return f.__self__.matrix
+    return None
+
+
+def _resolved(f):
+    """``f``, or the gemv ``matrix.dot`` of an Affine's own ``_apply``
+    without a shift."""
+    A = _gemv_matrix(f)
+    return f if A is None else A.dot
+
+
+def _checked(op: Operator, cfg: SolverConfig, x_star):
+    """``run``'s input checks: the start and the solution point, which is
+    returned checked, must be of the operator's dimension."""
+    if cfg.x0.size != op.dim:
+        raise BadParameters(f"x0 has dim {cfg.x0.size}, operator has dim {op.dim}")
+    return None if x_star is None else op._checked(x_star, "x_star")
 
 
 def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
@@ -130,16 +146,233 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     NaNs.
 
     Inputs are checked here, once: an ``x_star`` not of the operator's
-    dimension raises :class:`DimensionMismatch`.  The loop calls the unchecked
-    ``op._apply`` and ``op._jacobian``.  A running upper bound on ||x||_2,
-    built from the squared norms of the steps, proves the iterate finite and
-    inside the divergence limit, and the eg mid point and the eftp tilde
-    point finite, while it is at most 1e149; rows whose bound passes it
-    check the point exactly instead.  Rows and F evaluations are those of a
-    check of every point.  Each F value is computed once: og reuses F(x_prev), eftp reuses
-    g*F at its tilde point, hgm reuses J(x)^T F(x).  F is ``op._apply``, called
-    on x^k for every row, on the eg mid point for every row and on the eftp
-    tilde point for every step, in that order.
+    dimension raises :class:`DimensionMismatch`.  Each F value is computed
+    once: og reuses F(x_prev), eftp reuses g*F at its tilde point, hgm reuses
+    J(x)^T F(x).  F is ``op._apply``, called on x^k for every row, on the eg
+    mid point for every row and on the eftp tilde point for every step, in
+    that order.
+
+    Where F is an Affine's own ``_apply`` without a shift (and, for hgm, the
+    Jacobian its own matrix), the run is stepped in blocks of 256 rows: each
+    row makes only the update's gemv and vector products, and each block
+    computes its squared norms in one stacked call and checks, on the whole
+    block at once, that no row overflowed or passed the divergence limit.  A
+    run that fails the check is made again, from its first row, by the
+    per-row loop, which checks each row as it makes it and alone stops a
+    run, writes its NaN rows and emits its overflow warnings; the trace is
+    the same, bit for bit, either way.
+    """
+    return _run_checked([(op, cfg, _checked(op, cfg, x_star))])[0]
+
+
+def run_many(runs) -> list[Trace]:
+    """``[run(op, cfg, x_star) for op, cfg, x_star in runs]``, bit for bit,
+    diverged flags and F counts included, with every input checked before
+    any run.  Block-stepped runs that share method, dimension and length
+    are stepped in lockstep, one stacked gemv per row for all of them; a run
+    that fails the block check is made again alone by the per-row loop."""
+    return _run_checked([(op, cfg, _checked(op, cfg, x_star)) for op, cfg, x_star in runs])
+
+
+def _block_matrix(op: Operator, method: str):
+    """The matrix the block kernel steps ``op`` with, or None where the run
+    needs the per-row loop.  The matrix must be C-contiguous (an F-ordered one
+    sends ``dot`` to the other gemv kernel), and hgm needs the Affine's own
+    Jacobian."""
+    A = _gemv_matrix(op._apply)
+    if A is None or not A.flags.c_contiguous:
+        return None
+    if method == "hgm" and getattr(op._jacobian, "__func__", None) is not Affine._jacobian:
+        return None
+    return A
+
+
+def _run_checked(runs) -> list[Trace]:
+    """The traces of checked (op, cfg, x_star) runs, in order."""
+    traces: list[Trace | None] = [None] * len(runs)
+    groups: dict[tuple, list[int]] = {}
+    for i, (op, cfg, star) in enumerate(runs):
+        if _block_matrix(op, cfg.method) is None:
+            traces[i] = _run_rows(op, cfg, star)
+        else:
+            groups.setdefault((cfg.method, op.dim, cfg.iters), []).append(i)
+    for members in groups.values():
+        with np.errstate(all="ignore"):
+            fast = _run_blocks([runs[i] for i in members])
+        for i, trace in zip(members, fast):
+            traces[i] = trace if trace is not None else _run_rows(*runs[i])
+    return traces
+
+
+# rows per block: a block's buffers hold at most four vectors a row, about
+# 0.4 MB a run at d = 50
+_BLOCK = 256
+
+
+def _stacked_gemv(M: np.ndarray, transposed: bool):
+    """x, out -> out[r] = M[r] @ x[r] (M[r].T @ x[r]) for a stack of runs."""
+    return lambda x, out: numerics.matvecs(M, x, out=out, transposed=transposed)
+
+
+def _run_blocks(runs) -> list[Trace | None]:
+    """The traces of checked runs that share method, dimension and length
+    and have a ``_block_matrix``, stepped in lockstep; None for each run
+    that fails the block check.  Called with every floating-point warning
+    off: a run that would warn overflows, and is left to the per-row loop.
+
+    Row by row, the runs make the per-row loop's vectors with its
+    operations, so with its bits: one gemv per F value, through
+    :func:`numerics.matvecs` on the stacked matrices (``ndarray.dot`` for a
+    single run), and the products of the update.  After each block, one
+    :func:`numerics.row_dots` call gives every squared norm, and the block
+    is accepted for a run when they are all finite and no iterate passes the
+    divergence limit.  Then the per-row loop would stop nowhere and make no
+    overflow: its rows, F count and flags are those the block gives.
+    """
+    op0, cfg0, _ = runs[0]
+    method, dim, iters = cfg0.method, op0.dim, cfg0.iters
+    R = len(runs)
+    A = np.stack([_block_matrix(op, method) for op, _, _ in runs])
+    ok = np.ones(R, dtype=bool)
+    if method == "eg2":
+        g1 = np.array([cfg.gamma1 for _, cfg, _ in runs])
+        g = np.array([cfg.gamma2 for _, cfg, _ in runs])
+    else:
+        g = g1 = np.array([cfg.gamma for _, cfg, _ in runs])
+    P = None
+    if method == "pp" and iters > 0:
+        P = np.zeros_like(A)
+        for r, (op, cfg, _) in enumerate(runs):
+            try:
+                M = _block_matrix(pp_operator(op, cfg.gamma), "pp")
+            except VicertError:
+                M = None  # the per-row loop meets the failure at its first step
+            if M is None:
+                ok[r] = False
+            else:
+                P[r] = M
+    stars = [star for _, _, star in runs]
+    has_star = any(star is not None for star in stars)
+    if has_star:
+        # a run without a solution point gets the norms of its x, which no trace reads
+        star = np.stack([np.zeros(dim) if s is None else s for s in stars])
+
+    # buffers: X[i] holds x of row i of the block and X[n] the next block's
+    # first; V[i] holds row i's vectors to square: F(x), the second product
+    # (eg F(mid), pp's resolvent step, eftp F(tilde), hgm J^T F), x - x*
+    second = method in ("pp", "eg", "eg2", "eftp", "hgm")
+    slots = 1 + second + has_star
+    rows = min(_BLOCK, iters + 1)
+    X = np.empty((rows + 1, R, dim))
+    X[0] = [cfg.x0 for _, cfg, _ in runs]
+    V = np.zeros((rows, slots, R, dim))
+    # each stepsize fills the rows of its run: a product with it is the
+    # per-row loop's product with the scalar, without broadcasting
+    G, G1 = (np.repeat(v[:, None], dim, axis=1) for v in (g, g1))
+    G2 = 2.0 * G  # og's 2.0*g, the bits of the Python float product
+    if R == 1:
+        # one run steps 1-D rows with the gemv ndarray.dot of its per-row
+        # loop, without stacked matmul's dispatch
+        Xs, Vs, G, G1, G2 = X[:, 0], V[:, :, 0], G[0], G1[0], G2[0]
+        F, JT = A[0].dot, A[0].T.dot
+        FP = None if P is None else P[0].dot
+    else:
+        Xs, Vs = X, V
+        F, JT = _stacked_gemv(A, False), _stacked_gemv(A, True)
+        FP = None if P is None else _stacked_gemv(P, False)
+    tmp, tmp2, gf = (np.empty(Xs.shape[1:]) for _ in range(3))
+    # each row's x, F(x) and second product as views made once: a list
+    # index costs less than an array index, row after row
+    xs, fxs, seconds = list(Xs), list(Vs[:, 0]), list(Vs[:, 1 if second else 0])
+    mul, sub, add = np.multiply, np.subtract, np.add
+    eg = method in ("eg", "eg2")
+    gd, pp, og, eftp, hgm = (method == m for m in ("gd", "pp", "og", "eftp", "hgm"))
+
+    blocks = []
+    k = 0
+    while k <= iters and ok.any():
+        n = min(rows, iters + 1 - k)
+        steps = min(n, iters - k)   # the block's rows that step; the run's last row does not
+        for i in range(n):
+            x, fx, v = xs[i], fxs[i], seconds[i]
+            F(x, out=fx)
+            if eg:
+                mul(G1, fx, out=tmp)
+                sub(x, tmp, out=tmp)
+                F(tmp, out=v)
+            elif hgm:
+                JT(fx, out=v)
+            if i == steps:
+                break
+            x_next = xs[i + 1]
+            if gd:
+                mul(G, fx, out=tmp)
+            elif og:
+                # x - 2.0*g*fx + g*f_prev, f_prev = F(x_prev) and x_prev = x0 at k = 0
+                mul(G2, fx, out=tmp)
+                sub(x, tmp, out=tmp)
+                mul(G, fx if k + i == 0 else fxs[i - 1], out=tmp2)
+                add(tmp, tmp2, out=x_next)
+                continue
+            elif eftp:
+                # one product g*F(tilde) moves x and makes the next tilde point
+                if k + i == 0:
+                    mul(G, fx, out=gf)
+                sub(x, gf, out=tmp)
+                F(tmp, out=v)
+                mul(G, v, out=gf)
+                sub(x, gf, out=x_next)
+                continue
+            else:
+                if pp:
+                    FP(x, out=v)
+                mul(G, v, out=tmp)
+            sub(x, tmp, out=x_next)
+        if has_star:
+            sub(X[:n], star, out=V[:n, -1])
+        sq = numerics.row_dots(V[:n], V[:n])   # (n, slots, R)
+        # the per-row loop's own stopping rule, on the whole block: a squared
+        # norm that is not finite, or max|x| past the divergence limit.  An
+        # iterate, mid point, tilde point or resolvent step that is not finite
+        # makes the gemv's product, and so its squared norm, not finite
+        ok &= (np.isfinite(sq).all(axis=(0, 1))
+               & (np.abs(X[:n]).max(axis=(0, 2)) <= _DIVERGENCE_LIMIT))
+        blocks.append(sq)
+        X[0] = X[n]
+        k += n
+
+    if not ok.any():
+        return [None] * R
+    sq = np.concatenate(blocks)
+    f_evals = {"eg": 2 * (iters + 1), "eg2": 2 * (iters + 1), "eftp": 2 * iters + 1}
+    traces = []
+    for r in range(R):
+        if not ok[r]:
+            traces.append(None)
+            continue
+        fx_sq = sq[:, 0, r].copy()
+        dist_sq = None if stars[r] is None else sq[:, -1, r].copy()
+        extras = {}
+        if eg or hgm:
+            extras[_EXTRAS[method][0]] = sq[:, 1, r].copy()
+        elif eftp:
+            # the tilde point starts at x0; row k + 1 holds step k's tilde point
+            extras["tilde_sq"] = np.concatenate([sq[:1, 0, r], sq[:iters, 1, r]])
+        if hgm:
+            extras["energy"] = 0.5 * fx_sq
+        traces.append(Trace(method, fx_sq, dist_sq, extras, False,
+                            f_evals.get(method, iters + 1)))
+    return traces
+
+
+def _run_rows(op: Operator, cfg: SolverConfig, star) -> Trace:
+    """``run`` row by row, on checked inputs.
+
+    A running upper bound on ||x||_2, built from the squared norms of the
+    steps, proves the iterate finite and inside the divergence limit, and
+    the eg mid point and the eftp tilde point finite, while it is at most
+    1e149; rows whose bound passes it check the point exactly instead.  Rows
+    and F evaluations are those of a check of every point.
 
     A 1-D operator with ``float_form`` is stepped on Python floats instead:
     F is ``op._apply_float``, called at the same points, and every product,
@@ -151,9 +384,6 @@ def run(op: Operator, cfg: SolverConfig, x_star=None) -> Trace:
     """
     x = cfg.x0.copy()
     dim = op.dim
-    if x.size != dim:
-        raise BadParameters(f"x0 has dim {x.size}, operator has dim {dim}")
-    star = None if x_star is None else op._checked(x_star, "x_star")
     if dim == 1 and op.float_form:
         # float arithmetic rounds as float64 arithmetic on a 1-element array
         # does, without numpy's dispatch on every operation: .dot at d = 1 is

@@ -1,7 +1,8 @@
 """The points a run evaluates F at, read through the operator.
 
-``run`` keeps no iterates.  It hands every point it evaluates F at to the
-unchecked ``op._apply``, or to ``op._apply_float`` for a 1-D operator with a
+``run`` keeps no iterates.  Its per-row loop ``solvers._run_rows``, which
+steps every operator a recording wraps, hands every point it evaluates F at
+to the unchecked ``op._apply``, or to ``op._apply_float`` for a 1-D operator with a
 float form: the iterate x^k of every row, the eg/eg2 mid point
 x^k - gamma1 F(x^k) of every row and the eftp tilde point of every step.
 """
@@ -11,7 +12,7 @@ import sys
 
 import numpy as np
 
-from vicert.solvers import run
+from vicert.solvers import _run_rows, run
 
 
 def recording(op):
@@ -28,7 +29,7 @@ def recording(op):
 
     def recorded(apply, as_array):
         def wrapper(x):
-            if sys._getframe(1).f_code is run.__code__:
+            if sys._getframe(1).f_code is _run_rows.__code__:
                 rec.points.append(as_array(x))
             return apply(x)
         return wrapper
@@ -47,7 +48,7 @@ def recording_subclass(op):
 
     def recorded(name, as_array):
         def method(self, x):
-            if sys._getframe(1).f_code is run.__code__:
+            if sys._getframe(1).f_code is _run_rows.__code__:
                 self.points.append(as_array(x))
             return getattr(base, name)(self, x)
         return method

@@ -34,7 +34,7 @@ from vicert.operators import (
     rotation,
     scaled_identity,
 )
-from vicert.solvers import SolverConfig, run
+from vicert.solvers import SolverConfig, run, run_many
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -343,18 +343,19 @@ class TestStepsizePreconditions:
             check_hgm_bounds(rotation(), 1.0, bad, 3.0, 5, np.array([1.0, 0.0]))
 
 
-def _reference_run_from(base, op, method, iters, x0, x_star, **gammas):
+def _reference_plan_run(base, op, method, iters, x0, x_star, finish, **gammas):
     """The checks' run before they stopped recording distances: the run is
     given the solution point."""
     star = numerics.as_vector(x_star) if x_star is not None else base.root()
     if star is None:
         raise PreconditionViolated("this check needs a known solution point")
     x0 = numerics.as_vector(x0)
-    trace = run(op, SolverConfig(method, iters=iters, x0=x0, **gammas), x_star=star)
-    return trace, np.arange(len(trace)), float(np.sum((x0 - star) ** 2))
+    d0 = float(np.sum((x0 - star) ** 2))
+    return harness._Planned(op, SolverConfig(method, iters=iters, x0=x0, **gammas), star,
+                            lambda trace: finish(trace, np.arange(len(trace)), d0))
 
 
-# the five checks that run through _run_from, called as in the report
+# the five checks planned through _plan_run, called as in the report
 _RUN_FROM_CHECKS = {
     "gd": lambda e: check_gd_bounds(e.op, e.ell, 1.0 / e.ell, 80, e.x0, e.x_star),
     "pp": lambda e: check_pp_bound(e.op, max(1.0, 2.5 * e.L), 1.0 / max(1.0, 2.5 * e.L),
@@ -394,7 +395,7 @@ class TestRunFromRecordsNoDistances:
     def test_arrays_match_the_run_given_the_solution(self, check, entry, monkeypatch):
         e = _SUITE[entry]
         got = _RUN_FROM_CHECKS[check](e)
-        monkeypatch.setattr(harness, "_run_from", _reference_run_from)
+        monkeypatch.setattr(harness, "_plan_run", _reference_plan_run)
         want = _RUN_FROM_CHECKS[check](e)
         got, want = (c if isinstance(c, tuple) else (c,) for c in (got, want))
         assert len(got) == len(want)
@@ -433,28 +434,38 @@ def _spy_runs(monkeypatch):
     return runs
 
 
-class TestReportSharesHgmRuns:
-    """Where the hgm bound checks and the affine contraction check ask for the
-    same run, the report runs it once and evaluates both on its trace."""
+def _spy_run_many(monkeypatch):
+    calls = []
 
-    def test_one_run_per_distinct_run(self, monkeypatch):
+    def spy(runs):
+        calls.append(list(runs))
+        return run_many(runs)
+
+    monkeypatch.setattr(harness, "run_many", spy)
+    return calls
+
+
+class TestReportRunsEveryPlan:
+    """The report plans every check first and makes all their runs in one
+    run_many call, one run per plan: the hgm bound checks and the affine
+    contraction check ask for two runs even where those are the same."""
+
+    def test_one_run_per_plan(self, monkeypatch):
         runs = _spy_runs(monkeypatch)
+        calls = _spy_run_many(monkeypatch)
         run_report(seed=20240406, iters=300)
-        assert len(runs) == 50
-        keys = [(id(op), cfg.method, cfg.gamma, cfg.gamma1, cfg.gamma2, cfg.iters,
-                 cfg.x0.tobytes()) for op, cfg, _ in runs]
-        assert len(set(keys)) == len(keys)
+        assert runs == [] and len(calls) == 1
+        members = calls[0]
         suite = standard_suite(20240406)
         affine = [e for e in suite if isinstance(e.op, Affine)]
-        hgm = [(op, cfg, star) for op, cfg, star in runs if cfg.method == "hgm"]
-        # every entry has a jac_lipschitz; the affine ones share where the
-        # contraction's stepsize 1/sigma_max^2 is the report's 1/L^2
-        shared = [e for e in affine
-                  if 1.0 / (e.L * e.L) == 1.0 / numerics.spectral_norm(e.op.matrix) ** 2]
-        assert len(affine) == 8 and len(shared) == 6
-        assert len(hgm) == len(suite) + len(affine) - len(shared)
+        hgm = [(op, cfg, star) for op, cfg, star in members if cfg.method == "hgm"]
+        # every entry has a jac_lipschitz, and every affine one a contraction check
+        assert len(affine) == 8
+        assert len(hgm) == len(suite) + len(affine)
+        assert len(members) == 56
         # each affine entry's contraction still records its distances
         assert sum(star is not None for _, _, star in hgm) == len(affine)
+        assert all(star is None for _, cfg, star in members if cfg.method != "hgm")
 
     def test_standalone_checks_make_their_own_runs(self, monkeypatch):
         runs = _spy_runs(monkeypatch)
@@ -466,11 +477,7 @@ class TestReportSharesHgmRuns:
     @pytest.mark.parametrize("seed", [11, 12, 13, 20240406])
     def test_same_json_as_one_run_per_check(self, seed, monkeypatch):
         got = report_to_json(run_report(seed=seed, iters=100))
-
-        def unshared(op, plans):
-            return [c for p in plans for c in p.finish(run(op, p.cfg, x_star=p.x_star))]
-
-        monkeypatch.setattr(harness, "_finish_sharing_runs", unshared)
+        monkeypatch.setattr(harness, "run_many", lambda runs: [run(*r) for r in runs])
         assert got == report_to_json(run_report(seed=seed, iters=100))
 
 

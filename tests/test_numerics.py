@@ -317,6 +317,34 @@ class TestStackedProducts:
             assert _same_bits(numerics.matvecs(A, X), [A @ x for x in X])
             assert _same_bits(numerics.row_dots(X, V), [x @ v for x, v in zip(X, V)])
 
+    def test_matrix_stacks_out_and_transposed(self):
+        """Row r of a stack of matrices is ``A[r] @ X[r]``, and of the
+        transposed form ``A[r].T @ X[r]`` (the hgm product ``J.T @ f``),
+        written into ``out`` where given, at any d from 1, with signed zeros
+        and rows that overflow."""
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            d, R = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            A = rng.standard_normal((R, d, d)) * 10.0 ** rng.integers(-5, 6, size=(R, 1, 1))
+            X = rng.standard_normal((R, d))
+            A[rng.random(A.shape) < 0.2] = -0.0
+            X[rng.random(X.shape) < 0.2] = -0.0
+            if rng.random() < 0.2:
+                A[0] *= 1e300
+            # out may be a slot of a larger buffer, as in the solvers' block kernel
+            buf = np.zeros((3, R, d))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for transposed in (False, True):
+                    want = [(a.T if transposed else a) @ x for a, x in zip(A, X)]
+                    assert _same_bits(numerics.matvecs(A, X, transposed=transposed), want)
+                    got = numerics.matvecs(A, X, out=buf[1], transposed=transposed)
+                    assert got is buf[1] or np.shares_memory(got, buf[1])
+                    assert _same_bits(buf[1], want)
+                    if d > 1:
+                        # the one-run block kernel's ndarray.dot, the same gemv
+                        assert _same_bits([(a.T if transposed else a).dot(x)
+                                           for a, x in zip(A, X)], want)
+
     def test_d1_and_signed_zeros(self):
         # at d = 1 the per-row product is BLAS's dot, 0 + a*x, so a zero
         # product is +0.0 where the bare a*x is -0.0

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,8 @@ from vicert.solvers import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ZERO2 = Affine(np.zeros((2, 2)))
 METHODS = ["gd", "pp", "eg", "eg2", "og", "eftp", "hgm"]
+# rows per block of run's block kernel
+_B = solvers._BLOCK
 # the affine operators of the huge-stepsize properties
 _PROPERTY_OPS = [scaled_identity(1.0, 2), rotation(), Affine([[2.0, 1.0], [-1.0, 0.5]]),
                  scaled_identity(7.0, 3)]
@@ -802,10 +805,12 @@ class TestBitIdentity:
         assert nan_rows >= 4
 
     def test_matches_reference_property(self):
-        """Over stepsizes and start scales from tame to overflowing, run()
-        equals the reference loop bit for bit and evaluates F exactly
-        ``f_evals`` times, so the rows the norm bound lets through unscanned
-        end where a scan of every point ends them."""
+        """Over stepsizes and start scales from tame to overflowing, and runs
+        shorter and longer than a block, run() equals the reference loop bit
+        for bit and evaluates F exactly ``f_evals`` times, so the rows the
+        norm bound lets through unscanned end where a scan of every point
+        ends them: on a recording operator, which the per-row loop steps,
+        and on the plain one, which the block kernel steps."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -813,12 +818,13 @@ class TestBitIdentity:
         @hypothesis.given(op=st.sampled_from(_PROPERTY_OPS), method=st.sampled_from(METHODS),
                           gamma=st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
                           scale=st.floats(-3.0, 155.0).map(lambda e: 10.0 ** e),
-                          iters=st.integers(0, 60))
+                          iters=st.integers(0, 60) | st.integers(_B - 2, 2 * _B + 2))
         def prop(op, method, gamma, scale, iters):
             steps = ({"gamma1": gamma, "gamma2": 0.5 * gamma} if method == "eg2"
                      else {"gamma": gamma})
             cfg = SolverConfig(method, iters=iters, x0=np.full(op.dim, scale), **steps)
             self._assert_same(op, cfg)
+            self._assert_same(op, cfg, "plain")
             counting = _CountingAffine(op.matrix)
             with np.errstate(over="ignore", invalid="ignore"):
                 trace = run(counting, cfg)
@@ -851,6 +857,162 @@ class TestBitIdentity:
         trace, xs, _ = run_points(scaled_identity(1.0, 2), cfg)
         assert not trace.diverged and len(trace) == len(xs) == 101
         assert np.abs(xs).max() == 1e148
+
+
+def _group(method):
+    """Runs of ``method`` on 2-D affine operators, which the block kernel
+    steps in one lockstep group: one that converges, one that overflows
+    (gamma 1e160; for pp, whose resolvent then shrinks the step, a resolvent
+    I + 1e308*A that overflows), one whose loose norm bound passes 1e149
+    while x stays at 1e148, and one that diverges slowly past 1e150 without
+    overflowing."""
+    if method == "pp":
+        over, slow = (Affine(np.diag([1.0, 2.0])), 1e308), (Affine(-0.5 * np.eye(2)), 1.8)
+    else:
+        over, slow = (scaled_identity(1.0, 2), 1e160), (rotation(), 10.0)
+    cases = [(rotation(), _NORMAL_STEP[method], np.array([0.6, -0.8])),
+             (*over, np.array([1.0, 1.0])),
+             (scaled_identity(1.0, 2), 2.0, np.full(2, 1e148)),
+             (*slow, np.array([1.0, 0.0]))]
+    return [(op, {"gamma1": g, "gamma2": g} if method == "eg2" else {"gamma": g}, x0)
+            for op, g, x0 in cases]
+
+
+def _assert_same_trace(got, want):
+    assert got.method == want.method and len(got) == len(want)
+    assert _same_bits(got.fx_sq, want.fx_sq)
+    assert (got.dist_sq is None) == (want.dist_sq is None)
+    if want.dist_sq is not None:
+        assert _same_bits(got.dist_sq, want.dist_sq)
+    assert list(got.extras) == list(want.extras)
+    for name in want.extras:
+        assert _same_bits(got.extras[name], want.extras[name])
+    assert got.diverged == want.diverged and got.f_evals == want.f_evals
+    assert got.to_csv() == want.to_csv()
+
+
+class TestRunMany:
+    """run_many against run, member by member and bit for bit, diverged flags
+    and F counts included, and run's block kernel against its per-row loop."""
+
+    @pytest.mark.parametrize("stars", ["none", "mixed", "all"])
+    @pytest.mark.parametrize("iters", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mixed_group_matches_run(self, method, iters, stars, monkeypatch):
+        runs = []
+        for i, (op, steps, x0) in enumerate(_group(method)):
+            star = {"none": None, "mixed": np.zeros(2) if i % 2 else None,
+                    "all": np.array([0.5, -0.25])}[stars]
+            runs.append((op, SolverConfig(method, iters=iters, x0=x0, **steps), star))
+        redone = []
+        rows = solvers._run_rows
+        monkeypatch.setattr(solvers, "_run_rows",
+                            lambda op, cfg, star: redone.append(id(cfg)) or rows(op, cfg, star))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solvers.run_many(runs)
+            # the converging run is accepted in lockstep; the per-row loop
+            # makes again only runs that fail the proof
+            assert id(runs[0][1]) not in redone
+            assert id(runs[1][1]) in redone or iters == 0
+            want = [run(*r) for r in runs]
+            rows = [solvers._run_rows(*r) for r in runs]
+        assert len(got) == len(runs)
+        for g, w, r in zip(got, want, rows):
+            _assert_same_trace(g, w)
+            _assert_same_trace(w, r)
+        if iters == 2 * _B + 1:
+            # the converging run is whole; the overflowing one stops at once
+            assert not got[0].diverged and len(got[0]) == iters + 1
+            assert got[1].diverged and len(got[1]) <= 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_passing_the_limit_on_the_last_rows(self, method):
+        # x grows about tenfold a row and passes 1e150 while it and its F
+        # values stay finite: the runs that end around that row stop, or
+        # not, only by the divergence limit
+        op, steps, x0 = _group(method)[3]
+        cfg = SolverConfig(method, iters=200, x0=x0, **steps)
+        rows = solvers._run_rows(op, cfg, None)
+        assert rows.diverged and np.isfinite(rows.fx_sq).all()
+        last = len(rows) - 1
+        for iters in range(last - 2, last + 3):
+            r = (op, dataclasses.replace(cfg, iters=iters), np.zeros(2))
+            _assert_same_trace(run(*r), solvers._run_rows(*r))
+        assert run(*r).diverged
+
+    def test_groups_and_order(self):
+        """Runs of several methods, dimensions and lengths, and runs the
+        per-row loop makes (the logistic's floats, an operator with a
+        shift), come back in the order given."""
+        rng = np.random.default_rng(5)
+        m5 = _random_monotone_affine(rng, 5)
+        ops = [rotation(), m5, Affine([[1.0, 0.5], [-0.5, 1.0]], [0.25, -1.0]),
+               LogisticGrad(1.0, 0.01), load_operator(FIXTURES / "bilinear4.json")]
+        runs = []
+        for method in METHODS:
+            for op in ops:
+                for iters in (3, _B + 3):
+                    steps = ({"gamma1": 0.2, "gamma2": 0.1} if method == "eg2"
+                             else {"gamma": 0.05 if method == "hgm" else 0.2})
+                    x0 = rng.standard_normal(op.dim)
+                    star = op.root() if iters == 3 else None
+                    runs.append((op, SolverConfig(method, iters=iters, x0=x0, **steps), star))
+        rng.shuffle(runs)
+        got = solvers.run_many(runs)
+        for g, r in zip(got, runs):
+            _assert_same_trace(g, run(*r))
+
+    def test_inputs_checked_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_run_rows", _refuse)
+        monkeypatch.setattr(solvers, "_run_blocks", _refuse)
+        good = (rotation(), SolverConfig("gd", gamma=0.1, iters=5, x0=np.ones(2)), None)
+        with pytest.raises(DimensionMismatch):
+            solvers.run_many([good, (rotation(), good[1], np.zeros(3))])
+        with pytest.raises(BadParameters, match="x0 has dim 2"):
+            solvers.run_many([good, (scaled_identity(1.0, 3), good[1], None)])
+        assert solvers.run_many([]) == []
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_converging_run_never_enters_the_row_loop(self, method, monkeypatch):
+        monkeypatch.setattr(solvers, "_run_rows", _refuse)
+        op, steps, x0 = _group(method)[0]
+        trace = run(op, SolverConfig(method, iters=2 * _B + 1, x0=x0, **steps), np.zeros(2))
+        assert not trace.diverged and len(trace) == 2 * _B + 2
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_run_enters_the_row_loop(self, method, monkeypatch):
+        entered = []
+
+        def spy(op, cfg, star):
+            entered.append(cfg)
+            return rows(op, cfg, star)
+
+        rows = solvers._run_rows
+        monkeypatch.setattr(solvers, "_run_rows", spy)
+        op, steps, x0 = _group(method)[1]
+        cfg = SolverConfig(method, iters=2 * _B + 1, x0=x0, **steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(op, cfg)
+        assert len(entered) == 1 and entered[0] is cfg
+        assert trace.diverged
+
+    @pytest.mark.parametrize("case", [1, 3], ids=["overflow", "slow-divergence"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_diverging_run_warns_as_the_row_loop_does(self, method, case):
+        op, steps, x0 = _group(method)[case]
+        cfg = SolverConfig(method, iters=2 * _B + 1, x0=x0, **steps)
+        caught = []
+        for stepper in (run, solvers._run_rows):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                stepper(op, cfg, None)
+            caught.append([(w.category, str(w.message)) for w in seen])
+        assert caught[0] == caught[1]
+        assert all(category is RuntimeWarning for category, _ in caught[0])
+
+
+def _refuse(*args):
+    raise AssertionError("not expected here")
 
 
 def _on_arrays(op):
