@@ -87,7 +87,7 @@ def _traces():
             yield f"{name}-{method}", run(op, cfg, x_star=op.root()).to_csv().encode()
 
 
-# the check JSONs of the five checks that run through harness._run_from, the
+# the check JSONs of the five checks planned through harness._plan_run, the
 # eg-random one on an affine and on a nonlinear operator, and of the two hgm
 # checks; gd, hgm and hgm-affine are the command lines of the console-script
 # CI step (which leaves gd's --ell to the declared constants)
